@@ -23,8 +23,8 @@ from typing import Callable, Optional, Sequence
 
 from mpmath import mp, mpf
 
-from .identities import ReportRow, residual_threshold
-from .ladder import aux_R, aux_r
+from .identities import normalize, residual_row
+from .ladder import _parity, aux_R, aux_r
 from .ode import OdeHalt, OdeProblem, solve_ode
 from .precision import NumericsError, PrecisionConfig, to_mpf, working_precision
 from .recurrence import hankel_det_t0, recurrence_table
@@ -678,7 +678,7 @@ class PvTrajectory:
 
 
 def _pv_rhs(n: int, alpha: mpf) -> Callable:
-    par = -1 if n % 2 else 1
+    par = _parity(n)
     k1 = 2 * n + 2 * alpha + 1
     c3 = 4 * n ** 2 + 4 * (2 * alpha + 1) * n + 4 * alpha + 1
 
@@ -705,7 +705,7 @@ def _seed_aux(n: int, alpha, t, config: PrecisionConfig):
     params = make_params(alpha, t, config)
     rec = recurrence_table(n + 1, params, config)
     with working_precision(config):
-        par = -1 if n % 2 else 1
+        par = _parity(n)
         k1 = 2 * n + 2 * params.alpha + 1
         r_val = aux_r(n, rec)
         big_r = aux_R(n, rec)
@@ -808,12 +808,11 @@ def pv_residual_rows(trajectory: PvTrajectory, config: PrecisionConfig,
     """
     n = trajectory.n
     alpha = trajectory.alpha
-    par = -1 if n % 2 else 1
+    par = _parity(n)
     rhs = _pv_rhs(n, alpha)
     rows = []
     with working_precision(config):
         k1 = 2 * n + 2 * alpha + 1
-        threshold = residual_threshold(config)
         for idx in _spread_indices(len(trajectory.samples), max_rows):
             t, big_r, rp = trajectory.samples[idx]
             r2 = rhs(t, [big_r, rp])[1]
@@ -821,10 +820,8 @@ def pv_residual_rows(trajectory: PvTrajectory, config: PrecisionConfig,
             s1 = rp / k1
             s2 = r2 / k1
             if s_val == 0 or s_val == 1:
-                rows.append(ReportRow(
-                    identity="pv-path", n=n, alpha=alpha, t=t,
-                    bits=config.bits, lhs_scale=mpf(0), residual=mpf(0),
-                    passed=True, trivial=True, detail="S(S-1)=0 pole"))
+                rows.append(residual_row("pv-path", n, alpha, t, config, mpf(0), None,
+                                         detail="S(S-1)=0 pole"))
                 continue
             terms = [
                 (3 * s_val - 1) * s1 ** 2 / (2 * s_val * (s_val - 1)),
@@ -834,20 +831,9 @@ def pv_residual_rows(trajectory: PvTrajectory, config: PrecisionConfig,
                 -par * s_val / (2 * t),
                 -s_val * (s_val + 1) / (2 * (s_val - 1)),
             ]
-            scale = max(abs(v) for v in [s2] + terms)
-            if scale == 0:
-                rows.append(ReportRow(
-                    identity="pv-path", n=n, alpha=alpha, t=t,
-                    bits=config.bits, lhs_scale=scale, residual=mpf(0),
-                    passed=True, trivial=True,
-                    detail="second derivative from the evolution"))
-                continue
-            residual = abs(s2 - mp.fsum(terms)) / scale
-            rows.append(ReportRow(
-                identity="pv-path", n=n, alpha=alpha, t=t, bits=config.bits,
-                lhs_scale=scale, residual=residual,
-                passed=bool(residual <= threshold),
-                detail="second derivative from the evolution"))
+            rows.append(residual_row("pv-path", n, alpha, t, config,
+                                     *normalize([s2] + terms, s2 - mp.fsum(terms)),
+                                     detail="second derivative from the evolution"))
     return rows
 
 
@@ -1063,7 +1049,6 @@ def sigma_form_residual(
     with working_precision(config):
         alpha_val = to_mpf(alpha, config)
         err0 = mpf(0) if sample_error is None else to_mpf(sample_error, config)
-        threshold = residual_threshold(config)
         for point in s_points:
             s = to_mpf(point, config)
             bundle = derivative_bundle(sigma_samples, s, config,
@@ -1078,12 +1063,10 @@ def sigma_form_residual(
                 -4 * sig * d1 ** 2,
                 d1 ** 2,
             ]
-            scale = max(abs(v) for v in terms)
-            if scale == 0:
-                rows.append(ReportRow(
-                    identity="sf", n=0, alpha=alpha_val, t=s,
-                    bits=config.bits, lhs_scale=scale, residual=mpf(0),
-                    passed=True, trivial=True, detail="flat sample"))
+            scale, residual = normalize(terms, mp.fsum(terms))
+            if residual is None:
+                rows.append(residual_row("sf", 0, alpha_val, s, config, scale, None,
+                                         detail="flat sample"))
                 continue
             sens_d2 = abs(8 * s ** 2 * d2 + 4 * s * d1)
             sens_d1 = abs(4 * s * d2 + 24 * s * d1 ** 2 - 8 * sig * d1 + 2 * d1)
@@ -1091,12 +1074,8 @@ def sigma_form_residual(
             # first-order propagation of stencil + sampler uncertainty,
             # with slack for the neglected cross terms
             bar = 4 * (sens_d2 * e2 + sens_d1 * e1 + sens_sig * err0) / scale
-            residual = abs(mp.fsum(terms)) / scale
-            rows.append(ReportRow(
-                identity="sf", n=0, alpha=alpha_val, t=s, bits=config.bits,
-                lhs_scale=scale, residual=residual,
-                passed=bool(residual <= max(bar, threshold)),
-                detail=f"error-bar~{mp.nstr(bar, 3)}"))
+            rows.append(residual_row("sf", 0, alpha_val, s, config, scale, residual,
+                                     detail=f"error-bar~{mp.nstr(bar, 3)}", bar=bar))
     return rows
 
 

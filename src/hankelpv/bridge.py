@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .derivatives import derivative, derivative_bundle, stencil_points
-from .identities import ReportRow, residual_threshold
+from .derivatives import derivative, derivative_bundle
+from .identities import ReportRow, normalize, residual_row, worst_sample
 from .ladder import aux_table
 from .precision import (
     PrecisionConfig,
@@ -334,62 +334,19 @@ def tilde_moments_and_table(n_max: int, tp: TildeParams, config: PrecisionConfig
     return table
 
 
-def _make_row(identity, n, alpha, t, config, terms, diff, detail="") -> ReportRow:
-    with working_precision(config):
-        scale = mpf(0)
-        for v in terms:
-            scale = max(scale, abs(v))
-        if scale == 0:
-            return ReportRow(
-                identity=identity,
-                n=n,
-                alpha=alpha,
-                t=t,
-                bits=config.bits,
-                lhs_scale=scale,
-                residual=mpf(0),
-                passed=True,
-                trivial=True,
-                detail=detail,
-            )
-        residual = abs(diff) / scale
-        return ReportRow(
-            identity=identity,
-            n=n,
-            alpha=alpha,
-            t=t,
-            bits=config.bits,
-            lhs_scale=scale,
-            residual=residual,
-            passed=bool(residual <= residual_threshold(config)),
-            detail=detail,
-        )
-
-
 def _transplant_row(identity, j, params, config, y_points, lhs_fn, rhs_fn) -> ReportRow:
     """Max-over-samples residual row for a polynomial identity on (0,1)."""
     with working_precision(config):
-        worst = mpf(0)
-        worst_scale = mpf(1)
+        samples = []
         for ys in y_points:
             y = mpf(ys)
             lhs = lhs_fn(j, y)
             rhs = rhs_fn(j, y)
-            scale = max(abs(lhs), abs(rhs), mpf(1))
-            res = abs(lhs - rhs) / scale
-            if res > worst:
-                worst, worst_scale = res, scale
-        return ReportRow(
-            identity=identity,
-            n=j,
-            alpha=params.alpha,
-            t=params.t,
-            bits=config.bits,
-            lhs_scale=worst_scale,
-            residual=worst,
-            passed=bool(worst <= residual_threshold(config)),
-            detail=f"y={','.join(str(v) for v in y_points)}",
-        )
+            # the unit term floors the scale at 1
+            samples.append(normalize([lhs, rhs, mpf(1)], lhs - rhs))
+        return residual_row(identity, j, params.alpha, params.t, config,
+                            *worst_sample(samples, scale=mpf(1)),
+                            detail=f"y={','.join(str(v) for v in y_points)}")
 
 
 def verify_parity_splitting(
@@ -439,110 +396,67 @@ def verify_parity_splitting(
         )
     with working_precision(config):
         for j in range(n_max + 1):
-            rows.append(
-                _make_row(
-                    "rela1",
-                    j,
-                    alpha,
-                    t,
-                    config,
-                    [rec.h[2 * j], tm.tilde_h[j]],
-                    rec.h[2 * j] - tm.tilde_h[j],
-                )
-            )
-            rows.append(
-                _make_row(
-                    "rela2",
-                    j,
-                    alpha,
-                    t,
-                    config,
-                    [rec.h[2 * j + 1], tp_.tilde_h[j]],
-                    rec.h[2 * j + 1] - tp_.tilde_h[j],
-                )
-            )
+            rows.append(residual_row(
+                "rela1", j, alpha, t, config,
+                *normalize([rec.h[2 * j], tm.tilde_h[j]], rec.h[2 * j] - tm.tilde_h[j])))
+            rows.append(residual_row(
+                "rela2", j, alpha, t, config,
+                *normalize([rec.h[2 * j + 1], tp_.tilde_h[j]],
+                           rec.h[2 * j + 1] - tp_.tilde_h[j])))
         for n in range(n_max + 1):
             lhs = rec.logD[2 * n]
             t1, t2 = tp_.tilde_logD[n], tm.tilde_logD[n]
-            rows.append(_make_row("hd1", n, alpha, t, config, [lhs, t1, t2], lhs - t1 - t2))
+            rows.append(residual_row(
+                "hd1", n, alpha, t, config,
+                *normalize([lhs, t1, t2], lhs - t1 - t2)))
             lhs = rec.logD[2 * n + 1]
             t1, t2 = tp_.tilde_logD[n], tm.tilde_logD[n + 1]
-            rows.append(_make_row("hd2", n, alpha, t, config, [lhs, t1, t2], lhs - t1 - t2))
+            rows.append(residual_row(
+                "hd2", n, alpha, t, config,
+                *normalize([lhs, t1, t2], lhs - t1 - t2)))
 
             sig = aux.sigma[2 * n]
             ha, hb = tp_.H[n], tm.H[n]
-            rows.append(
-                _make_row(
-                    "re3", n, alpha, t, config, [sig, 2 * ha, 2 * hb], sig - 2 * (ha + hb)
-                )
-            )
+            rows.append(residual_row(
+                "re3", n, alpha, t, config,
+                *normalize([sig, 2 * ha, 2 * hb], sig - 2 * (ha + hb))))
             sig = aux.sigma[2 * n + 1]
             ha, hb = tp_.H[n], tm.H[n + 1]
-            rows.append(
-                _make_row(
-                    "re4", n, alpha, t, config, [sig, 2 * ha, 2 * hb], sig - 2 * (ha + hb)
-                )
-            )
+            rows.append(residual_row(
+                "re4", n, alpha, t, config,
+                *normalize([sig, 2 * ha, 2 * hb], sig - 2 * (ha + hb))))
 
             sig = aux.sigma[2 * n]
             hta = tp_.H[n] - n * (n + half + alpha)
             htb = tm.H[n] - n * (n - half + alpha)
             shift = 2 * n * (n + alpha)
-            rows.append(
-                _make_row(
-                    "rs1",
-                    n,
-                    alpha,
-                    t,
-                    config,
-                    [sig, 2 * hta, 2 * htb, 2 * shift],
-                    sig - 2 * (hta + htb + shift),
-                )
-            )
+            rows.append(residual_row(
+                "rs1", n, alpha, t, config,
+                *normalize([sig, 2 * hta, 2 * htb, 2 * shift],
+                           sig - 2 * (hta + htb + shift))))
             sig = aux.sigma[2 * n + 1]
             hta = tp_.H[n] - n * (n + half + alpha)
             htb = tm.H[n + 1] - (n + 1) * (n + half + alpha)
             shift = (2 * n + 1) * (n + alpha + half)
-            rows.append(
-                _make_row(
-                    "rs2",
-                    n,
-                    alpha,
-                    t,
-                    config,
-                    [sig, 2 * hta, 2 * htb, 2 * shift],
-                    sig - 2 * (hta + htb + shift),
-                )
-            )
+            rows.append(residual_row(
+                "rs2", n, alpha, t, config,
+                *normalize([sig, 2 * hta, 2 * htb, 2 * shift],
+                           sig - 2 * (hta + htb + shift))))
 
             big = aux.R[2 * n]
             star = tm.Rstar[n]
             shifted = tm.Rtilde[n] - 2 * n - half - alpha
-            rows.append(
-                _make_row(
-                    "dou1",
-                    n,
-                    alpha,
-                    t,
-                    config,
-                    [big, 2 * star, 2 * shifted],
-                    max(abs(big - 2 * star), abs(big - 2 * shifted)),
-                )
-            )
+            rows.append(residual_row(
+                "dou1", n, alpha, t, config,
+                *normalize([big, 2 * star, 2 * shifted],
+                           max(abs(big - 2 * star), abs(big - 2 * shifted)))))
             big = aux.R[2 * n + 1]
             star = tp_.Rstar[n]
             shifted = tp_.Rtilde[n] - 2 * n - 3 * half - alpha
-            rows.append(
-                _make_row(
-                    "dou2",
-                    n,
-                    alpha,
-                    t,
-                    config,
-                    [big, 2 * star, 2 * shifted],
-                    max(abs(big - 2 * star), abs(big - 2 * shifted)),
-                )
-            )
+            rows.append(residual_row(
+                "dou2", n, alpha, t, config,
+                *normalize([big, 2 * star, 2 * shifted],
+                           max(abs(big - 2 * star), abs(big - 2 * shifted)))))
     rows.sort(key=lambda row: (row.identity, row.n))
     return rows
 
@@ -580,18 +494,10 @@ def verify_jmo_sigma_form(n_list, tp: TildeParams, config: PrecisionConfig):
             lhs = (t * h2) ** 2
             mid = n * (n + a + b) - hv + (a + t) * h1
             tail = 4 * h1 * (t * h1 - hv) * (b - h1)
-            rows.append(
-                _make_row(
-                    "hn",
-                    n,
-                    b,
-                    t,
-                    config,
-                    [lhs, mid ** 2, tail],
-                    lhs - mid ** 2 - tail,
-                    detail=f"a={mp.nstr(a, 8)};{note}",
-                )
-            )
+            rows.append(residual_row(
+                "hn", n, b, t, config,
+                *normalize([lhs, mid ** 2, tail], lhs - mid ** 2 - tail),
+                detail=f"a={mp.nstr(a, 8)};{note}"))
             ht = hv - n * (n + a + b)
             t1 = -4 * t * h1 ** 3
             t2 = h1 ** 2 * (4 * ht + (a + 2 * b + t) ** 2 + 4 * n * (n + a + b) - 4 * b * (a + b))
@@ -601,29 +507,13 @@ def verify_jmo_sigma_form(n_list, tp: TildeParams, config: PrecisionConfig):
                 "nu=(0,"
                 f"{mp.nstr(-(n + a + b), 8)},{n},{mp.nstr(-b, 8)})"
             )
-            rows.append(
-                _make_row(
-                    "hn-sigma",
-                    n,
-                    b,
-                    t,
-                    config,
-                    [lhs, t1, t2, t3, t4],
-                    lhs - t1 - t2 - t3 - t4,
-                    detail=f"a={mp.nstr(a, 8)};{nu};{note}",
-                )
-            )
-            rows.append(
-                _make_row(
-                    "hn-shift",
-                    n,
-                    b,
-                    t,
-                    config,
-                    [hv, ht, n * (n + a + b)],
-                    ht + n * (n + a + b) - hv,
-                    detail="definition",
-                )
-            )
+            rows.append(residual_row(
+                "hn-sigma", n, b, t, config,
+                *normalize([lhs, t1, t2, t3, t4], lhs - t1 - t2 - t3 - t4),
+                detail=f"a={mp.nstr(a, 8)};{nu};{note}"))
+            rows.append(residual_row(
+                "hn-shift", n, b, t, config,
+                *normalize([hv, ht, n * (n + a + b)], ht + n * (n + a + b) - hv),
+                detail="definition"))
     rows.sort(key=lambda row: (row.identity, row.n))
     return rows

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import report
 from .asymptotics import (
@@ -258,7 +258,7 @@ def _cmd_bridge(run: RunConfig, config: PrecisionConfig):
     if run.suite in ("all", "jmo"):
         if params.t <= 0:
             raise ValueError("the jmo rows need t > 0 for the derivative stencils")
-        tp = make_tilde_params(run.alpha, run.options["b"], run.t, config)
+        tp = make_tilde_params(run.options["b"], run.alpha, run.t, config)
         n_list = run.n_list if run.n_list is not None else (1, 2)
         rows += verify_jmo_sigma_form(list(n_list), tp, config)
     notes = []
@@ -280,13 +280,8 @@ def _cmd_solve_pv(run: RunConfig, config: PrecisionConfig):
         tolerance=None if tolerance is None else to_mpf(tolerance, config),
         sample_points=points,
     )
-    rows = _nearest_rows(trajectory.samples, points)
-    trimmed = type(trajectory)(
-        n=trajectory.n, alpha=trajectory.alpha, t0=trajectory.t0,
-        t_end=trajectory.t_end, tolerance=trajectory.tolerance, samples=rows,
-        halted=trajectory.halted, halt_reason=trajectory.halt_reason,
-        endpoint_direct=trajectory.endpoint_direct,
-        endpoint_gap=trajectory.endpoint_gap,
+    trimmed = replace(
+        trajectory, samples=_nearest_rows(trajectory.samples, points)
     )
     notes = []
     status = EXIT_OK
@@ -324,11 +319,8 @@ def _cmd_solve_p3(run: RunConfig, config: PrecisionConfig):
         sample_points=[p for p in points if p != start] or None,
         seed_order=opts.get("seed_order"),
     )
-    rows = _nearest_rows(trajectory.samples, points)
-    trimmed = type(trajectory)(
-        a=trajectory.a, seed=trajectory.seed, s0=trajectory.s0,
-        s_end=trajectory.s_end, tolerance=trajectory.tolerance, samples=rows,
-        halted=trajectory.halted, halt_reason=trajectory.halt_reason,
+    trimmed = replace(
+        trajectory, samples=_nearest_rows(trajectory.samples, points)
     )
     notes = []
     status = EXIT_OK

@@ -31,6 +31,7 @@ from .derivatives import derivative_bundle
 from .ladder import (
     ROUTE_QUADRATURE,
     AuxTable,
+    _parity,
     aux_table,
     eval_ladder,
     ladder_pieces,
@@ -89,48 +90,61 @@ class ReportRow:
     detail: str = ""
 
 
-def residual_threshold(config: PrecisionConfig) -> mpf:
-    with working_precision(config):
-        return mpf(10) ** (-mpf(config.residual_scale) * config.target_digits)
+def normalize(terms, diff):
+    """(scale, residual) of one relation at the ambient precision.
+
+    scale is the largest |term| and residual = |diff| / scale; residual is
+    None when every term is exactly zero (a trivially true relation).
+    """
+    scale = mpf(0)
+    for v in terms:
+        scale = max(scale, abs(v))
+    if scale == 0:
+        return scale, None
+    return scale, abs(diff) / scale
 
 
-def _parity(n: int) -> int:
-    return -1 if n % 2 else 1
+def worst_sample(samples, scale=mpf(0)):
+    """The (scale, residual) pair with the largest residual, for rows that
+    report the worst of several sample points.
+
+    Samples with a None residual are skipped; None comes back when no
+    sample is left. While every residual is exactly 0 the given scale
+    stands.
+    """
+    worst = None
+    for sample_scale, residual in samples:
+        if residual is None:
+            continue
+        if worst is None:
+            worst = mpf(0)
+        if residual > worst:
+            scale, worst = sample_scale, residual
+    return scale, worst
 
 
-def _row(identity, n, params, config, terms, diff, branch="", detail=""):
-    with working_precision(config):
-        scale = mpf(0)
-        for v in terms:
-            scale = max(scale, abs(v))
-        if scale == 0:
-            return ReportRow(
-                identity=identity,
-                n=n,
-                alpha=params.alpha,
-                t=params.t,
-                bits=config.bits,
-                lhs_scale=scale,
-                residual=mpf(0),
-                passed=True,
-                branch=branch,
-                trivial=True,
-                detail=detail,
-            )
-        residual = abs(diff) / scale
-        return ReportRow(
-            identity=identity,
-            n=n,
-            alpha=params.alpha,
-            t=params.t,
-            bits=config.bits,
-            lhs_scale=scale,
-            residual=residual,
-            passed=bool(residual <= residual_threshold(config)),
-            branch=branch,
-            trivial=False,
-            detail=detail,
-        )
+def residual_row(identity, n, alpha, t, config: PrecisionConfig, scale, residual,
+                 branch="", detail="", bar=None) -> ReportRow:
+    """The one ReportRow builder.
+
+    A None residual marks a trivially true row: it prints residual 0 and
+    passes. Any other row passes when its residual is at most the config's
+    residual threshold, or `bar` when the caller propagated a larger
+    uncertainty of its own.
+    """
+    trivial = residual is None
+    if trivial:
+        residual, passed = mpf(0), True
+    else:
+        threshold = config.residual_threshold()
+        if bar is not None:
+            threshold = max(bar, threshold)
+        passed = bool(residual <= threshold)
+    return ReportRow(
+        identity=identity, n=n, alpha=alpha, t=t, bits=config.bits,
+        lhs_scale=scale, residual=residual, passed=passed,
+        branch=branch, trivial=trivial, detail=detail,
+    )
 
 
 def verify_scalar_identities(
@@ -161,33 +175,37 @@ def verify_scalar_identities(
 
             d = R - (aux.r[n + 1] + r)
             rows.append(
-                _row("s1", n, params, config, [R, aux.r[n + 1], r], d)
+                residual_row("s1", n, a, t, config, *normalize([R, aux.r[n + 1], r], d))
             )
 
             if n >= 1:
                 t1 = table.beta[n + 1] * aux.R[n + 1]
                 t2 = beta * R_prev
                 t3 = 2 * par * t
-                rows.append(_row("s21", n, params, config, [t1, t2, t3], t1 - t2 - t3))
+                rows.append(residual_row("s21", n, a, t, config,
+                                         *normalize([t1, t2, t3], t1 - t2 - t3)))
 
                 t1 = table.beta[n + 1] * (2 * n + 3 + 2 * a + aux.R[n + 1])
                 t2 = beta * (k0 + R_prev)
                 t3 = 1 + aux.r[n + 1] - r
-                rows.append(_row("s22", n, params, config, [t1, t2, t3], t1 - t2 - t3))
+                rows.append(residual_row("s22", n, a, t, config,
+                                         *normalize([t1, t2, t3], t1 - t2 - t3)))
 
             terms = [(1 - par) * t, k1 * beta, 2 * table.p1[n], n + r]
             d = terms[0] + terms[1] - terms[2] - terms[3]
-            rows.append(_row("s2", n, params, config, terms, d))
+            rows.append(residual_row("s2", n, a, t, config, *normalize(terms, d)))
 
             lhs = -2 * par * t * r
             rhs = beta * R * R_prev
-            rows.append(_row("s2p1", n, params, config, [lhs, rhs], lhs - rhs))
+            rows.append(residual_row("s2p1", n, a, t, config,
+                                     *normalize([lhs, rhs], lhs - rhs)))
 
             if n >= 1:
                 lhs = (n + r) ** 2 + 2 * a * (n + r)
                 rhs = beta * (k1 + R) * (k0 + R_prev)
                 rows.append(
-                    _row("s2p2", n, params, config, [(n + r) ** 2, 2 * a * (n + r), rhs], lhs - rhs)
+                    residual_row("s2p2", n, a, t, config, *normalize(
+                        [(n + r) ** 2, 2 * a * (n + r), rhs], lhs - rhs))
                 )
 
                 terms = [
@@ -200,7 +218,8 @@ def verify_scalar_identities(
                 rhs2 = beta * R * (k0 + R_prev)
                 d = sum(terms) - rhs1 - rhs2
                 rows.append(
-                    _row("s2p3", n, params, config, terms + [rhs1, rhs2], d)
+                    residual_row("s2p3", n, a, t, config,
+                                 *normalize(terms + [rhs1, rhs2], d))
                 )
 
                 lhs1 = k1 * beta * R_prev
@@ -212,18 +231,19 @@ def verify_scalar_identities(
                     -k1 * k0 * beta,
                 ]
                 d = lhs1 + lhs2 - sum(terms)
-                rows.append(_row("imp", n, params, config, [lhs1, lhs2] + terms, d))
+                rows.append(residual_row("imp", n, a, t, config,
+                                         *normalize([lhs1, lhs2] + terms, d)))
 
                 if R != 0:
                     t1 = ((n + r) ** 2 + 2 * a * (n + r)) / (k0 * (k1 + R))
                     t2 = 2 * par * t * r / (k0 * R)
                     rows.append(
-                        _row("be3", n, params, config, [beta, t1, t2], beta - t1 - t2)
+                        residual_row("be3", n, a, t, config,
+                                     *normalize([beta, t1, t2], beta - t1 - t2))
                     )
                 else:
-                    rows.append(
-                        _row("be3", n, params, config, [], mpf(0), detail="R=0 pole")
-                    )
+                    rows.append(residual_row("be3", n, a, t, config, mpf(0), None,
+                                             detail="R=0 pole"))
 
             num_terms = [
                 n * (n + 2 * a),
@@ -233,14 +253,8 @@ def verify_scalar_identities(
             ]
             rhs = sum(num_terms) / (k1 * k0)
             rows.append(
-                _row(
-                    "be4",
-                    n,
-                    params,
-                    config,
-                    [beta] + [v / (k1 * k0) for v in num_terms],
-                    beta - rhs,
-                )
+                residual_row("be4", n, a, t, config, *normalize(
+                    [beta] + [v / (k1 * k0) for v in num_terms], beta - rhs))
             )
 
             # sigma_n in terms of r_n and R_n alone
@@ -254,11 +268,12 @@ def verify_scalar_identities(
                 ]
                 d = aux.sigma[n] - sum(terms)
                 rows.append(
-                    _row("sr", n, params, config, [aux.sigma[n]] + terms, d)
+                    residual_row("sr", n, a, t, config,
+                                 *normalize([aux.sigma[n]] + terms, d))
                 )
             else:
                 rows.append(
-                    _row("sr", n, params, config, [], mpf(0), detail="R=0 pole")
+                    residual_row("sr", n, a, t, config, mpf(0), None, detail="R=0 pole")
                 )
     return rows
 
@@ -285,7 +300,8 @@ def verify_difference_equations(
 
             t1 = (n + r) * (n + 2 * a + r) * (rp + r) * (r + rm)
             t2 = 2 * par * t * r * (k0 + r + rm) * (k1 + rp + r)
-            rows.append(_row("rn-diff", n, params, config, [t1, t2], t1 + t2))
+            rows.append(residual_row("rn-diff", n, a, t, config,
+                                     *normalize([t1, t2], t1 + t2)))
 
             rows.append(_rn_big_row(n, params, aux, config))
 
@@ -345,9 +361,8 @@ def _rn_big_row(n, params, aux, config):
     if prod >= 0:
         root = 2 * mp.sqrt(prod)
         branch = "+" if abs(left - root) <= abs(left + root) else "-"
-    return _row(
-        "Rn-diff", n, params, config, [lhs, rhs], lhs - rhs, branch=branch
-    )
+    return residual_row("Rn-diff", n, a, t, config,
+                        *normalize([lhs, rhs], lhs - rhs), branch=branch)
 
 
 def _sd_row(n, params, aux, config):
@@ -363,11 +378,13 @@ def _sd_row(n, params, aux, config):
     q_den = 2 * (par * t * k1 * k0 + (n + a) * dm * dp)
     r_den = t * k1 * k0 + par * (n + a) * dm * dp
     if q_den == 0 or r_den == 0:
-        return _row("sd", n, params, config, [], mpf(0), detail="degenerate denominator")
+        return residual_row("sd", n, a, t, config,
+                            mpf(0), None, detail="degenerate denominator")
     q = dm * dp * e / q_den
     lhs = (n - q) * (n + 2 * a - q)
     rhs = t * (k0 + dm) * (k1 + dp) * e / r_den
-    return _row("sd", n, params, config, [lhs, rhs, n - q, n + 2 * a - q], lhs - rhs)
+    return residual_row("sd", n, a, t, config,
+                        *normalize([lhs, rhs, n - q, n + 2 * a - q], lhs - rhs))
 
 
 class _StencilCache:
@@ -418,15 +435,8 @@ def verify_differential(
             )
             lhs = 2 * t * bun_h[1][0]
             rows.append(
-                _row(
-                    "eq1",
-                    n,
-                    params,
-                    config,
-                    [lhs, R],
-                    lhs + R,
-                    detail=_deriv_note(bun_h),
-                )
+                residual_row("eq1", n, a, t, config,
+                             *normalize([lhs, R], lhs + R), detail=_deriv_note(bun_h))
             )
 
             if n >= 1:
@@ -436,15 +446,9 @@ def verify_differential(
                 lhs = 2 * t * bun_b[1][0]
                 rhs = beta * aux0.R[n - 1] - beta * R
                 rows.append(
-                    _row(
-                        "eq2",
-                        n,
-                        params,
-                        config,
-                        [lhs, beta * aux0.R[n - 1], beta * R],
-                        lhs - rhs,
-                        detail=_deriv_note(bun_b),
-                    )
+                    residual_row("eq2", n, a, t, config, *normalize(
+                        [lhs, beta * aux0.R[n - 1], beta * R], lhs - rhs),
+                        detail=_deriv_note(bun_b))
                 )
 
             bun_p = derivative_bundle(
@@ -453,15 +457,9 @@ def verify_differential(
             lhs = 2 * t * bun_p[1][0]
             terms = [(1 - par) * t, beta * R]
             rows.append(
-                _row(
-                    "pnt",
-                    n,
-                    params,
-                    config,
-                    [lhs] + terms,
-                    lhs - terms[0] + terms[1],
-                    detail=_deriv_note(bun_p),
-                )
+                residual_row("pnt", n, a, t, config,
+                             *normalize([lhs] + terms, lhs - terms[0] + terms[1]),
+                             detail=_deriv_note(bun_p))
             )
 
             bun_r = derivative_bundle(
@@ -478,29 +476,17 @@ def verify_differential(
                 t1 = -2 * par * t * r * (k1 + R) / R
                 t2 = -(n + r) * (n + 2 * a + r) * R / (k1 + R)
                 rows.append(
-                    _row(
-                        "ricca1",
-                        n,
-                        params,
-                        config,
-                        [lhs, t1, t2],
-                        lhs - t1 - t2,
-                        detail=_deriv_note(bun_r),
-                    )
+                    residual_row("ricca1", n, a, t, config,
+                                 *normalize([lhs, t1, t2], lhs - t1 - t2),
+                                 detail=_deriv_note(bun_r))
                 )
 
             lhs = 2 * t * R1
             terms = [R ** 2, (1 - 2 * par * t - 2 * r) * R, -2 * par * k1 * t]
             rows.append(
-                _row(
-                    "ricca2",
-                    n,
-                    params,
-                    config,
-                    [lhs] + terms,
-                    lhs - sum(terms),
-                    detail=_deriv_note(bun_R),
-                )
+                residual_row("ricca2", n, a, t, config,
+                             *normalize([lhs] + terms, lhs - sum(terms)),
+                             detail=_deriv_note(bun_R))
             )
 
             rows.append(_ode_row(n, params, config, R, R1, R2, bun_R))
@@ -541,9 +527,8 @@ def _ode_row(n, params, config, R, R1, R2, bundle):
         4 * t * k1 ** 2 * (par + 5 * t) * R,
         8 * t ** 2 * k1 ** 3,
     ]
-    return _row(
-        "ode", n, params, config, terms, sum(terms), detail=_deriv_note(bundle)
-    )
+    return residual_row("ode", n, a, t, config,
+                        *normalize(terms, sum(terms)), detail=_deriv_note(bundle))
 
 
 def _pv_row(n, params, config, R, R1, R2, bundle):
@@ -555,7 +540,7 @@ def _pv_row(n, params, config, R, R1, R2, bundle):
     S1 = R1 / k1
     S2 = R2 / k1
     if S == 0 or S == 1:
-        return _row("pv", n, params, config, [], mpf(0), detail="S(S-1)=0 pole")
+        return residual_row("pv", n, a, t, config, mpf(0), None, detail="S(S-1)=0 pole")
     terms = [
         (3 * S - 1) * S1 ** 2 / (2 * S * (S - 1)),
         -S1 / t,
@@ -563,15 +548,9 @@ def _pv_row(n, params, config, R, R1, R2, bundle):
         -par * S / (2 * t),
         -S * (S + 1) / (2 * (S - 1)),
     ]
-    return _row(
-        "pv",
-        n,
-        params,
-        config,
-        [S2] + terms,
-        S2 - sum(terms),
-        detail=_deriv_note(bundle),
-    )
+    return residual_row("pv", n, a, t, config,
+                        *normalize([S2] + terms, S2 - sum(terms)),
+                        detail=_deriv_note(bundle))
 
 
 def _ode2_row(n, params, config, r, r1, r2, bundle):
@@ -602,16 +581,9 @@ def _ode2_row(n, params, config, r, r1, r2, bundle):
         plus = (-qb + root) / (2 * qa)
         minus = (-qb - root) / (2 * qa)
         branch = "+" if abs(r2 - plus) <= abs(r2 - minus) else "-"
-    return _row(
-        "ode2",
-        n,
-        params,
-        config,
-        terms,
-        sum(terms),
-        branch=branch,
-        detail=_deriv_note(bundle),
-    )
+    return residual_row("ode2", n, a, t, config,
+                        *normalize(terms, sum(terms)), branch=branch,
+                        detail=_deriv_note(bundle))
 
 
 def _sode_row(n, params, config, sig, s1, s2, r_val, bundle):
@@ -695,16 +667,9 @@ def _sode_row(n, params, config, sig, s1, s2, r_val, bundle):
         root = mp.sqrt(g)
         base = -par * t
         branch = "+" if abs(r_val - (base + root)) <= abs(r_val - (base - root)) else "-"
-    return _row(
-        "sode",
-        n,
-        params,
-        config,
-        [lhs, rhs],
-        lhs - rhs,
-        branch=branch,
-        detail=_deriv_note(bundle),
-    )
+    return residual_row("sode", n, a, t, config,
+                        *normalize([lhs, rhs], lhs - rhs), branch=branch,
+                        detail=_deriv_note(bundle))
 
 
 def _cheb_nodes(count: int):
@@ -762,9 +727,7 @@ def verify_integral_representation(
     with working_precision(config):
         t_end = mpf(t_end)
         if t_end == 0:
-            return _row(
-                "integral-rep", n, make_params(a, 0, config), config, [], mpf(0)
-            )
+            return residual_row("integral-rep", n, a, t_end, config, mpf(0), None)
         s0 = mpf(10) ** (-(config.target_digits // 4))
         u_lo = mp.sqrt(s0)
         u_hi = mp.sqrt(t_end)
@@ -816,15 +779,9 @@ def verify_integral_representation(
         p_end = make_params(a, t_end, config)
         p_lo = make_params(a, s0, config)
         lhs = hankel_det(n, p_end, config)[0] - hankel_det(n, p_lo, config)[0]
-        return _row(
-            "integral-rep",
-            n,
-            p_end,
-            config,
-            [lhs, quad],
-            lhs - quad,
-            detail=f"fit-err~{mp.nstr(fit_err, 3)};s0={mp.nstr(s0, 2)}",
-        )
+        return residual_row("integral-rep", n, p_end.alpha, p_end.t, config,
+                            *normalize([lhs, quad], lhs - quad),
+                            detail=f"fit-err~{mp.nstr(fit_err, 3)};s0={mp.nstr(s0, 2)}")
 
 
 def verify_linear_ode_Pn(
@@ -839,9 +796,7 @@ def verify_linear_ode_Pn(
     if config is None:
         config = aux.config
     with working_precision(config):
-        worst = mpf(0)
-        worst_scale = mpf(0)
-        any_nontrivial = False
+        samples = []
         for z in z_points:
             zv = mpf(z)
             pieces = ladder_pieces(n, zv, aux.R[n], aux.r[n], params)
@@ -858,29 +813,10 @@ def verify_linear_ode_Pn(
                 -(v_prime(zv, params) + ratio) * ev.d1,
                 (pieces["B1"] - pieces["B"] * ratio + sum_a) * ev.value,
             ]
-            scale = max(abs(v) for v in terms)
-            if scale == 0:
-                continue
-            any_nontrivial = True
-            res = abs(sum(terms)) / scale
-            if res > worst:
-                worst = res
-                worst_scale = scale
+            samples.append(normalize(terms, sum(terms)))
         detail = "z=" + ",".join(str(z) for z in z_points)
-        if not any_nontrivial:
-            return _row("linear-ode-Pn", n, params, config, [], mpf(0), detail=detail)
-        passed = worst <= residual_threshold(config)
-        return ReportRow(
-            identity="linear-ode-Pn",
-            n=n,
-            alpha=params.alpha,
-            t=params.t,
-            bits=config.bits,
-            lhs_scale=worst_scale,
-            residual=worst,
-            passed=passed,
-            detail=detail,
-        )
+        return residual_row("linear-ode-Pn", n, params.alpha, params.t, config,
+                            *worst_sample(samples), detail=detail)
 
 
 def verify_ladder_relations(
@@ -897,7 +833,7 @@ def verify_ladder_relations(
     rows = []
     with working_precision(config):
         for n in range(1, n_max + 1):
-            worst = {"lowering": (mpf(0), mpf(0)), "raising": (mpf(0), mpf(0))}
+            lowering, raising = [], []
             for z in z_points:
                 zv = mpf(z)
                 a_val, b_val = eval_ladder(n, zv, aux, params)
@@ -906,36 +842,18 @@ def verify_ladder_relations(
                 pm = eval_poly(n - 1, zv, table)
 
                 terms = [pn.d1, b_val * pn.value, -table.beta[n] * a_val * pm.value]
-                scale = max(abs(v) for v in terms)
-                res = abs(sum(terms)) / scale
-                if res > worst["lowering"][0]:
-                    worst["lowering"] = (res, scale)
+                lowering.append(normalize(terms, sum(terms)))
 
                 terms = [
                     pm.d1,
                     -(b_val + v_prime(zv, params)) * pm.value,
                     a_prev * pn.value,
                 ]
-                scale = max(abs(v) for v in terms)
-                res = abs(sum(terms)) / scale
-                if res > worst["raising"][0]:
-                    worst["raising"] = (res, scale)
+                raising.append(normalize(terms, sum(terms)))
             detail = "z=" + ",".join(str(z) for z in z_points)
-            for name in ("lowering", "raising"):
-                res, scale = worst[name]
-                rows.append(
-                    ReportRow(
-                        identity=name,
-                        n=n,
-                        alpha=params.alpha,
-                        t=params.t,
-                        bits=config.bits,
-                        lhs_scale=scale,
-                        residual=res,
-                        passed=bool(res <= residual_threshold(config)),
-                        detail=detail,
-                    )
-                )
+            for name, samples in (("lowering", lowering), ("raising", raising)):
+                rows.append(residual_row(name, n, params.alpha, params.t, config,
+                                         *worst_sample(samples), detail=detail))
     return rows
 
 

@@ -115,12 +115,6 @@ class PrecisionConfig:
         with working_precision(self):
             return mpf(10) ** (-mpf(self.residual_scale) * self.target_digits)
 
-    def agreement_tolerance(self, digits: int | None = None) -> mpf:
-        """10**(-digits) at working bits (defaults to target_digits)."""
-        d = self.target_digits if digits is None else digits
-        with working_precision(self):
-            return mpf(10) ** (-d)
-
 
 @contextmanager
 def working_precision(config, extra_bits: int = 0):
@@ -146,13 +140,6 @@ def to_mpf(value, config: PrecisionConfig) -> mpf:
     """
     with working_precision(config):
         return mpf(value)
-
-
-def decimal_str(value, config: PrecisionConfig, digits: int | None = None) -> str:
-    """Deterministic decimal rendering at target_digits significant digits."""
-    d = config.target_digits if digits is None else digits
-    with working_precision(config):
-        return mp.nstr(mpf(value), d)
 
 
 def stabilized(evaluate, config: PrecisionConfig, agree_digits: int | None = None):

@@ -85,190 +85,115 @@ def _level_nodes(prec: int, level: int):
     return nodes
 
 
-def _refine(eval_level, config: PrecisionConfig, target_digits, description):
-    """Drive level refinement until two successive sums agree.
+def _agrees(value, previous, magnitude, tol) -> bool:
+    bound = max(abs(value), magnitude)
+    return bound == 0 or abs(value - previous) <= tol * bound
 
-    Agreement is measured against the integral of |f| rather than the value
-    itself, so integrals that vanish by cancellation (orthogonality inner
-    products) converge once the increments settle at the attainable floor.
+
+def _tanh_sinh(f, size, point_map, scale, config: PrecisionConfig, target_digits,
+               description):
+    """The one tanh-sinh driver: f(y) returns `size` values.
+
+    point_map(x, 1-x) gives the pair (hi, lo) of abscissae for the node
+    pair +-x, with None for a point that rounded onto an endpoint (its
+    weight is below one ulp of the level sum); at x = 0 only hi is used.
+    Each level sum is multiplied by the constant `scale`.
+
+    Refinement stops when every component agrees between two successive
+    levels. Agreement is measured against the integral of |f| rather than
+    the value itself, so integrals that vanish by cancellation
+    (orthogonality inner products) converge once the increments settle at
+    the attainable floor.
     """
     digits = config.target_digits if target_digits is None else target_digits
     prec = config.bits + GUARD_BITS
     with working_precision(prec):
         tol = mpf(10) ** (-(digits + 3))
-        running = None
-        running_abs = mpf(0)
-        previous_value = None
+        running = running_abs = previous = None
         for level in range(0, MAX_LEVEL + 1):
-            increment, increment_abs = eval_level(level, prec)
-            running = increment if running is None else running + increment
-            running_abs += increment_abs
-            value = running * mpf(2) ** (-level)
-            scale = max(abs(value), running_abs * mpf(2) ** (-level))
-            if level >= FIRST_CHECK_LEVEL and previous_value is not None:
-                if scale == 0 or abs(value - previous_value) <= tol * scale:
-                    return value
-            previous_value = value
+            total = [mpf(0)] * size
+            total_abs = [mpf(0)] * size
+            for x, omx, w in _level_nodes(prec, level):
+                hi, lo = point_map(x, omx)
+                for y in (hi,) if x == 0 else (hi, lo):
+                    if y is not None:
+                        for i, v in enumerate(f(y)):
+                            term = w * v
+                            total[i] += term
+                            total_abs[i] += abs(term)
+            total = [scale * v for v in total]
+            total_abs = [scale * v for v in total_abs]
+            if running is None:
+                running, running_abs = total, total_abs
+            else:
+                running = [r + v for r, v in zip(running, total)]
+                running_abs = [r + v for r, v in zip(running_abs, total_abs)]
+            step = mpf(2) ** (-level)
+            value = [r * step for r in running]
+            if level >= FIRST_CHECK_LEVEL and previous is not None and all(
+                _agrees(v, p, m * step, tol)
+                for v, p, m in zip(value, previous, running_abs)
+            ):
+                return value
+            previous = value
         raise ConvergenceError(
             f"tanh-sinh failed to reach {digits} digits for {description} "
             f"within {MAX_LEVEL} levels",
-            last_two=(previous_value, value),
+            last_two=(previous, value),
         )
+
+
+def _scalar(f, point_map, scale, config, target_digits, description) -> mpf:
+    try:
+        return _tanh_sinh(lambda y: (f(y),), 1, point_map, scale, config,
+                          target_digits, description)[0]
+    except ConvergenceError as exc:
+        exc.last_two = tuple(v[0] for v in exc.last_two)
+        raise
+
+
+def _unit_points(x, omx):
+    # (1+x)/2 near 1 and (1-x)/2 near 0; the latter uses the stored 1-x so
+    # the distance to 0 keeps full relative precision
+    hi = (1 + x) / 2
+    return (hi if hi < 1 else None), omx / 2
 
 
 def integrate(f, interval, config: PrecisionConfig, target_digits=None) -> mpf:
     """Integral of f over a finite interval (a, b)."""
     a, b = interval
-    prec = config.bits + GUARD_BITS
-    with working_precision(prec):
+    with working_precision(config.bits + GUARD_BITS):
         av, bv = mpf(a), mpf(b)
         center = (av + bv) / 2
         radius = (bv - av) / 2
 
-    def eval_level(level, prec):
-        nodes = _level_nodes(prec, level)
-        total = mpf(0)
-        total_abs = mpf(0)
-        for x, _omx, w in nodes:
-            if x == 0:
-                term = w * f(center)
-                total += term
-                total_abs += abs(term)
-            else:
-                hi = center + radius * x
-                lo = center - radius * x
-                # nodes rounding onto an endpoint are skipped; their weight
-                # is below one ulp of the level sum
-                if hi < bv:
-                    term = w * f(hi)
-                    total += term
-                    total_abs += abs(term)
-                if lo > av:
-                    term = w * f(lo)
-                    total += term
-                    total_abs += abs(term)
-        return radius * total, radius * total_abs
+    def points(x, _omx):
+        hi = center + radius * x
+        lo = center - radius * x
+        return (hi if hi < bv else None), (lo if lo > av else None)
 
-    return _refine(eval_level, config, target_digits, f"interval ({a}, {b})")
+    return _scalar(f, points, radius, config, target_digits, f"interval ({a}, {b})")
 
 
 def integrate_unit(f, config: PrecisionConfig, target_digits=None) -> mpf:
-    """Integral of f over (0, 1) with both endpoints handled stably.
-
-    The positive tanh-sinh node x maps to the pair of points
-    (1+x)/2 (near 1) and (1-x)/2 (near 0); the latter uses the stored
-    1-x so the distance to 0 keeps full relative precision.
-    """
-
-    def eval_level(level, prec):
-        nodes = _level_nodes(prec, level)
-        half = mpf(1) / 2
-        total = mpf(0)
-        total_abs = mpf(0)
-        for x, omx, w in nodes:
-            if x == 0:
-                term = w * f(half)
-                total += term
-                total_abs += abs(term)
-            else:
-                hi = (1 + x) / 2
-                if hi < 1:  # guard: x so close to 1 that hi rounded up
-                    term = w * f(hi)
-                    total += term
-                    total_abs += abs(term)
-                term = w * f(omx / 2)
-                total += term
-                total_abs += abs(term)
-        return total / 2, total_abs / 2
-
-    return _refine(eval_level, config, target_digits, "interval (0, 1)")
+    """Integral of f over (0, 1) with both endpoints handled stably."""
+    return _scalar(f, _unit_points, mpf(0.5), config, target_digits, "interval (0, 1)")
 
 
 def integrate_even(f, config: PrecisionConfig, target_digits=None) -> mpf:
     """Integral over (-1, 1) of an even integrand, folded to (0, 1].
 
     Only f(x) for x in (0, 1) is ever evaluated, so integrands singular
-    at 0 (tamed by clamped_exp) and at 1 are both safe.
+    at 0 (tamed by clamped_exp) and at 1 are both safe. The scale is
+    2 * (1/2), from the folding and the affine map.
     """
-
-    def eval_level(level, prec):
-        nodes = _level_nodes(prec, level)
-        half = mpf(1) / 2
-        total = mpf(0)
-        total_abs = mpf(0)
-        for x, omx, w in nodes:
-            if x == 0:
-                term = w * f(half)
-                total += term
-                total_abs += abs(term)
-            else:
-                hi = (1 + x) / 2
-                if hi < 1:
-                    term = w * f(hi)
-                    total += term
-                    total_abs += abs(term)
-                term = w * f(omx / 2)
-                total += term
-                total_abs += abs(term)
-        return total, total_abs  # 2 * (1/2) from folding and the affine map
-
-    return _refine(eval_level, config, target_digits, "even fold of (-1, 1)")
+    return _scalar(f, _unit_points, mpf(1), config, target_digits, "even fold of (-1, 1)")
 
 
 def integrate_unit_vector(f, size, config: PrecisionConfig, target_digits=None):
     """Vector version of integrate_unit: f returns a list of `size` values.
 
-    All components must converge; refinement stops when every component's
-    successive-level agreement reaches the target.
+    Refinement stops when every component has converged.
     """
-    digits = config.target_digits if target_digits is None else target_digits
-    prec = config.bits + GUARD_BITS
-    with working_precision(prec):
-        tol = mpf(10) ** (-(digits + 3))
-        running = None
-        previous = None
-        running_abs = [mpf(0)] * size
-        for level in range(0, MAX_LEVEL + 1):
-            nodes = _level_nodes(prec, level)
-            half = mpf(1) / 2
-            increment = [mpf(0)] * size
-            for x, omx, w in nodes:
-                if x == 0:
-                    vals = f(half)
-                    for i in range(size):
-                        increment[i] += w * vals[i]
-                        running_abs[i] += abs(w * vals[i])
-                else:
-                    hi_y = (1 + x) / 2
-                    lo = f(omx / 2)
-                    if hi_y < 1:
-                        hi = f(hi_y)
-                        for i in range(size):
-                            increment[i] += w * (hi[i] + lo[i])
-                            running_abs[i] += abs(w * hi[i]) + abs(w * lo[i])
-                    else:
-                        for i in range(size):
-                            increment[i] += w * lo[i]
-                            running_abs[i] += abs(w * lo[i])
-            if running is None:
-                running = increment
-            else:
-                running = [running[i] + increment[i] for i in range(size)]
-            value = [running[i] * mpf(2) ** (-level) / 2 for i in range(size)]
-            if level >= FIRST_CHECK_LEVEL and previous is not None:
-                worst_ok = True
-                for i in range(size):
-                    scale = max(
-                        abs(value[i]), running_abs[i] * mpf(2) ** (-level) / 2
-                    )
-                    if scale != 0 and abs(value[i] - previous[i]) > tol * scale:
-                        worst_ok = False
-                        break
-                if worst_ok:
-                    return value
-            previous = value
-        raise ConvergenceError(
-            f"vector tanh-sinh failed to reach {digits} digits within "
-            f"{MAX_LEVEL} levels",
-            last_two=(previous, value),
-        )
+    return _tanh_sinh(f, size, _unit_points, mpf(0.5), config, target_digits,
+                      "interval (0, 1)")

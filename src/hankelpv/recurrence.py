@@ -66,26 +66,33 @@ def _block_pivots(moments: MomentTable, even_size: int, odd_size: int, config):
         return diag_e, diag_o
 
 
+def _retried_pivots(params, j_max, even_size, odd_size, config, moments):
+    """Block pivots from moments up to j_max, and the config they were taken at.
+
+    On a non-positive pivot the moments are rebuilt once at doubled bits;
+    a second failure propagates.
+    """
+    for attempt, cfg in enumerate((config, config.doubled())):
+        table = moments
+        if table is None or attempt > 0:
+            table = MomentTable.build(params, j_max, cfg)
+        try:
+            return _block_pivots(table, even_size, odd_size, cfg), cfg
+        except PivotError:
+            if attempt > 0:
+                raise
+
+
 def hankel_det(n: int, params: WeightParams, config: PrecisionConfig, moments=None):
     """ln D_n(t) and its sign via the parity-block factorization."""
     if n < 1:
         raise ValueError("determinant order must be at least 1")
-    even_size = (n + 1) // 2
-    odd_size = n // 2
-    for attempt, cfg in enumerate((config, config.doubled())):
-        table = moments
-        if table is None or attempt > 0:
-            table = MomentTable.build(params, max(2 * n - 2, 0), cfg)
-        try:
-            diag_e, diag_o = _block_pivots(table, even_size, odd_size, cfg)
-        except PivotError:
-            if attempt > 0:
-                raise
-            continue
-        with working_precision(cfg):
-            logdet = 2 * mp.fsum(mp.log(d) for d in diag_e + diag_o)
-        return logdet, 1
-    raise NumericsError("unreachable")
+    (diag_e, diag_o), cfg = _retried_pivots(
+        params, max(2 * n - 2, 0), (n + 1) // 2, n // 2, config, moments
+    )
+    with working_precision(cfg):
+        logdet = 2 * mp.fsum(mp.log(d) for d in diag_e + diag_o)
+    return logdet, 1
 
 
 @dataclass
@@ -109,36 +116,24 @@ def recurrence_table(
 ) -> RecurrenceTable:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    even_size = n_max // 2 + 1
-    odd_size = (n_max + 1) // 2
-    for attempt, cfg in enumerate((config, config.doubled())):
-        table = moments
-        if table is None or attempt > 0:
-            table = MomentTable.build(params, 2 * n_max, cfg)
-        try:
-            diag_e, diag_o = _block_pivots(table, even_size, odd_size, cfg)
-        except PivotError:
-            if attempt > 0:
-                raise
-            continue
-        with working_precision(cfg):
-            h = []
-            for k in range(n_max + 1):
-                diag = diag_e if k % 2 == 0 else diag_o
-                h.append(diag[k // 2] ** 2)
-            beta = [mpf(0)]
-            for k in range(1, n_max + 1):
-                beta.append(h[k] / h[k - 1])
-            p1 = [mpf(0)]
-            for k in range(1, n_max + 1):
-                p1.append(p1[-1] - beta[k - 1])
-            log_d = [mpf(0)]
-            for k in range(1, n_max + 1):
-                log_d.append(log_d[-1] + mp.log(h[k - 1]))
-        return RecurrenceTable(
-            params=params, config=cfg, h=h, beta=beta, p1=p1, logD=log_d
-        )
-    raise NumericsError("unreachable")
+    (diag_e, diag_o), cfg = _retried_pivots(
+        params, 2 * n_max, n_max // 2 + 1, (n_max + 1) // 2, config, moments
+    )
+    with working_precision(cfg):
+        h = []
+        for k in range(n_max + 1):
+            diag = diag_e if k % 2 == 0 else diag_o
+            h.append(diag[k // 2] ** 2)
+        beta = [mpf(0)]
+        for k in range(1, n_max + 1):
+            beta.append(h[k] / h[k - 1])
+        p1 = [mpf(0)]
+        for k in range(1, n_max + 1):
+            p1.append(p1[-1] - beta[k - 1])
+        log_d = [mpf(0)]
+        for k in range(1, n_max + 1):
+            log_d.append(log_d[-1] + mp.log(h[k - 1]))
+    return RecurrenceTable(params=params, config=cfg, h=h, beta=beta, p1=p1, logD=log_d)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Flat-record building and deterministic rendering for the command line.
 
-Every numeric field is rendered through decimal_str, never as a binary
+Every numeric field is rendered through trunc_decimal, never as a binary
 float, so a consumer that re-parses the JSON or CSV recovers exactly the
 digits that were printed. Each record family has a fixed key order and
 the serializers avoid hash-order or locale dependence, which makes a
@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from fractions import Fraction
 
 from mpmath import mp, mpf
 
@@ -59,7 +60,10 @@ def trunc_decimal(value, config: PrecisionConfig, digits: int | None = None) -> 
     """Deterministic truncating decimal rendering at `digits` significant digits."""
     d = config.target_digits if digits is None else digits
     with working_precision(config, extra_bits=32):
-        x = mpf(value)
+        if isinstance(value, Fraction):
+            x = mpf(value.numerator) / value.denominator
+        else:
+            x = mpf(value)
         if not mp.isfinite(x):
             return mp.nstr(x, d)
         if x == 0:
@@ -225,7 +229,7 @@ def series_records(entries, config: PrecisionConfig):
                 "a": fmt(a, config),
                 "s": fmt(s, config),
                 "value": fmt(sv.value, config),
-                "estimator": fmt(sv.estimator, config),
+                "truncation": fmt(sv.truncation, config),
                 "in_regime": fmt(sv.in_regime, config),
             }
         )

@@ -1,0 +1,82 @@
+"""Golden command-line outputs: every subcommand, byte for byte.
+
+Each case runs `hankelpv.cli.main` in-process at 128 bits and compares its
+stdout with the file of the same name under tests/golden/ and its exit
+status with the recorded one; a second run must print the same bytes.
+Residual columns print noise-level digits, so any change in the order of
+floating-point operations shows up here. A golden changes only when a
+change is meant to alter printed digits, and says so.
+"""
+
+import io
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from hankelpv import cli, report
+from hankelpv.precision import PrecisionConfig
+
+GOLDEN = Path(__file__).parent / "golden"
+
+AT = ["--alpha", "1", "--t", "0.5"]
+
+CASES = [
+    ("moments", ["moments", *AT, "--j-max", "6"], 0),
+    ("hankel", ["hankel", *AT, "--n-max", "6"], 0),
+    ("recurrence", ["recurrence", *AT, "--n-max", "6"], 0),
+    ("aux", ["aux", "--route", "quadrature", *AT, "--n-max", "4"], 0),
+    ("verify", ["verify", "--suite", "all", *AT, "--n-max", "2"], 0),
+    ("bridge-parity", ["bridge", "--suite", "parity", *AT, "--n-max", "1"], 0),
+    ("bridge-jmo", ["bridge", "--suite", "jmo", *AT, "--n-max", "0", "--n-list", "1"], 0),
+    ("solve-pv", ["solve-pv", "--n", "2", "--alpha", "1", "--t0", "0.1",
+                  "--t-end", "0.12", "--samples", "3"], 0),
+    ("solve-p3", ["solve-p3", "--a", "1/2", "--s", "0.05", "--samples", "3"], 0),
+    ("scan", ["scan", "--mode", "g2", "--s", "0.5", "--n-list", "4,8"], 0),
+    ("series-g1-small", ["series", "--kind", "g1-small", "--s", "0.001,0.1"], 0),
+    ("series-g-small", ["series", "--kind", "g-small", "--a", "1/2", "--s", "0.01,0.1"], 0),
+    ("dyson", ["dyson", "--route", "scan", "--n-list", "4,8"], 0),
+]
+
+
+def _run(argv):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        status = cli.main([*argv, "--bits", "128"])
+    return status, out.getvalue()
+
+
+def test_every_subcommand_has_a_golden():
+    commands = {argv[0] for _, argv, _ in CASES}
+    assert commands == set(cli._HANDLERS)
+
+
+@pytest.mark.parametrize("name, argv, status", CASES, ids=[case[0] for case in CASES])
+def test_golden_output(name, argv, status):
+    expected = (GOLDEN / f"{name}.csv").read_bytes().decode()
+    first = _run(argv)
+    assert first == (status, expected)
+    assert _run(argv) == first
+
+
+def test_bridge_jmo_maps_b_to_the_exponent_at_zero(monkeypatch):
+    seen = []
+
+    def fake_jmo(n_list, tp, config):
+        seen.append((n_list, tp))
+        return []
+
+    monkeypatch.setattr(cli, "verify_jmo_sigma_form", fake_jmo)
+    status, _ = _run(["bridge", "--suite", "jmo", "--alpha", "2", "--t", "0.5",
+                      "--n-max", "0", "--b", "0.25"])
+    assert status == 0
+    [(n_list, tp)] = seen
+    assert n_list == [1, 2]
+    assert (tp.a, tp.b, tp.t) == (0.25, 2, 0.5)
+
+
+def test_fraction_cells_render_as_decimals():
+    config = PrecisionConfig(bits=128, target_digits=15)
+    assert report.fmt(Fraction(1, 2), config) == "0.5"
+    assert report.fmt(Fraction(-1, 3), config) == "-0.333333333333333"

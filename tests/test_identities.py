@@ -6,7 +6,6 @@ from mpmath import mp, mpf
 from hankelpv.identities import (
     DEFAULT_Z_POINTS,
     IDENTITY_IDS,
-    residual_threshold,
     run_identity_suite,
     sign_monitor,
     verify_difference_equations,
@@ -31,9 +30,9 @@ def test_identity_id_enumeration():
 
 def test_residual_threshold_values():
     with working_precision(CFG):
-        assert residual_threshold(CFG) == mpf(10) ** -30
+        assert CFG.residual_threshold() == mpf(10) ** -30
     with working_precision(CFG_LO):
-        assert residual_threshold(CFG_LO) == mpf(10) ** -15
+        assert CFG_LO.residual_threshold() == mpf(10) ** -15
 
 
 @pytest.fixture(scope="module")

@@ -68,13 +68,6 @@ def test_to_mpf_parses_decimal_strings_at_full_precision():
         assert abs(mpf(0.1) - mpf(1) / 10) > mpf(2) ** -60
 
 
-def test_decimal_str_deterministic():
-    cfg = PrecisionConfig()
-    x = precision.to_mpf("2.5", cfg)
-    assert precision.decimal_str(x, cfg) == precision.decimal_str(x, cfg)
-    assert precision.decimal_str(x, cfg, digits=3) == "2.5"
-
-
 def test_stabilized_returns_stable_value_and_respects_cap():
     cfg = PrecisionConfig(bits=128, target_digits=20)
 
