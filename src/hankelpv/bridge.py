@@ -14,11 +14,13 @@ factorization) and verifies the splitting against the main engine:
   sigma sum              sigma_{2n} = 2[H_n(+1/2) + H_n(-1/2)], odd twin
   R doubling             R_{2n} = 2 Rstar_n(-1/2), R_{2n+1} = 2 Rstar_n(+1/2)
 
-where H_n(t,a,b) = t d/dt ln tilde_D_n. H_n and its t-derivatives come
-from finite-difference stencils over quadrature-built tables. Those
-table entries carry quadrature-level noise rather than roundoff-level
-noise, so the stencils run at a wider step than the library default and
-the underlying moment quadratures at near-capacity digit targets.
+where H_n(t,a,b) = t d/dt ln tilde_D_n. H_n and its t-derivatives are
+exact, not finite differences: differentiating under the integral gives
+d/dt mu~_j = -mu~_{j-1}, finite for t > 0, so every t-derivative of the
+moment matrix is again a Hankel matrix of moments, and the derivatives of
+ln tilde_D_n are traces over the one Cholesky factor at a single t. One
+vector quadrature pass gives all the moments a table needs, and one more
+gives every Rstar_n and Rtilde_n.
 
 The empty determinant is taken as tilde_D_0 := 1, so product and sum
 relations hold at n = 0 as exact trivial rows.
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .derivatives import derivative, derivative_bundle
 from .identities import ReportRow, normalize, residual_row, worst_sample
 from .ladder import aux_table
 from .precision import (
@@ -39,7 +40,7 @@ from .precision import (
     to_mpf,
     working_precision,
 )
-from .quadrature import clamped_exp, integrate
+from .quadrature import clamped_exp, integrate_unit_vector
 from .recurrence import _cholesky, eval_poly, recurrence_table
 from .special import gamma
 
@@ -98,18 +99,35 @@ def tilde_weight_value(x, tp: TildeParams) -> mpf:
     return decay * x ** tp.a * (1 - x) ** tp.b
 
 
-def tilde_moment(j: int, tp: TildeParams, config: PrecisionConfig, target_digits=None) -> mpf:
-    """Moment integral of x^j against the auxiliary weight, by quadrature."""
-    if j < 0:
-        raise ValueError("moment index must be non-negative")
+def tilde_moments(j_lo: int, j_hi: int, tp: TildeParams, config: PrecisionConfig,
+                  target_digits=None) -> list:
+    """Moments of orders j_lo .. j_hi against the auxiliary weight, by quadrature.
+
+    One vector tanh-sinh pass evaluates the weight once per node. Orders
+    below 0 are finite only for t > 0, where e^{-t/x} beats every power
+    of x at 0; they give the t-derivatives, d/dt mu~_j = -mu~_{j-1}.
+    """
+    if j_lo > j_hi:
+        raise ValueError("empty moment range")
+    if j_lo < 0 and tp.t == 0:
+        raise ValueError("moments of negative order need t > 0")
+    size = j_hi - j_lo + 1
 
     def f(x):
         tw = tilde_weight_value(x, tp)
         if tw == 0:
-            return mpf(0)
-        return tw * x ** j
+            return [mpf(0)] * size
+        out = [tw * x ** j_lo]
+        for _ in range(size - 1):
+            out.append(out[-1] * x)
+        return out
 
-    return integrate(f, (0, 1), config, target_digits=target_digits)
+    return integrate_unit_vector(f, size, config, target_digits=target_digits)
+
+
+def tilde_moment(j: int, tp: TildeParams, config: PrecisionConfig, target_digits=None) -> mpf:
+    """Moment integral of x^j against the auxiliary weight: one entry of tilde_moments."""
+    return tilde_moments(j, j, tp, config, target_digits)[0]
 
 
 def tilde_moment_hyperu(j: int, tp: TildeParams, config: PrecisionConfig) -> mpf:
@@ -117,11 +135,11 @@ def tilde_moment_hyperu(j: int, tp: TildeParams, config: PrecisionConfig) -> mpf
 
     Substituting x = 1/(1+u) maps the moment integral onto the standard
     integral representation of U, giving
-    Gamma(b+1) e^{-t} U(b+1, -j-a, t). At t = 0 the integral is the Beta
-    function instead.
+    Gamma(b+1) e^{-t} U(b+1, -j-a, t), for every order j when t > 0.
+    At t = 0 the integral is the Beta function instead.
     """
-    if j < 0:
-        raise ValueError("moment index must be non-negative")
+    if j < 0 and tp.t == 0:
+        raise ValueError("moments of negative order need t > 0")
     with working_precision(config):
         if tp.t == 0:
             return (
@@ -133,45 +151,83 @@ def tilde_moment_hyperu(j: int, tp: TildeParams, config: PrecisionConfig) -> mpf
 
 
 def _boosted_digits(config: PrecisionConfig) -> int:
-    # stencil differencing divides table noise by the step, so moment
-    # quadratures feeding stencils run near capacity, not at target_digits
+    # H_n and its t-derivatives are traces over the moment factorization and
+    # are compared with the main engine at roundoff level, so the moment
+    # quadratures run near capacity, not at target_digits
     return max(config.target_digits, digits_capacity(config.bits) - 5)
 
 
-def _stencil_step(config: PrecisionConfig) -> mpf:
-    # balances stencil truncation (h^8) against quadrature noise (eps/h^2)
+def _factor(moments, size: int, config: PrecisionConfig):
+    """Cholesky factor F of the size x size moment matrix, and F^{-1}."""
     with working_precision(config):
-        return mpf(10) ** (-mpf(_boosted_digits(config)) / 10)
-
-
-def _hankel_rows(moments, size: int):
-    return [[moments[i + j] for j in range(size)] for i in range(size)]
-
-
-def _orthogonality_data(moments, n_top: int, config: PrecisionConfig):
-    """Pivots and three-term coefficients from the moment factorization.
-
-    With M = L L^T the monic coefficient rows are diag(L_jj) L^{-1}, so
-    tilde_h_j is the squared pivot and the recurrence shift a_j is the
-    difference s_j - s_{j+1} of consecutive subleading coefficients.
-    """
-    with working_precision(config):
-        lower = _cholesky(_hankel_rows(moments, n_top + 1))
-        h = [lower[k][k] ** 2 for k in range(n_top + 1)]
-        inv = [[mpf(0)] * (n_top + 1) for _ in range(n_top + 1)]
-        for j in range(n_top + 1):
+        lower = _cholesky([[moments[i + j] for j in range(size)] for i in range(size)])
+        inv = [[mpf(0)] * size for _ in range(size)]
+        for j in range(size):
             inv[j][j] = 1 / lower[j][j]
             for k in range(j - 1, -1, -1):
                 acc = mpf(0)
                 for m in range(k, j):
                     acc += lower[j][m] * inv[m][k]
                 inv[j][k] = -acc / lower[j][j]
+        return lower, inv
+
+
+def _orthogonality_data(lower, inv, config: PrecisionConfig):
+    """Pivots and three-term coefficients from the moment factorization.
+
+    With M = F F^T the monic coefficient rows are diag(F_jj) F^{-1}, so
+    tilde_h_j is the squared pivot and the recurrence shift a_j is the
+    difference s_j - s_{j+1} of consecutive subleading coefficients.
+    """
+    size = len(lower)
+    with working_precision(config):
+        h = [lower[k][k] ** 2 for k in range(size)]
         sub = [mpf(0)]
-        for j in range(1, n_top + 1):
+        for j in range(1, size):
             sub.append(lower[j][j] * inv[j][j - 1])
-        rec_a = [sub[j] - sub[j + 1] for j in range(n_top)]
-        rec_b = [mpf(0)] + [h[j] / h[j - 1] for j in range(1, n_top + 1)]
+        rec_a = [sub[j] - sub[j + 1] for j in range(size - 1)]
+        rec_b = [mpf(0)] + [h[j] / h[j - 1] for j in range(1, size)]
         return h, rec_a, rec_b
+
+
+def _log_det_derivatives(mu, inv, orders: int, config: PrecisionConfig):
+    """The first `orders` t-derivatives of ln tilde_D_n, for n = 0 .. len(inv).
+
+    mu maps every order j >= -orders to its moment. The k-th t-derivative
+    of the moment matrix M is M^(k)_ij = (-1)^k mu_{i+j-k}; with
+    A_k = M^{-1} M^(k) and L = ln det M,
+
+      L'   = tr A_1,
+      L''  = tr A_2 - tr A_1^2,
+      L''' = tr A_3 - 3 tr A_1 A_2 + 2 tr A_1^3.
+
+    The traces are taken of C_k = F^{-1} M^(k) F^{-T}, which is similar to
+    A_k (F the Cholesky factor, inv = F^{-1}). F^{-1} is lower triangular,
+    so the leading n x n block of C_k is the one of the leading n x n block
+    of M, and one factor gives every n.
+    """
+    size = len(inv)
+    with working_precision(config):
+        c = []
+        for k in range(1, orders + 1):
+            sign = -1 if k % 2 else 1
+            left = [[sign * mp.fsum(inv[i][p] * mu[p + q - k] for p in range(i + 1))
+                     for q in range(size)] for i in range(size)]
+            c.append([[mp.fsum(left[i][q] * inv[j][q] for q in range(j + 1))
+                       for j in range(size)] for i in range(size)])
+        out = [[] for _ in range(orders)]
+        for n in range(size + 1):
+            idx = range(n)
+            out[0].append(mp.fsum(c[0][i][i] for i in idx))
+            if orders > 1:
+                square = mp.fsum(c[0][i][j] ** 2 for i in idx for j in idx)
+                out[1].append(mp.fsum(c[1][i][i] for i in idx) - square)
+            if orders > 2:
+                mixed = mp.fsum(c[0][i][j] * c[1][i][j] for i in idx for j in idx)
+                cube = mp.fsum(c[0][i][j] * c[0][j][m] * c[0][m][i]
+                               for i in idx for j in idx for m in idx)
+                out[2].append(mp.fsum(c[2][i][i] for i in idx) - 3 * mixed + 2 * cube)
+        return out
 
 
 @dataclass
@@ -205,133 +261,112 @@ def eval_tilde_poly(n: int, x, table: TildeTable) -> mpf:
         raise ValueError("polynomial degree must be non-negative")
     if n > table.n_top:
         raise ValueError(f"table only covers degrees up to {table.n_top}")
-    return _eval_three_term(n, mpf(x), table.rec_a, table.rec_b)
+    return _three_term_values(n, mpf(x), table.rec_a, table.rec_b)[n]
 
 
-def _eval_three_term(n: int, x: mpf, rec_a, rec_b) -> mpf:
-    prev = mpf(1)
-    if n == 0:
-        return prev
-    cur = x - rec_a[0]
+def _three_term_values(n: int, x: mpf, rec_a, rec_b) -> list:
+    """tilde_P_0(x) .. tilde_P_n(x) in one three-term sweep."""
+    values = [mpf(1)]
+    if n > 0:
+        values.append(x - rec_a[0])
     for k in range(1, n):
-        prev, cur = cur, (x - rec_a[k]) * cur - rec_b[k] * prev
-    return cur
+        values.append((x - rec_a[k]) * values[k] - rec_b[k] * values[k - 1])
+    return values
+
+
+def tilde_R_lists(n_top: int, table: TildeTable, target_digits=None):
+    """(Rstar, Rtilde) for n <= n_top from one quadrature pass.
+
+    Rstar_n = (t / tilde_h_n) int tilde_P_n^2 w~/x and
+    Rtilde_n = (b / tilde_h_n) int tilde_P_n^2 w~/(1-x); the pass evaluates
+    the weight once per node and every tilde_P_n in one sweep.
+    """
+    tp, config = table.tp, table.config
+    count = n_top + 1
+    # at t = 0 the t prefactor of Rstar beats the integrable endpoint divergence
+    star = tp.t != 0
+    size = 2 * count if star else count
+
+    def f(y):
+        tw = tilde_weight_value(y, tp)
+        if tw == 0:
+            return [mpf(0)] * size
+        squares = [v * v * tw for v in _three_term_values(n_top, y, table.rec_a, table.rec_b)]
+        out = [s / (1 - y) for s in squares]
+        if star:
+            out += [s / y for s in squares]
+        return out
+
+    values = integrate_unit_vector(f, size, config, target_digits=target_digits)
+    with working_precision(config):
+        rtilde = [tp.b * values[n] / table.tilde_h[n] for n in range(count)]
+        if not star:
+            return [mpf(0)] * count, rtilde
+        rstar = [tp.t * values[count + n] / table.tilde_h[n] for n in range(count)]
+        return rstar, rtilde
 
 
 def tilde_Rstar_quad(n: int, table: TildeTable, target_digits=None) -> mpf:
     """(t / tilde_h_n) times the moment of tilde_P_n^2 against weight/x."""
-    tp, config = table.tp, table.config
-    if tp.t == 0:
-        # the t prefactor beats the integrable endpoint divergence
-        return mpf(0)
-
-    def f(y):
-        tw = tilde_weight_value(y, tp)
-        if tw == 0:
-            return mpf(0)
-        v = _eval_three_term(n, y, table.rec_a, table.rec_b)
-        return v * v * tw / y
-
-    with working_precision(config):
-        value = integrate(f, (0, 1), config, target_digits=target_digits)
-        return tp.t * value / table.tilde_h[n]
+    return tilde_R_lists(n, table, target_digits)[0][n]
 
 
 def tilde_Rtilde_quad(n: int, table: TildeTable, target_digits=None) -> mpf:
     """(b / tilde_h_n) times the moment of tilde_P_n^2 against weight/(1-x)."""
-    tp, config = table.tp, table.config
-
-    def f(y):
-        tw = tilde_weight_value(y, tp)
-        if tw == 0:
-            return mpf(0)
-        v = _eval_three_term(n, y, table.rec_a, table.rec_b)
-        return v * v * tw / (1 - y)
-
-    with working_precision(config):
-        value = integrate(f, (0, 1), config, target_digits=target_digits)
-        return tp.b * value / table.tilde_h[n]
-
-
-def _logdet_list(moments, n_top: int, config: PrecisionConfig):
-    with working_precision(config):
-        lower = _cholesky(_hankel_rows(moments, n_top + 1))
-        out = [mpf(0)]
-        for k in range(n_top + 1):
-            out.append(out[-1] + mp.log(lower[k][k] ** 2))
-        return out
-
-
-class _TildeStencilCache:
-    """Quadrature log-determinant tables keyed on the shifted t value."""
-
-    def __init__(self, tp: TildeParams, n_top: int, config: PrecisionConfig):
-        self.tp = tp
-        self.n_top = n_top
-        self.config = config
-        self.digits = _boosted_digits(config)
-        self._tables = {}
-
-    def seed(self, tv, moments):
-        self._tables[mpf(tv)._mpf_] = _logdet_list(moments, self.n_top, self.config)
-
-    def logdet(self, n: int, tv) -> mpf:
-        key = mpf(tv)._mpf_
-        table = self._tables.get(key)
-        if table is None:
-            shifted = TildeParams(a=self.tp.a, b=self.tp.b, t=mpf(tv))
-            moments = [
-                tilde_moment(j, shifted, self.config, target_digits=self.digits)
-                for j in range(2 * self.n_top + 1)
-            ]
-            table = _logdet_list(moments, self.n_top, self.config)
-            self._tables[key] = table
-        return table[n]
+    return tilde_R_lists(n, table, target_digits)[1][n]
 
 
 def tilde_moments_and_table(n_max: int, tp: TildeParams, config: PrecisionConfig) -> TildeTable:
-    """Build the full auxiliary table for degrees up to n_max.
+    """Build the full auxiliary table for degrees up to n_max, in two passes.
 
-    Moments are quadrature-only; H_n comes from a first-derivative
-    stencil over log-determinant tables rebuilt at each shifted t;
-    Rstar/Rtilde come from quadrature of their defining integrals.
+    The first quadrature pass gives the moments mu~_0 .. mu~_{2 n_max},
+    and mu~_{-1} when t > 0; H_n = t d/dt ln tilde_D_n is the trace formula
+    over their one Cholesky factor. The second pass gives every Rstar_n
+    and Rtilde_n from their defining integrals.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    digits = _boosted_digits(config)
-    moments = [tilde_moment(j, tp, config, target_digits=digits) for j in range(2 * n_max + 1)]
-    h, rec_a, rec_b = _orthogonality_data(moments, n_max, config)
-    logd = _logdet_list(moments, n_max, config)
-    table = TildeTable(
-        tp=tp,
-        config=config,
-        moments=moments,
-        tilde_h=h,
-        tilde_logD=logd,
-        rec_a=rec_a,
-        rec_b=rec_b,
-        H=[],
-        Rstar=[],
-        Rtilde=[],
-    )
-    if tp.t == 0:
-        # H = t dln(tilde_D)/dt vanishes with t (the log-derivative grows
-        # at most like an inverse square root as t -> 0)
-        table.H = [mpf(0)] * (n_max + 2)
-    else:
-        cache = _TildeStencilCache(tp, n_max, config)
-        cache.seed(tp.t, moments)
-        h0 = _stencil_step(config)
-        with working_precision(config):
-            for n in range(n_max + 2):
-                d1, _err = derivative(
-                    lambda tv, n=n: cache.logdet(n, tv), tp.t, 1, config, h0=h0
-                )
-                table.H.append(tp.t * d1)
-    for n in range(n_max + 1):
-        table.Rstar.append(tilde_Rstar_quad(n, table))
-        table.Rtilde.append(tilde_Rtilde_quad(n, table))
+    j_lo = -1 if tp.t > 0 else 0
+    values = tilde_moments(j_lo, 2 * n_max, tp, config, target_digits=_boosted_digits(config))
+    moments = values[-j_lo:]
+    lower, inv = _factor(moments, n_max + 1, config)
+    h, rec_a, rec_b = _orthogonality_data(lower, inv, config)
+    with working_precision(config):
+        logd = [mpf(0)]
+        for k in range(n_max + 1):
+            logd.append(logd[-1] + mp.log(h[k]))
+        if tp.t == 0:
+            # H = t dln(tilde_D)/dt vanishes with t (the log-derivative grows
+            # at most like an inverse square root as t -> 0)
+            H = [mpf(0)] * (n_max + 2)
+        else:
+            mu = dict(zip(range(j_lo, 2 * n_max + 1), values))
+            H = [tp.t * d1 for d1 in _log_det_derivatives(mu, inv, 1, config)[0]]
+    table = TildeTable(tp=tp, config=config, moments=moments, tilde_h=h, tilde_logD=logd,
+                       rec_a=rec_a, rec_b=rec_b, H=H, Rstar=[], Rtilde=[])
+    table.Rstar, table.Rtilde = tilde_R_lists(n_max, table)
     return table
+
+
+def tilde_H_derivatives(n_top: int, tp: TildeParams, config: PrecisionConfig):
+    """[(H_n, dH_n/dt, d2H_n/dt2) for n = 0 .. n_top] at the one t > 0 of tp.
+
+    One quadrature pass gives mu~_{-3} .. mu~_{2 n_top - 2}; with
+    L = ln tilde_D_n and L1, L2, L3 its first three t-derivatives,
+    H = t L1, dH/dt = L1 + t L2 and d2H/dt2 = 2 L2 + t L3.
+    """
+    if not tp.t > 0:
+        raise ValueError("the t-derivatives of H_n need t > 0: "
+                         "they use moments of order down to -3")
+    j_hi = max(2 * n_top - 2, -3)
+    values = tilde_moments(-3, j_hi, tp, config, target_digits=_boosted_digits(config))
+    mu = dict(zip(range(-3, j_hi + 1), values))
+    _lower, inv = _factor(mu, n_top, config)
+    d1, d2, d3 = _log_det_derivatives(mu, inv, 3, config)
+    t = tp.t
+    with working_precision(config):
+        return [(t * d1[n], d1[n] + t * d2[n], 2 * d2[n] + t * d3[n])
+                for n in range(n_top + 1)]
 
 
 def _transplant_row(identity, j, params, config, y_points, lhs_fn, rhs_fn) -> ReportRow:
@@ -379,7 +414,7 @@ def verify_parity_splitting(
                 params,
                 config,
                 y_points,
-                lambda j, y: _eval_three_term(j, y * y, tm.rec_a, tm.rec_b),
+                lambda j, y: _three_term_values(j, y * y, tm.rec_a, tm.rec_b)[j],
                 lambda j, y: eval_poly(2 * j, y, rec).value,
             )
         )
@@ -390,11 +425,15 @@ def verify_parity_splitting(
                 params,
                 config,
                 y_points,
-                lambda j, y: _eval_three_term(j, y * y, tp_.rec_a, tp_.rec_b) * y,
+                lambda j, y: _three_term_values(j, y * y, tp_.rec_a, tp_.rec_b)[j] * y,
                 lambda j, y: eval_poly(2 * j + 1, y, rec).value,
             )
         )
     with working_precision(config):
+        # at t = 0, sigma_n and H_n vanish: the identity route leaves roundoff
+        # in sigma and H is an exact 0, so the sigma rows take a unit floor
+        # as the transplant rows do
+        floor = [mpf(1)] if t == 0 else []
         for j in range(n_max + 1):
             rows.append(residual_row(
                 "rela1", j, alpha, t, config,
@@ -419,12 +458,12 @@ def verify_parity_splitting(
             ha, hb = tp_.H[n], tm.H[n]
             rows.append(residual_row(
                 "re3", n, alpha, t, config,
-                *normalize([sig, 2 * ha, 2 * hb], sig - 2 * (ha + hb))))
+                *normalize([sig, 2 * ha, 2 * hb] + floor, sig - 2 * (ha + hb))))
             sig = aux.sigma[2 * n + 1]
             ha, hb = tp_.H[n], tm.H[n + 1]
             rows.append(residual_row(
                 "re4", n, alpha, t, config,
-                *normalize([sig, 2 * ha, 2 * hb], sig - 2 * (ha + hb))))
+                *normalize([sig, 2 * ha, 2 * hb] + floor, sig - 2 * (ha + hb))))
 
             sig = aux.sigma[2 * n]
             hta = tp_.H[n] - n * (n + half + alpha)
@@ -443,20 +482,16 @@ def verify_parity_splitting(
                 *normalize([sig, 2 * hta, 2 * htb, 2 * shift],
                            sig - 2 * (hta + htb + shift))))
 
-            big = aux.R[2 * n]
-            star = tm.Rstar[n]
-            shifted = tm.Rtilde[n] - 2 * n - half - alpha
-            rows.append(residual_row(
-                "dou1", n, alpha, t, config,
-                *normalize([big, 2 * star, 2 * shifted],
-                           max(abs(big - 2 * star), abs(big - 2 * shifted)))))
-            big = aux.R[2 * n + 1]
-            star = tp_.Rstar[n]
-            shifted = tp_.Rtilde[n] - 2 * n - 3 * half - alpha
-            rows.append(residual_row(
-                "dou2", n, alpha, t, config,
-                *normalize([big, 2 * star, 2 * shifted],
-                           max(abs(big - 2 * star), abs(big - 2 * shifted)))))
+            # R = 2 (Rtilde - shift) cancels down to R, which vanishes at
+            # t = 0, so the scale holds the cancelling magnitudes too
+            for name, big, table, m, shift in (
+                    ("dou1", aux.R[2 * n], tm, n, 2 * n + half + alpha),
+                    ("dou2", aux.R[2 * n + 1], tp_, n, 2 * n + 3 * half + alpha)):
+                star, rtilde = table.Rstar[m], table.Rtilde[m]
+                rows.append(residual_row(
+                    name, n, alpha, t, config,
+                    *normalize([big, 2 * star, 2 * rtilde, 2 * shift],
+                               max(abs(big - 2 * star), abs(big - 2 * (rtilde - shift))))))
     rows.sort(key=lambda row: (row.identity, row.n))
     return rows
 
@@ -467,40 +502,28 @@ def verify_jmo_sigma_form(n_list, tp: TildeParams, config: PrecisionConfig):
     For each n: the (hn) form in H_n itself, the shifted sigma-form in
     tilde_H_n = H_n - n(n+a+b) with its Painleve V parameter tuple
     recorded in the detail column, and the exact shift bookkeeping row.
-    H_n' and H_n'' come from an outer stencil over an inner-stencil H,
-    both at the widened step.
+    H_n, H_n' and H_n'' are exact t-derivatives from one moment table at
+    t (tilde_H_derivatives), which needs t > 0.
     """
-    if tp.t <= 0:
-        raise ValueError("positive t required for the derivative stencils")
     n_top = max(n_list)
-    cache = _TildeStencilCache(tp, n_top, config)
-    h0 = _stencil_step(config)
+    derivs = tilde_H_derivatives(n_top, tp, config)
     a, b, t = tp.a, tp.b, tp.t
     rows = []
-
-    def h_fun(n, tv):
-        d1, _err = derivative(lambda s: cache.logdet(n, s), tv, 1, config, h0=h0)
-        return tv * d1
-
     with working_precision(config):
         for n in sorted(n_list):
-            bundle = derivative_bundle(
-                lambda tv, n=n: h_fun(n, tv), t, config, orders=(1, 2), h0=h0
-            )
-            hv = bundle[0]
-            h1, h1_err = bundle[1]
-            h2, h2_err = bundle[2]
-            note = f"deriv-err~{mp.nstr(max(h1_err, h2_err), 3)}"
+            hv, h1, h2 = derivs[n]
             lhs = (t * h2) ** 2
             mid = n * (n + a + b) - hv + (a + t) * h1
             tail = 4 * h1 * (t * h1 - hv) * (b - h1)
             rows.append(residual_row(
                 "hn", n, b, t, config,
                 *normalize([lhs, mid ** 2, tail], lhs - mid ** 2 - tail),
-                detail=f"a={mp.nstr(a, 8)};{note}"))
-            ht = hv - n * (n + a + b)
+                detail=f"a={mp.nstr(a, 8)};deriv=trace"))
+            # exact subtraction: ht + shift rounds back to hv exactly
+            shift = n * (n + a + b)
+            ht = mp.fsub(hv, shift, exact=True)
             t1 = -4 * t * h1 ** 3
-            t2 = h1 ** 2 * (4 * ht + (a + 2 * b + t) ** 2 + 4 * n * (n + a + b) - 4 * b * (a + b))
+            t2 = h1 ** 2 * (4 * ht + (a + 2 * b + t) ** 2 + 4 * shift - 4 * b * (a + b))
             t3 = -2 * h1 * ((a + 2 * b + t) * ht + 2 * n * b * (n + a + b))
             t4 = ht ** 2
             nu = (
@@ -510,10 +533,10 @@ def verify_jmo_sigma_form(n_list, tp: TildeParams, config: PrecisionConfig):
             rows.append(residual_row(
                 "hn-sigma", n, b, t, config,
                 *normalize([lhs, t1, t2, t3, t4], lhs - t1 - t2 - t3 - t4),
-                detail=f"a={mp.nstr(a, 8)};{nu};{note}"))
+                detail=f"a={mp.nstr(a, 8)};{nu};deriv=trace"))
             rows.append(residual_row(
                 "hn-shift", n, b, t, config,
-                *normalize([hv, ht, n * (n + a + b)], ht + n * (n + a + b) - hv),
+                *normalize([hv, ht, shift], ht + shift - hv),
                 detail="definition"))
     rows.sort(key=lambda row: (row.identity, row.n))
     return rows

@@ -257,7 +257,8 @@ def _cmd_bridge(run: RunConfig, config: PrecisionConfig):
         rows += verify_parity_splitting(run.n_max, params, config)
     if run.suite in ("all", "jmo"):
         if params.t <= 0:
-            raise ValueError("the jmo rows need t > 0 for the derivative stencils")
+            raise ValueError("the jmo rows need t > 0: the t-derivatives of H_n use "
+                             "moments of negative order")
         tp = make_tilde_params(run.options["b"], run.alpha, run.t, config)
         n_list = run.n_list if run.n_list is not None else (1, 2)
         rows += verify_jmo_sigma_form(list(n_list), tp, config)

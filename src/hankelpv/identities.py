@@ -412,7 +412,13 @@ def verify_differential(
     config: PrecisionConfig,
     cache: _StencilCache = None,
 ):
-    """Rows for the nine t-differential relations at each n in n_list."""
+    """Rows for the nine t-differential relations at each n in n_list.
+
+    The derivative stencils are centred on t, so they need t > 0.
+    """
+    if not params.t > 0:
+        raise ValueError("the t-differential suite needs t > 0: "
+                         "its derivative stencils are centred on t")
     n_top = max(n_list)
     if cache is None:
         cache = _StencilCache(n_top, params.alpha, config)
@@ -876,7 +882,11 @@ def run_identity_suite(
     integral_rep_n: int = 2,
     integral_rep_steps: int = None,
 ):
-    """All identity rows at one (alpha, t) grid point, sorted and tagged."""
+    """All identity rows at one (alpha, t) grid point, sorted and tagged.
+
+    At t = 0 the t-differential and integral-representation rows are left
+    out: their stencils and integration path need t > 0.
+    """
     if integral_rep_steps is None:
         # interpolation error must shrink alongside everything else when
         # the precision target rises
@@ -886,7 +896,8 @@ def run_identity_suite(
     rows = []
     rows += verify_scalar_identities(n_max, params, aux_q, rec, config)
     rows += verify_difference_equations(n_max, params, aux_q, config)
-    rows += verify_differential(list(range(n_max + 1)), params, config)
+    if params.t > 0:
+        rows += verify_differential(list(range(n_max + 1)), params, config)
     rows += verify_ladder_relations(
         min(n_max, 8), z_points, params, aux_q, rec, config
     )

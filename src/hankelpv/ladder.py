@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .precision import NumericsError, PrecisionConfig, working_precision
-from .quadrature import integrate, integrate_even
+from .quadrature import integrate, integrate_unit_vector
 from .recurrence import RecurrenceTable, eval_poly, recurrence_table
 from .special import gamma, kummer_phi
 from .weights import WeightParams, weight_value
@@ -64,54 +64,62 @@ def aux_R(n: int, table: RecurrenceTable) -> mpf:
     return aux_r(n + 1, table) + aux_r(n, table)
 
 
+def aux_oracles(
+    n_max: int, params: WeightParams, config: PrecisionConfig, recurrence=None
+):
+    """(r, R) for n <= n_max from their defining integrals, in one pass.
+
+    Independent of the ladder identities. One vector tanh-sinh pass
+    evaluates the weight once per node and P_0 ... P_{n_max} in one
+    three-term sweep. The integrands are even, so the integral over
+    (-1, 1) is exactly twice the one over (0, 1).
+    """
+    if n_max < 0:
+        raise ValueError("index must be non-negative")
+    if params.t == 0:
+        # the 2t prefactors vanish
+        return [mpf(0)] * (n_max + 1), [mpf(0)] * (n_max + 1)
+    table = recurrence
+    if table is None or table.n_max < n_max:
+        table = recurrence_table(max(n_max, 1), params, config)
+    beta = table.beta
+    size = 2 * n_max + 1
+
+    def f(y):
+        w = weight_value(y, params)
+        if w == 0:
+            return [mpf(0)] * size
+        polys = [mpf(1), y]
+        for k in range(1, n_max):
+            polys.append(y * polys[k] - beta[k] * polys[k - 1])
+        y3 = y ** 3
+        y2 = y * y
+        # r_n pairs P_n with P_{n-1} (P_{-1} = 0, so r_0 = 0); R_n squares P_n
+        return ([polys[k] * polys[k - 1] * w / y3 for k in range(1, n_max + 1)]
+                + [p * p * w / y2 for p in polys[: n_max + 1]])
+
+    # doubling by exponent shift stays exact at the quadrature's precision
+    integrals = [mp.ldexp(v, 1) for v in integrate_unit_vector(f, size, config)]
+    with working_precision(config):
+        r = [mpf(0)] + [2 * params.t * integrals[k - 1] / table.h[k - 1]
+                        for k in range(1, n_max + 1)]
+        big_r = [2 * params.t * integrals[n_max + k] / table.h[k]
+                 for k in range(n_max + 1)]
+        return r, big_r
+
+
 def aux_r_oracle(
     n: int, params: WeightParams, config: PrecisionConfig, recurrence=None
 ) -> mpf:
-    """Defining integral for r_n(t); independent of the ladder identities."""
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    if n == 0 or params.t == 0:
-        # n=0: P_{-1} = 0 by convention; t=0: the 2t prefactor vanishes
-        return mpf(0)
-    table = recurrence
-    if table is None or table.n_max < n:
-        table = recurrence_table(n, params, config)
-    with working_precision(config):
-
-        def f(y):
-            w = weight_value(y, params)
-            if w == 0:
-                return mpf(0)
-            pn = eval_poly(n, y, table).value
-            pm = eval_poly(n - 1, y, table).value
-            return pn * pm * w / y ** 3
-
-        integral = integrate_even(f, config)
-        return 2 * params.t * integral / table.h[n - 1]
+    """Defining integral for r_n(t): one entry of aux_oracles."""
+    return aux_oracles(n, params, config, recurrence)[0][n]
 
 
 def aux_R_oracle(
     n: int, params: WeightParams, config: PrecisionConfig, recurrence=None
 ) -> mpf:
-    """Defining integral for R_n(t)."""
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    if params.t == 0:
-        return mpf(0)
-    table = recurrence
-    if table is None or table.n_max < n:
-        table = recurrence_table(max(n, 1), params, config)
-    with working_precision(config):
-
-        def f(y):
-            w = weight_value(y, params)
-            if w == 0:
-                return mpf(0)
-            pn = eval_poly(n, y, table).value
-            return pn * pn * w / (y * y)
-
-        integral = integrate_even(f, config)
-        return 2 * params.t * integral / table.h[n]
+    """Defining integral for R_n(t): one entry of aux_oracles."""
+    return aux_oracles(n, params, config, recurrence)[1][n]
 
 
 @dataclass
@@ -147,9 +155,7 @@ def aux_table(
         table = recurrence
         if table is None or table.n_max < n_max + 1:
             table = recurrence_table(n_max + 1, params, config)
-        with working_precision(config):
-            r = [aux_r_oracle(k, params, config, table) for k in range(n_max + 1)]
-            big_r = [aux_R_oracle(k, params, config, table) for k in range(n_max + 1)]
+        r, big_r = aux_oracles(n_max, params, config, table)
     else:
         raise ValueError(f"unknown route {route!r}")
     with working_precision(config):

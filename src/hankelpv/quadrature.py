@@ -99,17 +99,20 @@ def _tanh_sinh(f, size, point_map, scale, config: PrecisionConfig, target_digits
     weight is below one ulp of the level sum); at x = 0 only hi is used.
     Each level sum is multiplied by the constant `scale`.
 
-    Refinement stops when every component agrees between two successive
-    levels. Agreement is measured against the integral of |f| rather than
-    the value itself, so integrals that vanish by cancellation
-    (orthogonality inner products) converge once the increments settle at
-    the attainable floor.
+    Each component is frozen at the first level where it agrees with the
+    level before, so its value does not depend on what it is batched with:
+    it is the value a one-component pass returns for it. Refinement stops
+    when every component is frozen. Agreement is measured against the
+    integral of |f| rather than the value itself, so integrals that vanish
+    by cancellation (orthogonality inner products) converge once the
+    increments settle at the attainable floor.
     """
     digits = config.target_digits if target_digits is None else target_digits
     prec = config.bits + GUARD_BITS
     with working_precision(prec):
         tol = mpf(10) ** (-(digits + 3))
         running = running_abs = previous = None
+        frozen = [None] * size
         for level in range(0, MAX_LEVEL + 1):
             total = [mpf(0)] * size
             total_abs = [mpf(0)] * size
@@ -130,11 +133,12 @@ def _tanh_sinh(f, size, point_map, scale, config: PrecisionConfig, target_digits
                 running_abs = [r + v for r, v in zip(running_abs, total_abs)]
             step = mpf(2) ** (-level)
             value = [r * step for r in running]
-            if level >= FIRST_CHECK_LEVEL and previous is not None and all(
-                _agrees(v, p, m * step, tol)
-                for v, p, m in zip(value, previous, running_abs)
-            ):
-                return value
+            if level >= FIRST_CHECK_LEVEL:
+                for i, (v, p, m) in enumerate(zip(value, previous, running_abs)):
+                    if frozen[i] is None and _agrees(v, p, m * step, tol):
+                        frozen[i] = v
+                if all(v is not None for v in frozen):
+                    return frozen
             previous = value
         raise ConvergenceError(
             f"tanh-sinh failed to reach {digits} digits for {description} "
@@ -193,7 +197,8 @@ def integrate_even(f, config: PrecisionConfig, target_digits=None) -> mpf:
 def integrate_unit_vector(f, size, config: PrecisionConfig, target_digits=None):
     """Vector version of integrate_unit: f returns a list of `size` values.
 
-    Refinement stops when every component has converged.
+    Each component equals what integrate_unit returns for it alone, bit for
+    bit; refinement stops when every component has converged.
     """
     return _tanh_sinh(f, size, _unit_points, mpf(0.5), config, target_digits,
                       "interval (0, 1)")

@@ -6,24 +6,31 @@ from mpmath import mp, mpf
 from hankelpv.bridge import (
     JMO_IDS,
     PARITY_IDS,
+    _boosted_digits,
+    _factor,
     eval_tilde_poly,
     make_tilde_params,
+    tilde_H_derivatives,
     tilde_Rstar_quad,
     tilde_Rtilde_quad,
     tilde_moment,
     tilde_moment_hyperu,
+    tilde_moments,
     tilde_moments_and_table,
     tilde_weight_value,
     verify_jmo_sigma_form,
     verify_parity_splitting,
 )
+from hankelpv.derivatives import derivative_bundle
 from hankelpv.ladder import aux_R_oracle
 from hankelpv.precision import PrecisionConfig, working_precision
-from hankelpv.quadrature import integrate
+from hankelpv.quadrature import integrate, integrate_unit_vector
 from hankelpv.recurrence import recurrence_table
 from hankelpv.weights import make_params, moment_closed
 
 CFG = PrecisionConfig()
+CFG128 = PrecisionConfig(bits=128, target_digits=15)
+CFG256 = PrecisionConfig(bits=256, target_digits=30)
 HALF = mpf("0.5")
 
 
@@ -72,14 +79,31 @@ def test_tilde_moment_two_routes(a, j):
 def test_tilde_moment_change_of_variables(alpha, t):
     # x = y^2 maps the auxiliary moments onto the main even moments
     p = make_params(alpha, t, CFG)
-    neg = make_tilde_params(-HALF, alpha, t, CFG)
-    pos = make_tilde_params(HALF, alpha, t, CFG)
+    neg = tilde_moments(0, 3, make_tilde_params(-HALF, alpha, t, CFG), CFG)
+    pos = tilde_moments(0, 3, make_tilde_params(HALF, alpha, t, CFG), CFG)
     with working_precision(CFG):
         for j in range(4):
             main_even = moment_closed(2 * j, p, CFG)
-            assert abs(tilde_moment(j, neg, CFG) - main_even) < mpf(10) ** -60 * abs(main_even)
+            assert abs(neg[j] - main_even) < mpf(10) ** -60 * abs(main_even)
             main_next = moment_closed(2 * j + 2, p, CFG)
-            assert abs(tilde_moment(j, pos, CFG) - main_next) < mpf(10) ** -60 * abs(main_next)
+            assert abs(pos[j] - main_next) < mpf(10) ** -60 * abs(main_next)
+
+
+@pytest.mark.parametrize("a", ["-0.5", "0.5"])
+def test_negative_order_moments_two_routes(a):
+    # mu~_{-k} enter the t-derivatives of the moment matrix; finite for t > 0
+    tp = make_tilde_params(a, "2.3", "0.05", CFG256)
+    with working_precision(CFG256):
+        quad = tilde_moments(-3, -1, tp, CFG256)
+        for j, value in zip((-3, -2, -1), quad):
+            closed = tilde_moment_hyperu(j, tp, CFG256)
+            assert abs(value - closed) < mpf(10) ** -30 * abs(closed)
+
+
+def test_negative_order_moments_need_positive_t():
+    tp = make_tilde_params(HALF, 1, 0, CFG)
+    with pytest.raises(ValueError):
+        tilde_moments(-1, 2, tp, CFG)
 
 
 def test_tilde_moment_beta_at_t0():
@@ -95,24 +119,20 @@ def test_tilde_polys_orthogonal(table_neg):
     tp, config = table_neg.tp, table_neg.config
     with working_precision(config):
         tol = mpf(10) ** -50
+        pairs = ((1, 0), (2, 1), (3, 0), (3, 2), (0, 0), (2, 2), (3, 3))
 
-        def inner(i, j):
-            def f(y):
-                tw = tilde_weight_value(y, tp)
-                if tw == 0:
-                    return mpf(0)
-                return (
-                    eval_tilde_poly(i, y, table_neg)
-                    * eval_tilde_poly(j, y, table_neg)
-                    * tw
-                )
+        def f(y):
+            tw = tilde_weight_value(y, tp)
+            if tw == 0:
+                return [mpf(0)] * len(pairs)
+            return [eval_tilde_poly(i, y, table_neg) * eval_tilde_poly(j, y, table_neg) * tw
+                    for i, j in pairs]
 
-            return integrate(f, (0, 1), config)
-
-        for i, j in ((1, 0), (2, 1), (3, 0), (3, 2)):
-            assert abs(inner(i, j)) < tol * table_neg.tilde_h[min(i, j)]
-        for i in (0, 2, 3):
-            assert abs(inner(i, i) - table_neg.tilde_h[i]) < tol * table_neg.tilde_h[i]
+        inner = dict(zip(pairs, integrate_unit_vector(f, len(pairs), config)))
+        for i, j in pairs:
+            h = table_neg.tilde_h[min(i, j)]
+            expected = h if i == j else 0
+            assert abs(inner[i, j] - expected) < tol * h
 
 
 def test_orthogonality_detects_corruption(table_neg):
@@ -193,6 +213,9 @@ def test_dou1_n0_both_sides_by_quadrature(table_neg):
         main = aux_R_oracle(0, p, CFG)
         star = tilde_Rstar_quad(0, table_neg)
         assert abs(main - 2 * star) < mpf(10) ** -50 * abs(main)
+    # the single-index views are entries of the table's batch, bit for bit
+    assert star == table_neg.Rstar[0]
+    assert tilde_Rtilde_quad(0, table_neg) == table_neg.Rtilde[0]
 
 
 def test_jmo_rows():
@@ -214,6 +237,58 @@ def test_jmo_rejects_t0():
     tp = make_tilde_params(-HALF, 1, 0, CFG)
     with pytest.raises(ValueError):
         verify_jmo_sigma_form((1,), tp, CFG)
+
+
+def test_exact_H_derivatives_against_stencils():
+    # the one finite-difference check of the trace formulas: Richardson
+    # stencils over the quadrature log-determinant give H and H', and over
+    # the exact H give H''; each agrees within the stencil's error bar
+    n, a, b = 2, -HALF, 1
+    tp = make_tilde_params(a, b, "0.5", CFG128)
+    hv, h1, h2 = tilde_H_derivatives(n, tp, CFG128)[n]
+    digits = _boosted_digits(CFG128)
+
+    def log_det(tv):
+        shifted = make_tilde_params(a, b, tv, CFG128)
+        mu = tilde_moments(0, 2 * n - 2, shifted, CFG128, target_digits=digits)
+        lower, _inv = _factor(mu, n, CFG128)
+        return mp.fsum(mp.log(lower[k][k] ** 2) for k in range(n))
+
+    def exact_h(tv):
+        return tilde_H_derivatives(n, make_tilde_params(a, b, tv, CFG128), CFG128)[n][0]
+
+    with working_precision(CFG128):
+        # balances stencil truncation (h^8) against quadrature noise (eps/h^2)
+        h0 = mpf(10) ** (-mpf(digits) / 10)
+        bundle = derivative_bundle(log_det, tp.t, CFG128, h0=h0)
+        (l1, e1), (l2, e2) = bundle[1], bundle[2]
+        d2, e2h = derivative_bundle(exact_h, tp.t, CFG128, orders=(2,), h0=h0)[2]
+        t = tp.t
+        assert abs(hv - t * l1) <= t * e1
+        assert abs(h1 - (l1 + t * l2)) <= e1 + t * e2
+        assert abs(h2 - d2) <= e2h
+
+
+@pytest.mark.parametrize("t", ["0.5", "0"])
+def test_tilde_table_makes_two_passes(quadrature_passes, t):
+    tilde_moments_and_table(2, make_tilde_params(-HALF, 1, t, CFG128), CFG128)
+    # moments mu~_{-1} .. mu~_4, then Rtilde_0..2 (and Rstar_0..2 when t > 0)
+    assert quadrature_passes == ([6, 6] if t == "0.5" else [5, 3])
+
+
+def test_jmo_rows_make_one_pass(quadrature_passes):
+    verify_jmo_sigma_form((1, 2), make_tilde_params(-HALF, 1, "0.5", CFG128), CFG128)
+    assert quadrature_passes == [6]  # mu~_{-3} .. mu~_2
+
+
+def test_small_t_H_agrees_across_precisions():
+    # at t = 0.001 the boundary layer of e^{-t/x} sits near x = 0, where the
+    # (0, 1) node map keeps full relative precision
+    cfg192 = PrecisionConfig(bits=192, target_digits=22)
+    lo = tilde_moments_and_table(3, make_tilde_params(-HALF, 1, "0.001", CFG128), CFG128)
+    hi = tilde_moments_and_table(3, make_tilde_params(-HALF, 1, "0.001", cfg192), cfg192)
+    with working_precision(cfg192):
+        assert abs(lo.H[4] - hi.H[4]) < mpf(10) ** -25 * abs(hi.H[4])
 
 
 def test_eval_tilde_poly_bounds(table_neg):

@@ -8,6 +8,7 @@ floating-point operations shows up here. A golden changes only when a
 change is meant to alter printed digits, and says so.
 """
 
+import csv
 import io
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -40,11 +41,15 @@ CASES = [
 ]
 
 
-def _run(argv):
+def _run(argv, err=None):
     out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+    with redirect_stdout(out), redirect_stderr(err or io.StringIO()):
         status = cli.main([*argv, "--bits", "128"])
     return status, out.getvalue()
+
+
+def _rows(out):
+    return list(csv.DictReader(io.StringIO(out)))
 
 
 def test_every_subcommand_has_a_golden():
@@ -80,3 +85,43 @@ def test_fraction_cells_render_as_decimals():
     config = PrecisionConfig(bits=128, target_digits=15)
     assert report.fmt(Fraction(1, 2), config) == "0.5"
     assert report.fmt(Fraction(-1, 3), config) == "-0.333333333333333"
+
+
+@pytest.mark.parametrize("alpha", ["1", "1.5"])
+def test_bridge_parity_at_t0_has_no_false_findings(alpha):
+    # R_n, Rstar_n, sigma_n and H_n all vanish at t = 0, so each row is
+    # measured against the magnitudes whose cancellation leaves the noise
+    status, out = _run(["bridge", "--suite", "parity", "--alpha", alpha, "--t", "0",
+                        "--n-max", "1"])
+    rows = _rows(out)
+    assert status == 0
+    assert len(rows) == 24
+    assert all(row["passed"] == "true" for row in rows)
+
+
+def test_verify_all_at_t0_skips_the_stencil_rows():
+    status, out = _run(["verify", "--suite", "all", "--alpha", "1", "--t", "0", "--n-max", "1"])
+    rows = _rows(out)
+    assert status == 0
+    assert all(row["passed"] == "true" for row in rows)
+    names = {row["identity"] for row in rows}
+    assert not names & {"eq1", "eq2", "pnt", "ricca1", "ricca2", "integral-rep"}
+    assert {"be3", "imp", "lowering"} <= names
+
+
+def test_verify_differential_at_t0_needs_positive_t():
+    err = io.StringIO()
+    status, out = _run(["verify", "--suite", "differential", "--alpha", "1", "--t", "0",
+                        "--n-max", "1"], err)
+    assert (status, out) == (cli.EXIT_NUMERIC, "")
+    assert "needs t > 0" in err.getvalue()
+
+
+@pytest.mark.parametrize("suite", ["parity", "jmo"])
+def test_bridge_at_small_t(suite):
+    # the boundary layer of e^{-t/x} at x ~ t is resolved by the (0, 1) node map
+    status, out = _run(["bridge", "--suite", suite, "--alpha", "1", "--t", "0.001",
+                        "--n-max", "1"])
+    rows = _rows(out)
+    assert status == 0
+    assert rows and all(row["passed"] == "true" for row in rows)

@@ -81,6 +81,18 @@ def test_cross_route_full_range(alpha, t):
             assert abs(by_identity.R[n] - by_integral.R[n]) < tol * scale_R
 
 
+def test_quadrature_route_makes_one_pass(quadrature_passes):
+    # every r_n and R_n comes out of one tanh-sinh pass; the single-index
+    # oracles are entries of the same batch, bit for bit
+    cfg = PrecisionConfig(bits=128, target_digits=15)
+    p = make_params(1, "0.5", cfg)
+    rec = recurrence_table(5, p, cfg)
+    aux = aux_table(4, p, cfg, route=ROUTE_QUADRATURE, recurrence=rec)
+    assert quadrature_passes == [9]  # r_1 .. r_4 and R_0 .. R_4
+    assert aux_r_oracle(3, p, cfg, rec) == aux.r[3]
+    assert aux_R_oracle(4, p, cfg, rec) == aux.R[4]
+
+
 @pytest.mark.parametrize("alpha,t", [("2.3", "0.05"), ("0.7", 2)])
 def test_cross_route_spot_checks(alpha, t):
     p = make_params(alpha, t, CFG)

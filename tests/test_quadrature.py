@@ -86,6 +86,13 @@ def test_vector_integrand_matches_scalars():
         assert close(vals[2], mpf(1) / 3, 55)
 
 
+def test_vector_components_equal_scalar_passes():
+    # each component stops at its own level, so batching changes no bit
+    fs = (lambda y: y ** 5, mp.sqrt, lambda y: clamped_exp(-1 / (50 * y)) / y ** 2)
+    vals = integrate_unit_vector(lambda y: [f(y) for f in fs], len(fs), CFG)
+    assert vals == [integrate_unit(f, CFG) for f in fs]
+
+
 def test_jump_discontinuity_raises_convergence_error():
     def f(y):
         return mpf(1) if y > 1 / mp.pi else mpf(0)
