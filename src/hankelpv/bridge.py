@@ -41,7 +41,7 @@ from .precision import (
     working_precision,
 )
 from .quadrature import clamped_exp, integrate_unit_vector
-from .recurrence import _cholesky, eval_poly, recurrence_table
+from .recurrence import _factor, _log_det_derivatives, eval_poly, recurrence_table
 from .special import gamma
 
 PARITY_IDS = (
@@ -125,11 +125,6 @@ def tilde_moments(j_lo: int, j_hi: int, tp: TildeParams, config: PrecisionConfig
     return integrate_unit_vector(f, size, config, target_digits=target_digits)
 
 
-def tilde_moment(j: int, tp: TildeParams, config: PrecisionConfig, target_digits=None) -> mpf:
-    """Moment integral of x^j against the auxiliary weight: one entry of tilde_moments."""
-    return tilde_moments(j, j, tp, config, target_digits)[0]
-
-
 def tilde_moment_hyperu(j: int, tp: TildeParams, config: PrecisionConfig) -> mpf:
     """Closed-form moment via the confluent U function (second route).
 
@@ -157,21 +152,6 @@ def _boosted_digits(config: PrecisionConfig) -> int:
     return max(config.target_digits, digits_capacity(config.bits) - 5)
 
 
-def _factor(moments, size: int, config: PrecisionConfig):
-    """Cholesky factor F of the size x size moment matrix, and F^{-1}."""
-    with working_precision(config):
-        lower = _cholesky([[moments[i + j] for j in range(size)] for i in range(size)])
-        inv = [[mpf(0)] * size for _ in range(size)]
-        for j in range(size):
-            inv[j][j] = 1 / lower[j][j]
-            for k in range(j - 1, -1, -1):
-                acc = mpf(0)
-                for m in range(k, j):
-                    acc += lower[j][m] * inv[m][k]
-                inv[j][k] = -acc / lower[j][j]
-        return lower, inv
-
-
 def _orthogonality_data(lower, inv, config: PrecisionConfig):
     """Pivots and three-term coefficients from the moment factorization.
 
@@ -188,46 +168,6 @@ def _orthogonality_data(lower, inv, config: PrecisionConfig):
         rec_a = [sub[j] - sub[j + 1] for j in range(size - 1)]
         rec_b = [mpf(0)] + [h[j] / h[j - 1] for j in range(1, size)]
         return h, rec_a, rec_b
-
-
-def _log_det_derivatives(mu, inv, orders: int, config: PrecisionConfig):
-    """The first `orders` t-derivatives of ln tilde_D_n, for n = 0 .. len(inv).
-
-    mu maps every order j >= -orders to its moment. The k-th t-derivative
-    of the moment matrix M is M^(k)_ij = (-1)^k mu_{i+j-k}; with
-    A_k = M^{-1} M^(k) and L = ln det M,
-
-      L'   = tr A_1,
-      L''  = tr A_2 - tr A_1^2,
-      L''' = tr A_3 - 3 tr A_1 A_2 + 2 tr A_1^3.
-
-    The traces are taken of C_k = F^{-1} M^(k) F^{-T}, which is similar to
-    A_k (F the Cholesky factor, inv = F^{-1}). F^{-1} is lower triangular,
-    so the leading n x n block of C_k is the one of the leading n x n block
-    of M, and one factor gives every n.
-    """
-    size = len(inv)
-    with working_precision(config):
-        c = []
-        for k in range(1, orders + 1):
-            sign = -1 if k % 2 else 1
-            left = [[sign * mp.fsum(inv[i][p] * mu[p + q - k] for p in range(i + 1))
-                     for q in range(size)] for i in range(size)]
-            c.append([[mp.fsum(left[i][q] * inv[j][q] for q in range(j + 1))
-                       for j in range(size)] for i in range(size)])
-        out = [[] for _ in range(orders)]
-        for n in range(size + 1):
-            idx = range(n)
-            out[0].append(mp.fsum(c[0][i][i] for i in idx))
-            if orders > 1:
-                square = mp.fsum(c[0][i][j] ** 2 for i in idx for j in idx)
-                out[1].append(mp.fsum(c[1][i][i] for i in idx) - square)
-            if orders > 2:
-                mixed = mp.fsum(c[0][i][j] * c[1][i][j] for i in idx for j in idx)
-                cube = mp.fsum(c[0][i][j] * c[0][j][m] * c[0][m][i]
-                               for i in idx for j in idx for m in idx)
-                out[2].append(mp.fsum(c[2][i][i] for i in idx) - 3 * mixed + 2 * cube)
-        return out
 
 
 @dataclass
@@ -304,16 +244,6 @@ def tilde_R_lists(n_top: int, table: TildeTable, target_digits=None):
             return [mpf(0)] * count, rtilde
         rstar = [tp.t * values[count + n] / table.tilde_h[n] for n in range(count)]
         return rstar, rtilde
-
-
-def tilde_Rstar_quad(n: int, table: TildeTable, target_digits=None) -> mpf:
-    """(t / tilde_h_n) times the moment of tilde_P_n^2 against weight/x."""
-    return tilde_R_lists(n, table, target_digits)[0][n]
-
-
-def tilde_Rtilde_quad(n: int, table: TildeTable, target_digits=None) -> mpf:
-    """(b / tilde_h_n) times the moment of tilde_P_n^2 against weight/(1-x)."""
-    return tilde_R_lists(n, table, target_digits)[1][n]
 
 
 def tilde_moments_and_table(n_max: int, tp: TildeParams, config: PrecisionConfig) -> TildeTable:

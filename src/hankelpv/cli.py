@@ -215,9 +215,8 @@ def _verify_rows(run: RunConfig, config: PrecisionConfig):
     if suite == "integral":
         if params.t <= 0:
             raise ValueError("the integral representation needs t > 0")
-        steps = max(48, 2 * config.target_digits)
         n = run.n if run.n is not None else 2
-        return [verify_integral_representation(n, params, params.t, steps, config)], []
+        return [verify_integral_representation(n, params, params.t, config=config)], []
     rec = recurrence_table(n_max + 2, params, config)
     aux_q = aux_table(n_max + 1, params, config, route=ROUTE_QUADRATURE, recurrence=rec)
     if suite == "scalar":

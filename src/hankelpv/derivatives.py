@@ -1,8 +1,6 @@
 """Richardson-extrapolated central finite differences.
 
-First and second derivatives only; the verification suite never needs
-higher orders directly (third-order information always enters through a
-first derivative of an already-differentiated quantity).
+First and second derivatives only.
 
 The step starts at h0 ~ 2^(-bits/4) scaled by |x| and halves through 4
 Richardson levels. Both central stencils have pure h^2 error expansions,
@@ -13,9 +11,9 @@ the stencil numerator; on polynomial inputs it bounds the true error.
 The callable f is evaluated at full caller precision; routines needing
 extra certified digits should hand in an f built at elevated precision.
 When f itself carries evaluation noise well above roundoff (quadrature
-output, nested stencils) the default step amplifies that noise by 1/h or
-1/h^2; such callers should pass an explicit h0 near noise**(1/10) so the
-truncation and noise contributions balance.
+output, factorizations rebuilt at each point) the default step amplifies
+that noise by 1/h or 1/h^2; such callers should pass an explicit h0 near
+noise**(1/10) so the truncation and noise contributions balance.
 """
 
 from __future__ import annotations
@@ -106,14 +104,3 @@ def derivative_bundle(f, x, config: PrecisionConfig, orders=(1, 2), h0=None):
             out[2] = _extrapolate(d2, floor2)
         return out
 
-
-def stencil_points(x, config: PrecisionConfig, h0=None):
-    """The 9 abscissae derivative_bundle(f, x) will evaluate, in eval order.
-
-    Lets table-driven callers precompute everything f needs at exactly
-    these points before differentiating.
-    """
-    with working_precision(config):
-        xv = mpf(x)
-        steps = [_base_step(xv, config, h0) * mpf(2) ** (-i) for i in range(RICHARDSON_LEVELS)]
-        return [xv + h for h in steps] + [xv - h for h in steps] + [xv]

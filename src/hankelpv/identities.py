@@ -13,8 +13,9 @@ zero are tagged trivially-true with residual 0.
 
 Independence policy: r_n, R_n, sigma_n enter through the quadrature
 route (defining integrals), beta_n and p(n,t) through the moment
-determinants, and t-derivatives through finite-difference stencils, so
-no relation is checked against values produced by that same relation.
+determinants, and t-derivatives are exact, from d/dt mu_j = -mu_{j-2}
+(traces over the moment factorization at t), so no relation is checked
+against values produced by that same relation.
 
 Three relations were printed after clearing a square root and are
 quadratic in the highest derivative or in an inner bracket.  Those rows
@@ -24,10 +25,10 @@ negative and only the squared form is checkable).
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from mpmath import mp, mpf
 
-from .derivatives import derivative_bundle
 from .ladder import (
     ROUTE_QUADRATURE,
     AuxTable,
@@ -39,8 +40,14 @@ from .ladder import (
 )
 from .precision import PrecisionConfig, working_precision
 from .quadrature import integrate
-from .recurrence import RecurrenceTable, eval_poly, hankel_det, recurrence_table
-from .weights import WeightParams, make_params
+from .recurrence import (
+    RecurrenceTable,
+    eval_poly,
+    hankel_det,
+    log_det_t_derivatives,
+    recurrence_table,
+)
+from .weights import MomentTable, WeightParams, make_params
 
 IDENTITY_IDS = (
     "s1",
@@ -387,136 +394,104 @@ def _sd_row(n, params, aux, config):
                         *normalize([lhs, rhs, n - q, n + 2 * a - q], lhs - rhs))
 
 
-class _StencilCache:
-    """Recurrence + aux tables keyed by the exact t of each stencil point."""
+def _ladder_t_derivatives(rec: RecurrenceTable, n_top: int, config: PrecisionConfig,
+                          moments: MomentTable):
+    """{name: [first, second]} t-derivatives of ln h, beta, p, r, R and sigma.
 
-    def __init__(self, n_top: int, alpha, config: PrecisionConfig):
-        self.n_top = n_top
-        self.alpha = alpha
-        self.config = config
-        self._store = {}
+    Each entry is a list over the index. They follow by the chain rule from
+    the exact derivatives of L_m = ln D_m (log_det_t_derivatives):
+    ln h_m = L_{m+1} - L_m and beta_m = h_m / h_{m-1}, and p, r, R and sigma
+    are linear in beta, as in the identity route of aux_table. R and sigma
+    run to index n_top.
+    """
+    a = rec.params.alpha
+    logd = log_det_t_derivatives(n_top + 2, rec.params, config, 2, moments)
+    with working_precision(config):
+        lnh = [[d[m + 1] - d[m] for m in range(n_top + 2)] for d in logd]
+        # (ln beta_m)' and (ln beta_m)'' for m >= 1
+        lb1, lb2 = ([d[m] - d[m - 1] for m in range(1, n_top + 2)] for d in lnh)
+        beta = ([mpf(0)] + [b * d1 for b, d1 in zip(rec.beta[1:], lb1)],
+                [mpf(0)] + [b * (d2 + d1 ** 2) for b, d1, d2 in zip(rec.beta[1:], lb1, lb2)])
+        out = {"lnh": lnh, "beta": beta, "p": [], "r": [], "R": [], "sigma": []}
+        # dt is the derivative order's share of the [1-(-1)^n] t term of r_n
+        for dt, db in zip((1, 0), beta):
+            p = list(accumulate((-v for v in db[: n_top + 1]), initial=mpf(0)))
+            r = [mpf(0)] + [(1 - _parity(n)) * dt + (2 * n + 1 + 2 * a) * db[n] - 2 * p[n]
+                            for n in range(1, n_top + 2)]
+            big_r = [r[n + 1] + r[n] for n in range(n_top + 1)]
+            sig = list(accumulate((-v for v in big_r[:n_top]), initial=mpf(0)))
+            for name, values in zip(("p", "r", "R", "sigma"), (p, r, big_r, sig)):
+                out[name].append(values)
+        return out
 
-    def tables(self, tv):
-        key = mpf(tv)._mpf_
-        if key not in self._store:
-            p = make_params(self.alpha, tv, self.config)
-            rec = recurrence_table(self.n_top + 1, p, self.config)
-            aux = aux_table(self.n_top, p, self.config, recurrence=rec)
-            self._store[key] = (rec, aux)
-        return self._store[key]
 
-
-def verify_differential(
-    n_list,
-    params: WeightParams,
-    config: PrecisionConfig,
-    cache: _StencilCache = None,
-):
+def verify_differential(n_list, params: WeightParams, config: PrecisionConfig):
     """Rows for the nine t-differential relations at each n in n_list.
 
-    The derivative stencils are centred on t, so they need t > 0.
+    Values come from one recurrence table and one aux table at t, and
+    t-derivatives from _ladder_t_derivatives at the same t, which needs
+    t > 0 for its moments of negative order.
     """
     if not params.t > 0:
         raise ValueError("the t-differential suite needs t > 0: "
-                         "its derivative stencils are centred on t")
+                         "its t-derivatives use moments of negative order")
     n_top = max(n_list)
-    if cache is None:
-        cache = _StencilCache(n_top, params.alpha, config)
+    moments = MomentTable.build(params, 2 * n_top + 2, config)
+    rec0 = recurrence_table(n_top + 1, params, config, moments)
+    aux0 = aux_table(n_top, params, config, recurrence=rec0)
+    der = _ladder_t_derivatives(rec0, n_top, config, moments)
     rows = []
-    a = params.alpha
-    t = params.t
+    a, t = params.alpha, params.t
     with working_precision(config):
-        rec0, aux0 = cache.tables(t)
         for n in n_list:
             par = _parity(n)
             k1 = 2 * n + 1 + 2 * a
-            k0 = 2 * n - 1 + 2 * a
-            r = aux0.r[n]
-            R = aux0.R[n]
-            sig = aux0.sigma[n]
-            beta = rec0.beta[n]
+            r, R, sig, beta = aux0.r[n], aux0.R[n], aux0.sigma[n], rec0.beta[n]
 
-            bun_h = derivative_bundle(
-                lambda tv: mp.log(cache.tables(tv)[0].h[n]), t, config, orders=(1,)
-            )
-            lhs = 2 * t * bun_h[1][0]
-            rows.append(
-                residual_row("eq1", n, a, t, config,
-                             *normalize([lhs, R], lhs + R), detail=_deriv_note(bun_h))
-            )
+            lhs = 2 * t * der["lnh"][0][n]
+            rows.append(residual_row("eq1", n, a, t, config,
+                                     *normalize([lhs, R], lhs + R), detail="deriv=trace"))
 
             if n >= 1:
-                bun_b = derivative_bundle(
-                    lambda tv: cache.tables(tv)[0].beta[n], t, config, orders=(1,)
-                )
-                lhs = 2 * t * bun_b[1][0]
+                lhs = 2 * t * der["beta"][0][n]
                 rhs = beta * aux0.R[n - 1] - beta * R
-                rows.append(
-                    residual_row("eq2", n, a, t, config, *normalize(
-                        [lhs, beta * aux0.R[n - 1], beta * R], lhs - rhs),
-                        detail=_deriv_note(bun_b))
-                )
+                rows.append(residual_row(
+                    "eq2", n, a, t, config,
+                    *normalize([lhs, beta * aux0.R[n - 1], beta * R], lhs - rhs),
+                    detail="deriv=trace"))
 
-            bun_p = derivative_bundle(
-                lambda tv: cache.tables(tv)[0].p1[n], t, config, orders=(1,)
-            )
-            lhs = 2 * t * bun_p[1][0]
+            lhs = 2 * t * der["p"][0][n]
             terms = [(1 - par) * t, beta * R]
-            rows.append(
-                residual_row("pnt", n, a, t, config,
-                             *normalize([lhs] + terms, lhs - terms[0] + terms[1]),
-                             detail=_deriv_note(bun_p))
-            )
+            rows.append(residual_row("pnt", n, a, t, config,
+                                     *normalize([lhs] + terms, lhs - terms[0] + terms[1]),
+                                     detail="deriv=trace"))
 
-            bun_r = derivative_bundle(
-                lambda tv: cache.tables(tv)[1].r[n], t, config, orders=(1, 2)
-            )
-            bun_R = derivative_bundle(
-                lambda tv: cache.tables(tv)[1].R[n], t, config, orders=(1, 2)
-            )
-            r1, r2 = bun_r[1][0], bun_r[2][0]
-            R1, R2 = bun_R[1][0], bun_R[2][0]
+            r1, r2 = der["r"][0][n], der["r"][1][n]
+            R1, R2 = der["R"][0][n], der["R"][1][n]
 
             if R != 0:
                 lhs = 2 * t * r1
                 t1 = -2 * par * t * r * (k1 + R) / R
                 t2 = -(n + r) * (n + 2 * a + r) * R / (k1 + R)
-                rows.append(
-                    residual_row("ricca1", n, a, t, config,
-                                 *normalize([lhs, t1, t2], lhs - t1 - t2),
-                                 detail=_deriv_note(bun_r))
-                )
+                rows.append(residual_row("ricca1", n, a, t, config,
+                                         *normalize([lhs, t1, t2], lhs - t1 - t2),
+                                         detail="deriv=trace"))
 
             lhs = 2 * t * R1
             terms = [R ** 2, (1 - 2 * par * t - 2 * r) * R, -2 * par * k1 * t]
-            rows.append(
-                residual_row("ricca2", n, a, t, config,
-                             *normalize([lhs] + terms, lhs - sum(terms)),
-                             detail=_deriv_note(bun_R))
-            )
+            rows.append(residual_row("ricca2", n, a, t, config,
+                                     *normalize([lhs] + terms, lhs - sum(terms)),
+                                     detail="deriv=trace"))
 
-            rows.append(_ode_row(n, params, config, R, R1, R2, bun_R))
-            rows.append(_pv_row(n, params, config, R, R1, R2, bun_R))
-            rows.append(_ode2_row(n, params, config, r, r1, r2, bun_r))
-
-            bun_s = derivative_bundle(
-                lambda tv: cache.tables(tv)[1].sigma[n], t, config, orders=(1, 2)
-            )
-            rows.append(
-                _sode_row(n, params, config, sig, bun_s[1][0], bun_s[2][0], r, bun_s)
-            )
+            rows.append(_ode_row(n, params, config, R, R1, R2))
+            rows.append(_pv_row(n, params, config, R, R1, R2))
+            rows.append(_ode2_row(n, params, config, r, r1, r2))
+            rows.append(_sode_row(n, params, config, sig, der["sigma"][0][n],
+                                  der["sigma"][1][n], r))
     return rows
 
 
-def _deriv_note(bundle) -> str:
-    err = mpf(0)
-    for order in (1, 2):
-        if order in bundle:
-            err = max(err, abs(bundle[order][1]))
-    return f"deriv-err~{mp.nstr(err, 3)}"
-
-
-def _ode_row(n, params, config, R, R1, R2, bundle):
+def _ode_row(n, params, config, R, R1, R2):
     a = params.alpha
     t = params.t
     par = _parity(n)
@@ -534,10 +509,10 @@ def _ode_row(n, params, config, R, R1, R2, bundle):
         8 * t ** 2 * k1 ** 3,
     ]
     return residual_row("ode", n, a, t, config,
-                        *normalize(terms, sum(terms)), detail=_deriv_note(bundle))
+                        *normalize(terms, sum(terms)), detail="deriv=trace")
 
 
-def _pv_row(n, params, config, R, R1, R2, bundle):
+def _pv_row(n, params, config, R, R1, R2):
     a = params.alpha
     t = params.t
     par = _parity(n)
@@ -556,10 +531,10 @@ def _pv_row(n, params, config, R, R1, R2, bundle):
     ]
     return residual_row("pv", n, a, t, config,
                         *normalize([S2] + terms, S2 - sum(terms)),
-                        detail=_deriv_note(bundle))
+                        detail="deriv=trace")
 
 
-def _ode2_row(n, params, config, r, r1, r2, bundle):
+def _ode2_row(n, params, config, r, r1, r2):
     a = params.alpha
     t = params.t
     par = _parity(n)
@@ -589,10 +564,10 @@ def _ode2_row(n, params, config, r, r1, r2, bundle):
         branch = "+" if abs(r2 - plus) <= abs(r2 - minus) else "-"
     return residual_row("ode2", n, a, t, config,
                         *normalize(terms, sum(terms)), branch=branch,
-                        detail=_deriv_note(bundle))
+                        detail="deriv=trace")
 
 
-def _sode_row(n, params, config, sig, s1, s2, r_val, bundle):
+def _sode_row(n, params, config, sig, s1, s2, r_val):
     a = params.alpha
     t = params.t
     par = _parity(n)
@@ -675,7 +650,7 @@ def _sode_row(n, params, config, sig, s1, s2, r_val, bundle):
         branch = "+" if abs(r_val - (base + root)) <= abs(r_val - (base - root)) else "-"
     return residual_row("sode", n, a, t, config,
                         *normalize([lhs, rhs], lhs - rhs), branch=branch,
-                        detail=_deriv_note(bundle))
+                        detail="deriv=trace")
 
 
 def _cheb_nodes(count: int):
@@ -717,24 +692,31 @@ def verify_integral_representation(
     n: int,
     params: WeightParams,
     t_end,
-    steps: int = 64,
+    steps: int = None,
     config: PrecisionConfig = None,
 ):
     """One row: the R_n-integrand quadrature against the determinant ratio.
 
-    R_n(s) is sampled at Chebyshev points in u = sqrt(s) (where it is
-    analytic through u=0) and differentiated through the interpolant; the
+    R_n(s) is sampled at `steps` Chebyshev points in u = sqrt(s) (where it
+    is analytic through u=0) and differentiated through the interpolant; the
     short initial piece [0, s0] is evaluated directly as a determinant
     difference, so no endpoint series is needed.
     """
     if config is None:
         config = PrecisionConfig()
+    if steps is None:
+        # interpolation error must shrink alongside everything else when
+        # the precision target rises
+        steps = max(48, 2 * config.target_digits)
     a = params.alpha
     with working_precision(config):
         t_end = mpf(t_end)
         if t_end == 0:
             return residual_row("integral-rep", n, a, t_end, config, mpf(0), None)
         s0 = mpf(10) ** (-(config.target_digits // 4))
+        if s0 >= t_end:
+            # the integration path [s0, t_end] must not be empty
+            s0 = t_end / 4
         u_lo = mp.sqrt(s0)
         u_hi = mp.sqrt(t_end)
         k1 = 2 * n + 1 + 2 * a
@@ -879,18 +861,12 @@ def run_identity_suite(
     params: WeightParams,
     config: PrecisionConfig,
     z_points=DEFAULT_Z_POINTS,
-    integral_rep_n: int = 2,
-    integral_rep_steps: int = None,
 ):
     """All identity rows at one (alpha, t) grid point, sorted and tagged.
 
     At t = 0 the t-differential and integral-representation rows are left
-    out: their stencils and integration path need t > 0.
+    out: their negative-order moments and integration path need t > 0.
     """
-    if integral_rep_steps is None:
-        # interpolation error must shrink alongside everything else when
-        # the precision target rises
-        integral_rep_steps = max(48, 2 * config.target_digits)
     rec = recurrence_table(n_max + 2, params, config)
     aux_q = aux_table(n_max + 1, params, config, route=ROUTE_QUADRATURE, recurrence=rec)
     rows = []
@@ -906,10 +882,6 @@ def run_identity_suite(
             verify_linear_ode_Pn(n, z_points, params, aux_q, rec, config)
         )
     if params.t > 0:
-        rows.append(
-            verify_integral_representation(
-                integral_rep_n, params, params.t, integral_rep_steps, config
-            )
-        )
+        rows.append(verify_integral_representation(2, params, params.t, config=config))
     rows.sort(key=lambda row: (row.identity, row.n))
     return rows, sign_monitor(aux_q)

@@ -18,7 +18,7 @@ from mpmath import mp, mpf
 
 from .precision import NumericsError, PrecisionConfig, to_mpf, working_precision
 from .special import log_barnes_g, log_gamma
-from .weights import MomentTable, WeightParams
+from .weights import MomentTable, WeightParams, negative_moments
 
 
 class PivotError(NumericsError):
@@ -47,6 +47,62 @@ def _cholesky(rows):
     return lower
 
 
+def _factor(moments, size: int, config: PrecisionConfig):
+    """Cholesky factor F of the size x size moment matrix, and F^{-1}."""
+    with working_precision(config):
+        lower = _cholesky([[moments[i + j] for j in range(size)] for i in range(size)])
+        inv = [[mpf(0)] * size for _ in range(size)]
+        for j in range(size):
+            inv[j][j] = 1 / lower[j][j]
+            for k in range(j - 1, -1, -1):
+                acc = mpf(0)
+                for m in range(k, j):
+                    acc += lower[j][m] * inv[m][k]
+                inv[j][k] = -acc / lower[j][j]
+        return lower, inv
+
+
+def _log_det_derivatives(mu, inv, orders: int, config: PrecisionConfig):
+    """The first `orders` t-derivatives of ln det of the leading n x n block
+    of the Hankel matrix M_ij = mu_{i+j}, for n = 0 .. len(inv).
+
+    The moments obey d/dt mu_j = -mu_{j-1}, and mu maps every order
+    j >= -orders to its moment. The k-th t-derivative of M is
+    M^(k)_ij = (-1)^k mu_{i+j-k}; with A_k = M^{-1} M^(k) and L = ln det M,
+
+      L'   = tr A_1,
+      L''  = tr A_2 - tr A_1^2,
+      L''' = tr A_3 - 3 tr A_1 A_2 + 2 tr A_1^3.
+
+    The traces are taken of C_k = F^{-1} M^(k) F^{-T}, which is similar to
+    A_k (F the Cholesky factor, inv = F^{-1}). F^{-1} is lower triangular,
+    so the leading n x n block of C_k is the one of the leading n x n block
+    of M, and one factor gives every n.
+    """
+    size = len(inv)
+    with working_precision(config):
+        c = []
+        for k in range(1, orders + 1):
+            sign = -1 if k % 2 else 1
+            left = [[sign * mp.fsum(inv[i][p] * mu[p + q - k] for p in range(i + 1))
+                     for q in range(size)] for i in range(size)]
+            c.append([[mp.fsum(left[i][q] * inv[j][q] for q in range(j + 1))
+                       for j in range(size)] for i in range(size)])
+        out = [[] for _ in range(orders)]
+        for n in range(size + 1):
+            idx = range(n)
+            out[0].append(mp.fsum(c[0][i][i] for i in idx))
+            if orders > 1:
+                square = mp.fsum(c[0][i][j] ** 2 for i in idx for j in idx)
+                out[1].append(mp.fsum(c[1][i][i] for i in idx) - square)
+            if orders > 2:
+                mixed = mp.fsum(c[0][i][j] * c[1][i][j] for i in idx for j in idx)
+                cube = mp.fsum(c[0][i][j] * c[0][j][m] * c[0][m][i]
+                               for i in idx for j in idx for m in idx)
+                out[2].append(mp.fsum(c[2][i][i] for i in idx) - 3 * mixed + 2 * cube)
+        return out
+
+
 def _parity_block(moments: MomentTable, size: int, offset: int):
     return [
         [moments[2 * (a + b) + offset] for b in range(size)] for a in range(size)
@@ -66,8 +122,8 @@ def _block_pivots(moments: MomentTable, even_size: int, odd_size: int, config):
         return diag_e, diag_o
 
 
-def _retried_pivots(params, j_max, even_size, odd_size, config, moments):
-    """Block pivots from moments up to j_max, and the config they were taken at.
+def _retried(params, j_max, config, moments, work):
+    """work(moments, config) on moments up to j_max, and the config it ran at.
 
     On a non-positive pivot the moments are rebuilt once at doubled bits;
     a second failure propagates.
@@ -77,7 +133,7 @@ def _retried_pivots(params, j_max, even_size, odd_size, config, moments):
         if table is None or attempt > 0:
             table = MomentTable.build(params, j_max, cfg)
         try:
-            return _block_pivots(table, even_size, odd_size, cfg), cfg
+            return work(table, cfg), cfg
         except PivotError:
             if attempt > 0:
                 raise
@@ -87,12 +143,47 @@ def hankel_det(n: int, params: WeightParams, config: PrecisionConfig, moments=No
     """ln D_n(t) and its sign via the parity-block factorization."""
     if n < 1:
         raise ValueError("determinant order must be at least 1")
-    (diag_e, diag_o), cfg = _retried_pivots(
-        params, max(2 * n - 2, 0), (n + 1) // 2, n // 2, config, moments
-    )
+    (diag_e, diag_o), cfg = _retried(
+        params, max(2 * n - 2, 0), config, moments,
+        lambda table, cfg: _block_pivots(table, (n + 1) // 2, n // 2, cfg))
     with working_precision(cfg):
         logdet = 2 * mp.fsum(mp.log(d) for d in diag_e + diag_o)
     return logdet, 1
+
+
+def log_det_t_derivatives(n_top: int, params: WeightParams, config: PrecisionConfig,
+                          orders: int, moments=None):
+    """[d^k/dt^k ln D_m for m = 0 .. n_top] for k = 1 .. orders, at the one t > 0.
+
+    Differentiating under the integral gives d/dt mu_j = -mu_{j-2}. Both
+    parity blocks are Hankel matrices in nu_k, with nu_k = mu_{2k} for E
+    and mu_{2k+2} for O, and both obey d/dt nu_k = -nu_{k-1}, so the trace
+    formulas of _log_det_derivatives apply to each block, and
+    ln D_m = ln det E_{ceil(m/2)} + ln det O_{floor(m/2)}. The negative
+    orders come from the weight's Pearson relation (negative_moments).
+    """
+    if not params.t > 0:
+        raise ValueError("the t-derivatives of ln D_n need t > 0: "
+                         "they use moments of negative order")
+    sizes = ((n_top + 1) // 2, 0), (n_top // 2, 2)
+
+    def blocks(table, cfg):
+        low = negative_moments(table, -2 * orders)
+
+        def mu(j):
+            return low[j] if j < 0 else table[j]
+
+        out = []
+        for size, offset in sizes:
+            nu = {k: mu(2 * k + offset) for k in range(-orders, 2 * size - 1)}
+            _lower, inv = _factor(nu, size, cfg)
+            out.append(_log_det_derivatives(nu, inv, orders, cfg))
+        return out
+
+    (even, odd), cfg = _retried(params, max(2 * n_top - 2, 0), config, moments, blocks)
+    with working_precision(cfg):
+        return [[even[k][(m + 1) // 2] + odd[k][m // 2] for m in range(n_top + 1)]
+                for k in range(orders)]
 
 
 @dataclass
@@ -116,9 +207,9 @@ def recurrence_table(
 ) -> RecurrenceTable:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    (diag_e, diag_o), cfg = _retried_pivots(
-        params, 2 * n_max, n_max // 2 + 1, (n_max + 1) // 2, config, moments
-    )
+    (diag_e, diag_o), cfg = _retried(
+        params, 2 * n_max, config, moments,
+        lambda table, cfg: _block_pivots(table, n_max // 2 + 1, (n_max + 1) // 2, cfg))
     with working_precision(cfg):
         h = []
         for k in range(n_max + 1):

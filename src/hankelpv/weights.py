@@ -156,3 +156,22 @@ class MomentTable:
         if j >= len(self.mu):
             self.extend(j)
         return self.mu[j]
+
+
+def negative_moments(table: MomentTable, j_min: int) -> dict:
+    """{j: mu_j} for the even orders j_min <= j <= -2, finite only for t > 0.
+
+    Integrating d/dx [x^(2m+1) (1-x^2) w] over [-1,1] gives the Pearson
+    relation 2t mu_{2m-2} = (2t-2m-1) mu_{2m} + (2m+3+2 alpha) mu_{2m+2},
+    run here downward from the table's mu_0 and mu_2.
+    """
+    params = table.params
+    if not params.t > 0:
+        raise ValueError("moments of negative order need t > 0")
+    t, a = params.t, params.alpha
+    with working_precision(table.config):
+        mu = {0: table[0], 2: table[2]}
+        for m in range(0, j_min // 2, -1):
+            mu[2 * m - 2] = ((2 * t - 2 * m - 1) * mu[2 * m]
+                             + (2 * m + 3 + 2 * a) * mu[2 * m + 2]) / (2 * t)
+        return {j: mu[j] for j in range(j_min, 0, 2)}

@@ -7,16 +7,13 @@ from hankelpv.bridge import (
     JMO_IDS,
     PARITY_IDS,
     _boosted_digits,
-    _factor,
     eval_tilde_poly,
     make_tilde_params,
     tilde_H_derivatives,
-    tilde_Rstar_quad,
-    tilde_Rtilde_quad,
-    tilde_moment,
     tilde_moment_hyperu,
     tilde_moments,
     tilde_moments_and_table,
+    tilde_R_lists,
     tilde_weight_value,
     verify_jmo_sigma_form,
     verify_parity_splitting,
@@ -25,7 +22,7 @@ from hankelpv.derivatives import derivative_bundle
 from hankelpv.ladder import aux_R_oracle
 from hankelpv.precision import PrecisionConfig, working_precision
 from hankelpv.quadrature import integrate, integrate_unit_vector
-from hankelpv.recurrence import recurrence_table
+from hankelpv.recurrence import _factor, recurrence_table
 from hankelpv.weights import make_params, moment_closed
 
 CFG = PrecisionConfig()
@@ -70,7 +67,7 @@ def test_tilde_moment_two_routes(a, j):
     # quadrature against the confluent-U closed form
     tp = make_tilde_params(a, "2.3", "0.05", CFG)
     with working_precision(CFG):
-        quad = tilde_moment(j, tp, CFG)
+        quad = tilde_moments(j, j, tp, CFG)[0]
         closed = tilde_moment_hyperu(j, tp, CFG)
         assert abs(quad - closed) < mpf(10) ** -60 * abs(closed)
 
@@ -110,7 +107,7 @@ def test_tilde_moment_beta_at_t0():
     tp = make_tilde_params(-HALF, "1.5", 0, CFG)
     with working_precision(CFG):
         for j in (0, 2):
-            quad = tilde_moment(j, tp, CFG)
+            quad = tilde_moments(j, j, tp, CFG)[0]
             closed = tilde_moment_hyperu(j, tp, CFG)
             assert abs(quad - closed) < mpf(10) ** -60 * abs(closed)
 
@@ -211,11 +208,11 @@ def test_dou1_n0_both_sides_by_quadrature(table_neg):
     p = make_params(1, "0.5", CFG)
     with working_precision(CFG):
         main = aux_R_oracle(0, p, CFG)
-        star = tilde_Rstar_quad(0, table_neg)
-        assert abs(main - 2 * star) < mpf(10) ** -50 * abs(main)
-    # the single-index views are entries of the table's batch, bit for bit
-    assert star == table_neg.Rstar[0]
-    assert tilde_Rtilde_quad(0, table_neg) == table_neg.Rtilde[0]
+        stars, rtildes = tilde_R_lists(0, table_neg)
+        assert abs(main - 2 * stars[0]) < mpf(10) ** -50 * abs(main)
+    # a one-index pass reproduces the table's batch entries, bit for bit
+    assert stars[0] == table_neg.Rstar[0]
+    assert rtildes[0] == table_neg.Rtilde[0]
 
 
 def test_jmo_rows():

@@ -99,7 +99,7 @@ def test_bridge_parity_at_t0_has_no_false_findings(alpha):
     assert all(row["passed"] == "true" for row in rows)
 
 
-def test_verify_all_at_t0_skips_the_stencil_rows():
+def test_verify_all_at_t0_leaves_out_the_t_derivative_rows():
     status, out = _run(["verify", "--suite", "all", "--alpha", "1", "--t", "0", "--n-max", "1"])
     rows = _rows(out)
     assert status == 0
@@ -107,6 +107,18 @@ def test_verify_all_at_t0_skips_the_stencil_rows():
     names = {row["identity"] for row in rows}
     assert not names & {"eq1", "eq2", "pnt", "ricca1", "ricca2", "integral-rep"}
     assert {"be3", "imp", "lowering"} <= names
+
+
+def test_verify_all_at_small_t():
+    # the t-derivatives are exact at any t > 0, and the integral-rep path
+    # [s0, t] stays non-empty when t is below the default s0
+    status, out = _run(["verify", "--suite", "all", "--alpha", "1", "--t", "1e-12",
+                        "--n-max", "1"])
+    rows = _rows(out)
+    assert status == 0
+    assert all(row["passed"] == "true" for row in rows)
+    names = {row["identity"] for row in rows}
+    assert {"eq1", "pnt", "ricca2", "ode", "pv", "sode", "integral-rep"} <= names
 
 
 def test_verify_differential_at_t0_needs_positive_t():

@@ -3,7 +3,7 @@
 import pytest
 from mpmath import mp, mpf
 
-from hankelpv.derivatives import InstabilityError, derivative, derivative_bundle, stencil_points
+from hankelpv.derivatives import InstabilityError, derivative, derivative_bundle
 from hankelpv.precision import PrecisionConfig, working_precision
 from hankelpv.quadrature import integrate_unit
 
@@ -72,15 +72,3 @@ def test_step_function_raises_instability():
         with pytest.raises(InstabilityError):
             derivative(f, 0, 1, CFG)
 
-
-def test_stencil_points_match_bundle_evaluations():
-    seen = []
-
-    def f(x):
-        seen.append(x)
-        return x * x
-
-    with working_precision(CFG):
-        derivative_bundle(f, mpf(2), CFG)
-        expected = stencil_points(mpf(2), CFG)
-    assert seen == expected

@@ -11,6 +11,7 @@ from hankelpv.ladder import (
     aux_R,
     aux_R_oracle,
     aux_r,
+    aux_oracles,
     aux_r_oracle,
     aux_table,
     beta_via_aux,
@@ -97,13 +98,14 @@ def test_quadrature_route_makes_one_pass(quadrature_passes):
 def test_cross_route_spot_checks(alpha, t):
     p = make_params(alpha, t, CFG)
     rec = recurrence_table(13, p, CFG)
+    r_ints, R_ints = aux_oracles(12, p, CFG, rec)
     with working_precision(CFG):
         tol = mpf(10) ** -30
         for n in (0, 5, 12):
             r_alg = aux_r(n, rec)
             R_alg = aux_R(n, rec)
-            r_int = aux_r_oracle(n, p, CFG, rec)
-            R_int = aux_R_oracle(n, p, CFG, rec)
+            r_int = r_ints[n]
+            R_int = R_ints[n]
             assert abs(r_alg - r_int) < tol * max(abs(r_alg), mpf(1))
             assert abs(R_alg - R_int) < tol * max(abs(R_alg), mpf(1))
 

@@ -6,7 +6,7 @@ import pytest
 from mpmath import mp, mpf
 
 from hankelpv.derivatives import derivative_bundle
-from hankelpv.precision import PrecisionConfig, working_precision
+from hankelpv.precision import PrecisionConfig, digits_capacity, working_precision
 from hankelpv.quadrature import integrate_even
 from hankelpv.recurrence import (
     PivotError,
@@ -16,6 +16,7 @@ from hankelpv.recurrence import (
     eval_poly,
     hankel_det,
     hankel_det_t0,
+    log_det_t_derivatives,
     recurrence_table,
 )
 from hankelpv.weights import MomentTable, make_params, moment_closed, weight_value
@@ -173,6 +174,38 @@ def test_eval_poly_derivatives_match_richardson():
         d2, err2 = bundle[2]
         assert abs(got.d1 - d1) < max(err1, mpf(10) ** -40)
         assert abs(got.d2 - d2) < max(err2, mpf(10) ** -40)
+
+
+@pytest.mark.parametrize("alpha,t", [(1, "0.5"), ("2.5", "3")])
+def test_log_det_t_derivatives_against_stencils(alpha, t):
+    # Richardson bundles over ln D_m of tables rebuilt at shifted t; the step
+    # balances truncation (h^8) against the determinant noise (eps/h^2)
+    cfg = PrecisionConfig(bits=256, target_digits=30)
+    p = make_params(alpha, t, cfg)
+    d1, d2 = log_det_t_derivatives(4, p, cfg, 2)
+    tables = {}
+
+    def log_det(m):
+        def f(tv):
+            key = mpf(tv)._mpf_
+            if key not in tables:
+                tables[key] = recurrence_table(4, make_params(alpha, tv, cfg), cfg)
+            return tables[key].logD[m]
+        return f
+
+    assert d1[0] == d2[0] == 0
+    with working_precision(cfg):
+        h0 = mpf(10) ** (-mpf(digits_capacity(cfg.bits)) / 10)
+        for m in range(1, 5):
+            bundle = derivative_bundle(log_det(m), p.t, cfg, h0=h0)
+            (l1, e1), (l2, e2) = bundle[1], bundle[2]
+            assert abs(d1[m] - l1) <= e1
+            assert abs(d2[m] - l2) <= e2
+
+
+def test_log_det_t_derivatives_need_positive_t():
+    with pytest.raises(ValueError):
+        log_det_t_derivatives(2, make_params(1, 0, CFG), CFG, 1)
 
 
 def test_orthogonality_spot_check():

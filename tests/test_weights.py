@@ -14,6 +14,7 @@ from hankelpv.weights import (
     moment_closed,
     moment_entry,
     moment_quadrature,
+    negative_moments,
     weight_value,
 )
 
@@ -93,6 +94,24 @@ def test_closed_matches_quadrature(alpha, t, j):
         a = moment_closed(j, p, CFG)
         b = moment_quadrature(j, p, CFG)
         assert abs(a - b) <= abs(a) * mpf(10) ** -30
+
+
+@pytest.mark.parametrize("t", ["0.001", "0.5", "3"])
+def test_negative_moments_match_quadrature(t):
+    # the Pearson relation run downward against the defining integral
+    p = make_params("1.5", t, CFG)
+    low = negative_moments(MomentTable.build(p, 2, CFG), -4)
+    assert sorted(low) == [-4, -2]
+    with working_precision(CFG):
+        for j, value in low.items():
+            q = moment_quadrature(j, p, CFG)
+            assert abs(value - q) <= abs(q) * mpf(10) ** -30
+
+
+def test_negative_moments_need_positive_t():
+    p = make_params(1, 0, CFG)
+    with pytest.raises(ValueError):
+        negative_moments(MomentTable.build(p, 2, CFG), -2)
 
 
 def test_cancellation_escalation_stays_closed_form():
