@@ -42,7 +42,6 @@ from .precision import (
 )
 from .quadrature import clamped_exp, integrate_unit_vector
 from .recurrence import _factor, _log_det_derivatives, eval_poly, recurrence_table
-from .special import gamma
 
 PARITY_IDS = (
     "de1",
@@ -123,26 +122,6 @@ def tilde_moments(j_lo: int, j_hi: int, tp: TildeParams, config: PrecisionConfig
         return out
 
     return integrate_unit_vector(f, size, config, target_digits=target_digits)
-
-
-def tilde_moment_hyperu(j: int, tp: TildeParams, config: PrecisionConfig) -> mpf:
-    """Closed-form moment via the confluent U function (second route).
-
-    Substituting x = 1/(1+u) maps the moment integral onto the standard
-    integral representation of U, giving
-    Gamma(b+1) e^{-t} U(b+1, -j-a, t), for every order j when t > 0.
-    At t = 0 the integral is the Beta function instead.
-    """
-    if j < 0 and tp.t == 0:
-        raise ValueError("moments of negative order need t > 0")
-    with working_precision(config):
-        if tp.t == 0:
-            return (
-                gamma(tp.b + 1, config)
-                * gamma(j + tp.a + 1, config)
-                / gamma(j + tp.a + tp.b + 2, config)
-            )
-        return gamma(tp.b + 1, config) * mp.exp(-tp.t) * mp.hyperu(tp.b + 1, -j - tp.a, tp.t)
 
 
 def _boosted_digits(config: PrecisionConfig) -> int:
@@ -319,8 +298,8 @@ def verify_parity_splitting(
 ):
     """Residual rows for the even/odd splitting relations at n <= n_max.
 
-    The main side comes from closed-form moments and the recurrence
-    ladder; the auxiliary side is quadrature-built end to end, so every
+    The main side comes from the U-anchored Pearson moments and the
+    recurrence ladder; the auxiliary side is quadrature-built end to end, so every
     row compares two independent routes.
     """
     if n_max < 0:

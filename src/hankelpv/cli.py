@@ -55,7 +55,7 @@ from .precision import (
 )
 from .recurrence import hankel_det, recurrence_table
 from .special import UnsupportedArgumentError
-from .weights import MomentTable, make_params, moment_entry
+from .weights import MomentTable, make_params
 
 EXIT_OK = 0
 EXIT_FINDING = 1
@@ -125,6 +125,19 @@ def _default_bits() -> int:
         raise ValueError(f"{ENV_BITS} must be an integer, got {raw!r}") from exc
 
 
+def _count(least: int):
+    """argparse type: an integer count of at least `least`."""
+
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its invalid-value message
+    return parse
+
+
 def _parse_n_list(raw: str) -> tuple[int, ...]:
     try:
         values = tuple(int(part) for part in raw.split(",") if part.strip() != "")
@@ -174,10 +187,8 @@ def _cmd_moments(run: RunConfig, config: PrecisionConfig):
     else:
         j_max = run.options.get("j_max")
         indices = list(range((8 if j_max is None else j_max) + 1))
-    entries = []
-    for j in indices:
-        value, route = moment_entry(j, params, config)
-        entries.append((j, value, route))
+    table = MomentTable.build(params, indices[-1], config)
+    entries = [(j, table.mu[j], table.provenance[j]) for j in indices]
     return report.moment_records(entries, params, config), EXIT_OK, []
 
 
@@ -424,28 +435,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--t", required=True)
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--j-max", type=int, default=None)
-    group.add_argument("--j", type=int, default=None)
+    group.add_argument("--j-max", type=_count(0), default=None)
+    group.add_argument("--j", type=_count(0), default=None)
     _add_common(p, plot=True)
 
     p = sub.add_parser("hankel", help="log Hankel determinants ln D_n(t)")
     p.add_argument("--alpha", required=True)
     p.add_argument("--t", required=True)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=int, default=None)
-    group.add_argument("--n-max", type=int, default=None)
+    group.add_argument("--n", type=_count(1), default=None)
+    group.add_argument("--n-max", type=_count(1), default=None)
     _add_common(p, plot=True)
 
     p = sub.add_parser("recurrence", help="h_n, beta_n, p(n,t), ln D_n table")
     p.add_argument("--alpha", required=True)
     p.add_argument("--t", required=True)
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_count(1), required=True)
     _add_common(p, plot=True)
 
     p = sub.add_parser("aux", help="auxiliary quantities r_n, R_n, sigma_n")
     p.add_argument("--alpha", required=True)
     p.add_argument("--t", required=True)
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_count(0), required=True)
     p.add_argument("--route", choices=AUX_ROUTES, default=ROUTE_IDENTITY)
     _add_common(p, plot=True)
 
@@ -453,8 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=VERIFY_SUITES, default="all")
     p.add_argument("--alpha", required=True)
     p.add_argument("--t", required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n-max", type=_count(0), required=True)
+    p.add_argument("--n", type=_count(1), default=None,
                    help="integral suite only: representation order")
     _add_common(p)
 
@@ -462,13 +473,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=BRIDGE_SUITES, default="all")
     p.add_argument("--alpha", required=True)
     p.add_argument("--t", required=True)
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_count(0), required=True)
     p.add_argument("--n-list", default=None, help="orders for the jmo rows, e.g. 1,2")
     p.add_argument("--b", default="-0.5", help="shifted-weight exponent at 0")
     _add_common(p)
 
     p = sub.add_parser("solve-pv", help="continue R_n(t) in t by its Painleve V equation")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count(0), required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--t0", required=True)
     p.add_argument("--t-end", required=True)

@@ -13,7 +13,6 @@ step sequences are all fixed.
 from __future__ import annotations
 
 import math
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -78,22 +77,6 @@ class PrecisionConfig:
             )
         if not (0.0 < self.residual_scale <= 1.0):
             raise ValueError("residual_scale must lie in (0, 1]")
-
-    @classmethod
-    def from_env(
-        cls,
-        bits: int | None = None,
-        target_digits: int | None = None,
-        residual_scale: float | None = None,
-    ) -> "PrecisionConfig":
-        """Build a config, letting HANKELPV_BITS override the default bits."""
-        if bits is None:
-            bits = int(os.environ.get(ENV_BITS, DEFAULT_BITS))
-        if target_digits is None:
-            target_digits = min(DEFAULT_TARGET_DIGITS, digits_capacity(bits))
-        if residual_scale is None:
-            residual_scale = DEFAULT_RESIDUAL_SCALE
-        return cls(bits=bits, target_digits=target_digits, residual_scale=residual_scale)
 
     def with_bits(self, bits: int) -> "PrecisionConfig":
         """Same policy at a different working precision.

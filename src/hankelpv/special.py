@@ -1,4 +1,4 @@
-"""Special functions: Gamma, log Barnes-G, Kummer Phi, and zeta'(-1).
+"""Special functions: Gamma, log Barnes-G, Kummer Phi, the U-function moment, zeta'(-1).
 
 mpmath supplies the raw evaluations; the wrappers here pin the working
 precision, validate arguments against the domains the package actually
@@ -74,6 +74,31 @@ def kummer_phi(a, b, z, config: PrecisionConfig) -> mpf:
     value = stabilized(evaluate, config)
     with working_precision(config):
         return mpf(value)
+
+
+def exp_beta_moment(c, b, t, config: PrecisionConfig) -> mpf:
+    """int_0^1 x^c (1-x)^b e^{-t/x} dx for b > -1, t > 0 (c > -1 at t = 0).
+
+    x = 1/(1+u) gives Gamma(b+1) e^{-t} U(b+1, -c, t); at t = 0 it is the
+    Beta integral. U is mpmath's hypercomb on the connection formula in two
+    1F1 terms (DLMF 13.2.42), which raises its own precision to pay for
+    their cancellation. mp.hyperu makes the same call, but only after its
+    asymptotic 2F0 series fails, as it must when a >= 1 and 1+a-b > z (at
+    every moment anchor): the same bits, 2 to 100 times faster.
+    """
+    with working_precision(config) as ctx:
+        c, b, t = mpf(c), mpf(b), mpf(t)
+        if t == 0:
+            if not c > -1:
+                raise ValueError("moments of negative order need t > 0")
+            return gamma(b + 1, config) * gamma(c + 1, config) / gamma(c + b + 2, config)
+
+        def terms(a, b):
+            w = ctx.sinpi(b)
+            return (([ctx.pi, w], [1, -1], [], [a - b + 1, b], [a], [b], t),
+                    ([-ctx.pi, w, t], [1, -1, 1 - b], [], [a, 2 - b], [a - b + 1], [2 - b], t))
+
+        return gamma(b + 1, config) * ctx.exp(-t) * ctx.hypercomb(terms, [b + 1, -c])
 
 
 def _require_twice_integer(x) -> int:

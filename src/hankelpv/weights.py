@@ -1,36 +1,39 @@
 """Singularly perturbed Jacobi weight and its moments.
 
 The weight is w(x,t) = (1-x^2)^alpha * exp(-t/x^2) on [-1,1] with alpha > 0
-and t >= 0.  It is even, so odd moments vanish identically and even moments
-admit a two-term confluent-hypergeometric closed form:
+and t >= 0. It is even, so odd moments vanish identically. Substituting
+y = x^2 turns an even moment into an integral of `special.exp_beta_moment`:
 
-    mu_j(t) = (-1)^(j/2) * pi * ( Gamma(1+alpha) Phi(-(j+1)/2-alpha, (1-j)/2; -t)
-                                  / (Gamma((1-j)/2) Gamma((j+3)/2+alpha))
-                                - t^((j+1)/2) Phi(-alpha, (j+3)/2; -t)
-                                  / Gamma((j+3)/2) ).
+    mu_{2k}(t) = Gamma(1+alpha) e^(-t) U(1+alpha, 1/2-k, t),
 
-The two terms approach each other as t grows (the moment itself decays like
-exp(-t)), so the evaluation carries a cancellation guard: if more than
-target_digits/2 digits cancel, the precision is doubled once; if even the
-doubled capacity cannot certify target_digits of the difference, the moment
-is recomputed by quadrature at the doubled precision and marked as such.
+the Beta integral B(k+1/2, 1+alpha) at t = 0. Integrating
+d/dx [x^(2m+1) (1-x^2) w] over [-1,1] gives the Pearson relation
+
+    2t mu_{2m-2} = (2t-2m-1) mu_{2m} + (2m+3+2 alpha) mu_{2m+2}.
+
+As a recurrence in k, its second solution changes against the moments by
+about -2t/(2k+3+2 alpha) per step up, so the relation is stable run
+downward below k ~ t and upward above it (Gautschi, SIAM Review 9 (1967)
+24-82). A table takes the anchors mu_{2k0}, mu_{2k0+2}, k0 = floor(t),
+from the U form and runs the relation down to mu_0 and up to any j_max;
+`negative_moments` continues the downward run below mu_0. An extended
+table holds the same bits as one built at its final size.
+
+Provenance tags: the anchors and the odd zeros are `closed-form`, every
+other entry of a table is `pearson`. `quadrature` names the oracle route
+`moment_quadrature` (tanh-sinh on x^j w), which no table uses.
 """
 
 from dataclasses import dataclass
 
-from mpmath import mp, mpf
+from mpmath import mpf
 
-from .precision import (
-    NumericsError,
-    PrecisionConfig,
-    digits_capacity,
-    to_mpf,
-    working_precision,
-)
+from .precision import NumericsError, PrecisionConfig, to_mpf, working_precision
 from .quadrature import clamped_exp, integrate_even
-from .special import gamma, kummer_phi
+from .special import exp_beta_moment
 
 CLOSED_FORM = "closed-form"
+PEARSON = "pearson"
 QUADRATURE = "quadrature"
 
 
@@ -66,50 +69,23 @@ def weight_value(x, params: WeightParams) -> mpf:
     return value * clamped_exp(-params.t / (x * x))
 
 
-def _even_closed_parts(j: int, params: WeightParams, config: PrecisionConfig):
-    """Signed terms of the closed form plus their cancellation data."""
-    with working_precision(config):
-        a = params.alpha
-        t = params.t
-        jm = mpf(j)
-        term1 = (
-            gamma(1 + a, config)
-            * kummer_phi(-(jm + 1) / 2 - a, (1 - jm) / 2, -t, config)
-            / (gamma((1 - jm) / 2, config) * gamma((jm + 3) / 2 + a, config))
-        )
-        term2 = -(t ** ((jm + 1) / 2)) * kummer_phi(
-            -a, (jm + 3) / 2, -t, config
-        ) / gamma((jm + 3) / 2, config)
-        total = term1 + term2
-        sign = -1 if (j // 2) % 2 else 1
-        value = sign * mp.pi * total
-        return value, abs(total), max(abs(term1), abs(term2))
+def _pearson_step(m: int, mid, outer, params: WeightParams, downward: bool) -> mpf:
+    """mu_{2m-2} (downward) or mu_{2m+2} (upward) by the Pearson relation.
+
+    mid is mu_{2m}; outer is mu_{2m+2} going down and mu_{2m-2} going up.
+    """
+    t, a = params.t, params.alpha
+    if downward:
+        return ((2 * t - 2 * m - 1) * mid + (2 * m + 3 + 2 * a) * outer) / (2 * t)
+    return (2 * t * outer - (2 * t - 2 * m - 1) * mid) / (2 * m + 3 + 2 * a)
 
 
 def moment_entry(j: int, params: WeightParams, config: PrecisionConfig):
-    """Moment mu_j(t) together with its provenance mark."""
+    """Moment mu_j(t) together with its provenance tag, read off a table."""
     if j < 0:
         raise ValueError("moment index must be non-negative")
-    if j % 2 == 1:
-        return mpf(0), CLOSED_FORM
-    value, diff, scale = _even_closed_parts(j, params, config)
-    with working_precision(config):
-        guard = mpf(10) ** (-mpf(config.target_digits) / 2)
-        if scale == 0 or diff >= scale * guard:
-            return value, CLOSED_FORM
-    doubled = config.doubled()
-    value, diff, scale = _even_closed_parts(j, params, doubled)
-    with working_precision(doubled):
-        if diff > 0 and scale > 0:
-            lost = mp.log10(scale / diff)
-            if digits_capacity(doubled.bits) - lost >= config.target_digits:
-                return value, CLOSED_FORM
-    return moment_quadrature(j, params, doubled), QUADRATURE
-
-
-def moment_closed(j: int, params: WeightParams, config: PrecisionConfig) -> mpf:
-    value, _ = moment_entry(j, params, config)
-    return value
+    table = MomentTable.build(params, j, config)
+    return table.mu[j], table.provenance[j]
 
 
 def moment_quadrature(
@@ -127,27 +103,45 @@ def moment_quadrature(
 
 
 class MomentTable:
-    """Moments mu_0..mu_j_max with per-entry provenance; lazily extendable."""
+    """Moments mu_0..mu_j_max with per-entry provenance; extendable.
 
-    def __init__(self, params: WeightParams, config: PrecisionConfig, mu, provenance):
+    The even moments are one Pearson run from the anchors at k0 = floor(t),
+    so `_even` (mu_{2k} for every k reached) can run past j_max.
+    """
+
+    def __init__(self, params: WeightParams, config: PrecisionConfig):
         self.params = params
         self.config = config
-        self.mu = mu
-        self.provenance = provenance
+        self.mu = []
+        self.provenance = []
+        self._k0 = int(params.t)
+        with working_precision(config):
+            even = [exp_beta_moment(k - mpf(1) / 2, params.alpha, params.t, config)
+                    for k in (self._k0 + 1, self._k0)]
+            for m in range(self._k0, 0, -1):
+                even.append(_pearson_step(m, even[-1], even[-2], params, downward=True))
+        self._even = even[::-1]
 
     @classmethod
     def build(cls, params: WeightParams, j_max: int, config: PrecisionConfig):
-        table = cls(params, config, [], [])
+        table = cls(params, config)
         table.extend(j_max)
         if not table.mu[0] > 0:
             raise NumericsError("mu_0 must be positive for a valid weight")
         return table
 
     def extend(self, j_max: int) -> None:
+        even = self._even
+        with working_precision(self.config):
+            while 2 * len(even) - 2 < j_max:
+                m = len(even) - 1
+                even.append(_pearson_step(m, even[m], even[m - 1], self.params,
+                                          downward=False))
         for j in range(len(self.mu), j_max + 1):
-            value, source = moment_entry(j, self.params, self.config)
-            self.mu.append(value)
-            self.provenance.append(source)
+            k = j // 2
+            self.mu.append(mpf(0) if j % 2 else even[k])
+            closed = j % 2 == 1 or k in (self._k0, self._k0 + 1)
+            self.provenance.append(CLOSED_FORM if closed else PEARSON)
 
     def __len__(self) -> int:
         return len(self.mu)
@@ -161,17 +155,13 @@ class MomentTable:
 def negative_moments(table: MomentTable, j_min: int) -> dict:
     """{j: mu_j} for the even orders j_min <= j <= -2, finite only for t > 0.
 
-    Integrating d/dx [x^(2m+1) (1-x^2) w] over [-1,1] gives the Pearson
-    relation 2t mu_{2m-2} = (2t-2m-1) mu_{2m} + (2m+3+2 alpha) mu_{2m+2},
-    run here downward from the table's mu_0 and mu_2.
+    The table's downward Pearson run, continued below its mu_0 and mu_2.
     """
     params = table.params
     if not params.t > 0:
         raise ValueError("moments of negative order need t > 0")
-    t, a = params.t, params.alpha
     with working_precision(table.config):
         mu = {0: table[0], 2: table[2]}
         for m in range(0, j_min // 2, -1):
-            mu[2 * m - 2] = ((2 * t - 2 * m - 1) * mu[2 * m]
-                             + (2 * m + 3 + 2 * a) * mu[2 * m + 2]) / (2 * t)
+            mu[2 * m - 2] = _pearson_step(m, mu[2 * m], mu[2 * m + 2], params, downward=True)
         return {j: mu[j] for j in range(j_min, 0, 2)}

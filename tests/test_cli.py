@@ -10,6 +10,9 @@ change is meant to alter printed digits, and says so.
 
 import csv
 import io
+import json
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -17,9 +20,10 @@ from pathlib import Path
 import pytest
 
 from hankelpv import cli, report
-from hankelpv.precision import PrecisionConfig
+from hankelpv.precision import DEFAULT_BITS, ENV_BITS, PrecisionConfig
 
 GOLDEN = Path(__file__).parent / "golden"
+JOB = Path(__file__).parent.parent / "perfbench" / "job.py"
 
 AT = ["--alpha", "1", "--t", "0.5"]
 
@@ -137,3 +141,47 @@ def test_bridge_at_small_t(suite):
     rows = _rows(out)
     assert status == 0
     assert rows and all(row["passed"] == "true" for row in rows)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["hankel", *AT, "--n-max", "0"], "--n-max"),
+    (["verify", "--suite", "all", *AT, "--n-max", "-1"], "--n-max"),
+    (["moments", *AT, "--j-max", "-1"], "--j-max"),
+    (["verify", "--suite", "scalar", *AT, "--n-max", "-1"], "--n-max"),
+], ids=["hankel-n-max-0", "verify-all-n-max-minus-1", "moments-j-max-minus-1",
+        "verify-scalar-n-max-minus-1"])
+def test_bad_counts_are_usage_errors(argv, flag):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as excinfo:
+        cli.main([*argv, "--bits", "128"])
+    assert (excinfo.value.code, out.getvalue()) == (cli.EXIT_NUMERIC, "")
+    assert f"error: argument {flag}: must be at least" in err.getvalue()
+
+
+def test_bits_from_environment(monkeypatch):
+    args = cli.build_parser().parse_args(["moments", *AT])
+    monkeypatch.setenv(ENV_BITS, "1024")
+    assert cli.config_from_args(args).bits == 1024
+    monkeypatch.delenv(ENV_BITS)
+    assert cli.config_from_args(args).bits == DEFAULT_BITS
+
+
+def test_bad_bits_from_environment_exit_2(monkeypatch):
+    monkeypatch.setenv(ENV_BITS, "abc")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = cli.main(["moments", *AT])
+    assert (status, out.getvalue()) == (cli.EXIT_NUMERIC, "")
+    assert err.getvalue() == f"error: {ENV_BITS} must be an integer, got 'abc'\n"
+
+
+def test_traced_benchmark_job_runs():
+    # perfbench/tracer.py wraps package functions by name, so a rename
+    # shows here as a failed traced job
+    spec = {"argv": ["moments", *AT, "--j-max", "6", "--bits", "128"]}
+    proc = subprocess.run([sys.executable, str(JOB), json.dumps(spec), "1"],
+                          capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["status"], result["error"]) == (0, None), result["stderr"]
+    assert result["trace"]["counts"]["weights.table_builds"] == 1

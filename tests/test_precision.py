@@ -51,14 +51,6 @@ def test_working_precision_restores_global_state():
     assert mp.prec == saved
 
 
-def test_env_override(monkeypatch):
-    monkeypatch.setenv(precision.ENV_BITS, "1024")
-    cfg = PrecisionConfig.from_env()
-    assert cfg.bits == 1024
-    monkeypatch.delenv(precision.ENV_BITS)
-    assert PrecisionConfig.from_env().bits == 512
-
-
 def test_to_mpf_parses_decimal_strings_at_full_precision():
     cfg = PrecisionConfig()
     x = precision.to_mpf("0.1", cfg)

@@ -19,7 +19,7 @@ from hankelpv.recurrence import (
     log_det_t_derivatives,
     recurrence_table,
 )
-from hankelpv.weights import MomentTable, make_params, moment_closed, weight_value
+from hankelpv.weights import MomentTable, make_params, moment_entry, weight_value
 
 CFG = PrecisionConfig()
 
@@ -35,8 +35,8 @@ def test_cholesky_rejects_non_positive_definite():
 def test_hankel_det_order_one_and_two():
     p = make_params(1, "0.5", CFG)
     with working_precision(CFG):
-        mu0 = moment_closed(0, p, CFG)
-        mu2 = moment_closed(2, p, CFG)
+        mu0 = moment_entry(0, p, CFG)[0]
+        mu2 = moment_entry(2, p, CFG)[0]
         ld1, sign1 = hankel_det(1, p, CFG)
         ld2, sign2 = hankel_det(2, p, CFG)
         assert sign1 == sign2 == 1

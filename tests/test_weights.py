@@ -1,17 +1,16 @@
-"""Weight evaluation and moments: parity, closed form vs quadrature, guards."""
+"""Weight evaluation and moments: parity, the table route vs quadrature, accuracy."""
 
 import pytest
 from mpmath import mp, mpf
 
 from hankelpv.precision import PrecisionConfig, working_precision
 from hankelpv.quadrature import clamped_exp, integrate_even
+from hankelpv.special import exp_beta_moment
 from hankelpv.weights import (
     CLOSED_FORM,
-    QUADRATURE,
+    PEARSON,
     MomentTable,
-    WeightParams,
     make_params,
-    moment_closed,
     moment_entry,
     moment_quadrature,
     negative_moments,
@@ -19,6 +18,10 @@ from hankelpv.weights import (
 )
 
 CFG = PrecisionConfig()
+
+
+def moment(j, p):
+    return moment_entry(j, p, CFG)[0]
 
 
 def close(value, expected, tol):
@@ -55,7 +58,7 @@ def test_weight_value_pointwise():
 def test_odd_moments_vanish_exactly():
     p = make_params("0.7", "0.5", CFG)
     for j in (1, 3, 7, 15):
-        assert moment_closed(j, p, CFG) == 0
+        assert moment(j, p) == 0
         assert moment_quadrature(j, p, CFG) == 0
 
 
@@ -72,7 +75,7 @@ def test_unperturbed_moments_exact(alpha, j, expected):
     p = make_params(alpha, 0, CFG)
     with working_precision(CFG):
         num, den = expected.split("/")
-        assert close(moment_closed(j, p, CFG), mpf(num) / mpf(den), mpf(10) ** -140)
+        assert close(moment(j, p), mpf(num) / mpf(den), mpf(10) ** -140)
 
 
 @pytest.mark.parametrize("alpha", ["0.7", "1", "2.3"])
@@ -82,7 +85,7 @@ def test_unperturbed_moments_beta_reduction(alpha, j):
     p = make_params(alpha, 0, CFG)
     with working_precision(CFG):
         expected = mp.beta((mpf(j) + 1) / 2, p.alpha + 1)
-        assert close(moment_closed(j, p, CFG), expected, mpf(10) ** -140)
+        assert close(moment(j, p), expected, mpf(10) ** -140)
 
 
 @pytest.mark.parametrize("alpha", ["0.7", "2.3"])
@@ -91,7 +94,7 @@ def test_unperturbed_moments_beta_reduction(alpha, j):
 def test_closed_matches_quadrature(alpha, t, j):
     p = make_params(alpha, t, CFG)
     with working_precision(CFG):
-        a = moment_closed(j, p, CFG)
+        a = moment(j, p)
         b = moment_quadrature(j, p, CFG)
         assert abs(a - b) <= abs(a) * mpf(10) ** -30
 
@@ -114,23 +117,21 @@ def test_negative_moments_need_positive_t():
         negative_moments(MomentTable.build(p, 2, CFG), -2)
 
 
-def test_cancellation_escalation_stays_closed_form():
-    # at t=100 the two terms cancel ~51 digits, past the target/2 guard;
-    # one doubling recovers the value without leaving the closed form
+def test_large_t_moment_matches_quadrature():
+    # at t=100 mu_0 sits at the foot of a 100-step downward Pearson run
     p = make_params(1, 100, CFG)
     value, source = moment_entry(0, p, CFG)
-    assert source == CLOSED_FORM
+    assert source == PEARSON
     with working_precision(CFG):
         q = moment_quadrature(0, p, CFG)
         assert abs(value - q) <= abs(value) * mpf(10) ** -30
         assert close(mp.log(value), mpf("-109.2587"), mpf("0.001"))
 
 
-def test_cancellation_fallback_marks_quadrature():
-    # at t=600 the difference is pure noise even after doubling once
+def test_very_large_t_moment_matches_recorded_log():
     p = make_params(1, 600, CFG)
     value, source = moment_entry(0, p, CFG)
-    assert source == QUADRATURE
+    assert source == PEARSON
     assert value > 0
     with working_precision(CFG):
         expected_log = mpf("-612.802154760317842149860789624")
@@ -141,10 +142,13 @@ def test_moment_table_parity_and_positivity():
     p = make_params("2.3", "0.5", CFG)
     table = MomentTable.build(p, 12, CFG)
     assert table.mu[0] > 0
-    for j in range(0, 13, 2):
-        assert table.provenance[j] == CLOSED_FORM
+    # k0 = floor(0.5) = 0: the anchors are mu_0 and mu_2
+    assert table.provenance[0] == table.provenance[2] == CLOSED_FORM
+    for j in range(4, 13, 2):
+        assert table.provenance[j] == PEARSON
     for j in range(1, 13, 2):
         assert table.mu[j] == 0
+        assert table.provenance[j] == CLOSED_FORM
     with working_precision(CFG):
         # even moments of an even positive weight are positive and decreasing
         for j in range(0, 11, 2):
@@ -152,12 +156,57 @@ def test_moment_table_parity_and_positivity():
 
 
 def test_moment_table_extension_consistent():
-    p = make_params(1, "0.05", CFG)
-    table = MomentTable.build(p, 4, CFG)
-    table.extend(10)
-    fresh = MomentTable.build(p, 10, CFG)
-    assert len(table.mu) == len(fresh.mu) == 11
-    assert table.mu == fresh.mu
+    # the anchors sit at k0 = floor(t) whatever the size: at t = 20 build(4)
+    # already ran the relation down from mu_40, mu_42, and extend(60) runs up
+    for alpha, t, j_small, j_big in ((1, "0.05", 4, 10), ("2.5", "20", 4, 60)):
+        p = make_params(alpha, t, CFG)
+        table = MomentTable.build(p, j_small, CFG)
+        before = list(table.mu)
+        table.extend(j_big)
+        fresh = MomentTable.build(p, j_big, CFG)
+        assert len(table.mu) == len(fresh.mu) == j_big + 1
+        assert table.mu[:j_small + 1] == before
+        assert table.mu == fresh.mu
+        assert table.provenance == fresh.provenance
+    assert [j for j in range(0, 61, 2) if fresh.provenance[j] == CLOSED_FORM] == [40, 42]
+
+
+ALPHAS = ("0.01", "1", "2.5", "10")
+GRID_T = ("0", "1e-30", "1e-6", "0.5", "3", "20", "60", "200")
+J_TOP = 258
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_tables_hold_their_bits(alpha):
+    # Every entry up to J_TOP at 128, 256 and 512 bits is within 2^(7-bits)
+    # relative of the table at 3x the bits, whose anchors are the U form
+    # at 3x the bits: a recurrence run in an unstable direction loses
+    # bits at every precision and shows here. That the 3x table is the U
+    # form at every order is test_tables_are_the_u_form_at_every_order.
+    for t in GRID_T:
+        for bits in (128, 256, 512):
+            cfg = PrecisionConfig(bits=bits, target_digits=15)
+            ref = cfg.with_bits(3 * bits)
+            table = MomentTable.build(make_params(alpha, t, cfg), J_TOP, cfg)
+            exact = MomentTable.build(make_params(alpha, t, ref), J_TOP, ref)
+            with working_precision(ref):
+                tol = mpf(2) ** (7 - bits)
+                for j in range(0, J_TOP + 1, 2):
+                    assert abs(table.mu[j] - exact.mu[j]) <= tol * exact.mu[j], (t, bits, j)
+
+
+@pytest.mark.parametrize("alpha,t", [("10", "0"), ("0.01", "1e-30"), ("0.01", "1e-6"),
+                                     ("1", "0.5"), ("10", "3"), ("2.5", "20"), ("1", "60")])
+def test_tables_are_the_u_form_at_every_order(alpha, t):
+    # the Pearson run against the one-term U form evaluated entry by entry
+    cfg = PrecisionConfig(bits=384, target_digits=15)
+    p = make_params(alpha, t, cfg)
+    table = MomentTable.build(p, J_TOP, cfg)
+    with working_precision(cfg):
+        tol = mpf(2) ** (7 - cfg.bits)
+        for j in range(0, J_TOP + 1, 2):
+            closed = exp_beta_moment(j // 2 - mpf(1) / 2, p.alpha, p.t, cfg)
+            assert abs(table.mu[j] - closed) <= tol * closed, j
 
 
 def test_moment_determinism():
@@ -177,4 +226,4 @@ def test_quadrature_weight_cross_check():
             return (1 - x * x) * clamped_exp(-t / (x * x))
 
         direct = integrate_even(f, CFG)
-        assert abs(direct - moment_closed(0, p, CFG)) < mpf(10) ** -55
+        assert abs(direct - moment(0, p)) < mpf(10) ** -55
