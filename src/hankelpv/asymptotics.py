@@ -1,14 +1,15 @@
 """Double-scaling layer: reference series, scaled flows, and finite-n scans.
 
-Three cooperating parts.  The series tables store the small-s and large-s
-expansion coefficients of the scaled quantities as exact rationals and
-evaluate them together with a first-omitted-term truncation estimate.  The
-flow solvers integrate the scaled second-order equation for g(s,a) and the
-finite-n evolution equation for R_n(t) as initial value problems, seeded
-from the series respectively from the finite-n tables.  The scan driver
-measures the double-scaling limits directly: raw finite-n values along the
-prescribed (n, t) trajectories, Richardson extrapolation in 1/n with a
-dual-model error bar, and comparison against the series references.
+Three cooperating parts.  The series tables are the exact rational
+recurrences for the small-s and large-s expansions of the scaled quantities,
+truncated after six or seven terms, evaluated together with a
+first-omitted-term truncation estimate.  The flow solvers integrate the
+scaled second-order equation for g(s,a) and the finite-n evolution equation
+for R_n(t) as initial value problems, seeded from the series respectively
+from the finite-n tables.  The scan driver measures the double-scaling
+limits directly: raw finite-n values along the prescribed (n, t)
+trajectories, Richardson extrapolation in 1/n with a dual-model error bar,
+and comparison against the series references.
 
 The two scaling regimes are distinct and never mixed: the g/delta scans
 hold s = 2n^2 t fixed, the sigma scan holds s = n^4 t fixed.
@@ -139,25 +140,6 @@ class SeriesExpansion:
                 total += self.constant_value(config)
             return total
 
-    def eval_derivative(self, s, config: PrecisionConfig) -> mpf:
-        with working_precision(config):
-            sv = mpf(to_mpf(s, config))
-            self._check_point(sv)
-            if sv == 0 and self.validity == SMALL:
-                # only the linear term survives d/ds at 0
-                for exponent, coefficient in self.terms:
-                    if exponent == 1:
-                        return _fr(coefficient)
-                return mpf(0)
-            total = mpf(0)
-            for exponent, coefficient in self.terms:
-                if coefficient == 0:
-                    continue
-                total += _fr(coefficient * exponent) * sv ** _fr(exponent - 1)
-            if self.log_coefficient != 0:
-                total += _fr(self.log_coefficient) / sv
-            return total
-
     def _nonzero_tail(self):
         nz = [(e, c) for e, c in self.terms if c != 0]
         if not nz:
@@ -199,89 +181,50 @@ class SeriesExpansion:
             return self._next_term_magnitude(sv) < self.last_term_magnitude(sv, config)
 
 
-def _pairs(*items):
-    return tuple((Fraction(e) if not isinstance(e, Fraction) else e,
-                  Fraction(c) if not isinstance(c, Fraction) else c)
-                 for e, c in items)
+def _ascending(coefficients) -> tuple:
+    """Taylor coefficients c_1, c_2, ... as (m, c_m) terms on s^m."""
+    return tuple((Fraction(m), c) for m, c in enumerate(coefficients, start=1))
 
 
-_G1_SMALL = _pairs(
-    (1, -4), (2, Fraction(32, 3)), (3, Fraction(-256, 15)),
-    (4, Fraction(8192, 315)), (5, Fraction(-311296, 8505)),
-    (6, Fraction(7733248, 155925)))
-_G2_SMALL = _pairs(
-    (1, 4), (2, Fraction(32, 3)), (3, Fraction(256, 15)),
-    (4, Fraction(8192, 315)), (5, Fraction(311296, 8505)),
-    (6, Fraction(7733248, 155925)))
-_G1_LARGE = _pairs(
-    (Fraction(2, 3), 2), (Fraction(1, 3), Fraction(1, 3)),
-    (Fraction(-1, 3), Fraction(1, 108)), (Fraction(-2, 3), Fraction(-1, 648)),
-    (-1, Fraction(1, 324)), (Fraction(-4, 3), Fraction(-7, 5832)))
-_G2_LARGE = _pairs(
-    (Fraction(2, 3), 2), (Fraction(1, 3), Fraction(-1, 3)),
-    (Fraction(-1, 3), Fraction(-1, 108)), (Fraction(-2, 3), Fraction(-1, 648)),
-    (-1, Fraction(-1, 324)), (Fraction(-4, 3), Fraction(-7, 5832)))
-_DELTA_SMALL = _pairs(
-    (2, Fraction(-4, 3)), (4, Fraction(-256, 315)),
-    (6, Fraction(-966656, 1403325)))
-_DELTA_LARGE = _pairs(
-    (Fraction(2, 3), Fraction(-9, 4)), (Fraction(-2, 3), Fraction(1, 576)),
-    (Fraction(-4, 3), Fraction(7, 20736)))
+def _descending(coefficients) -> tuple:
+    """d_0, d_1, ... as ((2-k)/3, d_k) terms; the s^0 slot d_2 vanishes for
+    every a and is left out."""
+    assert coefficients[2] == 0
+    return tuple((Fraction(2 - k, 3), dk) for k, dk in enumerate(coefficients) if k != 2)
 
 
-def _g_small_terms(a: Fraction):
-    a2 = a * a
-    return _pairs(
-        (1, Fraction(1, 2) / a),
-        (2, Fraction(-1, 2) / (a2 * (a2 - 1))),
-        (3, Fraction(3, 2) / (a ** 3 * (a2 - 1) * (a2 - 4))),
-        (4, 3 * (3 - 2 * a2) / (a ** 4 * (a2 - 1) ** 2 * (a2 - 4) * (a2 - 9))),
-        (5, Fraction(5, 2) * (11 * a2 - 36)
-            / (a ** 5 * (a2 - 1) ** 2 * (a2 - 4) * (a2 - 9) * (a2 - 16))),
-        (6, Fraction(-3, 2)
-            * (91 * a2 ** 3 - 1115 * a2 ** 2 + 4219 * a2 - 3600)
-            / (a ** 6 * (a2 - 1) ** 3 * (a2 - 4) ** 2 * (a2 - 9)
-               * (a2 - 16) * (a2 - 25))))
+# Every parametric table is an exact recurrence truncated.  On the large-s
+# side d/ds(s L') = -g/s maps a g term d s^e onto the log-ratio term
+# -d/e^2 s^e; the log coefficient and the Barnes constant are not fixed by
+# the g recurrence.
+_FAMILIES = {
+    "g-small": lambda a: _ascending(g_small_coefficients(a, 6)),
+    "g-large": lambda a: _descending(g_large_coefficients(a, 6)),
+    "delta-ab-small": lambda a: _ascending(log_ratio_small_coefficients(a, 6)),
+    "delta-ab-large": lambda a: tuple((e, -d / e ** 2) for e, d in
+                                      _descending(g_large_coefficients(a, 7))),
+}
 
+_PLUS, _MINUS = (Fraction(1, 2),), (Fraction(-1, 2),)
 
-def _g_large_terms(a: Fraction):
-    a2 = a * a
-    return _pairs(
-        (Fraction(2, 3), Fraction(1, 2)),
-        (Fraction(1, 3), -a / 6),
-        (Fraction(-1, 3), a * (a2 - 1) / 162),
-        (Fraction(-2, 3), a2 * (a2 - 1) / 486),
-        (-1, a * (a2 - 1) / 486),
-        (Fraction(-4, 3), -a2 * (a2 - 1) * (2 * a2 - 11) / 6561))
-
-
-def _delta_ab_small_terms(a: Fraction):
-    a2 = a * a
-    return _pairs(
-        (1, Fraction(-1, 2) / a),
-        (2, Fraction(1, 8) / (a2 * (a2 - 1))),
-        (3, Fraction(-1, 6) / (a ** 3 * (a2 - 1) * (a2 - 4))),
-        (4, Fraction(3, 16) * (2 * a2 - 3)
-            / (a ** 4 * (a2 - 1) ** 2 * (a2 - 4) * (a2 - 9))),
-        (5, Fraction(-1, 10) * (11 * a2 - 36)
-            / (a ** 5 * (a2 - 1) ** 2 * (a2 - 4) * (a2 - 9) * (a2 - 16))),
-        (6, Fraction(1, 24)
-            * (91 * a2 ** 3 - 1115 * a2 ** 2 + 4219 * a2 - 3600)
-            / (a ** 6 * (a2 - 1) ** 3 * (a2 - 4) ** 2 * (a2 - 9)
-               * (a2 - 16) * (a2 - 25))))
-
-
-def _delta_ab_large_terms(a: Fraction):
-    a2 = a * a
-    return _pairs(
-        (Fraction(2, 3), Fraction(-9, 8)),
-        (Fraction(1, 3), 3 * a / 2),
-        (Fraction(-1, 3), -a * (a2 - 1) / 18),
-        (Fraction(-2, 3), -a2 * (a2 - 1) / 216),
-        (-1, -a * (a2 - 1) / 486),
-        (Fraction(-4, 3), a2 * (a2 - 1) * (2 * a2 - 11) / 11664),
-        (Fraction(-5, 3), a * (a2 - 1) * (a2 ** 2 - a2 - 15) / 21870))
-
+# kind: (validity, family, a values summed (None: the caller's a), factor,
+# exponent of the first dropped term).  The fixed kinds are the families at
+# a = +-1/2: g1 and g2 are 4 g(s, a) at a = -1/2 and +1/2, and delta sums
+# the two log-ratio branches, dropping the odd powers that cancel.
+# The next exponent is not derived: at a in {0, +-1} the recurrence's next
+# term vanishes, which would move the truncation estimate there.
+_SPECS = {
+    "g1-small": (SMALL, "g-small", _MINUS, 4, Fraction(7)),
+    "g2-small": (SMALL, "g-small", _PLUS, 4, Fraction(7)),
+    "g1-large": (LARGE, "g-large", _MINUS, 4, Fraction(-5, 3)),
+    "g2-large": (LARGE, "g-large", _PLUS, 4, Fraction(-5, 3)),
+    "delta-small": (SMALL, "delta-ab-small", _PLUS + _MINUS, 1, Fraction(8)),
+    "delta-large": (LARGE, "delta-ab-large", _PLUS + _MINUS, 1, Fraction(-2)),
+    "g-small": (SMALL, "g-small", None, 1, Fraction(7)),
+    "g-large": (LARGE, "g-large", None, 1, Fraction(-5, 3)),
+    "delta-ab-small": (SMALL, "delta-ab-small", None, 1, Fraction(7)),
+    "delta-ab-large": (LARGE, "delta-ab-large", None, 1, Fraction(-2)),
+}
 
 _SERIES_CACHE: dict = {}
 
@@ -290,8 +233,8 @@ def series_expansion(kind: str, a=None) -> SeriesExpansion:
     """Expansion table for `kind`; parametric kinds need the exact a."""
     if kind not in SERIES_KINDS:
         raise ValueError(f"unknown series kind {kind!r}")
-    parametric = kind in PARAMETRIC_KINDS
-    if parametric:
+    validity, family, a_values, factor, next_exponent = _SPECS[kind]
+    if a_values is None:
         if a is None:
             raise ValueError(f"{kind} requires the parameter a")
         fr = _as_fraction(a)
@@ -302,40 +245,17 @@ def series_expansion(kind: str, a=None) -> SeriesExpansion:
     key = (kind, fr)
     if key in _SERIES_CACHE:
         return _SERIES_CACHE[key]
-    if kind == "g1-small":
-        exp = SeriesExpansion(kind, SMALL, _G1_SMALL, Fraction(7))
-    elif kind == "g2-small":
-        exp = SeriesExpansion(kind, SMALL, _G2_SMALL, Fraction(7))
-    elif kind == "g1-large":
-        exp = SeriesExpansion(kind, LARGE, _G1_LARGE, Fraction(-5, 3))
-    elif kind == "g2-large":
-        exp = SeriesExpansion(kind, LARGE, _G2_LARGE, Fraction(-5, 3))
-    elif kind == "delta-small":
-        exp = SeriesExpansion(kind, SMALL, _DELTA_SMALL, Fraction(8))
-    elif kind == "delta-large":
-        exp = SeriesExpansion(kind, LARGE, _DELTA_LARGE, Fraction(-2),
-                              log_coefficient=Fraction(-1, 36),
-                              has_constant=True)
-    else:
-        if kind in ("g-small", "delta-ab-small") and fr.denominator == 1:
-            raise ValueError(f"{kind} is defined for non-integer a, got {fr}")
-        try:
-            if kind == "g-small":
-                exp = SeriesExpansion(kind, SMALL, _g_small_terms(fr),
-                                      Fraction(7), a=fr)
-            elif kind == "g-large":
-                exp = SeriesExpansion(kind, LARGE, _g_large_terms(fr),
-                                      Fraction(-5, 3), a=fr)
-            elif kind == "delta-ab-small":
-                exp = SeriesExpansion(kind, SMALL, _delta_ab_small_terms(fr),
-                                      Fraction(7), a=fr)
-            else:
-                exp = SeriesExpansion(kind, LARGE, _delta_ab_large_terms(fr),
-                                      Fraction(-2),
-                                      log_coefficient=(1 - 6 * fr * fr) / Fraction(36),
-                                      has_constant=True, a=fr)
-        except ZeroDivisionError:
-            raise ValueError(f"{kind} coefficients are singular at a={fr}") from None
+    values = a_values or (fr,)
+    summed: dict = {}
+    for value in values:
+        for e, c in _FAMILIES[family](value):
+            summed[e] = summed.get(e, _FR0) + factor * c
+    # a parametric table keeps its explicit zeros, a fixed one drops them
+    terms = tuple((e, c) for e, c in summed.items() if fr is not None or c != 0)
+    has_log = family == "delta-ab-large"
+    log_coefficient = sum((1 - 6 * v * v) / Fraction(36) for v in values) if has_log else _FR0
+    exp = SeriesExpansion(kind, validity, terms, next_exponent,
+                          log_coefficient=log_coefficient, has_constant=has_log, a=fr)
     _SERIES_CACHE[key] = exp
     return exp
 
@@ -365,17 +285,17 @@ def series_eval(kind: str, s, config: PrecisionConfig, a=None) -> SeriesValue:
         )
 
 
-# --- seed coefficients to arbitrary order -------------------------------------
+# --- series coefficients to arbitrary order -----------------------------------
 #
-# The tabulated expansions stop after six terms, far too short to seed an
-# integrator whose per-step budget is tolerance^4: matching that budget with
-# a 7th-order remainder would push the seed point so close to the singular
-# origin that the step count explodes.  The evolution equation itself fixes
-# every higher coefficient, so the seeds extend the expansions by exact
-# rational recurrences obtained from the polynomial form
+# The evolution equation fixes every coefficient of both expansions through
+# exact rational recurrences obtained from the polynomial form
 #   4s^2 g g'' - 4s^2 (g')^2 + 4s g g' - 8g^3 - 2asg + s^2 = 0.
-# The first tabulated terms of both extensions are recovered exactly, which
-# the tests assert coefficient by coefficient.
+# The series tables above are these recurrences truncated after six or seven
+# terms, which the tests compare with the printed coefficients.  Six terms
+# are far too few to seed an integrator whose per-step budget is
+# tolerance^4: matching that budget with a 7th-order remainder would push
+# the seed point so close to the singular origin that the step count
+# explodes, so the seeds run the recurrences much further.
 
 ORDER_SMALL_SEED = 64
 ORDER_LARGE_SEED = 72
@@ -449,8 +369,8 @@ def log_ratio_small_coefficients(a: Fraction, order: int) -> tuple:
     """Taylor coefficients of the small-s log-ratio, lambda_1..lambda_order.
 
     The log-ratio L(s) is tied to g by d/ds(s L'(s)) = -g(s)/s, which maps
-    coefficients as lambda_m = -c_m/m^2; the first six reproduce the
-    tabulated delta-ab-small terms exactly (asserted in the tests).
+    coefficients as lambda_m = -c_m/m^2; the delta-ab-small table is the
+    first six.
     """
     cs = g_small_coefficients(a, order)
     return tuple(-c / Fraction((m + 1) ** 2) for m, c in enumerate(cs))
@@ -965,6 +885,9 @@ def double_scaling_scan(
         if s_val < 0:
             raise ValueError("s must be non-negative")
         alpha_val = to_mpf(alpha, config)
+        # a mismatched reference is rejected before any table is built
+        reference, ref_kind, ref_flags = _pick_reference(
+            mode, s_val, config, reference_kind)
 
         raw = []
         errors = []
@@ -999,8 +922,6 @@ def double_scaling_scan(
         else:
             flags.append("extrapolation-unavailable")
 
-        reference, ref_kind, ref_flags = _pick_reference(
-            mode, s_val, config, reference_kind)
         flags.extend(ref_flags)
 
         agreement = None
@@ -1108,23 +1029,14 @@ def _odd_terms_cancel() -> bool:
     """Exact-rational check that the a = +-1/2 product drops odd terms."""
     plus = dict(series_expansion("delta-ab-large", a=Fraction(1, 2)).terms)
     minus = dict(series_expansion("delta-ab-large", a=Fraction(-1, 2)).terms)
-    printed = dict(series_expansion("delta-large").terms)
     odd = (Fraction(1, 3), Fraction(-1, 3), Fraction(-1), Fraction(-5, 3))
-    for e in odd:
-        if plus[e] + minus[e] != 0:
-            return False
-    for e, c in printed.items():
-        if plus[e] + minus[e] != c:
-            return False
-    log_sum = (series_expansion("delta-ab-large", a=Fraction(1, 2)).log_coefficient
-               + series_expansion("delta-ab-large", a=Fraction(-1, 2)).log_coefficient)
-    return log_sum == series_expansion("delta-large").log_coefficient
+    return all(plus[e] + minus[e] == 0 for e in odd)
 
 
 def _coupled_rhs(a_val: mpf) -> Callable:
     """(g, g', H, L) flow: the inner pair is the g equation, and
-    d/ds(s L') = -g/s closes the log-ratio, reproducing the tabulated
-    series term by term (checked as exact rationals in the tests)."""
+    d/ds(s L') = -g/s closes the log-ratio, the same map that builds the
+    log-ratio tables from the g coefficients term by term."""
     base = _piii_rhs(a_val)
 
     def rhs(s, y):

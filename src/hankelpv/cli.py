@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from . import report
 from .asymptotics import (
     DEFAULT_N_LIST,
+    FIXED_KINDS,
     SCAN_MODES,
     SEED_EXPLICIT,
     SEED_LARGE_SERIES,
@@ -505,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", required=True)
     p.add_argument("--alpha", default="1")
     p.add_argument("--n-list", default=None)
-    p.add_argument("--reference", choices=SERIES_KINDS, default=None)
+    p.add_argument("--reference", choices=FIXED_KINDS, default=None)
     p.add_argument("--allow-large-n", action="store_true")
     _add_common(p, plot=True)
 

@@ -84,7 +84,10 @@ def exp_beta_moment(c, b, t, config: PrecisionConfig) -> mpf:
     1F1 terms (DLMF 13.2.42), which raises its own precision to pay for
     their cancellation. mp.hyperu makes the same call, but only after its
     asymptotic 2F0 series fails, as it must when a >= 1 and 1+a-b > z (at
-    every moment anchor): the same bits, 2 to 100 times faster.
+    every moment anchor): the same bits, 2 to 100 times faster. The two
+    terms cancel about 2.9 t bits at the anchors, so the precision cap is
+    raised past hypercomb's default once 3 t outgrows it (t above about
+    1250 at 128 bits).
     """
     with working_precision(config) as ctx:
         c, b, t = mpf(c), mpf(b), mpf(t)
@@ -98,7 +101,9 @@ def exp_beta_moment(c, b, t, config: PrecisionConfig) -> mpf:
             return (([ctx.pi, w], [1, -1], [], [a - b + 1, b], [a], [b], t),
                     ([-ctx.pi, w, t], [1, -1, 1 - b], [], [a, 2 - b], [a - b + 1], [2 - b], t))
 
-        return gamma(b + 1, config) * ctx.exp(-t) * ctx.hypercomb(terms, [b + 1, -c])
+        maxprec = max(ctx._default_hyper_maxprec(ctx.prec), int(ctx.prec + 3 * t + 64))
+        return (gamma(b + 1, config) * ctx.exp(-t)
+                * ctx.hypercomb(terms, [b + 1, -c], maxprec=maxprec))
 
 
 def _require_twice_integer(x) -> int:

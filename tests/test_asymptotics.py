@@ -35,6 +35,100 @@ LO = PrecisionConfig(bits=256, target_digits=30)
 HALF = Fraction(1, 2)
 
 
+# --- reference coefficients ---------------------------------------------------
+#
+# The printed Coulomb-fluid coefficients (Chen & Its, J. Approx. Theory 162
+# (2010) 270-297) as (exponent, coefficient) pairs: closed forms in a for the
+# four parametric families and the six fixed tables at a = +-1/2.  The package
+# generates every table from the exact recurrences; these are independent
+# references for them.
+
+FIXED_REFERENCE = {
+    "g1-small": ((1, -4), (2, Fraction(32, 3)), (3, Fraction(-256, 15)),
+                 (4, Fraction(8192, 315)), (5, Fraction(-311296, 8505)),
+                 (6, Fraction(7733248, 155925))),
+    "g2-small": ((1, 4), (2, Fraction(32, 3)), (3, Fraction(256, 15)),
+                 (4, Fraction(8192, 315)), (5, Fraction(311296, 8505)),
+                 (6, Fraction(7733248, 155925))),
+    "g1-large": ((Fraction(2, 3), 2), (Fraction(1, 3), Fraction(1, 3)),
+                 (Fraction(-1, 3), Fraction(1, 108)), (Fraction(-2, 3), Fraction(-1, 648)),
+                 (-1, Fraction(1, 324)), (Fraction(-4, 3), Fraction(-7, 5832))),
+    "g2-large": ((Fraction(2, 3), 2), (Fraction(1, 3), Fraction(-1, 3)),
+                 (Fraction(-1, 3), Fraction(-1, 108)), (Fraction(-2, 3), Fraction(-1, 648)),
+                 (-1, Fraction(-1, 324)), (Fraction(-4, 3), Fraction(-7, 5832))),
+    "delta-small": ((2, Fraction(-4, 3)), (4, Fraction(-256, 315)),
+                    (6, Fraction(-966656, 1403325))),
+    "delta-large": ((Fraction(2, 3), Fraction(-9, 4)), (Fraction(-2, 3), Fraction(1, 576)),
+                    (Fraction(-4, 3), Fraction(7, 20736))),
+}
+
+
+def g_small_reference(a):
+    a2 = a * a
+    return (
+        (1, Fraction(1, 2) / a),
+        (2, Fraction(-1, 2) / (a2 * (a2 - 1))),
+        (3, Fraction(3, 2) / (a ** 3 * (a2 - 1) * (a2 - 4))),
+        (4, 3 * (3 - 2 * a2) / (a ** 4 * (a2 - 1) ** 2 * (a2 - 4) * (a2 - 9))),
+        (5, Fraction(5, 2) * (11 * a2 - 36)
+            / (a ** 5 * (a2 - 1) ** 2 * (a2 - 4) * (a2 - 9) * (a2 - 16))),
+        (6, Fraction(-3, 2)
+            * (91 * a2 ** 3 - 1115 * a2 ** 2 + 4219 * a2 - 3600)
+            / (a ** 6 * (a2 - 1) ** 3 * (a2 - 4) ** 2 * (a2 - 9)
+               * (a2 - 16) * (a2 - 25))))
+
+
+def g_large_reference(a):
+    a2 = a * a
+    return (
+        (Fraction(2, 3), Fraction(1, 2)),
+        (Fraction(1, 3), -a / 6),
+        (Fraction(-1, 3), a * (a2 - 1) / 162),
+        (Fraction(-2, 3), a2 * (a2 - 1) / 486),
+        (-1, a * (a2 - 1) / 486),
+        (Fraction(-4, 3), -a2 * (a2 - 1) * (2 * a2 - 11) / 6561))
+
+
+def delta_ab_small_reference(a):
+    a2 = a * a
+    return (
+        (1, Fraction(-1, 2) / a),
+        (2, Fraction(1, 8) / (a2 * (a2 - 1))),
+        (3, Fraction(-1, 6) / (a ** 3 * (a2 - 1) * (a2 - 4))),
+        (4, Fraction(3, 16) * (2 * a2 - 3)
+            / (a ** 4 * (a2 - 1) ** 2 * (a2 - 4) * (a2 - 9))),
+        (5, Fraction(-1, 10) * (11 * a2 - 36)
+            / (a ** 5 * (a2 - 1) ** 2 * (a2 - 4) * (a2 - 9) * (a2 - 16))),
+        (6, Fraction(1, 24)
+            * (91 * a2 ** 3 - 1115 * a2 ** 2 + 4219 * a2 - 3600)
+            / (a ** 6 * (a2 - 1) ** 3 * (a2 - 4) ** 2 * (a2 - 9)
+               * (a2 - 16) * (a2 - 25))))
+
+
+def delta_ab_large_reference(a):
+    a2 = a * a
+    return (
+        (Fraction(2, 3), Fraction(-9, 8)),
+        (Fraction(1, 3), 3 * a / 2),
+        (Fraction(-1, 3), -a * (a2 - 1) / 18),
+        (Fraction(-2, 3), -a2 * (a2 - 1) / 216),
+        (-1, -a * (a2 - 1) / 486),
+        (Fraction(-4, 3), a2 * (a2 - 1) * (2 * a2 - 11) / 11664),
+        (Fraction(-5, 3), a * (a2 - 1) * (a2 ** 2 - a2 - 15) / 21870))
+
+
+PARAMETRIC_REFERENCE = {
+    "g-small": g_small_reference,
+    "g-large": g_large_reference,
+    "delta-ab-small": delta_ab_small_reference,
+    "delta-ab-large": delta_ab_large_reference,
+}
+
+A_GRID = (HALF, -HALF, Fraction(1, 3), Fraction(3, 2), Fraction(3, 10), Fraction(5, 2),
+          Fraction(-7, 3), Fraction(101, 7), Fraction(-11, 2), Fraction(0), Fraction(1),
+          Fraction(-1), Fraction(2), Fraction(7))
+
+
 # --- series tables: exact rational structure ----------------------------------
 
 
@@ -88,16 +182,16 @@ def test_large_kind_duality():
     ],
 )
 def test_fixed_tables_are_scaled_parametric_tables(whole, param, a):
-    fixed = dict(series_expansion(whole).terms)
-    scaled = {e: 4 * c for e, c in series_expansion(param, a=a).terms if c != 0}
+    fixed = dict(FIXED_REFERENCE[whole])
+    scaled = {e: 4 * c for e, c in PARAMETRIC_REFERENCE[param](a) if c != 0}
     assert fixed == scaled
 
 
 def test_delta_small_assembles_from_parametric_pair():
-    plus = dict(series_expansion("delta-ab-small", a=HALF).terms)
-    minus = dict(series_expansion("delta-ab-small", a=-HALF).terms)
+    plus = dict(delta_ab_small_reference(HALF))
+    minus = dict(delta_ab_small_reference(-HALF))
     total = {e: plus[e] + minus[e] for e in plus if plus[e] + minus[e] != 0}
-    assert total == dict(series_expansion("delta-small").terms)
+    assert total == dict(FIXED_REFERENCE["delta-small"])
     assert total[Fraction(6)] == Fraction(-966656, 1403325)
 
 
@@ -105,15 +199,29 @@ def test_delta_large_assembles_from_parametric_pair():
     plus = series_expansion("delta-ab-large", a=HALF)
     minus = series_expansion("delta-ab-large", a=-HALF)
     combined = {}
-    for e, c in list(plus.terms) + list(minus.terms):
+    for e, c in delta_ab_large_reference(HALF) + delta_ab_large_reference(-HALF):
         combined[e] = combined.get(e, Fraction(0)) + c
     kept = {e: c for e, c in combined.items() if c != 0}
-    assert kept == dict(series_expansion("delta-large").terms)
+    assert kept == dict(FIXED_REFERENCE["delta-large"])
     # odd powers of s^{1/3} cancel in the pair
     for e in (Fraction(1, 3), Fraction(-1, 3), Fraction(-1), Fraction(-5, 3)):
         assert combined[e] == 0
     log_sum = plus.log_coefficient + minus.log_coefficient
     assert log_sum == series_expansion("delta-large").log_coefficient == Fraction(-1, 36)
+
+
+def test_generated_tables_equal_the_references():
+    # tuple for tuple, explicit zeros included; the resonant integer a of
+    # the small-s families is rejected
+    for kind, terms in FIXED_REFERENCE.items():
+        assert series_expansion(kind).terms == terms, kind
+    for kind, reference in PARAMETRIC_REFERENCE.items():
+        for a in A_GRID:
+            if kind.endswith("-small") and a.denominator == 1:
+                with pytest.raises(ValueError):
+                    series_expansion(kind, a=a)
+                continue
+            assert series_expansion(kind, a=a).terms == reference(a), (kind, a)
 
 
 def test_series_eval_frozen_values():
@@ -204,7 +312,7 @@ def test_series_kind_listing():
 def test_small_recurrence_reproduces_tabulated_terms():
     for a in (HALF, -HALF, Fraction(3, 2), Fraction(1, 3)):
         got = g_small_coefficients(a, 8)
-        for i, (e, c) in enumerate(series_expansion("g-small", a=a).terms):
+        for i, (e, c) in enumerate(g_small_reference(a)):
             assert e == i + 1
             assert got[i] == c
 
@@ -225,7 +333,7 @@ def test_large_recurrence_reproduces_tabulated_terms():
     for a in (HALF, -HALF, Fraction(3, 2)):
         d = g_large_coefficients(a, 10)
         got = {Fraction(2 - k, 3): dk for k, dk in enumerate(d[:8]) if dk != 0}
-        expect = {e: c for e, c in series_expansion("g-large", a=a).terms if c != 0}
+        expect = {e: c for e, c in g_large_reference(a) if c != 0}
         for e, c in expect.items():
             assert got[e] == c
         assert d[2] == 0
@@ -252,7 +360,7 @@ def test_log_ratio_coefficients_match_tabulated_terms():
     # lambda_m = -c_m/m^2 must land on the delta-ab-small table
     for a in (HALF, -HALF, Fraction(1, 3)):
         lam = log_ratio_small_coefficients(a, 8)
-        for i, (e, c) in enumerate(series_expansion("delta-ab-small", a=a).terms):
+        for i, (e, c) in enumerate(delta_ab_small_reference(a)):
             assert lam[i] == c
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from hankelpv import cli, report
+from hankelpv import asymptotics, cli, report
 from hankelpv.precision import DEFAULT_BITS, ENV_BITS, PrecisionConfig
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -41,6 +41,10 @@ CASES = [
     ("scan", ["scan", "--mode", "g2", "--s", "0.5", "--n-list", "4,8"], 0),
     ("series-g1-small", ["series", "--kind", "g1-small", "--s", "0.001,0.1"], 0),
     ("series-g-small", ["series", "--kind", "g-small", "--a", "1/2", "--s", "0.01,0.1"], 0),
+    ("series-delta-large", ["series", "--kind", "delta-large", "--s", "10,1000"], 0),
+    ("series-g2-large", ["series", "--kind", "g2-large", "--s", "50"], 0),
+    ("series-delta-ab-large", ["series", "--kind", "delta-ab-large", "--a", "1/2",
+                               "--s", "10"], 0),
     ("dyson", ["dyson", "--route", "scan", "--n-list", "4,8"], 0),
 ]
 
@@ -156,6 +160,20 @@ def test_bad_counts_are_usage_errors(argv, flag):
         cli.main([*argv, "--bits", "128"])
     assert (excinfo.value.code, out.getvalue()) == (cli.EXIT_NUMERIC, "")
     assert f"error: argument {flag}: must be at least" in err.getvalue()
+
+
+def test_scan_rejects_a_mismatched_reference_before_any_table(monkeypatch):
+    built = []
+    monkeypatch.setattr(asymptotics, "recurrence_table",
+                        lambda *args: built.append(args))
+    err = io.StringIO()
+    status, out = _run(["scan", "--mode", "g1", "--s", "0.1", "--reference", "g2-small"], err)
+    assert (status, out, built) == (cli.EXIT_NUMERIC, "", [])
+    assert "reference for 'g1' must be g1-small or g1-large" in err.getvalue()
+    # a parametric kind is never a scan reference, so the parser refuses it
+    with redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as excinfo:
+        cli.main(["scan", "--mode", "g1", "--s", "0.1", "--reference", "g-small"])
+    assert excinfo.value.code == 2
 
 
 def test_bits_from_environment(monkeypatch):

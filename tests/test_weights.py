@@ -138,6 +138,19 @@ def test_very_large_t_moment_matches_recorded_log():
         assert close(mp.log(value), expected_log, mpf(10) ** -25)
 
 
+def test_large_t_table_builds_at_low_bits():
+    # at t = 1300 the anchors cancel about 3800 bits, past hypercomb's
+    # default precision cap at 128 bits
+    cfg = PrecisionConfig(bits=128, target_digits=15)
+    ref = cfg.with_bits(512)
+    table = MomentTable.build(make_params(1, 1300, cfg), 8, cfg)
+    exact = MomentTable.build(make_params(1, 1300, ref), 8, ref)
+    with working_precision(ref):
+        tol = mpf(2) ** (7 - cfg.bits)
+        for j in range(0, 9, 2):
+            assert abs(table.mu[j] - exact.mu[j]) <= tol * exact.mu[j], j
+
+
 def test_moment_table_parity_and_positivity():
     p = make_params("2.3", "0.5", CFG)
     table = MomentTable.build(p, 12, CFG)
