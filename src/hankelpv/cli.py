@@ -180,6 +180,11 @@ def _nearest_rows(samples, points):
     return chosen
 
 
+def _steps_note(trajectory) -> str:
+    """Accepted ODE steps of a flow, counted before its rows are picked."""
+    return f"steps: {len(trajectory.samples) - 1}"
+
+
 def _cmd_moments(run: RunConfig, config: PrecisionConfig):
     params = make_params(run.alpha, run.t, config)
     single = run.options.get("j")
@@ -302,6 +307,7 @@ def _cmd_solve_pv(run: RunConfig, config: PrecisionConfig):
         status = EXIT_NUMERIC
     elif trajectory.endpoint_gap is not None:
         notes.append(f"endpoint_gap: {report.fmt(trajectory.endpoint_gap, config)}")
+    notes.append(_steps_note(trajectory))
     return report.pv_records(trimmed, config), status, notes
 
 
@@ -339,6 +345,7 @@ def _cmd_solve_p3(run: RunConfig, config: PrecisionConfig):
     if trajectory.halted:
         notes.append(f"halted: {trajectory.halt_reason} at s={report.fmt(trajectory.reached, config)}")
         status = EXIT_NUMERIC
+    notes.append(_steps_note(trajectory))
     return report.piii_records(trimmed, config), status, notes
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from hankelpv import quadrature
+from hankelpv import ode, quadrature
 
 
 @pytest.fixture
@@ -21,3 +21,21 @@ def quadrature_passes(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_tanh_sinh", counted)
     return sizes
+
+
+@pytest.fixture
+def midpoint_substeps(monkeypatch):
+    """Substep counts of the GBS midpoint passes made during the test.
+
+    Every pass of ode.solve_ode runs through ode._midpoint_pass and calls
+    the right-hand side once per substep, so the sum is the ODE work.
+    """
+    counts = []
+    midpoint = ode._midpoint_pass
+
+    def counted(*args):
+        counts.append(args[-1])  # the substep count n
+        return midpoint(*args)
+
+    monkeypatch.setattr(ode, "_midpoint_pass", counted)
+    return counts

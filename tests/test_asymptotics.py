@@ -26,6 +26,7 @@ from hankelpv.asymptotics import (
     sigma_form_residual,
     solve_piii_prime,
 )
+from hankelpv.cli import _grid, target_digits_for_bits
 from hankelpv.precision import PrecisionConfig, working_precision
 from hankelpv.special import UnsupportedArgumentError
 from hankelpv.weights import make_params
@@ -455,6 +456,19 @@ def test_flow_value_at_unknown_point():
     traj = solve_piii_prime(HALF, "0.25", LO, tolerance="1e-6", seed_order=40)
     with pytest.raises(ValueError):
         traj.value_at(mpf("0.123456"))
+
+
+def test_flow_checkpoints_do_not_multiply_the_work(midpoint_substeps):
+    # the 17 sample points that `hankelpv solve-p3 --s 0.1` asks for
+    config = PrecisionConfig(bits=320, target_digits=target_digits_for_bits(320))
+    points = _grid("0.05", "0.1", 17, config)[1:]
+    free = solve_piii_prime(HALF, "0.1", config)
+    free_work = sum(midpoint_substeps)
+    midpoint_substeps.clear()
+    sampled = solve_piii_prime(HALF, "0.1", config, sample_points=points)
+    assert not free.halted and not sampled.halted
+    assert len(sampled.samples) > len(points)
+    assert sum(midpoint_substeps) <= 1.5 * free_work
 
 
 def test_flow_determinism():

@@ -176,6 +176,36 @@ def test_scan_rejects_a_mismatched_reference_before_any_table(monkeypatch):
     assert excinfo.value.code == 2
 
 
+# the first GBS step is a sixteenth of the span, the default grid spacing,
+# so the first checkpoint lies within rounding of one full step
+@pytest.mark.parametrize("argv", [
+    ["solve-p3", "--a", "1/2", "--s", "0.05"],
+    ["solve-p3", "--a", "1/2", "--s", "0.07"],
+    ["solve-pv", "--n", "2", "--alpha", "1", "--t0", "0.1", "--t-end", "0.13"],
+], ids=["p3-s0.05", "p3-s0.07", "pv-t0.13"])
+def test_flow_lands_on_a_checkpoint_one_step_away(argv):
+    status, out = _run(argv)
+    assert status == cli.EXIT_OK
+    assert len(_rows(out)) == 17
+
+
+@pytest.mark.parametrize("name, solver", [
+    ("solve-p3", "solve_piii_prime"),
+    ("solve-pv", "continue_pv"),
+])
+def test_flows_report_their_step_count(monkeypatch, name, solver):
+    argv = next(argv for case, argv, _ in CASES if case == name)
+    made = []
+    original = getattr(cli, solver)
+    monkeypatch.setattr(cli, solver, lambda *a, **k: made.append(original(*a, **k)) or made[-1])
+    err = io.StringIO()
+    status, out = _run(argv, err)
+    assert (status, out) == (cli.EXIT_OK, (GOLDEN / f"{name}.csv").read_text())
+    steps = len(made[0].samples) - 1
+    assert f"{name}: steps: {steps}\n" in err.getvalue()
+    assert steps >= len(_rows(out)) - 1
+
+
 def test_bits_from_environment(monkeypatch):
     args = cli.build_parser().parse_args(["moments", *AT])
     monkeypatch.setenv(ENV_BITS, "1024")
