@@ -54,7 +54,7 @@ from .precision import (
     to_mpf,
     working_precision,
 )
-from .recurrence import hankel_det, recurrence_table
+from .recurrence import hankel_log_dets, recurrence_table
 from .special import UnsupportedArgumentError
 from .weights import MomentTable, make_params
 
@@ -198,21 +198,24 @@ def _cmd_moments(run: RunConfig, config: PrecisionConfig):
     return report.moment_records(entries, params, config), EXIT_OK, []
 
 
+def _bits_note(config: PrecisionConfig, used: PrecisionConfig) -> list:
+    """The escalation of a pivot pass, if its precision ran out."""
+    return [f"bits: {config.bits} -> {used.bits}"] if used.bits > config.bits else []
+
+
 def _cmd_hankel(run: RunConfig, config: PrecisionConfig):
     params = make_params(run.alpha, run.t, config)
     orders = [run.n] if run.n is not None else list(range(1, run.n_max + 1))
-    table = MomentTable.build(params, max(2 * max(orders) - 2, 0), config)
-    entries = []
-    for n in orders:
-        log_det, sign = hankel_det(n, params, config, moments=table)
-        entries.append((n, log_det, sign))
-    return report.hankel_records(entries, params, config), EXIT_OK, []
+    log_dets, used = hankel_log_dets(orders[-1], params, config)
+    entries = [(n, log_dets[n - 1], 1) for n in orders]
+    return report.hankel_records(entries, params, config), EXIT_OK, _bits_note(config, used)
 
 
 def _cmd_recurrence(run: RunConfig, config: PrecisionConfig):
     params = make_params(run.alpha, run.t, config)
     table = recurrence_table(run.n_max, params, config)
-    return report.recurrence_records(table, config), EXIT_OK, []
+    return (report.recurrence_records(table, config), EXIT_OK,
+            _bits_note(config, table.config))
 
 
 def _cmd_aux(run: RunConfig, config: PrecisionConfig):

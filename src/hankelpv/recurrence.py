@@ -1,15 +1,24 @@
 """Hankel determinants and three-term recurrence data for the even weight.
 
-Because odd moments vanish, permuting the Hankel matrix rows and columns by
-index parity turns it into a direct sum of two smaller Hankel blocks
-E_ab = mu_{2a+2b} and O_ab = mu_{2a+2b+2} (the permutation acts on both
-sides, so the determinant is unchanged).  Cholesky pivots of those blocks
-give the squared norms directly: h_{2k} = L_E[k,k]^2, h_{2k+1} = L_O[k,k]^2,
-since D_{n+1}/D_n = h_n and consecutive n alternate between the blocks.
+The monic orthogonal polynomials satisfy x P_n = P_{n+1} + beta_n P_{n-1}
+with beta_n = h_n / h_{n-1}, beta_0 = 0, h_n = int P_n^2 w, and
+D_{n+1}/D_n = h_n. The subleading coefficient obeys p(n,t) = -sum_{j<n} beta_j.
 
-The monic polynomials satisfy x P_n = P_{n+1} + beta_n P_{n-1} with
-beta_n = h_n / h_{n-1}, beta_0 = 0, and the subleading coefficient obeys
-p(n,t) = -sum_{j<n} beta_j.
+The squared norms come from Chebyshev's algorithm on the moments (Gautschi,
+*Orthogonal Polynomials: Computation and Approximation*, OUP 2004, §2.1.7,
+Alg. 2.1). With sigma_{k,l} = int P_k x^l w, sigma_{0,l} = mu_l and
+sigma_{-1,l} = 0, the three-term relation gives
+
+    sigma_{k,l} = sigma_{k-1,l+1} - beta_{k-1} sigma_{k-2,l},   h_k = sigma_{k,k}.
+
+The weight is even, so the recurrence has no alpha_k term and sigma_{k,l}
+vanishes unless k + l is even: only l = k, k+2, ... is kept. The norms
+h_0 .. h_{N-1} take mu_0 .. mu_{2N-2} and about N^2/2 multiply-subtracts,
+and a shorter pass is a prefix of a longer one, bit for bit. The map from
+moments to recurrence coefficients is as ill-conditioned as the Hankel
+matrix itself, so this route loses digits with n at the rate a Cholesky
+factorization of the moment matrix does; a non-positive h_k means the
+precision ran out.
 """
 
 from dataclasses import dataclass
@@ -22,7 +31,7 @@ from .weights import MomentTable, WeightParams, negative_moments
 
 
 class PivotError(NumericsError):
-    """Non-positive Cholesky pivot: precision exhausted or bad moments."""
+    """Non-positive norm or Cholesky pivot: precision exhausted or bad moments."""
 
     def __init__(self, message, index=None):
         super().__init__(message)
@@ -103,23 +112,21 @@ def _log_det_derivatives(mu, inv, orders: int, config: PrecisionConfig):
         return out
 
 
-def _parity_block(moments: MomentTable, size: int, offset: int):
-    return [
-        [moments[2 * (a + b) + offset] for b in range(size)] for a in range(size)
-    ]
+def _chebyshev_norms(moments, size: int, config: PrecisionConfig) -> list:
+    """h_0 .. h_{size-1} by Chebyshev's algorithm (module docstring).
 
-
-def _block_pivots(moments: MomentTable, even_size: int, odd_size: int, config):
+    Row k holds sigma_{k,k+2i} for i = 0 .. size-1-k.
+    """
     with working_precision(config):
-        diag_e = []
-        diag_o = []
-        if even_size:
-            lower = _cholesky(_parity_block(moments, even_size, 0))
-            diag_e = [lower[k][k] for k in range(even_size)]
-        if odd_size:
-            lower = _cholesky(_parity_block(moments, odd_size, 2))
-            diag_o = [lower[k][k] for k in range(odd_size)]
-        return diag_e, diag_o
+        prev, row = [mpf(0)] * size, [moments[2 * i] for i in range(size)]
+        h = []
+        for k in range(size):
+            if not row[0] > 0:
+                raise PivotError(f"non-positive pivot at index {k}", index=k)
+            h.append(row[0])
+            beta = h[k] / h[k - 1] if k else 0
+            prev, row = row, [row[i + 1] - beta * prev[i + 1] for i in range(size - k - 1)]
+        return h
 
 
 def _retried(params, j_max, config, moments, work):
@@ -139,16 +146,21 @@ def _retried(params, j_max, config, moments, work):
                 raise
 
 
-def hankel_det(n: int, params: WeightParams, config: PrecisionConfig, moments=None):
-    """ln D_n(t) and its sign via the parity-block factorization."""
-    if n < 1:
+def hankel_log_dets(n_max: int, params: WeightParams, config: PrecisionConfig,
+                    moments=None):
+    """[ln D_n(t) for n = 1 .. n_max] from one Chebyshev pass, and its config."""
+    if n_max < 1:
         raise ValueError("determinant order must be at least 1")
-    (diag_e, diag_o), cfg = _retried(
-        params, max(2 * n - 2, 0), config, moments,
-        lambda table, cfg: _block_pivots(table, (n + 1) // 2, n // 2, cfg))
+    h, cfg = _retried(params, 2 * n_max - 2, config, moments,
+                      lambda table, cfg: _chebyshev_norms(table, n_max, cfg))
     with working_precision(cfg):
-        logdet = 2 * mp.fsum(mp.log(d) for d in diag_e + diag_o)
-    return logdet, 1
+        logs = [mp.log(x) for x in h]
+        return [mp.fsum(logs[:n]) for n in range(1, n_max + 1)], cfg
+
+
+def hankel_det(n: int, params: WeightParams, config: PrecisionConfig, moments=None):
+    """ln D_n(t) and its sign, by Chebyshev's algorithm."""
+    return hankel_log_dets(n, params, config, moments)[0][-1], 1
 
 
 def log_det_t_derivatives(n_top: int, params: WeightParams, config: PrecisionConfig,
@@ -207,14 +219,9 @@ def recurrence_table(
 ) -> RecurrenceTable:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    (diag_e, diag_o), cfg = _retried(
-        params, 2 * n_max, config, moments,
-        lambda table, cfg: _block_pivots(table, n_max // 2 + 1, (n_max + 1) // 2, cfg))
+    h, cfg = _retried(params, 2 * n_max, config, moments,
+                      lambda table, cfg: _chebyshev_norms(table, n_max + 1, cfg))
     with working_precision(cfg):
-        h = []
-        for k in range(n_max + 1):
-            diag = diag_e if k % 2 == 0 else diag_o
-            h.append(diag[k // 2] ** 2)
         beta = [mpf(0)]
         for k in range(1, n_max + 1):
             beta.append(h[k] / h[k - 1])

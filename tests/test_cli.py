@@ -206,6 +206,19 @@ def test_flows_report_their_step_count(monkeypatch, name, solver):
     assert steps >= len(_rows(out)) - 1
 
 
+@pytest.mark.parametrize("command", ["recurrence", "hankel"])
+def test_escalated_pass_says_so_on_stderr(command):
+    # 128 bits run out on the order-60 table (test_pivot_escalation_doubles_bits)
+    err = io.StringIO()
+    status, out = _run([command, *AT, "--n-max", "60"], err)
+    assert status == cli.EXIT_OK
+    assert len(_rows(out)) == (61 if command == "recurrence" else 60)
+    assert err.getvalue() == f"{command}: bits: 128 -> 256\n"
+    quiet = io.StringIO()
+    _run([command, *AT, "--n-max", "6"], quiet)
+    assert quiet.getvalue() == ""
+
+
 def test_bits_from_environment(monkeypatch):
     args = cli.build_parser().parse_args(["moments", *AT])
     monkeypatch.setenv(ENV_BITS, "1024")

@@ -1,15 +1,19 @@
 """Recurrence tables, Hankel determinants, polynomial evaluation."""
 
+import io
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
+from hankelpv import cli, recurrence
 from hankelpv.derivatives import derivative_bundle
 from hankelpv.precision import PrecisionConfig, digits_capacity, working_precision
 from hankelpv.quadrature import integrate_even
 from hankelpv.recurrence import (
     PivotError,
+    _chebyshev_norms,
     _cholesky,
     _t0_log_det_barnes,
     _t0_log_det_gammas,
@@ -30,6 +34,41 @@ def test_cholesky_rejects_non_positive_definite():
         with pytest.raises(PivotError) as excinfo:
             _cholesky(rows)
         assert excinfo.value.index == 1
+
+
+@pytest.mark.parametrize("moments, index", [
+    (["1", "0", "-1"], 1),
+    # mu_4 < mu_2^2 / mu_0 breaks Cauchy-Schwarz, so h_2 = mu_4 - mu_2^2/mu_0 < 0
+    (["1", "0", "1", "0", "0.5"], 2),
+])
+def test_chebyshev_rejects_non_positive_definite(moments, index):
+    with pytest.raises(PivotError) as excinfo:
+        _chebyshev_norms([mpf(m) for m in moments], index + 1, CFG)
+    assert excinfo.value.index == index
+
+
+def test_shorter_pass_is_a_prefix():
+    p = make_params("2.3", "0.5", CFG)
+    moments = MomentTable.build(p, 80, CFG)
+    long = _chebyshev_norms(moments, 41, CFG)
+    assert _chebyshev_norms(moments, 17, CFG) == long[:17]
+    assert recurrence_table(16, p, CFG).h == long[:17]
+
+
+def test_hankel_runs_one_pivot_pass(monkeypatch):
+    passes = []
+    original = recurrence._chebyshev_norms
+
+    def counted(moments, size, config):
+        passes.append(size)
+        return original(moments, size, config)
+
+    monkeypatch.setattr(recurrence, "_chebyshev_norms", counted)
+    with redirect_stdout(io.StringIO()):
+        status = cli.main(["hankel", "--alpha", "1", "--t", "0.5", "--n-max", "12",
+                           "--bits", "128"])
+    assert status == cli.EXIT_OK
+    assert passes == [12]
 
 
 def test_hankel_det_order_one_and_two():
@@ -131,6 +170,26 @@ def test_pivot_escalation_doubles_bits():
     # 128 bits exhaust on the order-60 blocks; the retry must have doubled
     assert table.config.bits == 256
     assert all(h > 0 for h in table.h)
+
+
+def test_scan_g2_top_table_escalates():
+    # the scan-g2 benchmark job's n = 64 table (degree 130 at t = s/(2n^2), s = 1/2)
+    # loses a pivot at 256 bits; the workload's one escalation depends on it
+    cfg = PrecisionConfig(bits=256, target_digits=30)
+    table = recurrence_table(130, make_params(1, mpf(1) / 16384, cfg), cfg)
+    assert table.config.bits == 512
+
+
+@pytest.mark.parametrize("alpha,t", [("1", "0.5"), ("2.5", "3"), ("0.5", "0.01"),
+                                     ("1", "1e-5"), ("1", "0")])
+def test_table_accuracy_against_quadruple_bits(alpha, t):
+    cfg = PrecisionConfig(bits=256, target_digits=30)
+    ref_cfg = PrecisionConfig(bits=1024, target_digits=30)
+    table = recurrence_table(60, make_params(alpha, t, cfg), cfg)
+    ref = recurrence_table(60, make_params(alpha, t, ref_cfg), ref_cfg)
+    with working_precision(ref_cfg):
+        assert all(abs(table.beta[n] - ref.beta[n]) < mpf(10) ** -27 for n in range(61))
+        assert all(abs(table.h[n] / ref.h[n] - 1) < mpf(10) ** -60 for n in range(17))
 
 
 def test_eval_poly_low_orders():
