@@ -779,6 +779,8 @@ class ScanResult:
     agreement_digits: Optional[mpf]
     monotone: Optional[bool]
     flags: list = field(default_factory=list)
+    # the config each point's table ran at: more bits than asked is an escalation
+    configs: list = field(default_factory=list)
 
 
 def _neville_zero(xs, ys):
@@ -793,7 +795,8 @@ def _neville_zero(xs, ys):
     return diag
 
 
-def _scan_raw(mode: str, s: mpf, n: int, alpha: mpf, config: PrecisionConfig) -> mpf:
+def _scan_raw(mode: str, s: mpf, n: int, alpha: mpf, config: PrecisionConfig):
+    """The mode's finite-n value, and the config its table ran at."""
     with working_precision(config):
         if mode == "sigma-n4":
             t = s / mpf(n) ** 4
@@ -802,19 +805,19 @@ def _scan_raw(mode: str, s: mpf, n: int, alpha: mpf, config: PrecisionConfig) ->
         params = make_params(alpha, t, config)
         if mode == "g1":
             rec = recurrence_table(2 * n + 1, params, config)
-            return n * aux_R(2 * n, rec)
+            return n * aux_R(2 * n, rec), rec.config
         if mode == "g2":
             rec = recurrence_table(2 * n + 2, params, config)
-            return n * aux_R(2 * n + 1, rec)
+            return n * aux_R(2 * n + 1, rec), rec.config
         if mode == "delta1":
             rec = recurrence_table(2 * n, params, config)
-            return rec.logD[2 * n] - hankel_det_t0(2 * n, alpha, config)
+            return rec.logD[2 * n] - hankel_det_t0(2 * n, alpha, config), rec.config
         if mode == "delta2":
             rec = recurrence_table(2 * n + 1, params, config)
-            return rec.logD[2 * n + 1] - hankel_det_t0(2 * n + 1, alpha, config)
+            return rec.logD[2 * n + 1] - hankel_det_t0(2 * n + 1, alpha, config), rec.config
         # sigma-n4
         rec = recurrence_table(n + 1, params, config)
-        return -mp.fsum(aux_R(k, rec) for k in range(n))
+        return -mp.fsum(aux_R(k, rec) for k in range(n)), rec.config
 
 
 _REFERENCE_KINDS = {
@@ -889,15 +892,16 @@ def double_scaling_scan(
         reference, ref_kind, ref_flags = _pick_reference(
             mode, s_val, config, reference_kind)
 
-        raw = []
-        errors = []
+        raw, errors, configs = [], [], []
         for n in n_list:
             try:
-                raw.append(_scan_raw(mode, s_val, n, alpha_val, config))
-                errors.append(None)
+                value, used = _scan_raw(mode, s_val, n, alpha_val, config)
+                error = None
             except NumericsError as exc:
-                raw.append(None)
-                errors.append(str(exc))
+                value, used, error = None, config, str(exc)
+            raw.append(value)
+            errors.append(error)
+            configs.append(used)
 
         flags = []
         if any(errors):
@@ -943,7 +947,7 @@ def double_scaling_scan(
         errors=errors, extrapolated=extrapolated,
         extrapolated_alt=extrapolated_alt, model=model, error_bar=error_bar,
         reference=reference, reference_kind=ref_kind,
-        agreement_digits=agreement, monotone=monotone, flags=flags,
+        agreement_digits=agreement, monotone=monotone, flags=flags, configs=configs,
     )
 
 

@@ -359,9 +359,9 @@ def _cmd_scan(run: RunConfig, config: PrecisionConfig):
         allow_large_n=run.options["allow_large_n"],
         reference_kind=run.options.get("reference"),
     )
-    notes = []
-    for flag in result.flags:
-        notes.append(f"flag: {flag}")
+    notes = [f"{note} at n={n}" for n, used in zip(result.n_list, result.configs)
+             for note in _bits_note(config, used)]
+    notes += [f"flag: {flag}" for flag in result.flags]
     if result.error_bar is not None:
         notes.append(f"error_bar: {report.fmt(result.error_bar, config)}")
     status = EXIT_OK if result.extrapolated is not None else EXIT_NUMERIC

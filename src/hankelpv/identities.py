@@ -39,7 +39,7 @@ from .ladder import (
     v_prime,
 )
 from .precision import PrecisionConfig, working_precision
-from .quadrature import integrate
+from .quadrature import ConvergenceError
 from .recurrence import (
     RecurrenceTable,
     eval_poly,
@@ -80,6 +80,11 @@ IDENTITY_IDS = (
 )
 
 DEFAULT_Z_POINTS = ("0.2", "0.37", "0.8")
+
+# first and last Clenshaw-Curtis rule (in intervals) of the integral-representation
+# row; a first rule of 64 takes the 128-bit rows to roundoff
+CC_START = 64
+CC_MAX_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -653,61 +658,46 @@ def _sode_row(n, params, config, sig, s1, s2, r_val):
                         detail="deriv=trace")
 
 
-def _cheb_nodes(count: int):
-    return [mp.cos(mp.pi * k / (count - 1)) for k in range(count)]
+def _cc_rule(m: int):
+    """Clenshaw-Curtis nodes x_k = cos(pi k/m) and weights on [-1, 1], m even.
 
-
-def _cheb_coeffs(values):
-    # Clenshaw-Curtis style coefficients on extrema nodes
-    m = len(values) - 1
-    coeffs = []
-    for j in range(m + 1):
-        total = (values[0] + _parity(j) * values[m]) / 2
-        for k in range(1, m):
-            total += values[k] * mp.cos(mp.pi * j * k / m)
-        coeffs.append(2 * total / m)
-    coeffs[0] /= 2
-    coeffs[m] /= 2
-    return coeffs
-
-
-def _cheb_eval(coeffs, x):
-    b1 = mpf(0)
-    b2 = mpf(0)
-    for c in reversed(coeffs[1:]):
-        b1, b2 = 2 * x * b1 - b2 + c, b1
-    return x * b1 - b2 + coeffs[0]
-
-
-def _cheb_derivative(coeffs):
-    m = len(coeffs) - 1
-    out = [mpf(0)] * (m + 2)
-    for k in range(m, 0, -1):
-        out[k - 1] = out[k + 1] + 2 * k * coeffs[k]
-    out[0] /= 2
-    return out[: m + 1]
+    w_k = (c_k/m) (1 - sum_{j=1}^{m/2} b_j cos(2 pi j k/m) / (4j^2 - 1)),
+    with c_k = 1 at the ends and 2 inside, and b_j = 1 at j = m/2 and 2
+    below it (Trefethen, SIAM Review 50 (2008) 67-87). The cosines are
+    nodes again, so the rule costs m+1 cosines.
+    """
+    nodes = [mp.cos(mp.pi * k / m) for k in range(m + 1)]
+    weights = []
+    for k in range(m + 1):
+        total = mpf(1)
+        for j in range(1, m // 2 + 1):
+            i = 2 * j * k % (2 * m)
+            total -= (1 if 2 * j == m else 2) * nodes[min(i, 2 * m - i)] / (4 * j * j - 1)
+        weights.append(total * (1 if k in (0, m) else 2) / m)
+    return nodes, weights
 
 
 def verify_integral_representation(
     n: int,
     params: WeightParams,
     t_end,
-    steps: int = None,
     config: PrecisionConfig = None,
 ):
     """One row: the R_n-integrand quadrature against the determinant ratio.
 
-    R_n(s) is sampled at `steps` Chebyshev points in u = sqrt(s) (where it
-    is analytic through u=0) and differentiated through the interpolant; the
-    short initial piece [0, s0] is evaluated directly as a determinant
-    difference, so no endpoint series is needed.
+    The integrand is taken in u = sqrt(s), where R_n is analytic through
+    u = 0. At each Chebyshev-Lobatto node in u it uses R_n from the node's
+    aux table and R_n' exactly from _ladder_t_derivatives on the node's own
+    moments, so no interpolant stands between the samples and the sum.
+    Nested Clenshaw-Curtis rules double m from CC_START, reusing every
+    earlier sample, until |Q_m - Q_{m/2}| is at most 1/100 of the residual
+    threshold relative to Q_m; past CC_MAX_NODES a ConvergenceError is
+    raised. The detail column gives that difference (cc-err), the final m
+    and s0. The short initial piece [0, s0] is evaluated directly as a
+    determinant difference, so no endpoint series is needed.
     """
     if config is None:
         config = PrecisionConfig()
-    if steps is None:
-        # interpolation error must shrink alongside everything else when
-        # the precision target rises
-        steps = max(48, 2 * config.target_digits)
     a = params.alpha
     with working_precision(config):
         t_end = mpf(t_end)
@@ -720,36 +710,19 @@ def verify_integral_representation(
         u_lo = mp.sqrt(s0)
         u_hi = mp.sqrt(t_end)
         k1 = 2 * n + 1 + 2 * a
-
         center = (u_hi + u_lo) / 2
         radius = (u_hi - u_lo) / 2
-        samples = []
-        min_R = None
-        for x in _cheb_nodes(steps):
+
+        def integrand(x):
             u = center + radius * x
-            pv = make_params(a, u * u, config)
-            rec = recurrence_table(n + 1, pv, config)
-            r_n = aux_table(n, pv, config, recurrence=rec).R[n]
-            if min_R is None or abs(r_n) < min_R:
-                min_R = abs(r_n)
-            samples.append(r_n)
-        if min_R == 0:
-            raise ValueError("R_n vanishes on the integration path")
-        coeffs = _cheb_coeffs(samples)
-        dcoeffs = _cheb_derivative(coeffs)
-
-        # interpolant sanity: compare against a direct table off-grid
-        u_mid = center + radius / mp.pi
-        pv = make_params(a, u_mid * u_mid, config)
-        rec = recurrence_table(n + 1, pv, config)
-        direct = aux_table(n, pv, config, recurrence=rec).R[n]
-        fit_err = abs(_cheb_eval(coeffs, mpf(1) / mp.pi) - direct)
-
-        def integrand(u):
-            x = (u - center) / radius
-            R = _cheb_eval(coeffs, x)
-            R1 = _cheb_eval(dcoeffs, x) / radius / (2 * u)
             s = u * u
+            pv = make_params(a, s, config)
+            moments = MomentTable.build(pv, 2 * n + 2, config)
+            rec = recurrence_table(n + 1, pv, config, moments)
+            R = aux_table(n, pv, config, recurrence=rec).R[n]
+            if R == 0:
+                raise ValueError("R_n vanishes on the integration path")
+            R1 = _ladder_t_derivatives(rec, n, config, moments)["R"][0][n]
             bracket = (
                 4 * s ** 2 * k1 * R1 ** 2
                 - 4 * s * R * (k1 + R) * R1
@@ -759,17 +732,35 @@ def verify_integral_representation(
                 - 8 * s ** 2 * k1 ** 2 * R
                 - 4 * s ** 2 * k1 ** 3
             )
-            # ds = 2u du
-            return bracket / (8 * s * R ** 2 * (k1 + R)) * 2 * u
+            # ds = 2u du, and du = radius dx
+            return bracket / (8 * s * R ** 2 * (k1 + R)) * 2 * u * radius
 
-        quad = integrate(integrand, (u_lo, u_hi), config)
+        tol = config.residual_threshold() / 100
+        m = CC_START
+        nodes, weights = _cc_rule(m)
+        values = [integrand(x) for x in nodes]
+        quad = mp.fsum(w * v for w, v in zip(_cc_rule(m // 2)[1], values[::2]))
+        while True:
+            previous, quad = quad, mp.fsum(w * v for w, v in zip(weights, values))
+            err = abs(quad - previous)
+            if err <= tol * abs(quad):
+                break
+            if 2 * m > CC_MAX_NODES:
+                raise ConvergenceError(
+                    f"Clenshaw-Curtis failed to reach a relative {mp.nstr(tol, 3)} "
+                    f"for the integral representation within m = {CC_MAX_NODES}",
+                    last_two=(previous, quad))
+            m *= 2
+            nodes, weights = _cc_rule(m)
+            fresh = [integrand(x) for x in nodes[1::2]]
+            values = [v for pair in zip(values, fresh) for v in pair] + values[-1:]
 
         p_end = make_params(a, t_end, config)
         p_lo = make_params(a, s0, config)
         lhs = hankel_det(n, p_end, config)[0] - hankel_det(n, p_lo, config)[0]
         return residual_row("integral-rep", n, p_end.alpha, p_end.t, config,
                             *normalize([lhs, quad], lhs - quad),
-                            detail=f"fit-err~{mp.nstr(fit_err, 3)};s0={mp.nstr(s0, 2)}")
+                            detail=f"cc-err~{mp.nstr(err, 3)};m={m};s0={mp.nstr(s0, 2)}")
 
 
 def verify_linear_ode_Pn(

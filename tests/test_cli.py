@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from hankelpv import asymptotics, cli, report
+from hankelpv import asymptotics, cli, identities, report
 from hankelpv.precision import DEFAULT_BITS, ENV_BITS, PrecisionConfig
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -206,17 +206,41 @@ def test_flows_report_their_step_count(monkeypatch, name, solver):
     assert steps >= len(_rows(out)) - 1
 
 
-@pytest.mark.parametrize("command", ["recurrence", "hankel"])
-def test_escalated_pass_says_so_on_stderr(command):
+G2 = ["--mode", "g2", "--s", "0.5", "--n-list"]
+
+
+@pytest.mark.parametrize("command, loud, quiet, rows, note", [
+    ("recurrence", ["--n-max", "60"], ["--n-max", "6"], 61, ""),
+    ("hankel", ["--n-max", "60"], ["--n-max", "6"], 60, ""),
+    # the g2 point n = 30 reads the order-62 table
+    ("scan", ["4,30"], ["4,8"], 2, " at n=30"),
+], ids=["recurrence", "hankel", "scan"])
+def test_escalated_pass_says_so_on_stderr(command, loud, quiet, rows, note):
     # 128 bits run out on the order-60 table (test_pivot_escalation_doubles_bits)
-    err = io.StringIO()
-    status, out = _run([command, *AT, "--n-max", "60"], err)
+    args = G2 if command == "scan" else AT
+
+    def bits_notes(argv):
+        err = io.StringIO()
+        status, out = _run([command, *args, *argv], err)
+        # a scan also reports its flags and error bar
+        return status, out, [line for line in err.getvalue().splitlines()
+                             if not line.startswith(("scan: flag:", "scan: error_bar:"))]
+
+    status, out, notes = bits_notes(loud)
     assert status == cli.EXIT_OK
-    assert len(_rows(out)) == (61 if command == "recurrence" else 60)
-    assert err.getvalue() == f"{command}: bits: 128 -> 256\n"
-    quiet = io.StringIO()
-    _run([command, *AT, "--n-max", "6"], quiet)
-    assert quiet.getvalue() == ""
+    assert len(_rows(out)) == rows
+    assert notes == [f"{command}: bits: 128 -> 256{note}"]
+    assert bits_notes(quiet)[2] == []
+
+
+def test_integral_suite_exits_2_past_the_node_cap(monkeypatch):
+    monkeypatch.setattr(identities, "CC_MAX_NODES", identities.CC_START)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = cli.main(["verify", "--suite", "integral", "--alpha", "2.5", "--t", "3",
+                           "--n-max", "3", "--n", "3", "--bits", "256"])
+    assert (status, out.getvalue()) == (cli.EXIT_NUMERIC, "")
+    assert err.getvalue().startswith("error: Clenshaw-Curtis failed")
 
 
 def test_bits_from_environment(monkeypatch):

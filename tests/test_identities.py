@@ -3,6 +3,7 @@
 import pytest
 from mpmath import mp, mpf
 
+from hankelpv import identities
 from hankelpv.identities import (
     DEFAULT_Z_POINTS,
     IDENTITY_IDS,
@@ -16,6 +17,7 @@ from hankelpv.identities import (
 )
 from hankelpv.ladder import ROUTE_QUADRATURE, aux_table, initial_R1, initial_r1
 from hankelpv.precision import PrecisionConfig, working_precision
+from hankelpv.quadrature import ConvergenceError
 from hankelpv.recurrence import recurrence_table
 from hankelpv.weights import make_params
 
@@ -150,7 +152,7 @@ def test_corrupted_value_is_detected():
 
 def test_integral_representation_direct():
     p = make_params(1, "0.5", CFG)
-    row = verify_integral_representation(2, p, "0.5", steps=96, config=CFG)
+    row = verify_integral_representation(2, p, "0.5", config=CFG)
     with working_precision(CFG):
         assert row.residual < mpf(10) ** -20
     assert row.passed
@@ -158,9 +160,53 @@ def test_integral_representation_direct():
 
 def test_integral_representation_relaxed_case():
     p = make_params("2.3", 1, CFG)
-    row = verify_integral_representation(6, p, 1, steps=72, config=CFG)
+    row = verify_integral_representation(6, p, 1, config=CFG)
     with working_precision(CFG):
         assert row.residual < mpf(10) ** -15
+    assert row.passed
+
+
+def test_integral_representation_resolves_a_steep_R_n():
+    # a fixed node count once under-resolved R_n here: residual 2.7e-14
+    row = verify_integral_representation(3, make_params("2.5", 3, CFG_LO), 3, config=CFG_LO)
+    assert row.passed
+    assert row.residual < CFG_LO.residual_threshold()
+
+
+@pytest.mark.parametrize("m", [2, 16, 64])
+def test_clenshaw_curtis_rule_is_exact_to_degree_m(m):
+    with working_precision(CFG_LO):
+        nodes, weights = identities._cc_rule(m)
+        assert len(nodes) == len(weights) == m + 1
+        assert abs(mp.fsum(weights) - 2) < mpf(10) ** -70
+        for k in range(m + 1):
+            exact = mpf(2) / (k + 1) if k % 2 == 0 else 0
+            assert abs(mp.fsum(w * x ** k for w, x in zip(weights, nodes)) - exact) \
+                < mpf(10) ** -70
+
+
+def test_integral_representation_samples_each_node_once(monkeypatch):
+    calls = {"recurrence_table": 0, "hankel_det": 0}
+    for name in calls:
+        original = getattr(identities, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(identities, name, counted)
+    row = verify_integral_representation(2, make_params(1, "0.5", CFG_LO), "0.5",
+                                         config=CFG_LO)
+    m = int(row.detail.split(";m=")[1].split(";")[0])
+    assert m >= identities.CC_START
+    assert calls == {"recurrence_table": m + 1, "hankel_det": 2}
+
+
+def test_integral_representation_fails_loudly_past_the_node_cap(monkeypatch):
+    # this row needs m = 128 at 256 bits
+    monkeypatch.setattr(identities, "CC_MAX_NODES", identities.CC_START)
+    with pytest.raises(ConvergenceError, match="Clenshaw-Curtis"):
+        verify_integral_representation(3, make_params("2.5", 3, CFG_LO), 3, config=CFG_LO)
 
 
 def test_integral_representation_zero_endpoint():
