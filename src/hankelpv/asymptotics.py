@@ -6,10 +6,11 @@ truncated after six or seven terms, evaluated together with a
 first-omitted-term truncation estimate.  The flow solvers integrate the
 scaled second-order equation for g(s,a) and the finite-n evolution equation
 for R_n(t) as initial value problems, seeded from the series respectively
-from the finite-n tables.  The scan driver measures the double-scaling
-limits directly: raw finite-n values along the prescribed (n, t)
-trajectories, Richardson extrapolation in 1/n with a dual-model error bar,
-and comparison against the series references.
+from the finite-n tables; each supplies the Taylor jet of its cleared,
+polynomial form to the integrator in ode.py.  The scan driver measures the
+double-scaling limits directly: raw finite-n values along the prescribed
+(n, t) trajectories, Richardson extrapolation in 1/n with a dual-model error
+bar, and comparison against the series references.
 
 The two scaling regimes are distinct and never mixed: the g/delta scans
 hold s = 2n^2 t fixed, the sigma scan holds s = n^4 t fixed.
@@ -26,7 +27,7 @@ from mpmath import mp, mpf
 
 from .identities import normalize, residual_row
 from .ladder import _parity, aux_R, aux_r
-from .ode import OdeHalt, OdeProblem, solve_ode
+from .ode import OdeHalt, OdeProblem, cauchy, solve_ode
 from .precision import NumericsError, PrecisionConfig, to_mpf, working_precision
 from .recurrence import hankel_det_t0, recurrence_table
 from .special import log_barnes_g, zeta_prime_minus_one
@@ -319,12 +320,14 @@ def g_small_coefficients(a: Fraction, order: int) -> tuple:
     g2 = [Fraction(0)] * (order + 1)
     for p in range(3, order + 2):
         q = p - 1
-        g2[q] = sum(c[i] * c[q - i] for i in range(1, q))
-        pair_a = sum(c[m] * (p - m) * (p - m - 1) * c[p - m] for m in range(1, p))
-        pair_b = sum(m * (p - m) * c[m] * c[p - m] for m in range(1, p))
-        pair_c = sum((p - m) * c[m] * c[p - m] for m in range(1, p))
+        g2[q] = (2 * sum(c[i] * c[q - i] for i in range(1, (q + 1) // 2))
+                 + (c[q // 2] ** 2 if q % 2 == 0 else 0))
+        # the s^2 g g'', s^2 g'^2 and s g g' products share c_m c_(p-m), with
+        # weight 4(p-m)(p-m-1) - 4m(p-m) + 4(p-m) = 4(p-m)(p-2m); m and p-m
+        # together weigh 4(p-2m)^2
+        pairs = sum(4 * (p - 2 * m) ** 2 * (c[m] * c[p - m]) for m in range(1, (p + 1) // 2))
         triple = sum(c[m] * g2[p - m] for m in range(1, p - 1))
-        rest = 4 * pair_a - 4 * pair_b + 4 * pair_c - 8 * triple
+        rest = pairs - 8 * triple
         pivot = 4 * c[1] * (p - 2) ** 2 - 2 * a
         c[p - 1] = -rest / pivot
     return tuple(c[1:])
@@ -436,6 +439,37 @@ def _piii_rhs(a_val: mpf) -> Callable:
     return rhs
 
 
+def _piii_series(a_val: mpf, s0: mpf, y, order: int):
+    """Taylor coefficients of g and g' at s0 through `order`, from the
+    cleared form 4s^2 g g'' = 4s g'(s g' - g) + 8g^3 + 2as g - s^2."""
+    s1 = [s0, 1]
+    s2 = [s0 * s0, 2 * s0, 1]
+    g = [mpf(y[0]), mpf(y[1])]
+    v = [mpf(y[1])]
+    e, c, z, k, d, gpp = [], [], [], [], [], []  # g^2, g^3, s g' - g, g' z, s^2 g, g''
+    for m in range(order):
+        e.append(cauchy(g, g, m))
+        c.append(cauchy(g, e, m))
+        z.append(cauchy(s1, v, m) - g[m])
+        k.append(cauchy(v, z, m))
+        d.append(cauchy(s2, g, m))
+        rhs = (4 * cauchy(s1, k, m) + 8 * c[m] + 2 * a_val * cauchy(s1, g, m)
+               - (s2[m] if m < 3 else 0))
+        gpp.append((rhs / 4 - cauchy(d, gpp, m, start=1)) / d[0])
+        g.append(gpp[m] / ((m + 1) * (m + 2)))
+        v.append((m + 2) * g[m + 2])
+    return [g[:order + 1], v]
+
+
+def _piii_jet(a_val: mpf) -> Callable:
+    return lambda s, y, order: _piii_series(a_val, s, y, order)
+
+
+def _g_factor(s, y):
+    """The factor g of the cleared denominator 4s^2 g."""
+    return y[0]
+
+
 def _flow_guard(config: PrecisionConfig) -> Callable:
     floor = mpf(10) ** (-(config.target_digits // 2))
 
@@ -450,7 +484,9 @@ def _flow_guard(config: PrecisionConfig) -> Callable:
 
 @dataclass
 class PiiiTrajectory:
-    """Integrated path of (g, g') with seed metadata and halt status."""
+    """Integrated path of (g, g') with seed metadata and halt status;
+    `steps` counts the integrator's accepted steps, Taylor polynomials of
+    degree `order`."""
 
     a: mpf
     seed: str
@@ -460,6 +496,8 @@ class PiiiTrajectory:
     samples: list
     halted: bool
     halt_reason: Optional[str]
+    steps: int
+    order: int
 
     @property
     def endpoint(self):
@@ -553,11 +591,13 @@ def solve_piii_prime(
         problem = OdeProblem(
             dimension=2,
             rhs=_piii_rhs(a_val),
+            jet=_piii_jet(a_val),
             x0=s0,
             y0=start,
             x_end=s_end,
             tolerance=tol,
             singularity_guard=_flow_guard(config),
+            denominator=_g_factor,
         )
         halted = False
         reason = None
@@ -571,6 +611,7 @@ def solve_piii_prime(
     return PiiiTrajectory(
         a=a_val, seed=seed, s0=s0, s_end=s_end, tolerance=tol,
         samples=path, halted=halted, halt_reason=reason,
+        steps=samples.steps, order=samples.order,
     )
 
 
@@ -579,7 +620,9 @@ def solve_piii_prime(
 
 @dataclass
 class PvTrajectory:
-    """Integrated path of (R_n, R_n') with the endpoint cross-check."""
+    """Integrated path of (R_n, R_n') with the endpoint cross-check;
+    `steps` counts the integrator's accepted steps, Taylor polynomials of
+    degree `order`."""
 
     n: int
     alpha: mpf
@@ -591,6 +634,8 @@ class PvTrajectory:
     halt_reason: Optional[str]
     endpoint_direct: Optional[mpf]
     endpoint_gap: Optional[mpf]
+    steps: int
+    order: int
 
     @property
     def endpoint(self):
@@ -618,6 +663,44 @@ def _pv_rhs(n: int, alpha: mpf) -> Callable:
         return [rp, num / den]
 
     return rhs
+
+
+def _pv_jet(n: int, alpha: mpf) -> Callable:
+    """Taylor coefficients of (R, R') from 8t^2 R(k1+R) R'' = the numerator
+    of _pv_rhs, written as R^3 (R^2 + 2k1 R + c3) + 4t R' X + t A1 + t^2 A2
+    with X = t(4n+4alpha+2+3R) R' - 2R(k1+R) and A1, A2 linear in R, R^2, R^3."""
+    par = _parity(n)
+    k1 = 2 * n + 2 * alpha + 1
+    c3 = 4 * n ** 2 + 4 * (2 * alpha + 1) * n + 4 * alpha + 1
+    c_v = 4 * n + 4 * alpha + 2
+
+    def jet(t0, y, order):
+        t1 = [t0, 1]
+        t2 = [t0 * t0, 2 * t0, 1]
+        u = [mpf(y[0]), mpf(y[1])]
+        v = [mpf(y[1])]
+        e2, e3, quad, z, lin, w, x, k, a1, a2, d, rpp = ([] for _ in range(12))
+        for m in range(order):
+            e2.append(cauchy(u, u, m))
+            e3.append(cauchy(u, e2, m))
+            quad.append(e2[m] + 2 * k1 * u[m] + (c3 if m == 0 else 0))
+            z.append(k1 * u[m] + e2[m])  # R (k1 + R)
+            lin.append(3 * u[m] + (c_v if m == 0 else 0))
+            w.append(cauchy(lin, v, m))
+            x.append(cauchy(t1, w, m) - 2 * z[m])
+            k.append(cauchy(v, x, m))
+            a1.append(-4 * par * (e3[m] + 2 * k1 * e2[m] + k1 ** 2 * u[m]))
+            a2.append(-4 * e3[m] - 16 * k1 * e2[m] - 20 * k1 ** 2 * u[m]
+                      - (8 * k1 ** 3 if m == 0 else 0))
+            d.append(cauchy(t2, z, m))
+            num = (cauchy(e3, quad, m) + 4 * cauchy(t1, k, m)
+                   + cauchy(t1, a1, m) + cauchy(t2, a2, m))
+            rpp.append((num / 8 - cauchy(d, rpp, m, start=1)) / d[0])
+            u.append(rpp[m] / ((m + 1) * (m + 2)))
+            v.append((m + 2) * u[m + 2])
+        return [u[:order + 1], v]
+
+    return jet
 
 
 def _seed_aux(n: int, alpha, t, config: PrecisionConfig):
@@ -670,7 +753,7 @@ def continue_pv(
             return PvTrajectory(
                 n=n, alpha=alpha, t0=t0, t_end=t_end, tolerance=tol,
                 samples=[(t0, big_r0, rp0)], halted=False, halt_reason=None,
-                endpoint_direct=big_r0, endpoint_gap=mpf(0),
+                endpoint_direct=big_r0, endpoint_gap=mpf(0), steps=0, order=0,
             )
 
         floor = mpf(10) ** (-(config.target_digits // 2))
@@ -681,11 +764,13 @@ def continue_pv(
         problem = OdeProblem(
             dimension=2,
             rhs=_pv_rhs(n, alpha),
+            jet=_pv_jet(n, alpha),
             x0=t0,
             y0=[big_r0, rp0],
             x_end=t_end,
             tolerance=tol,
             singularity_guard=guard,
+            denominator=lambda x, y: y[0] * (k1 + y[0]),
         )
         halted = False
         reason = None
@@ -706,6 +791,7 @@ def continue_pv(
         n=n, alpha=alpha, t0=t0, t_end=t_end, tolerance=tol,
         samples=path, halted=halted, halt_reason=reason,
         endpoint_direct=endpoint_direct, endpoint_gap=endpoint_gap,
+        steps=samples.steps, order=samples.order,
     )
 
 
@@ -1037,6 +1123,23 @@ def _odd_terms_cancel() -> bool:
     return all(plus[e] + minus[e] == 0 for e in odd)
 
 
+def _coupled_jet(a_val: mpf) -> Callable:
+    """The PIII' jet with s H' = -g and s L' = H, order by order."""
+
+    def jet(s, y, order):
+        g, v = _piii_series(a_val, s, y, order)
+        big_h, big_l = [mpf(y[2])], [mpf(y[3])]
+        dh, dl = [], []
+        for m in range(order):
+            dh.append((-g[m] - (dh[m - 1] if m else 0)) / s)
+            dl.append((big_h[m] - (dl[m - 1] if m else 0)) / s)
+            big_h.append(dh[m] / (m + 1))
+            big_l.append(dl[m] / (m + 1))
+        return [g, v, big_h, big_l]
+
+    return jet
+
+
 def _coupled_rhs(a_val: mpf) -> Callable:
     """(g, g', H, L) flow: the inner pair is the g equation, and
     d/ds(s L') = -g/s closes the log-ratio, the same map that builds the
@@ -1112,6 +1215,7 @@ def dyson_constant_experiment(
                 problem = OdeProblem(
                     dimension=4,
                     rhs=_coupled_rhs(_fr(fr)),
+                    jet=_coupled_jet(_fr(fr)),
                     x0=s_lo_val,
                     y0=start,
                     x_end=s_hi_val,
@@ -1120,6 +1224,7 @@ def dyson_constant_experiment(
                         abs(y[0]) < mpf(10) ** (-(config.target_digits // 2))
                         or abs(y[0]) > _DIVERGENCE_CAP
                         or abs(y[1]) > _DIVERGENCE_CAP),
+                    denominator=_g_factor,
                 )
                 try:
                     samples = solve_ode(problem, config)

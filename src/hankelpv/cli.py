@@ -180,9 +180,9 @@ def _nearest_rows(samples, points):
     return chosen
 
 
-def _steps_note(trajectory) -> str:
-    """Accepted ODE steps of a flow, counted before its rows are picked."""
-    return f"steps: {len(trajectory.samples) - 1}"
+def _flow_notes(trajectory) -> list:
+    """The flow's accepted Taylor steps and the order they ran at."""
+    return [f"steps: {trajectory.steps}", f"order: {trajectory.order}"]
 
 
 def _cmd_moments(run: RunConfig, config: PrecisionConfig):
@@ -310,7 +310,7 @@ def _cmd_solve_pv(run: RunConfig, config: PrecisionConfig):
         status = EXIT_NUMERIC
     elif trajectory.endpoint_gap is not None:
         notes.append(f"endpoint_gap: {report.fmt(trajectory.endpoint_gap, config)}")
-    notes.append(_steps_note(trajectory))
+    notes += _flow_notes(trajectory)
     return report.pv_records(trimmed, config), status, notes
 
 
@@ -348,7 +348,7 @@ def _cmd_solve_p3(run: RunConfig, config: PrecisionConfig):
     if trajectory.halted:
         notes.append(f"halted: {trajectory.halt_reason} at s={report.fmt(trajectory.reached, config)}")
         status = EXIT_NUMERIC
-    notes.append(_steps_note(trajectory))
+    notes += _flow_notes(trajectory)
     return report.piii_records(trimmed, config), status, notes
 
 

@@ -1,49 +1,59 @@
-"""Adaptive high-order ODE integration (extrapolated midpoint / GBS).
+"""Adaptive Taylor-series ODE integration from Cauchy-product recurrences.
 
-The Gragg smoothed-midpoint rule has a pure h^2 error expansion, so
-polynomial extrapolation over the even substep sequence n_j = 2, 4, 6, ...
-gives a one-step method of any even order whose tableau is exact rational
-arithmetic at any working precision (published embedded Runge-Kutta pairs
-of order >= 8 ship 16-digit coefficients, which would cap endpoint
-accuracy far above what the verification pipelines need). Column j of the
-Aitken-Neville tableau combines the passes n_0..n_j; a step advances with
-the order-2j entry that leaves out n_0 and estimates its error against
-the order-2j+2 entry, an embedded result. The order never drops below 8
-(column MIN_ACCEPT_COLUMN).
+Every flow here is polynomial once its denominators are cleared, so the
+Taylor coefficients of its solution through any point (x, y) follow order
+by order from Cauchy products of the coefficients already known. Each
+problem supplies them as a jet, `jet(x, y, order)`: one list of
+coefficients a_0 = y_i, a_1, ..., a_order per component (Jorba & Zou,
+Experiment. Math. 14 (2005) 99-117; `cauchy` is the shared product).
 
-Order and step size are chosen by work per unit step, as in Deuflhard's
-ODEX controller (Numer. Math. 41 (1983) 399-422; Hairer, Norsett &
-Wanner, Solving ODEs I, II.9). A step aimed at column k builds columns up
-to k+1 and is accepted at the first of the two whose error fits the
-budget; otherwise it is rejected. Every column j >= MIN_ACCEPT_COLUMN it
-built, up to the last usable column len(SUBSTEP_SEQUENCE) - 2, proposes
-the step H_j = H * clip(SAFETY * err_j^(-1/(2j+1)), 1/4, 4) at the cost of
-COLUMN_COST[j] right-hand-side calls. The next step takes the column with
-the least cost per unit step, judged before the clip, and one column
-higher (with H scaled by the cost ratio) when that is the last column
-built and the step was accepted there at the first try. A rejected step
-retries at no higher column. The first step, a sixteenth of the span at
-column MIN_ACCEPT_COLUMN, is a probe: like a step whose shrink the clip cut
-short, its size was chosen by no error, so even when it fits it is
-retried at the step its errors propose.
+Budget. The per-step error budget is tolerance^4, clipped at the working
+precision floor 2^-(bits-48), so the local error is far below `tolerance`
+per unit step and halving the tolerance cuts the achieved global error by
+roughly 16x.
 
-Tolerance semantics are deliberately conservative: the internal per-step
-error budget is tolerance^4 (clipped at the working precision floor), so
-the local error is far below `tolerance` per unit step and halving the
-tolerance cuts the achieved global error by roughly 16x. Since every
-accepted step has a size some error estimate chose, the error follows the
-tolerance also on runs of a handful of high-order steps, though there one
-step can set the global error and the gain of a single halving scatters
-more widely about 16x.
+Order. p = 2 ceil(log_16(1/budget)), never below 8. Halving the tolerance
+divides the budget by 16 and so raises the order by exactly two: a run of a
+single step still gains accuracy, and the parity of the order, which sets
+the character of the leading error term (in an oscillation, amplitude or
+phase), stays fixed, so the error falls with the tolerance on short runs
+too. The order tracks the digit count at 1.44 times the order -ln(budget)/2
+that minimizes the work per unit length in Jorba & Zou's model, whose
+minimum is flat: at budget 1e-28 the model charges the higher order about
+15% more work.
 
-Dense output: requested sample abscissae are made exact step endpoints,
-so sampled values carry full integration accuracy with no interpolation.
-A target within the step floor of a full step is landed on rather than
-left as a sliver. A step shortened to land keeps the step proposed before
-it, so checkpoints do not shrink the steps between them; its column drops
-to the cheapest one whose error shows it can take that step (or reach the
-next checkpoint, when nearer). Step sequences are deterministic functions
-of the problem and config.
+Step. The jet runs ESTIMATE_TERMS orders past p, and the step advances with
+the degree-p polynomial, so those last coefficients are an embedded
+estimate of its error: the step is the largest h at which each of them,
+|a_k| h^k, stays within ESTIMATE_SHARE * budget * h * (1 + |y_i|) in every
+component. When they vanish in every component the solution is a
+polynomial of lower degree and the step runs to x_end. A step within the
+step floor of x_end lands on it.
+
+Dense output. Requested sample abscissae are evaluated by Horner on the
+Taylor polynomial of the step that covers them, so checkpoints never
+shorten a step and sampled values carry the step's accuracy.
+
+Singular points. A problem may name the state-dependent factor of its
+cleared denominator (`denominator(x, y)`). The jet divides by it at every
+order, and the solution can be analytic where it vanishes (an apparent
+singularity of the equation), so the coefficient decay would step straight
+across. A step that would carry the factor through zero is halved until it
+keeps its sign, so the flow approaches such a point geometrically and the
+singularity guard stops it there.
+
+Halts. The singularity guard, checked before every step, raises
+SingularityHalt; a step below the floor 2^-(bits/2) max(1, |x|) and more
+than max_steps accepted steps raise StepUnderflowHalt. Either carries the
+trajectory so far.
+
+Defect check. After each step, problem.rhs at the step end is compared
+with the derivative of the step's Taylor polynomial there. A jet that
+encodes its equation meets it within the derivative of the truncation
+error; a mismatch beyond DEFECT_SAFETY * p * budget raises JetDefectError,
+an independent check on the hand-cleared recurrences.
+
+Step sequences are deterministic functions of the problem and config.
 """
 
 from __future__ import annotations
@@ -55,17 +65,15 @@ from mpmath import mp, mpf
 
 from .precision import NumericsError, PrecisionConfig, working_precision
 
-# columns 0..97. The extrapolation amplifies rounding by about 2^(1.13 k)
-# at column k, which at the last usable column, 96, still fits in the 64
-# guard bits plus the 48 bits the budget floor leaves. The flows reach
-# column 14 at 256 bits, 28 at 512 and 60 at 1024
-SUBSTEP_SEQUENCE = tuple(range(2, 197, 2))
-MIN_ACCEPT_COLUMN = 4  # advanced value has order 2*4 = 8, the contract minimum
-# right-hand-side calls to build columns 0..j of one step; f(x, y) is shared
-COLUMN_COST = tuple(1 + sum(SUBSTEP_SEQUENCE[: j + 1]) for j in range(len(SUBSTEP_SEQUENCE)))
 TOLERANCE_EXPONENT = 4
-SAFETY = mpf(4) / 5
+MIN_ORDER = 8
+ESTIMATE_TERMS = 2
+# each estimate term may take this share of the budget per unit step: the
+# estimate leaves out the tail past it and the build-up over many steps
+ESTIMATE_SHARE = mpf(1) / 512
 DEFAULT_MAX_STEPS = 50000
+# a correct jet meets its rhs within about p * budget * (1 + |y| + |h y'|)
+DEFECT_SAFETY = 2 ** 10
 
 
 class OdeHalt(NumericsError):
@@ -83,88 +91,94 @@ class SingularityHalt(OdeHalt):
 
 
 class StepUnderflowHalt(OdeHalt):
-    """Step size collapsed below the precision floor."""
+    """Step size collapsed below the precision floor, or max_steps ran out."""
+
+
+class JetDefectError(NumericsError):
+    """The jet's Taylor polynomial does not satisfy problem.rhs."""
+
+
+class Samples(list):
+    """Trajectory rows (x, y): x0, every step end and every sample point, in
+    order of x; `steps` counts the accepted steps that made them, each a
+    Taylor polynomial of degree `order`."""
+
+    steps = 0
+    order = 0
 
 
 @dataclass
 class OdeProblem:
+    """y' = rhs(x, y) from (x0, y0) to x_end.
+
+    jet(x, y, order) returns, for each component, the Taylor coefficients
+    a_0 .. a_order of the solution through (x, y). denominator(x, y), when
+    given, is the factor the jet divides by; the flow is singular where it
+    vanishes.
+    """
+
     dimension: int
     rhs: Callable
+    jet: Callable
     x0: object
     y0: Sequence
     x_end: object
     tolerance: object
     singularity_guard: Optional[Callable] = None
+    denominator: Optional[Callable] = None
     max_steps: int = DEFAULT_MAX_STEPS
 
 
-def _midpoint_pass(rhs, x, y, f0, H, n):
-    """Gragg's smoothed modified midpoint with n substeps; None on overflow."""
-    h = H / n
-    z_prev = list(y)
-    z_cur = [y[i] + h * f0[i] for i in range(len(y))]
-    for k in range(1, n):
-        fk = rhs(x + k * h, z_cur)
-        if fk is None:
-            return None
-        z_next = [z_prev[i] + 2 * h * fk[i] for i in range(len(y))]
-        z_prev, z_cur = z_cur, z_next
-    fn = rhs(x + H, z_cur)
-    if fn is None:
-        return None
-    return [(z_cur[i] + z_prev[i] + h * fn[i]) / 2 for i in range(len(y))]
+def cauchy(a, b, m, start=0):
+    """sum_{i=start}^{m} a_i b_(m-i), the order-m coefficient of a product.
 
-
-def _finite(values):
-    return all(mp.isfinite(v) for v in values)
-
-
-def _clip(factor):
-    return min(max(factor, mpf(1) / 4), mpf(4))
-
-
-def _extrapolate(rhs, x, y, f0, Hs, column, unit):
-    """One GBS step of signed size Hs aimed at `column`.
-
-    Builds the Aitken-Neville rows T[j][k] in (Hs/n_j)^2 up to column+1 and
-    stops at the first column j >= column whose error fits. Returns
-    (errors, accepted): errors maps every column j >= MIN_ACCEPT_COLUMN
-    built to the error of T[j][j-1] in units of unit * (1 + |value|), and
-    accepted is (j, T[j][j-1]) or None. Returns None when a pass overflows.
+    `a` may be shorter than m + 1 (a polynomial factor such as the powers
+    of x0 + tau): the pairs stop with its last coefficient.
     """
-    rows = []
-    errors = {}
-    for j in range(column + 2):
-        n = SUBSTEP_SEQUENCE[j]
-        entry = _midpoint_pass(rhs, x, y, f0, Hs, n)
-        if entry is None or not _finite(entry):
-            return None
-        row = [entry]
-        for k in range(1, j + 1):
-            ratio = (mpf(n) / SUBSTEP_SEQUENCE[j - k]) ** 2
-            prev = row[k - 1]
-            diag = rows[j - 1][k - 1]
-            row.append([prev[i] + (prev[i] - diag[i]) / (ratio - 1) for i in range(len(y))])
-        rows.append(row)
-        if j >= MIN_ACCEPT_COLUMN:
-            # advance with row[j-1] (order 2j); the difference against
-            # row[j] estimates exactly its local error, so the realized
-            # error tracks the budget linearly
-            y_new = row[j - 1]
-            errors[j] = max(abs(row[j][i] - y_new[i]) / (unit * (1 + abs(y_new[i])))
-                            for i in range(len(y)))
-            if j >= column and errors[j] <= 1 and _finite(y_new):
-                return errors, (j, y_new)
-    return errors, None
+    if m < start:
+        return mpf(0)
+    return mp.fdot(a[start:m + 1], b[m - start::-1])
+
+
+def _taylor_order(budget) -> int:
+    """Order of the steps at this budget: two more per factor 16."""
+    return max(MIN_ORDER, 2 * int(mp.ceil(-mp.log(budget, 16))))
+
+
+def _horner(coefficients, tau):
+    total = mpf(0)
+    for c in reversed(coefficients):
+        total = total * tau + c
+    return total
+
+
+def _slope(coefficients, tau):
+    total = mpf(0)
+    for k in range(len(coefficients) - 1, 0, -1):
+        total = total * tau + k * coefficients[k]
+    return total
+
+
+def _decay_step(rows, order, budget):
+    """Largest step at which every coefficient past `order` fits its share
+    of the budget per unit step in every row; None when they all vanish."""
+    step = None
+    for row in rows:
+        share = ESTIMATE_SHARE * budget * (1 + abs(row[0]))
+        for k in range(order + 1, order + ESTIMATE_TERMS + 1):
+            if row[k]:
+                h = (share / abs(row[k])) ** (mpf(1) / (k - 1))
+                step = h if step is None else min(step, h)
+    return step
 
 
 def solve_ode(problem: OdeProblem, config: PrecisionConfig, sample_points=None):
-    """Integrate problem.rhs from x0 to x_end.
+    """Integrate problem from x0 to x_end.
 
-    Returns the trajectory as a list of (x, y_list) pairs containing x0,
-    every accepted step endpoint (which includes all requested sample
-    points), and x_end. Raises SingularityHalt / StepUnderflowHalt with
-    the partial trajectory attached when integration cannot proceed.
+    Returns Samples: (x, y_list) rows for x0, every accepted step end and
+    every requested sample point, ending at x_end. Raises SingularityHalt /
+    StepUnderflowHalt with the partial trajectory attached when integration
+    cannot proceed, and JetDefectError when the jet misses the rhs.
     """
     with working_precision(config, extra_bits=64):
         x = mpf(problem.x0)
@@ -181,107 +195,69 @@ def solve_ode(problem: OdeProblem, config: PrecisionConfig, sample_points=None):
                 f"tolerance {tol} below 10^-target_digits = {min_tol}"
             )
         budget = max(tol**TOLERANCE_EXPONENT, mpf(2) ** (-(config.bits - 48)))
+        samples = Samples([(x, list(y))])
+        samples.order = order = _taylor_order(budget)
         span = x_end - x
         if span == 0:
-            return [(x, list(y))]
+            return samples
         direction = 1 if span > 0 else -1
 
-        checkpoints = []
+        pending = []
         if sample_points is not None:
-            checkpoints = sorted((mpf(p) for p in sample_points), reverse=(direction < 0))
-            for p in checkpoints:
+            pending = sorted((mpf(p) for p in sample_points), reverse=(direction < 0))
+            for p in pending:
                 if (p - x) * direction < 0 or (x_end - p) * direction < 0:
                     raise ValueError(f"sample point {p} outside integration range")
-        checkpoints.append(x_end)
+        # x0 and x_end are rows of every trajectory
+        pending = [p for p in pending if p != x and p != x_end]
 
-        samples = [(x, list(y))]
         h_floor_rel = mpf(2) ** (-(config.bits // 2))
-        tiny = mpf(2) ** (-(config.bits + 64))
-        H = abs(span) / 16
-        guessed = True  # H was not sized by an error estimate
-        column = MIN_ACCEPT_COLUMN
-        top = len(SUBSTEP_SEQUENCE) - 2  # a step builds up to column + 1
-        steps = 0
         guard = problem.singularity_guard
+        denominator = problem.denominator
 
-        def wrapped_rhs(xx, yy):
-            vals = problem.rhs(xx, yy)
-            vals = [mpf(v) for v in vals]
-            if not _finite(vals):
-                return None
-            return vals
+        def halt(kind, message):
+            return kind(message, x=x, y=list(y), samples=samples)
 
-        for index, target in enumerate(checkpoints):
-            while (target - x) * direction > 0:
-                if guard is not None and guard(x, y):
-                    raise SingularityHalt(
-                        f"singularity guard fired at x={mp.nstr(x, 17)}",
-                        x=x, y=list(y), samples=samples,
-                    )
-                f0 = wrapped_rhs(x, y)
-                rejected = False
-                while True:
-                    steps += 1
-                    if steps > problem.max_steps:
-                        raise StepUnderflowHalt(
-                            "step budget exhausted", x=x, y=list(y), samples=samples
-                        )
-                    h_floor = h_floor_rel * max(1, abs(x))
-                    if H < h_floor:
-                        raise StepUnderflowHalt(
-                            f"step size underflow at x={mp.nstr(x, 17)}",
-                            x=x, y=list(y), samples=samples,
-                        )
-                    # land on the target when no more than the step floor
-                    # would be left over
-                    remaining = abs(target - x)
-                    landing = remaining <= H + h_floor
-                    step = remaining if landing else H
-                    outcome = None
-                    if f0 is not None:
-                        outcome = _extrapolate(wrapped_rhs, x, y, f0, direction * step,
-                                               column, budget * step)
-                    if outcome is None:
-                        H = H / 2
-                        rejected = True
-                        continue
-                    errors, accepted = outcome
-                    # the column with the least cost per unit step, judged
-                    # on the unclipped factors: the clip bounds how fast the
-                    # step may change, not what a column can do. Column
-                    # top + 1 only estimates the error of column top.
-                    factors = {
-                        j: SAFETY * (err + tiny) ** (-mpf(1) / (2 * j + 1))
-                        for j, err in errors.items() if j <= top
-                    }
-                    best = min(factors, key=lambda j: COLUMN_COST[j] / factors[j])
-                    if accepted is None or (guessed and not landing):
-                        # retry at the step the errors propose. A step whose
-                        # size no error chose (the first one, or a shrink cut
-                        # short by the clip) is retried even when it fits:
-                        # its error would not follow the tolerance, and on a
-                        # short run one such step can set the global error
-                        rejected = True
-                        column = min(best, column)
-                        H = step * _clip(factors[column])
-                        guessed = factors[column] < mpf(1) / 4
-                        continue
-                    j, y = accepted
-                    x = target if landing else x + direction * step
-                    samples.append((x, list(y)))
-                    if step < H - h_floor:
-                        # shortened only to land: keep the proposed step, on
-                        # the cheapest column this step shows can take it (or
-                        # reach the next checkpoint, when that is nearer)
-                        if index + 1 < len(checkpoints):
-                            reach = min(H, abs(checkpoints[index + 1] - x))
-                            able = [i for i in factors if step * factors[i] >= reach]
-                            column = min(able, default=column)
-                        break
-                    H = step * _clip(factors[best])
-                    column = best
-                    if best == j and j < top and not rejected:
-                        H = H * COLUMN_COST[j + 1] / COLUMN_COST[j]
-                        column = j + 1
+        while x != x_end:
+            if guard is not None and guard(x, y):
+                raise halt(SingularityHalt, f"singularity guard fired at x={mp.nstr(x, 17)}")
+            if samples.steps >= problem.max_steps:
+                raise halt(StepUnderflowHalt, "step budget exhausted")
+            rows = problem.jet(x, y, order + ESTIMATE_TERMS)
+            state = [row[:order + 1] for row in rows]
+            h_floor = h_floor_rel * max(1, abs(x))
+            remaining = abs(x_end - x)
+            h = _decay_step(rows, order, budget)
+            if h is None or remaining <= h + h_floor:
+                h = remaining
+            sign = None if denominator is None else mp.sign(denominator(x, y))
+            while True:
+                if h < h_floor:
+                    raise halt(StepUnderflowHalt, f"step size underflow at x={mp.nstr(x, 17)}")
+                x_new = x_end if h == remaining else x + direction * h
+                tau = x_new - x
+                y_new = [_horner(row, tau) for row in state]
+                if sign is None or mp.sign(denominator(x_new, y_new)) == sign:
                     break
+                h = h / 2
+
+            while pending and (x_new - pending[0]) * direction > 0:
+                point = pending.pop(0)
+                samples.append((point, [_horner(row, point - x) for row in state]))
+            if pending and pending[0] == x_new:
+                pending.pop(0)
+
+            f = problem.rhs(x_new, y_new)
+            for i, row in enumerate(state):
+                slope = _slope(row, tau)
+                gap = abs(f[i] - slope)
+                bound = DEFECT_SAFETY * order * budget * (1 + abs(y_new[i]) + abs(tau * slope))
+                if not gap <= bound:
+                    raise JetDefectError(
+                        f"jet misses rhs component {i} by {mp.nstr(gap, 3)} "
+                        f"(bound {mp.nstr(bound, 3)}) at x={mp.nstr(x_new, 17)}")
+
+            x, y = x_new, y_new
+            samples.append((x, list(y)))
+            samples.steps += 1
         return samples

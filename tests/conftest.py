@@ -1,8 +1,10 @@
 """Shared fixtures."""
 
+import dataclasses
+
 import pytest
 
-from hankelpv import ode, quadrature
+from hankelpv import asymptotics, ode, quadrature
 
 
 @pytest.fixture
@@ -24,18 +26,26 @@ def quadrature_passes(monkeypatch):
 
 
 @pytest.fixture
-def midpoint_substeps(monkeypatch):
-    """Substep counts of the GBS midpoint passes made during the test.
+def taylor_steps(monkeypatch):
+    """Abscissae of the jets taken by every ode.solve_ode run in the test.
 
-    Every pass of ode.solve_ode runs through ode._midpoint_pass and calls
-    the right-hand side once per substep, so the sum is the ODE work.
+    The integrator takes one jet per step, and a step it has sized is never
+    retried, so on a run that finishes the length is the accepted step
+    count. The flows bind solve_ode by name in hankelpv.asymptotics, so that
+    binding is wrapped too.
     """
-    counts = []
-    midpoint = ode._midpoint_pass
+    points = []
+    solve = ode.solve_ode
 
-    def counted(*args):
-        counts.append(args[-1])  # the substep count n
-        return midpoint(*args)
+    def counted(problem, *args, **kwargs):
+        jet = problem.jet
 
-    monkeypatch.setattr(ode, "_midpoint_pass", counted)
-    return counts
+        def recorded(x, y, order):
+            points.append(x)
+            return jet(x, y, order)
+
+        return solve(dataclasses.replace(problem, jet=recorded), *args, **kwargs)
+
+    monkeypatch.setattr(ode, "solve_ode", counted)
+    monkeypatch.setattr(asymptotics, "solve_ode", counted)
+    return points

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from hankelpv import asymptotics
 from hankelpv.asymptotics import (
     FIXED_KINDS,
     ORDER_SMALL_SEED,
@@ -318,6 +319,29 @@ def test_small_recurrence_reproduces_tabulated_terms():
             assert got[i] == c
 
 
+def three_sum_small_coefficients(a, order):
+    """c_1..c_order with the s^2 g g'', s^2 g'^2 and s g g' products summed
+    one by one, the form the package folds into one weighted sum."""
+    c = [Fraction(0)] * (order + 1)
+    c[1] = 1 / (2 * a)
+    g2 = [Fraction(0)] * (order + 1)
+    for p in range(3, order + 2):
+        q = p - 1
+        g2[q] = sum(c[i] * c[q - i] for i in range(1, q))
+        pair_a = sum(c[m] * (p - m) * (p - m - 1) * c[p - m] for m in range(1, p))
+        pair_b = sum(m * (p - m) * c[m] * c[p - m] for m in range(1, p))
+        pair_c = sum((p - m) * c[m] * c[p - m] for m in range(1, p))
+        triple = sum(c[m] * g2[p - m] for m in range(1, p - 1))
+        rest = 4 * pair_a - 4 * pair_b + 4 * pair_c - 8 * triple
+        c[p - 1] = -rest / (4 * c[1] * (p - 2) ** 2 - 2 * a)
+    return tuple(c[1:])
+
+
+@pytest.mark.parametrize("a", [HALF, -HALF, Fraction(3, 7)])
+def test_small_recurrence_equals_the_three_sum_form(a):
+    assert g_small_coefficients(a, 64) == three_sum_small_coefficients(a, 64)
+
+
 def test_small_recurrence_rejects_integer_a():
     with pytest.raises(ValueError):
         g_small_coefficients(Fraction(2), 8)
@@ -458,23 +482,61 @@ def test_flow_value_at_unknown_point():
         traj.value_at(mpf("0.123456"))
 
 
-def test_flow_checkpoints_do_not_multiply_the_work(midpoint_substeps):
-    # the 17 sample points that `hankelpv solve-p3 --s 0.1` asks for
+def test_flow_checkpoints_do_not_multiply_the_work(taylor_steps):
+    # the 17 sample points that `hankelpv solve-p3 --s 0.1` asks for are
+    # read off the Taylor polynomials of the steps that cover them
     config = PrecisionConfig(bits=320, target_digits=target_digits_for_bits(320))
     points = _grid("0.05", "0.1", 17, config)[1:]
     free = solve_piii_prime(HALF, "0.1", config)
-    free_work = sum(midpoint_substeps)
-    midpoint_substeps.clear()
+    free_steps = list(taylor_steps)
+    taylor_steps.clear()
     sampled = solve_piii_prime(HALF, "0.1", config, sample_points=points)
     assert not free.halted and not sampled.halted
     assert len(sampled.samples) > len(points)
-    assert sum(midpoint_substeps) <= 1.5 * free_work
+    assert taylor_steps == free_steps
+    assert sampled.steps == free.steps == len(free_steps)
 
 
 def test_flow_determinism():
     one = solve_piii_prime(HALF, "0.25", LO, tolerance="1e-6", seed_order=40)
     two = solve_piii_prime(HALF, "0.25", LO, tolerance="1e-6", seed_order=40)
     assert one.endpoint == two.endpoint
+
+
+# each flow's jet against its right-hand side, at points off the seeded paths:
+# (rhs, jet, x, y)
+JETS = {
+    "piii-plus": (asymptotics._piii_rhs(mpf(1) / 2), asymptotics._piii_jet(mpf(1) / 2),
+                  "0.3", ("0.25", "0.9")),
+    "piii-minus": (asymptotics._piii_rhs(-mpf(1) / 2), asymptotics._piii_jet(-mpf(1) / 2),
+                   "1.2", ("-0.4", "0.3")),
+    "pv-even": (asymptotics._pv_rhs(2, mpf(1)), asymptotics._pv_jet(2, mpf(1)),
+                "0.2", ("1.1", "5")),
+    "pv-odd": (asymptotics._pv_rhs(3, mpf(5) / 2), asymptotics._pv_jet(3, mpf(5) / 2),
+               "0.6", ("0.8", "-1.2")),
+    "coupled": (asymptotics._coupled_rhs(mpf(1) / 2), asymptotics._coupled_jet(mpf(1) / 2),
+                "0.4", ("0.3", "0.8", "-0.2", "0.1")),
+}
+
+
+@pytest.mark.parametrize("name", list(JETS))
+def test_each_jet_encodes_its_rhs(name):
+    # a slip in clearing a denominator shows here even where an endpoint
+    # check would absorb it
+    rhs, jet, x, y = JETS[name]
+    with working_precision(LO):
+        x, y = mpf(x), [mpf(v) for v in y]
+        rows = jet(x, y, 40)
+        assert [row[0] for row in rows] == y
+        f = rhs(x, y)
+        assert abs(2 * rows[0][2] - f[1]) <= mpf(10) ** -70 * (1 + abs(f[1]))
+        # the derivative polynomial half a step on, where the order-40
+        # truncation sits below the rounding
+        tau = mpf(10) ** -3 / 2
+        moved = [mp.polyval(row[::-1], tau) for row in rows]
+        slopes = [mp.polyval([k * a for k, a in enumerate(row)][:0:-1], tau) for row in rows]
+        for slope, want in zip(slopes, rhs(x + tau, moved)):
+            assert abs(slope - want) <= mpf(10) ** -60 * (1 + abs(want))
 
 
 # --- finite-n evolution ---------------------------------------------------------

@@ -176,8 +176,8 @@ def test_scan_rejects_a_mismatched_reference_before_any_table(monkeypatch):
     assert excinfo.value.code == 2
 
 
-# the first GBS step is a sixteenth of the span, the default grid spacing,
-# so the first checkpoint lies within rounding of one full step
+# every one of the 17 grid points gets its own row, whether it lies inside
+# a step's polynomial or on a step end
 @pytest.mark.parametrize("argv", [
     ["solve-p3", "--a", "1/2", "--s", "0.05"],
     ["solve-p3", "--a", "1/2", "--s", "0.07"],
@@ -193,7 +193,7 @@ def test_flow_lands_on_a_checkpoint_one_step_away(argv):
     ("solve-p3", "solve_piii_prime"),
     ("solve-pv", "continue_pv"),
 ])
-def test_flows_report_their_step_count(monkeypatch, name, solver):
+def test_flows_report_their_step_count(monkeypatch, taylor_steps, name, solver):
     argv = next(argv for case, argv, _ in CASES if case == name)
     made = []
     original = getattr(cli, solver)
@@ -201,9 +201,10 @@ def test_flows_report_their_step_count(monkeypatch, name, solver):
     err = io.StringIO()
     status, out = _run(argv, err)
     assert (status, out) == (cli.EXIT_OK, (GOLDEN / f"{name}.csv").read_text())
-    steps = len(made[0].samples) - 1
-    assert f"{name}: steps: {steps}\n" in err.getvalue()
-    assert steps >= len(_rows(out)) - 1
+    # the accepted steps, not the rows of the dense output
+    assert made[0].steps == len(taylor_steps) > 0
+    assert f"{name}: steps: {len(taylor_steps)}\n" in err.getvalue()
+    assert f"{name}: order: {made[0].order}\n" in err.getvalue()
 
 
 G2 = ["--mode", "g2", "--s", "0.5", "--n-list"]
@@ -262,11 +263,33 @@ def test_bad_bits_from_environment_exit_2(monkeypatch):
 
 def test_traced_benchmark_job_runs():
     # perfbench/tracer.py wraps package functions by name, so a rename
-    # shows here as a failed traced job
-    spec = {"argv": ["moments", *AT, "--j-max", "6", "--bits", "128"]}
-    proc = subprocess.run([sys.executable, str(JOB), json.dumps(spec), "1"],
-                          capture_output=True, text=True, timeout=300, check=False)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert (result["status"], result["error"]) == (0, None), result["stderr"]
-    assert result["trace"]["counts"]["weights.table_builds"] == 1
+    # shows here as a failed traced job. For the flows it also swaps
+    # OdeProblem.rhs, which the integrator calls once per step to check
+    # its jet
+    for argv, counts in [(["moments", *AT, "--j-max", "6"], {"weights.table_builds": 1}),
+                         (["solve-p3", "--a", "1/2", "--s", "0.05"],
+                          {"ode.solves": 1, "ode.rhs_calls": 1})]:
+        spec = {"argv": [*argv, "--bits", "128"]}
+        proc = subprocess.run([sys.executable, str(JOB), json.dumps(spec), "1"],
+                              capture_output=True, text=True, timeout=300, check=False)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert (result["status"], result["error"]) == (0, None), result["stderr"]
+        assert {key: result["trace"]["counts"][key] for key in counts} == counts
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-pv", "--n", "2", "--alpha", "1", "--t0", "0.1", "--t-end", "1"],
+    ["solve-p3", "--a", "1/2", "--s", "0.5"],
+], ids=["solve-pv", "solve-p3"])
+def test_default_bits_flows_finish(monkeypatch, argv):
+    # solve-pv's endpoint must meet the direct tables to half the digits
+    monkeypatch.delenv(ENV_BITS, raising=False)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        status = cli.main(argv)
+    assert status == cli.EXIT_OK, err.getvalue()
+    if argv[0] == "solve-pv":
+        gap = next(line for line in err.getvalue().splitlines() if "endpoint_gap" in line)
+        target = cli.target_digits_for_bits(DEFAULT_BITS)
+        assert Fraction(gap.split()[-1]) <= Fraction(10) ** -(target // 2)

@@ -3,11 +3,11 @@
 import pytest
 from mpmath import mp, mpf
 
-from hankelpv import ode
 from hankelpv.ode import (
     OdeProblem,
     SingularityHalt,
     StepUnderflowHalt,
+    cauchy,
     solve_ode,
 )
 from hankelpv.precision import PrecisionConfig, working_precision
@@ -19,10 +19,44 @@ def endpoint(samples):
     return samples[-1]
 
 
+def jet_of(coefficient):
+    """Jet of y' = f(x, y) from coefficient(x0, rows, k), the order-k Taylor
+    coefficients of f given the rows through order k: a_(k+1) = f_k/(k+1)."""
+
+    def jet(x, y, order):
+        rows = [[mpf(v)] for v in y]
+        for k in range(order):
+            for row, f in zip(rows, coefficient(x, rows, k)):
+                row.append(f / (k + 1))
+        return rows
+
+    return jet
+
+
+def times_trig(fn):
+    """Jet of y' = fn(x) y, with fn(x0 + tau) = sum_k fn(x0 + k pi/2) tau^k/k!."""
+
+    def jet(x, y, order):
+        f = [fn(x + k * mp.pi / 2) / mp.factorial(k) for k in range(order)]
+        a = [mpf(y[0])]
+        for k in range(order):
+            a.append(cauchy(f, a, k) / (k + 1))
+        return [a]
+
+    return jet
+
+
+GROWTH = jet_of(lambda x, r, k: [r[0][k]])  # y' = y
+GAUSSIAN = jet_of(lambda x, r, k: [-2 * cauchy([x, 1], r[0], k)])  # y' = -2xy
+OSCILLATOR = jet_of(lambda x, r, k: [r[1][k], -r[0][k]])  # y'' = -y
+SQUARE = jet_of(lambda x, r, k: [cauchy(r[0], r[0], k)])  # y' = y^2
+
+
 def test_exponential_growth():
     problem = OdeProblem(
         dimension=1,
         rhs=lambda x, y: [y[0]],
+        jet=GROWTH,
         x0=0,
         y0=[1],
         x_end=1,
@@ -39,6 +73,7 @@ def test_gaussian_decay():
     problem = OdeProblem(
         dimension=1,
         rhs=lambda x, y: [-2 * x * y[0]],
+        jet=GAUSSIAN,
         x0=0,
         y0=[1],
         x_end=2,
@@ -54,6 +89,7 @@ def test_halving_tolerance_improves_error_10x():
         problem = OdeProblem(
             dimension=1,
             rhs=lambda x, y: [y[0] * mp.cos(x)],
+            jet=times_trig(mp.cos),
             x0=0,
             y0=[1],
             x_end=3,
@@ -71,11 +107,12 @@ def test_halving_tolerance_improves_error_10x():
 
 
 SMOOTH_PROBLEMS = {
-    # name: (rhs, y0, x_end, exact y[0](x_end))
-    "y cos x": (lambda x, y: [y[0] * mp.cos(x)], [1], 3, lambda: mp.exp(mp.sin(3))),
-    "y": (lambda x, y: [y[0]], [1], 1, lambda: mp.e),
-    "-2xy": (lambda x, y: [-2 * x * y[0]], [1], 2, lambda: mp.exp(-4)),
-    "oscillator": (lambda x, y: [y[1], -y[0]], [0, 1], 6, lambda: mp.sin(6)),
+    # name: (rhs, jet, y0, x_end, exact y[0](x_end))
+    "y cos x": (lambda x, y: [y[0] * mp.cos(x)], times_trig(mp.cos), [1], 3,
+                lambda: mp.exp(mp.sin(3))),
+    "y": (lambda x, y: [y[0]], GROWTH, [1], 1, lambda: mp.e),
+    "-2xy": (lambda x, y: [-2 * x * y[0]], GAUSSIAN, [1], 2, lambda: mp.exp(-4)),
+    "oscillator": (lambda x, y: [y[1], -y[0]], OSCILLATOR, [0, 1], 6, lambda: mp.sin(6)),
 }
 
 
@@ -85,11 +122,11 @@ def test_error_falls_with_the_tolerance(name, tolerance):
     # runs of a handful of high-order steps, where one step can set the
     # global error: it must still fall on every halving of the tolerance,
     # and by the budget's 10^4 within a factor 10 over a decade
-    rhs, y0, x_end, exact = SMOOTH_PROBLEMS[name]
+    rhs, jet, y0, x_end, exact = SMOOTH_PROBLEMS[name]
 
     def error(tol):
         problem = OdeProblem(
-            dimension=len(y0), rhs=rhs, x0=0, y0=y0, x_end=x_end, tolerance=tol
+            dimension=len(y0), rhs=rhs, jet=jet, x0=0, y0=y0, x_end=x_end, tolerance=tol
         )
         x, y = endpoint(solve_ode(problem, CFG))
         with working_precision(CFG):
@@ -107,6 +144,7 @@ def test_backward_integration():
     problem = OdeProblem(
         dimension=1,
         rhs=lambda x, y: [y[0]],
+        jet=GROWTH,
         x0=1,
         y0=[mp.e],
         x_end=0,
@@ -122,6 +160,7 @@ def test_dense_output_hits_requested_points():
     problem = OdeProblem(
         dimension=2,
         rhs=lambda x, y: [y[1], -y[0]],  # harmonic oscillator
+        jet=OSCILLATOR,
         x0=0,
         y0=[0, 1],
         x_end=2,
@@ -140,11 +179,13 @@ def test_dense_output_hits_requested_points():
 
 
 def test_checkpoint_one_ulp_past_the_first_step():
-    # y = x^2 is exact for the midpoint rule, so the first step, a sixteenth
-    # of the span, is accepted and ends one ulp short of the checkpoint
+    # y = x^2 has a jet that vanishes past order 2, so the one step spans the
+    # whole range and the checkpoint, one ulp past 1/16, is read off its
+    # polynomial
     problem = OdeProblem(
         dimension=1,
         rhs=lambda x, y: [2 * x],
+        jet=jet_of(lambda x, r, k: [2 * [x, 1, 0][min(k, 2)]]),
         x0=0,
         y0=[0],
         x_end=1,
@@ -161,43 +202,12 @@ def test_checkpoint_one_ulp_past_the_first_step():
         assert abs(lookup[point][0] - point**2) < mpf(10) ** -40
 
 
-def test_order_stays_within_the_substep_sequence(monkeypatch):
-    # a short substep sequence puts the highest column within reach of a
-    # smooth run that wants ever higher order
-    sequence = (2, 4, 6, 8, 10, 12, 14)
-    top = len(sequence) - 2
-    monkeypatch.setattr(ode, "SUBSTEP_SEQUENCE", sequence)
-    monkeypatch.setattr(
-        ode, "COLUMN_COST", tuple(1 + sum(sequence[: j + 1]) for j in range(len(sequence)))
-    )
-    columns = []
-    extrapolate = ode._extrapolate
-
-    def recorded(rhs, x, y, f0, Hs, column, unit):
-        columns.append(column)
-        return extrapolate(rhs, x, y, f0, Hs, column, unit)
-
-    monkeypatch.setattr(ode, "_extrapolate", recorded)
-    problem = OdeProblem(
-        dimension=1,
-        rhs=lambda x, y: [y[0]],
-        x0=0,
-        y0=[1],
-        x_end=4,
-        tolerance=mpf(10) ** -12,
-    )
-    x, y = endpoint(solve_ode(problem, CFG))
-    assert max(columns) == top
-    with working_precision(CFG):
-        assert x == 4
-        assert abs(y[0] - mp.exp(4)) < mpf(10) ** -40
-
-
 def test_singularity_guard_halts_with_partial_trajectory():
     # y' = y^2 blows up at x = 1 from y(0) = 1
     problem = OdeProblem(
         dimension=1,
         rhs=lambda x, y: [y[0] ** 2],
+        jet=SQUARE,
         x0=0,
         y0=[1],
         x_end=2,
@@ -216,6 +226,7 @@ def test_unguarded_blowup_halts_on_step_budget():
     problem = OdeProblem(
         dimension=1,
         rhs=lambda x, y: [y[0] ** 2],
+        jet=SQUARE,
         x0=0,
         y0=[1],
         x_end=2,
@@ -231,6 +242,7 @@ def test_deterministic_step_sequence():
         return OdeProblem(
             dimension=1,
             rhs=lambda x, y: [mp.sin(x) * y[0]],
+            jet=times_trig(mp.sin),
             x0=0,
             y0=[1],
             x_end=1,
@@ -245,7 +257,7 @@ def test_deterministic_step_sequence():
 
 def test_tolerance_validation():
     problem = OdeProblem(
-        dimension=1, rhs=lambda x, y: [y[0]], x0=0, y0=[1], x_end=1,
+        dimension=1, rhs=lambda x, y: [y[0]], jet=GROWTH, x0=0, y0=[1], x_end=1,
         tolerance=mpf(10) ** -200,
     )
     with pytest.raises(ValueError):
