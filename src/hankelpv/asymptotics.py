@@ -353,17 +353,16 @@ def g_large_coefficients(a: Fraction, order: int) -> tuple:
     g2[1] = 2 * d[0] * d[1]
     for q in range(0, order - 1):
         slot = q + 2
-        partial = sum(d[i] * d[slot - i] for i in range(slot + 1))
-        pair_a = sum(d[i] * d[q - i] * (2 - (q - i)) * (-1 - (q - i))
-                     for i in range(q + 1))
-        pair_b = sum(d[i] * d[q - i] * (2 - i) * (2 - (q - i))
-                     for i in range(q + 1))
-        pair_c = sum(d[i] * d[q - i] * (2 - (q - i)) for i in range(q + 1))
+        # d_slot is still 0 here, so this is g2[slot] less its 2 d_0 d_slot
+        partial = sum(d[i] * d[slot - i] for i in range(1, slot))
+        # the s^2 g g'', s^2 g'^2 and s g g' products share d_i d_(q-i), with
+        # weight (4/9)(2-j)(i-j) at j = q-i; i and q-i together weigh (4/9)(q-2i)^2
+        pairs = Fraction(4, 9) * sum((q - 2 * i) ** 2 * d[i] * d[q - i]
+                                     for i in range((q + 1) // 2))
         triple = partial * d[0] + sum(d[m] * g2[slot - m]
                                       for m in range(1, slot + 1))
-        d[slot] = (Fraction(4, 9) * (pair_a - pair_b) + Fraction(4, 3) * pair_c
-                   - 8 * triple - 2 * a * d[q + 1]) / 6
-        g2[slot] = sum(d[i] * d[slot - i] for i in range(slot + 1))
+        d[slot] = (pairs - 8 * triple - 2 * a * d[q + 1]) / 6
+        g2[slot] = partial + 2 * d[0] * d[slot]
     return tuple(d)
 
 
@@ -1220,10 +1219,7 @@ def dyson_constant_experiment(
                     y0=start,
                     x_end=s_hi_val,
                     tolerance=tol,
-                    singularity_guard=lambda x, y: (
-                        abs(y[0]) < mpf(10) ** (-(config.target_digits // 2))
-                        or abs(y[0]) > _DIVERGENCE_CAP
-                        or abs(y[1]) > _DIVERGENCE_CAP),
+                    singularity_guard=_flow_guard(config),
                     denominator=_g_factor,
                 )
                 try:

@@ -4,8 +4,8 @@ Because the main weight is even, every even-index quantity of the main
 system is a quantity of this auxiliary system at a = -1/2 and every
 odd-index one at a = +1/2, with b = alpha in both cases. The module
 builds the auxiliary orthogonality data from scratch (quadrature
-moments, Hankel pivots, a three-term recurrence read off the pivot
-factorization) and verifies the splitting against the main engine:
+moments, then the norms and three-term coefficients by Chebyshev's
+algorithm) and verifies the splitting against the main engine:
 
   polynomial transplant  tilde_P_j(x, -1/2) = P_{2j}(sqrt x)
                          tilde_P_j(x, +1/2) = P_{2j+1}(sqrt x)/sqrt x
@@ -16,11 +16,12 @@ factorization) and verifies the splitting against the main engine:
 
 where H_n(t,a,b) = t d/dt ln tilde_D_n. H_n and its t-derivatives are
 exact, not finite differences: differentiating under the integral gives
-d/dt mu~_j = -mu~_{j-1}, finite for t > 0, so every t-derivative of the
-moment matrix is again a Hankel matrix of moments, and the derivatives of
-ln tilde_D_n are traces over the one Cholesky factor at a single t. One
-vector quadrature pass gives all the moments a table needs, and one more
-gives every Rstar_n and Rtilde_n.
+d/dt mu~_j = -mu~_{j-1}, finite for t > 0, so the moments' Taylor series
+at t are moments of lower order, and Chebyshev's algorithm run on those
+series (recurrence.chebyshev_jets) gives the jets of every tilde_h_k and
+so the derivatives of ln tilde_D_n at a single t. One vector quadrature
+pass gives all the moments a table needs, and one more gives every Rstar_n
+and Rtilde_n.
 
 The empty determinant is taken as tilde_D_0 := 1, so product and sum
 relations hold at n = 0 as exact trivial rows.
@@ -29,6 +30,7 @@ relations hold at n = 0 as exact trivial rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 
 from mpmath import mp, mpf
 
@@ -41,7 +43,7 @@ from .precision import (
     working_precision,
 )
 from .quadrature import clamped_exp, integrate_unit_vector
-from .recurrence import _factor, _log_det_derivatives, eval_poly, recurrence_table
+from .recurrence import chebyshev_jets, eval_poly, log_derivative_jet, recurrence_table
 
 PARITY_IDS = (
     "de1",
@@ -125,28 +127,10 @@ def tilde_moments(j_lo: int, j_hi: int, tp: TildeParams, config: PrecisionConfig
 
 
 def _boosted_digits(config: PrecisionConfig) -> int:
-    # H_n and its t-derivatives are traces over the moment factorization and
-    # are compared with the main engine at roundoff level, so the moment
-    # quadratures run near capacity, not at target_digits
+    # H_n and its t-derivatives come from the moments through Chebyshev's
+    # algorithm and are compared with the main engine at roundoff level, so
+    # the moment quadratures run near capacity, not at target_digits
     return max(config.target_digits, digits_capacity(config.bits) - 5)
-
-
-def _orthogonality_data(lower, inv, config: PrecisionConfig):
-    """Pivots and three-term coefficients from the moment factorization.
-
-    With M = F F^T the monic coefficient rows are diag(F_jj) F^{-1}, so
-    tilde_h_j is the squared pivot and the recurrence shift a_j is the
-    difference s_j - s_{j+1} of consecutive subleading coefficients.
-    """
-    size = len(lower)
-    with working_precision(config):
-        h = [lower[k][k] ** 2 for k in range(size)]
-        sub = [mpf(0)]
-        for j in range(1, size):
-            sub.append(lower[j][j] * inv[j][j - 1])
-        rec_a = [sub[j] - sub[j + 1] for j in range(size - 1)]
-        rec_b = [mpf(0)] + [h[j] / h[j - 1] for j in range(1, size)]
-        return h, rec_a, rec_b
 
 
 @dataclass
@@ -225,34 +209,47 @@ def tilde_R_lists(n_top: int, table: TildeTable, target_digits=None):
         return rstar, rtilde
 
 
+def _tilde_jets(values, j_lo: int, size: int, config: PrecisionConfig):
+    """chebyshev_jets on the quadrature moments mu~_{j_lo} .. mu~_{2 size - 2}.
+
+    d/dt mu~_j = -mu~_{j-1}, so the jets run to order -j_lo.
+    """
+    mu = dict(zip(range(j_lo, 2 * size - 1), values))
+    return chebyshev_jets(mu.__getitem__, size, -j_lo, 1, config)
+
+
+def _prefix_sums(values) -> list:
+    """[sum of values[:n] for n = 0 .. len(values)], each an exact-rounded fsum."""
+    return [mp.fsum(values[:n]) for n in range(len(values) + 1)]
+
+
 def tilde_moments_and_table(n_max: int, tp: TildeParams, config: PrecisionConfig) -> TildeTable:
     """Build the full auxiliary table for degrees up to n_max, in two passes.
 
     The first quadrature pass gives the moments mu~_0 .. mu~_{2 n_max},
-    and mu~_{-1} when t > 0; H_n = t d/dt ln tilde_D_n is the trace formula
-    over their one Cholesky factor. The second pass gives every Rstar_n
-    and Rtilde_n from their defining integrals.
+    and mu~_{-1} when t > 0; one Chebyshev pass on their first-order jets
+    gives tilde_h, the three-term coefficients and
+    H_n = t sum_{k<n} tilde_h_k' / tilde_h_k. The second pass gives every
+    Rstar_n and Rtilde_n from their defining integrals.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     j_lo = -1 if tp.t > 0 else 0
     values = tilde_moments(j_lo, 2 * n_max, tp, config, target_digits=_boosted_digits(config))
-    moments = values[-j_lo:]
-    lower, inv = _factor(moments, n_max + 1, config)
-    h, rec_a, rec_b = _orthogonality_data(lower, inv, config)
+    jets, alpha = _tilde_jets(values, j_lo, n_max + 1, config)
     with working_precision(config):
-        logd = [mpf(0)]
-        for k in range(n_max + 1):
-            logd.append(logd[-1] + mp.log(h[k]))
+        h = [jet[0] for jet in jets]
+        rec_b = [mpf(0)] + [h[j] / h[j - 1] for j in range(1, n_max + 1)]
+        logd = _prefix_sums([mp.log(x) for x in h])
         if tp.t == 0:
             # H = t dln(tilde_D)/dt vanishes with t (the log-derivative grows
             # at most like an inverse square root as t -> 0)
             H = [mpf(0)] * (n_max + 2)
         else:
-            mu = dict(zip(range(j_lo, 2 * n_max + 1), values))
-            H = [tp.t * d1 for d1 in _log_det_derivatives(mu, inv, 1, config)[0]]
-    table = TildeTable(tp=tp, config=config, moments=moments, tilde_h=h, tilde_logD=logd,
-                       rec_a=rec_a, rec_b=rec_b, H=H, Rstar=[], Rtilde=[])
+            H = [tp.t * d1 for d1 in _prefix_sums([jet[1] / jet[0] for jet in jets])]
+    table = TildeTable(tp=tp, config=config, moments=values[-j_lo:], tilde_h=h,
+                       tilde_logD=logd, rec_a=[jet[0] for jet in alpha], rec_b=rec_b,
+                       H=H, Rstar=[], Rtilde=[])
     table.Rstar, table.Rtilde = tilde_R_lists(n_max, table)
     return table
 
@@ -260,21 +257,24 @@ def tilde_moments_and_table(n_max: int, tp: TildeParams, config: PrecisionConfig
 def tilde_H_derivatives(n_top: int, tp: TildeParams, config: PrecisionConfig):
     """[(H_n, dH_n/dt, d2H_n/dt2) for n = 0 .. n_top] at the one t > 0 of tp.
 
-    One quadrature pass gives mu~_{-3} .. mu~_{2 n_top - 2}; with
-    L = ln tilde_D_n and L1, L2, L3 its first three t-derivatives,
-    H = t L1, dH/dt = L1 + t L2 and d2H/dt2 = 2 L2 + t L3.
+    One quadrature pass gives mu~_{-3} .. mu~_{2 n_top - 2}, and one
+    Chebyshev pass on their third-order jets the jets of tilde_h_k. With
+    L1, L2, L3 the first three t-derivatives of ln tilde_D_n, sums over
+    k < n of those of ln tilde_h_k, H = t L1, dH/dt = L1 + t L2 and
+    d2H/dt2 = 2 L2 + t L3.
     """
     if not tp.t > 0:
         raise ValueError("the t-derivatives of H_n need t > 0: "
                          "they use moments of order down to -3")
-    j_hi = max(2 * n_top - 2, -3)
-    values = tilde_moments(-3, j_hi, tp, config, target_digits=_boosted_digits(config))
-    mu = dict(zip(range(-3, j_hi + 1), values))
-    _lower, inv = _factor(mu, n_top, config)
-    d1, d2, d3 = _log_det_derivatives(mu, inv, 3, config)
+    values = tilde_moments(-3, max(2 * n_top - 2, -3), tp, config,
+                           target_digits=_boosted_digits(config))
+    jets, _alpha = _tilde_jets(values, -3, n_top, config)
     t = tp.t
     with working_precision(config):
-        return [(t * d1[n], d1[n] + t * d2[n], 2 * d2[n] + t * d3[n])
+        # the Taylor coefficients of (ln tilde_h_k)' are its derivatives over k!
+        slopes = [log_derivative_jet(jet) for jet in jets]
+        l1, l2, l3 = (_prefix_sums([factorial(k) * s[k] for s in slopes]) for k in range(3))
+        return [(t * l1[n], l1[n] + t * l2[n], 2 * l2[n] + t * l3[n])
                 for n in range(n_top + 1)]
 
 
@@ -427,7 +427,7 @@ def verify_jmo_sigma_form(n_list, tp: TildeParams, config: PrecisionConfig):
             rows.append(residual_row(
                 "hn", n, b, t, config,
                 *normalize([lhs, mid ** 2, tail], lhs - mid ** 2 - tail),
-                detail=f"a={mp.nstr(a, 8)};deriv=trace"))
+                detail=f"a={mp.nstr(a, 8)};deriv=jet"))
             # exact subtraction: ht + shift rounds back to hv exactly
             shift = n * (n + a + b)
             ht = mp.fsub(hv, shift, exact=True)
@@ -442,7 +442,7 @@ def verify_jmo_sigma_form(n_list, tp: TildeParams, config: PrecisionConfig):
             rows.append(residual_row(
                 "hn-sigma", n, b, t, config,
                 *normalize([lhs, t1, t2, t3, t4], lhs - t1 - t2 - t3 - t4),
-                detail=f"a={mp.nstr(a, 8)};{nu};deriv=trace"))
+                detail=f"a={mp.nstr(a, 8)};{nu};deriv=jet"))
             rows.append(residual_row(
                 "hn-shift", n, b, t, config,
                 *normalize([hv, ht, shift], ht + shift - hv),

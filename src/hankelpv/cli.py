@@ -30,17 +30,7 @@ from .asymptotics import (
     solve_piii_prime,
 )
 from .bridge import make_tilde_params, verify_jmo_sigma_form, verify_parity_splitting
-from .identities import (
-    DEFAULT_Z_POINTS,
-    run_identity_suite,
-    sign_monitor,
-    verify_difference_equations,
-    verify_differential,
-    verify_integral_representation,
-    verify_ladder_relations,
-    verify_linear_ode_Pn,
-    verify_scalar_identities,
-)
+from .identities import SUITES as VERIFY_SUITES, run_identity_suite
 from .ladder import ROUTE_IDENTITY, ROUTE_QUADRATURE, aux_table
 from .precision import (
     DEFAULT_BITS,
@@ -62,15 +52,6 @@ EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_NUMERIC = 2
 
-VERIFY_SUITES = (
-    "all",
-    "scalar",
-    "difference",
-    "differential",
-    "ladder",
-    "ode-pn",
-    "integral",
-)
 BRIDGE_SUITES = ("all", "parity", "jmo")
 AUX_ROUTES = (ROUTE_IDENTITY, ROUTE_QUADRATURE)
 
@@ -224,40 +205,10 @@ def _cmd_aux(run: RunConfig, config: PrecisionConfig):
     return report.aux_records(aux, config), EXIT_OK, []
 
 
-def _verify_rows(run: RunConfig, config: PrecisionConfig):
-    params = make_params(run.alpha, run.t, config)
-    n_max = run.n_max
-    suite = run.suite
-    if suite == "all":
-        return run_identity_suite(n_max, params, config)
-    if suite == "differential":
-        return verify_differential(list(range(n_max + 1)), params, config), []
-    if suite == "integral":
-        if params.t <= 0:
-            raise ValueError("the integral representation needs t > 0")
-        n = run.n if run.n is not None else 2
-        return [verify_integral_representation(n, params, params.t, config=config)], []
-    rec = recurrence_table(n_max + 2, params, config)
-    aux_q = aux_table(n_max + 1, params, config, route=ROUTE_QUADRATURE, recurrence=rec)
-    if suite == "scalar":
-        rows = verify_scalar_identities(n_max, params, aux_q, rec, config)
-    elif suite == "difference":
-        rows = verify_difference_equations(n_max, params, aux_q, config)
-    elif suite == "ladder":
-        rows = verify_ladder_relations(
-            min(n_max, 8), DEFAULT_Z_POINTS, params, aux_q, rec, config
-        )
-    else:
-        rows = [
-            verify_linear_ode_Pn(n, DEFAULT_Z_POINTS, params, aux_q, rec, config)
-            for n in range(min(n_max, 8) + 1)
-        ]
-    rows.sort(key=lambda row: (row.identity, row.n))
-    return rows, sign_monitor(aux_q)
-
-
 def _cmd_verify(run: RunConfig, config: PrecisionConfig):
-    rows, bad_signs = _verify_rows(run, config)
+    params = make_params(run.alpha, run.t, config)
+    rows, bad_signs = run_identity_suite(run.n_max, params, config, run.suite,
+                                         2 if run.n is None else run.n)
     notes = []
     if bad_signs:
         joined = ",".join(str(n) for n in bad_signs)

@@ -14,8 +14,9 @@ zero are tagged trivially-true with residual 0.
 Independence policy: r_n, R_n, sigma_n enter through the quadrature
 route (defining integrals), beta_n and p(n,t) through the moment
 determinants, and t-derivatives are exact, from d/dt mu_j = -mu_{j-2}
-(traces over the moment factorization at t), so no relation is checked
-against values produced by that same relation.
+(Chebyshev's algorithm on the Taylor series of the moments at t,
+recurrence.t_jets), so no relation is checked against values produced by
+that same relation.
 
 Three relations were printed after clearing a square root and are
 quadratic in the highest derivative or in an inner bracket.  Those rows
@@ -44,8 +45,10 @@ from .recurrence import (
     RecurrenceTable,
     eval_poly,
     hankel_det,
-    log_det_t_derivatives,
+    log_derivative_jet,
     recurrence_table,
+    series_quotient,
+    t_jets,
 )
 from .weights import MomentTable, WeightParams, make_params
 
@@ -78,6 +81,8 @@ IDENTITY_IDS = (
     "lowering",
     "raising",
 )
+
+SUITES = ("all", "scalar", "difference", "differential", "ladder", "ode-pn", "integral")
 
 DEFAULT_Z_POINTS = ("0.2", "0.37", "0.8")
 
@@ -403,29 +408,29 @@ def _ladder_t_derivatives(rec: RecurrenceTable, n_top: int, config: PrecisionCon
                           moments: MomentTable):
     """{name: [first, second]} t-derivatives of ln h, beta, p, r, R and sigma.
 
-    Each entry is a list over the index. They follow by the chain rule from
-    the exact derivatives of L_m = ln D_m (log_det_t_derivatives):
-    ln h_m = L_{m+1} - L_m and beta_m = h_m / h_{m-1}, and p, r, R and sigma
-    are linear in beta, as in the identity route of aux_table. R and sigma
-    run to index n_top.
+    Each entry is a list over the index. The jets of h_0 .. h_{n_top+1}
+    (t_jets) give ln h by its log-derivative and beta_m = h_m / h_{m-1} by
+    series division; p, r, R and sigma are linear in beta, as in the
+    identity route of aux_table, so their jets follow by the same maps. R
+    and sigma run to index n_top.
     """
     a = rec.params.alpha
-    logd = log_det_t_derivatives(n_top + 2, rec.params, config, 2, moments)
+    jets = t_jets(n_top + 1, rec.params, config, 2, moments)
     with working_precision(config):
-        lnh = [[d[m + 1] - d[m] for m in range(n_top + 2)] for d in logd]
-        # (ln beta_m)' and (ln beta_m)'' for m >= 1
-        lb1, lb2 = ([d[m] - d[m - 1] for m in range(1, n_top + 2)] for d in lnh)
-        beta = ([mpf(0)] + [b * d1 for b, d1 in zip(rec.beta[1:], lb1)],
-                [mpf(0)] + [b * (d2 + d1 ** 2) for b, d1, d2 in zip(rec.beta[1:], lb1, lb2)])
-        out = {"lnh": lnh, "beta": beta, "p": [], "r": [], "R": [], "sigma": []}
-        # dt is the derivative order's share of the [1-(-1)^n] t term of r_n
-        for dt, db in zip((1, 0), beta):
+        lnh = [list(d) for d in zip(*(log_derivative_jet(jet) for jet in jets))]
+        beta = [[mpf(0)] * 3] + [series_quotient(jets[m], jets[m - 1])
+                                 for m in range(1, n_top + 2)]
+        out = {"lnh": lnh, "beta": [], "p": [], "r": [], "R": [], "sigma": []}
+        # the k-th derivative is k! (here k) times the order-k coefficient; dt
+        # is that derivative's share of the [1-(-1)^n] t term of r_n
+        for k, dt in ((1, 1), (2, 0)):
+            db = [k * b[k] for b in beta]
             p = list(accumulate((-v for v in db[: n_top + 1]), initial=mpf(0)))
             r = [mpf(0)] + [(1 - _parity(n)) * dt + (2 * n + 1 + 2 * a) * db[n] - 2 * p[n]
                             for n in range(1, n_top + 2)]
             big_r = [r[n + 1] + r[n] for n in range(n_top + 1)]
             sig = list(accumulate((-v for v in big_r[:n_top]), initial=mpf(0)))
-            for name, values in zip(("p", "r", "R", "sigma"), (p, r, big_r, sig)):
+            for name, values in zip(("beta", "p", "r", "R", "sigma"), (db, p, r, big_r, sig)):
                 out[name].append(values)
         return out
 
@@ -455,7 +460,7 @@ def verify_differential(n_list, params: WeightParams, config: PrecisionConfig):
 
             lhs = 2 * t * der["lnh"][0][n]
             rows.append(residual_row("eq1", n, a, t, config,
-                                     *normalize([lhs, R], lhs + R), detail="deriv=trace"))
+                                     *normalize([lhs, R], lhs + R), detail="deriv=jet"))
 
             if n >= 1:
                 lhs = 2 * t * der["beta"][0][n]
@@ -463,13 +468,13 @@ def verify_differential(n_list, params: WeightParams, config: PrecisionConfig):
                 rows.append(residual_row(
                     "eq2", n, a, t, config,
                     *normalize([lhs, beta * aux0.R[n - 1], beta * R], lhs - rhs),
-                    detail="deriv=trace"))
+                    detail="deriv=jet"))
 
             lhs = 2 * t * der["p"][0][n]
             terms = [(1 - par) * t, beta * R]
             rows.append(residual_row("pnt", n, a, t, config,
                                      *normalize([lhs] + terms, lhs - terms[0] + terms[1]),
-                                     detail="deriv=trace"))
+                                     detail="deriv=jet"))
 
             r1, r2 = der["r"][0][n], der["r"][1][n]
             R1, R2 = der["R"][0][n], der["R"][1][n]
@@ -480,13 +485,13 @@ def verify_differential(n_list, params: WeightParams, config: PrecisionConfig):
                 t2 = -(n + r) * (n + 2 * a + r) * R / (k1 + R)
                 rows.append(residual_row("ricca1", n, a, t, config,
                                          *normalize([lhs, t1, t2], lhs - t1 - t2),
-                                         detail="deriv=trace"))
+                                         detail="deriv=jet"))
 
             lhs = 2 * t * R1
             terms = [R ** 2, (1 - 2 * par * t - 2 * r) * R, -2 * par * k1 * t]
             rows.append(residual_row("ricca2", n, a, t, config,
                                      *normalize([lhs] + terms, lhs - sum(terms)),
-                                     detail="deriv=trace"))
+                                     detail="deriv=jet"))
 
             rows.append(_ode_row(n, params, config, R, R1, R2))
             rows.append(_pv_row(n, params, config, R, R1, R2))
@@ -514,7 +519,7 @@ def _ode_row(n, params, config, R, R1, R2):
         8 * t ** 2 * k1 ** 3,
     ]
     return residual_row("ode", n, a, t, config,
-                        *normalize(terms, sum(terms)), detail="deriv=trace")
+                        *normalize(terms, sum(terms)), detail="deriv=jet")
 
 
 def _pv_row(n, params, config, R, R1, R2):
@@ -536,7 +541,7 @@ def _pv_row(n, params, config, R, R1, R2):
     ]
     return residual_row("pv", n, a, t, config,
                         *normalize([S2] + terms, S2 - sum(terms)),
-                        detail="deriv=trace")
+                        detail="deriv=jet")
 
 
 def _ode2_row(n, params, config, r, r1, r2):
@@ -569,7 +574,7 @@ def _ode2_row(n, params, config, r, r1, r2):
         branch = "+" if abs(r2 - plus) <= abs(r2 - minus) else "-"
     return residual_row("ode2", n, a, t, config,
                         *normalize(terms, sum(terms)), branch=branch,
-                        detail="deriv=trace")
+                        detail="deriv=jet")
 
 
 def _sode_row(n, params, config, sig, s1, s2, r_val):
@@ -655,7 +660,7 @@ def _sode_row(n, params, config, sig, s1, s2, r_val):
         branch = "+" if abs(r_val - (base + root)) <= abs(r_val - (base - root)) else "-"
     return residual_row("sode", n, a, t, config,
                         *normalize([lhs, rhs], lhs - rhs), branch=branch,
-                        detail="deriv=trace")
+                        detail="deriv=jet")
 
 
 def _cc_rule(m: int):
@@ -847,32 +852,40 @@ def sign_monitor(aux: AuxTable):
     return [n for n, value in enumerate(aux.R) if not value > 0]
 
 
-def run_identity_suite(
-    n_max: int,
-    params: WeightParams,
-    config: PrecisionConfig,
-    z_points=DEFAULT_Z_POINTS,
-):
-    """All identity rows at one (alpha, t) grid point, sorted and tagged.
+def run_identity_suite(n_max: int, params: WeightParams, config: PrecisionConfig,
+                       suite: str = "all", n: int = 2):
+    """Rows of one suite at one (alpha, t) grid point, and the indices the
+    sign monitor flags.
 
-    At t = 0 the t-differential and integral-representation rows are left
-    out: their negative-order moments and integration path need t > 0.
+    "all" takes every suite, sorted and tagged; at t = 0 it leaves out the
+    t-differential and integral-representation rows, whose negative-order
+    moments and integration path need t > 0; its representation row is at
+    order 2. The "integral" suite is that row at order n.
     """
+    if suite == "differential":
+        return verify_differential(list(range(n_max + 1)), params, config), []
+    if suite == "integral":
+        if params.t <= 0:
+            raise ValueError("the integral representation needs t > 0")
+        return [verify_integral_representation(n, params, params.t, config=config)], []
     rec = recurrence_table(n_max + 2, params, config)
     aux_q = aux_table(n_max + 1, params, config, route=ROUTE_QUADRATURE, recurrence=rec)
+    every = suite == "all"
+    with_t = every and params.t > 0
+    z_points, n_poly = DEFAULT_Z_POINTS, min(n_max, 8)
     rows = []
-    rows += verify_scalar_identities(n_max, params, aux_q, rec, config)
-    rows += verify_difference_equations(n_max, params, aux_q, config)
-    if params.t > 0:
+    if every or suite == "scalar":
+        rows += verify_scalar_identities(n_max, params, aux_q, rec, config)
+    if every or suite == "difference":
+        rows += verify_difference_equations(n_max, params, aux_q, config)
+    if with_t:
         rows += verify_differential(list(range(n_max + 1)), params, config)
-    rows += verify_ladder_relations(
-        min(n_max, 8), z_points, params, aux_q, rec, config
-    )
-    for n in range(min(n_max, 8) + 1):
-        rows.append(
-            verify_linear_ode_Pn(n, z_points, params, aux_q, rec, config)
-        )
-    if params.t > 0:
+    if every or suite == "ladder":
+        rows += verify_ladder_relations(n_poly, z_points, params, aux_q, rec, config)
+    if every or suite == "ode-pn":
+        rows += [verify_linear_ode_Pn(m, z_points, params, aux_q, rec, config)
+                 for m in range(n_poly + 1)]
+    if with_t:
         rows.append(verify_integral_representation(2, params, params.t, config=config))
     rows.sort(key=lambda row: (row.identity, row.n))
     return rows, sign_monitor(aux_q)

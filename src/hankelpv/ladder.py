@@ -143,21 +143,18 @@ def aux_table(
 ) -> AuxTable:
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
+    if route not in (ROUTE_IDENTITY, ROUTE_QUADRATURE):
+        raise ValueError(f"unknown route {route!r}")
+    table = recurrence
+    if table is None or table.n_max < n_max + 1:
+        table = recurrence_table(n_max + 1, params, config)
     if route == ROUTE_IDENTITY:
-        table = recurrence
-        if table is None or table.n_max < n_max + 1:
-            table = recurrence_table(n_max + 1, params, config)
         with working_precision(config):
             r = [aux_r(k, table) for k in range(n_max + 2)]
             big_r = [r[k + 1] + r[k] for k in range(n_max + 1)]
             r = r[: n_max + 1]
-    elif route == ROUTE_QUADRATURE:
-        table = recurrence
-        if table is None or table.n_max < n_max + 1:
-            table = recurrence_table(n_max + 1, params, config)
-        r, big_r = aux_oracles(n_max, params, config, table)
     else:
-        raise ValueError(f"unknown route {route!r}")
+        r, big_r = aux_oracles(n_max, params, config, table)
     with working_precision(config):
         sigma = [mpf(0)]
         for k in range(n_max):

@@ -19,12 +19,28 @@ moments to recurrence coefficients is as ill-conditioned as the Hankel
 matrix itself, so this route loses digits with n at the rate a Cholesky
 factorization of the moment matrix does; a non-positive h_k means the
 precision ran out.
+
+Exact t-derivatives come from the same algorithm run on truncated Taylor
+series in tau (chebyshev_jets). Differentiating under the integral gives
+d/dt mu_j = -mu_{j-c}, with c = 2 for this weight and c = 1 for the
+auxiliary weight of bridge.py, so
+
+    mu_j(t + tau) = sum_k (-tau)^k / k! mu_{j-ck}(t),
+
+and one pass with every product a Cauchy product of series gives the jets
+of all h_k at once. That general form keeps the alpha_k term, which the
+auxiliary weight needs; on this even weight it is an exact zero, and the
+order-0 coefficients are the norms of the plain pass bit for bit. The
+negative orders come from the weight's Pearson relation (negative_moments),
+so the jets need t > 0.
 """
 
 from dataclasses import dataclass
+from math import factorial
 
 from mpmath import mp, mpf
 
+from .ode import cauchy
 from .precision import NumericsError, PrecisionConfig, to_mpf, working_precision
 from .special import log_barnes_g, log_gamma
 from .weights import MomentTable, WeightParams, negative_moments
@@ -39,7 +55,11 @@ class PivotError(NumericsError):
 
 
 def _cholesky(rows):
-    """Lower-triangular factor at ambient precision; raises on bad pivots."""
+    """Lower-triangular factor at ambient precision; raises on bad pivots.
+
+    No route of the package factors a moment matrix; the tests keep this as
+    the independent reference for the Chebyshev norms.
+    """
     n = len(rows)
     lower = [[mpf(0)] * n for _ in range(n)]
     for i in range(n):
@@ -54,62 +74,6 @@ def _cholesky(rows):
             else:
                 lower[i][j] = acc / lower[j][j]
     return lower
-
-
-def _factor(moments, size: int, config: PrecisionConfig):
-    """Cholesky factor F of the size x size moment matrix, and F^{-1}."""
-    with working_precision(config):
-        lower = _cholesky([[moments[i + j] for j in range(size)] for i in range(size)])
-        inv = [[mpf(0)] * size for _ in range(size)]
-        for j in range(size):
-            inv[j][j] = 1 / lower[j][j]
-            for k in range(j - 1, -1, -1):
-                acc = mpf(0)
-                for m in range(k, j):
-                    acc += lower[j][m] * inv[m][k]
-                inv[j][k] = -acc / lower[j][j]
-        return lower, inv
-
-
-def _log_det_derivatives(mu, inv, orders: int, config: PrecisionConfig):
-    """The first `orders` t-derivatives of ln det of the leading n x n block
-    of the Hankel matrix M_ij = mu_{i+j}, for n = 0 .. len(inv).
-
-    The moments obey d/dt mu_j = -mu_{j-1}, and mu maps every order
-    j >= -orders to its moment. The k-th t-derivative of M is
-    M^(k)_ij = (-1)^k mu_{i+j-k}; with A_k = M^{-1} M^(k) and L = ln det M,
-
-      L'   = tr A_1,
-      L''  = tr A_2 - tr A_1^2,
-      L''' = tr A_3 - 3 tr A_1 A_2 + 2 tr A_1^3.
-
-    The traces are taken of C_k = F^{-1} M^(k) F^{-T}, which is similar to
-    A_k (F the Cholesky factor, inv = F^{-1}). F^{-1} is lower triangular,
-    so the leading n x n block of C_k is the one of the leading n x n block
-    of M, and one factor gives every n.
-    """
-    size = len(inv)
-    with working_precision(config):
-        c = []
-        for k in range(1, orders + 1):
-            sign = -1 if k % 2 else 1
-            left = [[sign * mp.fsum(inv[i][p] * mu[p + q - k] for p in range(i + 1))
-                     for q in range(size)] for i in range(size)]
-            c.append([[mp.fsum(left[i][q] * inv[j][q] for q in range(j + 1))
-                       for j in range(size)] for i in range(size)])
-        out = [[] for _ in range(orders)]
-        for n in range(size + 1):
-            idx = range(n)
-            out[0].append(mp.fsum(c[0][i][i] for i in idx))
-            if orders > 1:
-                square = mp.fsum(c[0][i][j] ** 2 for i in idx for j in idx)
-                out[1].append(mp.fsum(c[1][i][i] for i in idx) - square)
-            if orders > 2:
-                mixed = mp.fsum(c[0][i][j] * c[1][i][j] for i in idx for j in idx)
-                cube = mp.fsum(c[0][i][j] * c[0][j][m] * c[0][m][i]
-                               for i in idx for j in idx for m in idx)
-                out[2].append(mp.fsum(c[2][i][i] for i in idx) - 3 * mixed + 2 * cube)
-        return out
 
 
 def _chebyshev_norms(moments, size: int, config: PrecisionConfig) -> list:
@@ -127,6 +91,57 @@ def _chebyshev_norms(moments, size: int, config: PrecisionConfig) -> list:
             beta = h[k] / h[k - 1] if k else 0
             prev, row = row, [row[i + 1] - beta * prev[i + 1] for i in range(size - k - 1)]
         return h
+
+
+def series_quotient(a, b) -> list:
+    """Taylor coefficients of a/b to the length of a; b_0 must not vanish."""
+    q = []
+    for m in range(len(a)):
+        q.append((a[m] - cauchy(b, q, m, start=1)) / b[0])
+    return q
+
+
+def log_derivative_jet(jet) -> list:
+    """Taylor coefficients of (ln f)' = f'/f from those of f, one order fewer."""
+    return series_quotient([k * c for k, c in enumerate(jet)][1:], jet[:-1])
+
+
+def chebyshev_jets(mu, size: int, order: int, step: int, config: PrecisionConfig):
+    """Jets of h_0 .. h_{size-1} and of alpha_0 .. alpha_{size-2} at t.
+
+    A jet is the list of Taylor coefficients f^(k)(t)/k!, k = 0 .. order.
+    mu(j) is mu_j(t) for every j >= -step * order, and d/dt mu_j =
+    -mu_{j-step} (module docstring). Chebyshev's algorithm with its alpha_k
+    term (Gautschi, §2.1.7) runs on those series: row k holds sigma_{k,l}
+    for l = k .. 2 size - 2 - k, so mu_0 .. mu_{2 size - 2} suffice, and
+
+        sigma_{k+1,l} = sigma_{k,l+1} - alpha_k sigma_{k,l} - beta_k sigma_{k-1,l},
+        alpha_k = sigma_{k,k+1}/sigma_{k,k} - sigma_{k-1,k}/sigma_{k-1,k-1},
+
+    with beta_k = h_k/h_{k-1} and h_k = sigma_{k,k}.
+    """
+    with working_precision(config):
+        def jet(j):
+            return [mu(j)] + [(-1) ** k * mu(j - step * k) / factorial(k)
+                              for k in range(1, order + 1)]
+
+        zero = [mpf(0)] * (order + 1)
+        # sigma_{-1,l} = 0 enters only through beta_0 = 0, so row 0 stands in for it
+        prev = row = [jet(j) for j in range(2 * size - 1)]
+        h, alpha, shift = [], [], zero
+        for k in range(size):
+            if not row[0][0] > 0:
+                raise PivotError(f"non-positive pivot at index {k}", index=k)
+            h.append(row[0])
+            if k == size - 1:
+                break
+            ratio = series_quotient(row[1], row[0])
+            alpha.append([x - y for x, y in zip(ratio, shift)])
+            beta = series_quotient(h[k], h[k - 1]) if k else zero
+            prev, row, shift = row, [
+                [row[i + 2][m] - cauchy(alpha[k], row[i + 1], m) - cauchy(beta, prev[i + 2], m)
+                 for m in range(order + 1)] for i in range(len(row) - 2)], ratio
+        return h, alpha
 
 
 def _retried(params, j_max, config, moments, work):
@@ -163,39 +178,29 @@ def hankel_det(n: int, params: WeightParams, config: PrecisionConfig, moments=No
     return hankel_log_dets(n, params, config, moments)[0][-1], 1
 
 
-def log_det_t_derivatives(n_top: int, params: WeightParams, config: PrecisionConfig,
-                          orders: int, moments=None):
-    """[d^k/dt^k ln D_m for m = 0 .. n_top] for k = 1 .. orders, at the one t > 0.
+def t_jets(n_top: int, params: WeightParams, config: PrecisionConfig, order: int,
+           moments=None) -> list:
+    """[jet of h_m for m = 0 .. n_top] to the given order, at the one t > 0.
 
-    Differentiating under the integral gives d/dt mu_j = -mu_{j-2}. Both
-    parity blocks are Hankel matrices in nu_k, with nu_k = mu_{2k} for E
-    and mu_{2k+2} for O, and both obey d/dt nu_k = -nu_{k-1}, so the trace
-    formulas of _log_det_derivatives apply to each block, and
-    ln D_m = ln det E_{ceil(m/2)} + ln det O_{floor(m/2)}. The negative
-    orders come from the weight's Pearson relation (negative_moments).
+    One chebyshev_jets pass on the moments with step 2; the negative orders
+    come from negative_moments and the odd moments are exact zeros. A
+    non-positive pivot rebuilds the moments at doubled bits, as the plain
+    pass does.
     """
     if not params.t > 0:
-        raise ValueError("the t-derivatives of ln D_n need t > 0: "
+        raise ValueError("the t-derivatives of h_n need t > 0: "
                          "they use moments of negative order")
-    sizes = ((n_top + 1) // 2, 0), (n_top // 2, 2)
 
-    def blocks(table, cfg):
-        low = negative_moments(table, -2 * orders)
+    def work(table, cfg):
+        low = negative_moments(table, -2 * order)
+        zero = mpf(0)
 
         def mu(j):
-            return low[j] if j < 0 else table[j]
+            return table[j] if j >= 0 else low.get(j, zero)
 
-        out = []
-        for size, offset in sizes:
-            nu = {k: mu(2 * k + offset) for k in range(-orders, 2 * size - 1)}
-            _lower, inv = _factor(nu, size, cfg)
-            out.append(_log_det_derivatives(nu, inv, orders, cfg))
-        return out
+        return chebyshev_jets(mu, n_top + 1, order, 2, cfg)[0]
 
-    (even, odd), cfg = _retried(params, max(2 * n_top - 2, 0), config, moments, blocks)
-    with working_precision(cfg):
-        return [[even[k][(m + 1) // 2] + odd[k][m // 2] for m in range(n_top + 1)]
-                for k in range(orders)]
+    return _retried(params, 2 * n_top, config, moments, work)[0]
 
 
 @dataclass

@@ -342,6 +342,33 @@ def test_small_recurrence_equals_the_three_sum_form(a):
     assert g_small_coefficients(a, 64) == three_sum_small_coefficients(a, 64)
 
 
+def three_sum_large_coefficients(a, order):
+    """d_0..d_order with the s^2 g g'', s^2 g'^2 and s g g' products summed
+    one by one and g^2 summed in full, the form the package folds."""
+    d = [Fraction(0)] * (order + 1)
+    d[0] = Fraction(1, 2)
+    d[1] = -a / 6
+    g2 = [Fraction(0)] * (order + 1)
+    g2[0] = d[0] * d[0]
+    g2[1] = 2 * d[0] * d[1]
+    for q in range(0, order - 1):
+        slot = q + 2
+        partial = sum(d[i] * d[slot - i] for i in range(slot + 1))
+        pair_a = sum(d[i] * d[q - i] * (2 - (q - i)) * (-1 - (q - i)) for i in range(q + 1))
+        pair_b = sum(d[i] * d[q - i] * (2 - i) * (2 - (q - i)) for i in range(q + 1))
+        pair_c = sum(d[i] * d[q - i] * (2 - (q - i)) for i in range(q + 1))
+        triple = partial * d[0] + sum(d[m] * g2[slot - m] for m in range(1, slot + 1))
+        d[slot] = (Fraction(4, 9) * (pair_a - pair_b) + Fraction(4, 3) * pair_c
+                   - 8 * triple - 2 * a * d[q + 1]) / 6
+        g2[slot] = sum(d[i] * d[slot - i] for i in range(slot + 1))
+    return tuple(d)
+
+
+@pytest.mark.parametrize("a", [HALF, -HALF, Fraction(3, 7)])
+def test_large_recurrence_equals_the_three_sum_form(a):
+    assert g_large_coefficients(a, 72) == three_sum_large_coefficients(a, 72)
+
+
 def test_small_recurrence_rejects_integer_a():
     with pytest.raises(ValueError):
         g_small_coefficients(Fraction(2), 8)

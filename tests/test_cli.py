@@ -11,6 +11,7 @@ change is meant to alter printed digits, and says so.
 import csv
 import io
 import json
+import runpy
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -265,11 +266,14 @@ def test_traced_benchmark_job_runs():
     # perfbench/tracer.py wraps package functions by name, so a rename
     # shows here as a failed traced job. For the flows it also swaps
     # OdeProblem.rhs, which the integrator calls once per step to check
-    # its jet
-    for argv, counts in [(["moments", *AT, "--j-max", "6"], {"weights.table_builds": 1}),
-                         (["solve-p3", "--a", "1/2", "--s", "0.05"],
-                          {"ode.solves": 1, "ode.rhs_calls": 1})]:
-        spec = {"argv": [*argv, "--bits", "128"]}
+    # its jet. The verify workload's jmo job calls the bridge directly
+    jmo = next(job for job in runpy.run_path(str(JOB.parent / "workloads.py"))["VERIFY"]
+               if job["id"] == "jmo")
+    for spec, counts in [({"argv": ["moments", *AT, "--j-max", "6", "--bits", "128"]},
+                          {"weights.table_builds": 1}),
+                         ({"argv": ["solve-p3", "--a", "1/2", "--s", "0.05", "--bits", "128"]},
+                          {"ode.solves": 1, "ode.rhs_calls": 1}),
+                         (jmo, {"bridge.rows": 3})]:
         proc = subprocess.run([sys.executable, str(JOB), json.dumps(spec), "1"],
                               capture_output=True, text=True, timeout=300, check=False)
         assert proc.returncode == 0, proc.stderr

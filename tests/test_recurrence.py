@@ -3,6 +3,7 @@
 import io
 from contextlib import redirect_stdout
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from mpmath import mp, mpf
@@ -17,11 +18,13 @@ from hankelpv.recurrence import (
     _cholesky,
     _t0_log_det_barnes,
     _t0_log_det_gammas,
+    chebyshev_jets,
     eval_poly,
     hankel_det,
     hankel_det_t0,
-    log_det_t_derivatives,
+    log_derivative_jet,
     recurrence_table,
+    t_jets,
 )
 from hankelpv.weights import MomentTable, make_params, moment_entry, weight_value
 
@@ -235,13 +238,22 @@ def test_eval_poly_derivatives_match_richardson():
         assert abs(got.d2 - d2) < max(err2, mpf(10) ** -40)
 
 
+def _log_det_derivatives(jets, cfg, orders=2):
+    """[d^k/dt^k ln D_m for m = 0 .. len(jets)] for k = 1 .. orders, from the
+    h_k jets: ln D_m is the sum of ln h_k over k < m."""
+    with working_precision(cfg):
+        slopes = [log_derivative_jet(jet) for jet in jets]
+        return [[factorial(k) * mp.fsum(s[k] for s in slopes[:m]) for m in range(len(jets) + 1)]
+                for k in range(orders)]
+
+
 @pytest.mark.parametrize("alpha,t", [(1, "0.5"), ("2.5", "3")])
-def test_log_det_t_derivatives_against_stencils(alpha, t):
+def test_t_jets_against_stencils(alpha, t):
     # Richardson bundles over ln D_m of tables rebuilt at shifted t; the step
     # balances truncation (h^8) against the determinant noise (eps/h^2)
     cfg = PrecisionConfig(bits=256, target_digits=30)
     p = make_params(alpha, t, cfg)
-    d1, d2 = log_det_t_derivatives(4, p, cfg, 2)
+    d1, d2 = _log_det_derivatives(t_jets(3, p, cfg, 2), cfg)
     tables = {}
 
     def log_det(m):
@@ -262,9 +274,35 @@ def test_log_det_t_derivatives_against_stencils(alpha, t):
             assert abs(d2[m] - l2) <= e2
 
 
-def test_log_det_t_derivatives_need_positive_t():
+def test_t_jets_need_positive_t():
     with pytest.raises(ValueError):
-        log_det_t_derivatives(2, make_params(1, 0, CFG), CFG, 1)
+        t_jets(2, make_params(1, 0, CFG), CFG, 1)
+
+
+def test_series_pass_at_order_zero_is_the_plain_pass():
+    # on the even weight the alpha_k terms are exact zeros, so the series
+    # pass rounds exactly as the plain one does
+    p = make_params("0.7", "0.05", CFG)
+    moments = MomentTable.build(p, 78, CFG)
+    h, alpha = chebyshev_jets(moments.__getitem__, 40, 0, 2, CFG)
+    assert [jet[0] for jet in h] == _chebyshev_norms(moments, 40, CFG)
+    assert all(jet == [0] for jet in alpha)
+
+
+@pytest.mark.parametrize("alpha,t", [(1, "0.5"), ("2.5", "3"), ("0.7", "0.05")])
+def test_t_jets_agree_across_precisions(alpha, t):
+    # d^k/dt^k ln D_m for k <= 3 and m <= 24; the moment map loses digits
+    # with m, and at (2.5, 3) the third derivative of ln D_24 keeps 57 of
+    # the 77 digits of 256 bits
+    lo_cfg = PrecisionConfig(bits=256, target_digits=30)
+    hi_cfg = PrecisionConfig(bits=1024, target_digits=120)
+    lo = t_jets(23, make_params(alpha, t, lo_cfg), lo_cfg, 3)
+    hi = t_jets(23, make_params(alpha, t, hi_cfg), hi_cfg, 3)
+    with working_precision(hi_cfg):
+        lo_d, hi_d = (_log_det_derivatives(jets, hi_cfg, 3) for jets in (lo, hi))
+        for lo_k, hi_k in zip(lo_d, hi_d):
+            for a, b in zip(lo_k[1:], hi_k[1:]):
+                assert abs(a - b) <= mpf(10) ** -55 * abs(b)
 
 
 def test_orthogonality_spot_check():
