@@ -4,13 +4,15 @@ Three cooperating parts.  The series tables are the exact rational
 recurrences for the small-s and large-s expansions of the scaled quantities,
 truncated after six or seven terms, evaluated together with a
 first-omitted-term truncation estimate.  The flow solvers integrate the
-scaled second-order equation for g(s,a) and the finite-n evolution equation
-for R_n(t) as initial value problems, seeded from the series respectively
-from the finite-n tables; each supplies the Taylor jet of its cleared,
-polynomial form to the integrator in ode.py.  The scan driver measures the
-double-scaling limits directly: raw finite-n values along the prescribed
-(n, t) trajectories, Richardson extrapolation in 1/n with a dual-model error
-bar, and comparison against the series references.
+scaled second-order equation for g(s,a) and the Painleve V equation for
+R_n(t), seeded from the series respectively from the finite-n tables; the
+R_n flow's rhs and seed slope solve ladder.pv_terms and riccati_terms, which
+the identity rows check.  Each Taylor jet for ode.py is its own transcription
+of its cleared equation: solve_ode checks every step's jet against the rhs,
+which is a check only while the two are written apart.  The scan driver
+measures the double-scaling limits directly: raw finite-n values along the
+prescribed (n, t) trajectories, Richardson extrapolation in 1/n with a
+dual-model error bar, and comparison against the series references.
 
 The two scaling regimes are distinct and never mixed: the g/delta scans
 hold s = 2n^2 t fixed, the sigma scan holds s = n^4 t fixed.
@@ -25,13 +27,12 @@ from typing import Callable, Optional, Sequence
 
 from mpmath import mp, mpf
 
-from .identities import normalize, residual_row
-from .ladder import _parity, aux_R, aux_r
+from .ladder import _parity, aux_R, aux_r, pv_terms, riccati_terms
 from .ode import OdeHalt, OdeProblem, cauchy, solve_ode
 from .precision import NumericsError, PrecisionConfig, to_mpf, working_precision
 from .recurrence import hankel_det_t0, recurrence_table
 from .special import log_barnes_g, zeta_prime_minus_one
-from .weights import make_params
+from .weights import WeightParams, make_params
 
 SMALL = "small-s"
 LARGE = "large-s"
@@ -483,13 +484,14 @@ def _flow_guard(config: PrecisionConfig) -> Callable:
 
 @dataclass
 class PiiiTrajectory:
-    """Integrated path of (g, g') with seed metadata and halt status;
-    `steps` counts the integrator's accepted steps, Taylor polynomials of
-    degree `order`."""
+    """Integrated path of (g, g') with its seed's tail estimate `seed_error`
+    (0 when explicit) and halt status; `steps` counts the integrator's
+    accepted steps, Taylor polynomials of degree `order`."""
 
     a: mpf
     seed: str
     s0: mpf
+    seed_error: mpf
     s_end: mpf
     tolerance: mpf
     samples: list
@@ -541,8 +543,11 @@ def solve_piii_prime(
     from the extended descending expansion truncated at its smallest term
     and integrates downward; `explicit` takes (s0, y0) verbatim.  A guard
     halts the flow when g approaches 0 or diverges; the partial path is
-    returned with `halted` set rather than raised.
+    returned with `halted` set rather than raised.  The series seeds' tail
+    estimates read the last kept terms, so seed_order must be at least 3.
     """
+    if seed_order is not None and seed_order < 3:
+        raise ValueError(f"seed order must be at least 3, got {seed_order}")
     with working_precision(config):
         s_end = to_mpf(s_end, config)
         if s_end <= 0:
@@ -566,13 +571,14 @@ def solve_piii_prime(
             else:
                 s0 = to_mpf(s0, config)
             gv, gd = _poly_seed(coeffs, s0)
+            seed_error = _small_seed_tail(coeffs, s0)
             start = [gv, gd]
             a_val = _fr(fr)
         elif seed == SEED_LARGE_SERIES:
             fr = _as_fraction(a)
             order = ORDER_LARGE_SEED if seed_order is None else seed_order
             s0 = 2 * s_end if s0 is None else to_mpf(s0, config)
-            gv, gd, _tail = _large_seed(fr, s0, order)
+            gv, gd, seed_error = _large_seed(fr, s0, order)
             start = [gv, gd]
             a_val = _fr(fr)
         elif seed == SEED_EXPLICIT:
@@ -580,6 +586,7 @@ def solve_piii_prime(
                 raise ValueError("explicit seeding needs both s0 and y0")
             s0 = to_mpf(s0, config)
             start = [to_mpf(y0[0], config), to_mpf(y0[1], config)]
+            seed_error = mpf(0)
             try:
                 a_val = _fr(_as_fraction(a))
             except TypeError:
@@ -608,7 +615,7 @@ def solve_piii_prime(
             reason = str(halt)
         path = [(x, y[0], y[1]) for x, y in samples]
     return PiiiTrajectory(
-        a=a_val, seed=seed, s0=s0, s_end=s_end, tolerance=tol,
+        a=a_val, seed=seed, s0=s0, seed_error=seed_error, s_end=s_end, tolerance=tol,
         samples=path, halted=halted, halt_reason=reason,
         steps=samples.steps, order=samples.order,
     )
@@ -642,31 +649,19 @@ class PvTrajectory:
 
 
 def _pv_rhs(n: int, alpha: mpf) -> Callable:
-    par = _parity(n)
-    k1 = 2 * n + 2 * alpha + 1
-    c3 = 4 * n ** 2 + 4 * (2 * alpha + 1) * n + 4 * alpha + 1
-
     def rhs(t, y):
-        big_r, rp = y
-        den = 8 * t * t * big_r * (k1 + big_r)
-        if den == 0:
-            return [rp, mp.inf]
-        num = (4 * t * t * (4 * n + 4 * alpha + 2 + 3 * big_r) * rp * rp
-               - 8 * t * (k1 + big_r) * big_r * rp
-               + big_r ** 5
-               + 2 * k1 * big_r ** 4
-               + (c3 - 4 * t * t - 4 * par * t) * big_r ** 3
-               - 8 * t * k1 * (par + 2 * t) * big_r ** 2
-               - 4 * t * k1 ** 2 * (par + 5 * t) * big_r
-               - 8 * t * t * k1 ** 3)
-        return [rp, num / den]
+        # at R'' = 1 the first term is its own coefficient, 8t^2 R (k1 + R)
+        terms = pv_terms(n, y[0], y[1], 1, WeightParams(alpha=alpha, t=t))
+        if terms[0] == 0:
+            return [y[1], mp.inf]
+        return [y[1], -sum(terms[1:]) / terms[0]]
 
     return rhs
 
 
 def _pv_jet(n: int, alpha: mpf) -> Callable:
-    """Taylor coefficients of (R, R') from 8t^2 R(k1+R) R'' = the numerator
-    of _pv_rhs, written as R^3 (R^2 + 2k1 R + c3) + 4t R' X + t A1 + t^2 A2
+    """Taylor coefficients of (R, R') from 8t^2 R(k1+R) R'' = -(the other
+    ladder.pv_terms), written as R^3 (R^2 + 2k1 R + c3) + 4t R' X + t A1 + t^2 A2
     with X = t(4n+4alpha+2+3R) R' - 2R(k1+R) and A1, A2 linear in R, R^2, R^3."""
     par = _parity(n)
     k1 = 2 * n + 2 * alpha + 1
@@ -707,12 +702,8 @@ def _seed_aux(n: int, alpha, t, config: PrecisionConfig):
     params = make_params(alpha, t, config)
     rec = recurrence_table(n + 1, params, config)
     with working_precision(config):
-        par = _parity(n)
-        k1 = 2 * n + 2 * params.alpha + 1
-        r_val = aux_r(n, rec)
         big_r = aux_R(n, rec)
-        rp = (big_r ** 2 + (1 - 2 * par * params.t - 2 * r_val) * big_r
-              - 2 * par * k1 * params.t) / (2 * params.t)
+        rp = sum(riccati_terms(n, big_r, aux_r(n, rec), params)) / (2 * params.t)
     return big_r, rp
 
 
@@ -728,12 +719,10 @@ def continue_pv(
     """Evolve R_n(t) from t0 to t_end and cross-check the endpoint.
 
     The seed (R_n, R_n') comes from the finite-n tables at t0, the slope
-    through the first-order relation 2tR' = R^2 + (1-2(-1)^n t-2r)R
-    - 2(-1)^n(2n+2alpha+1)t.  Guards halt on R_n -> 0 or
-    2n+2alpha+1+R_n -> 0, the zeros of the evolution's leading
-    coefficient.  Only params.alpha is read; the trajectory's own t span
-    is [t0, t_end], which must stay positive (the equation is singular at
-    t=0).
+    through the Riccati relation.  Guards halt on R_n -> 0 or
+    2n+2alpha+1+R_n -> 0, the zeros of the evolution's leading coefficient.
+    Only params.alpha is read; the trajectory's own t span is [t0, t_end],
+    which must stay positive (the equation is singular at t=0).
     """
     if n < 0:
         raise ValueError("index must be non-negative")
@@ -792,54 +781,6 @@ def continue_pv(
         endpoint_direct=endpoint_direct, endpoint_gap=endpoint_gap,
         steps=samples.steps, order=samples.order,
     )
-
-
-def _spread_indices(count: int, max_rows: int):
-    if count <= max_rows:
-        return list(range(count))
-    stride = (count - 1) / (max_rows - 1)
-    picked = sorted({round(i * stride) for i in range(max_rows)})
-    picked[-1] = count - 1
-    return picked
-
-
-def pv_residual_rows(trajectory: PvTrajectory, config: PrecisionConfig,
-                     max_rows: int = 17) -> list:
-    """Residual of the S_n form along the path, S_n = 1 + R_n/(2n+2alpha+1).
-
-    S'' is taken from the evolution right-hand side, so each row checks
-    that the transformed equation holds at the stored (R, R') points; the
-    trajectory's own accuracy is covered by the endpoint cross-check.
-    """
-    n = trajectory.n
-    alpha = trajectory.alpha
-    par = _parity(n)
-    rhs = _pv_rhs(n, alpha)
-    rows = []
-    with working_precision(config):
-        k1 = 2 * n + 2 * alpha + 1
-        for idx in _spread_indices(len(trajectory.samples), max_rows):
-            t, big_r, rp = trajectory.samples[idx]
-            r2 = rhs(t, [big_r, rp])[1]
-            s_val = 1 + big_r / k1
-            s1 = rp / k1
-            s2 = r2 / k1
-            if s_val == 0 or s_val == 1:
-                rows.append(residual_row("pv-path", n, alpha, t, config, mpf(0), None,
-                                         detail="S(S-1)=0 pole"))
-                continue
-            terms = [
-                (3 * s_val - 1) * s1 ** 2 / (2 * s_val * (s_val - 1)),
-                -s1 / t,
-                (s_val - 1) ** 2 / t ** 2 * (k1 ** 2 * s_val / 8
-                                             - alpha ** 2 / (2 * s_val)),
-                -par * s_val / (2 * t),
-                -s_val * (s_val + 1) / (2 * (s_val - 1)),
-            ]
-            rows.append(residual_row("pv-path", n, alpha, t, config,
-                                     *normalize([s2] + terms, s2 - mp.fsum(terms)),
-                                     detail="second derivative from the evolution"))
-    return rows
 
 
 # --- double-scaling scans -----------------------------------------------------
@@ -1034,59 +975,6 @@ def double_scaling_scan(
         reference=reference, reference_kind=ref_kind,
         agreement_digits=agreement, monotone=monotone, flags=flags, configs=configs,
     )
-
-
-def sigma_form_residual(
-    sigma_samples: Callable,
-    s_points: Sequence,
-    config: PrecisionConfig,
-    h0=None,
-    sample_error=None,
-    alpha=0,
-) -> list:
-    """Residual rows of 4s^2(o'')^2+4so'o''+8s(o')^3-4o(o')^2+(o')^2 = 0.
-
-    Derivatives come from Richardson stencils on `sigma_samples`; when the
-    sampler is itself an extrapolation, pass `h0` sized to its noise floor
-    (about noise^(1/10)) and `sample_error` so the row's pass bar can
-    propagate the input uncertainty through the stencil amplification.
-    Rows pass when the residual sits below the propagated bar (or the
-    global threshold when that is larger).
-    """
-    from .derivatives import derivative_bundle
-
-    rows = []
-    with working_precision(config):
-        alpha_val = to_mpf(alpha, config)
-        err0 = mpf(0) if sample_error is None else to_mpf(sample_error, config)
-        for point in s_points:
-            s = to_mpf(point, config)
-            bundle = derivative_bundle(sigma_samples, s, config,
-                                       orders=(1, 2), h0=h0)
-            d1, e1 = bundle[1]
-            d2, e2 = bundle[2]
-            sig = to_mpf(sigma_samples(s), config)
-            terms = [
-                4 * s ** 2 * d2 ** 2,
-                4 * s * d1 * d2,
-                8 * s * d1 ** 3,
-                -4 * sig * d1 ** 2,
-                d1 ** 2,
-            ]
-            scale, residual = normalize(terms, mp.fsum(terms))
-            if residual is None:
-                rows.append(residual_row("sf", 0, alpha_val, s, config, scale, None,
-                                         detail="flat sample"))
-                continue
-            sens_d2 = abs(8 * s ** 2 * d2 + 4 * s * d1)
-            sens_d1 = abs(4 * s * d2 + 24 * s * d1 ** 2 - 8 * sig * d1 + 2 * d1)
-            sens_sig = 4 * d1 ** 2
-            # first-order propagation of stencil + sampler uncertainty,
-            # with slack for the neglected cross terms
-            bar = 4 * (sens_d2 * e2 + sens_d1 * e1 + sens_sig * err0) / scale
-            rows.append(residual_row("sf", 0, alpha_val, s, config, scale, residual,
-                                     detail=f"error-bar~{mp.nstr(bar, 3)}", bar=bar))
-    return rows
 
 
 # --- the constant-term experiment ---------------------------------------------

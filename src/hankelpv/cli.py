@@ -205,6 +205,14 @@ def _cmd_aux(run: RunConfig, config: PrecisionConfig):
     return report.aux_records(aux, config), EXIT_OK, []
 
 
+def _residual_report(rows, config: PrecisionConfig, notes: list):
+    """A residual report's records, and exit 1 with a note when any row failed."""
+    failed = sum(1 for row in rows if not row.passed)
+    if failed:
+        notes.append(f"findings: {failed} of {len(rows)} rows failed")
+    return report.verify_records(rows, config), EXIT_FINDING if failed else EXIT_OK, notes
+
+
 def _cmd_verify(run: RunConfig, config: PrecisionConfig):
     params = make_params(run.alpha, run.t, config)
     rows, bad_signs = run_identity_suite(run.n_max, params, config, run.suite,
@@ -213,11 +221,7 @@ def _cmd_verify(run: RunConfig, config: PrecisionConfig):
     if bad_signs:
         joined = ",".join(str(n) for n in bad_signs)
         notes.append(f"sign-monitor: R_n not positive at n={joined}")
-    failed = sum(1 for row in rows if not row.passed)
-    if failed:
-        notes.append(f"findings: {failed} of {len(rows)} rows failed")
-    status = EXIT_FINDING if failed else EXIT_OK
-    return report.verify_records(rows, config), status, notes
+    return _residual_report(rows, config, notes)
 
 
 def _cmd_bridge(run: RunConfig, config: PrecisionConfig):
@@ -232,12 +236,7 @@ def _cmd_bridge(run: RunConfig, config: PrecisionConfig):
         tp = make_tilde_params(run.options["b"], run.alpha, run.t, config)
         n_list = run.n_list if run.n_list is not None else (1, 2)
         rows += verify_jmo_sigma_form(list(n_list), tp, config)
-    notes = []
-    failed = sum(1 for row in rows if not row.passed)
-    if failed:
-        notes.append(f"findings: {failed} of {len(rows)} rows failed")
-    status = EXIT_FINDING if failed else EXIT_OK
-    return report.verify_records(rows, config), status, notes
+    return _residual_report(rows, config, [])
 
 
 def _cmd_solve_pv(run: RunConfig, config: PrecisionConfig):
@@ -291,6 +290,12 @@ def _cmd_solve_p3(run: RunConfig, config: PrecisionConfig):
         sample_points=[p for p in points if p != start] or None,
         seed_order=opts.get("seed_order"),
     )
+    # the bound the small-series search meets, so no printed digit rests on the seed
+    bound = trajectory.tolerance ** 4 * max(1, abs(trajectory.samples[0][1]))
+    if trajectory.seed_error > bound:
+        raise NumericsError(f"the {seed} seed at s0={report.fmt(trajectory.s0, config, 6)} "
+                            f"has a tail of {report.fmt(trajectory.seed_error, config, 3)}, "
+                            f"above tolerance^4*max(1,|g0|) = {report.fmt(bound, config, 3)}")
     trimmed = replace(
         trajectory, samples=_nearest_rows(trajectory.samples, points)
     )
@@ -458,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g0", default=None)
     p.add_argument("--dg0", default=None)
     p.add_argument("--tolerance", default=None)
-    p.add_argument("--seed-order", type=int, default=None)
+    p.add_argument("--seed-order", type=_count(3), default=None)
     p.add_argument("--samples", type=int, default=17)
     _add_common(p, plot=True)
 

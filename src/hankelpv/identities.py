@@ -16,7 +16,10 @@ route (defining integrals), beta_n and p(n,t) through the moment
 determinants, and t-derivatives are exact, from d/dt mu_j = -mu_{j-2}
 (Chebyshev's algorithm on the Taylor series of the moments at t,
 recurrence.t_jets), so no relation is checked against values produced by
-that same relation.
+that same relation.  The relations that are also solved (PV for R_n, the
+Riccati relation for R_n', beta_n from R_n and r_n) live in ladder.py as
+pv_terms, riccati_terms and beta_aux_terms, which the ode, ricca2 and be3
+rows normalize; the flows' Taylor jets stay separate, to check their rhs.
 
 Three relations were printed after clearing a square root and are
 quadratic in the highest derivative or in an inner bracket.  Those rows
@@ -35,8 +38,11 @@ from .ladder import (
     AuxTable,
     _parity,
     aux_table,
+    beta_aux_terms,
     eval_ladder,
     ladder_pieces,
+    pv_terms,
+    riccati_terms,
     v_prime,
 )
 from .precision import PrecisionConfig, working_precision
@@ -252,8 +258,7 @@ def verify_scalar_identities(
                                          *normalize([lhs1, lhs2] + terms, d)))
 
                 if R != 0:
-                    t1 = ((n + r) ** 2 + 2 * a * (n + r)) / (k0 * (k1 + R))
-                    t2 = 2 * par * t * r / (k0 * R)
+                    t1, t2 = beta_aux_terms(n, R, r, params)
                     rows.append(
                         residual_row("be3", n, a, t, config,
                                      *normalize([beta, t1, t2], beta - t1 - t2))
@@ -488,7 +493,7 @@ def verify_differential(n_list, params: WeightParams, config: PrecisionConfig):
                                          detail="deriv=jet"))
 
             lhs = 2 * t * R1
-            terms = [R ** 2, (1 - 2 * par * t - 2 * r) * R, -2 * par * k1 * t]
+            terms = riccati_terms(n, R, r, params)
             rows.append(residual_row("ricca2", n, a, t, config,
                                      *normalize([lhs] + terms, lhs - sum(terms)),
                                      detail="deriv=jet"))
@@ -502,23 +507,8 @@ def verify_differential(n_list, params: WeightParams, config: PrecisionConfig):
 
 
 def _ode_row(n, params, config, R, R1, R2):
-    a = params.alpha
-    t = params.t
-    par = _parity(n)
-    k1 = 2 * n + 2 * a + 1
-    terms = [
-        8 * t ** 2 * R * (k1 + R) * R2,
-        -4 * t ** 2 * (4 * n + 4 * a + 2 + 3 * R) * R1 ** 2,
-        8 * t * (k1 + R) * R * R1,
-        -(R ** 5),
-        -2 * k1 * R ** 4,
-        -(4 * n ** 2 + 4 * (2 * a + 1) * n + 4 * a + 1 - 4 * t ** 2 - 4 * par * t)
-        * R ** 3,
-        8 * t * k1 * (par + 2 * t) * R ** 2,
-        4 * t * k1 ** 2 * (par + 5 * t) * R,
-        8 * t ** 2 * k1 ** 3,
-    ]
-    return residual_row("ode", n, a, t, config,
+    terms = pv_terms(n, R, R1, R2, params)
+    return residual_row("ode", n, params.alpha, params.t, config,
                         *normalize(terms, sum(terms)), detail="deriv=jet")
 
 

@@ -217,33 +217,53 @@ def initial_R1(params: WeightParams, config: PrecisionConfig) -> mpf:
         return num / den
 
 
+# --- the compatibility conditions as additive terms, k1 = 2n+1+2alpha ---------
+
+
+def pv_terms(n: int, R, R1, R2, params: WeightParams) -> list:
+    """The nine terms of the cleared Painleve V equation for R_n(t), whose
+    sum vanishes; the first is 8t^2 R (k1+R) R''."""
+    a, t = params.alpha, params.t
+    par = _parity(n)
+    k1 = 2 * n + 2 * a + 1
+    return [
+        8 * t ** 2 * R * (k1 + R) * R2,
+        -4 * t ** 2 * (4 * n + 4 * a + 2 + 3 * R) * R1 ** 2,
+        8 * t * (k1 + R) * R * R1,
+        -(R ** 5),
+        -2 * k1 * R ** 4,
+        -(4 * n ** 2 + 4 * (2 * a + 1) * n + 4 * a + 1 - 4 * t ** 2 - 4 * par * t)
+        * R ** 3,
+        8 * t * k1 * (par + 2 * t) * R ** 2,
+        4 * t * k1 ** 2 * (par + 5 * t) * R,
+        8 * t ** 2 * k1 ** 3,
+    ]
+
+
+def riccati_terms(n: int, R, r, params: WeightParams) -> list:
+    """The three terms of the Riccati relation whose sum is 2t R_n'."""
+    t = params.t
+    par = _parity(n)
+    k1 = 2 * n + 1 + 2 * params.alpha
+    return [R ** 2, (1 - 2 * par * t - 2 * r) * R, -2 * par * k1 * t]
+
+
+def beta_aux_terms(n: int, R, r, params: WeightParams) -> list:
+    """The two terms whose sum is beta_n, from (R_n, r_n)."""
+    a = params.alpha
+    k0 = 2 * n - 1 + 2 * a
+    k1 = 2 * n + 1 + 2 * a
+    return [((n + r) ** 2 + 2 * a * (n + r)) / (k0 * (k1 + R)),
+            2 * _parity(n) * params.t * r / (k0 * R)]
+
+
 def beta_via_aux(n: int, R_n, r_n, params: WeightParams, config: PrecisionConfig):
     """beta_n from (R_n, r_n); poles of the expression are reported."""
     with working_precision(config):
-        a = params.alpha
-        t = params.t
-        d1 = (2 * n - 1 + 2 * a) * (2 * n + 1 + 2 * a + R_n)
-        if d1 == 0 or R_n == 0:
-            raise NumericsError(
-                f"beta expression pole at n={n}: R_n={R_n}, shifted pole={d1}"
-            )
-        first = ((n + r_n) ** 2 + 2 * a * (n + r_n)) / d1
-        second = 2 * _parity(n) * t * r_n / ((2 * n - 1 + 2 * a) * R_n)
-        return first + second
-
-
-def beta_via_sigma(n: int, r_n, sigma_n, params: WeightParams, config: PrecisionConfig):
-    """beta_n from (r_n, sigma_n); denominator is strictly positive."""
-    with working_precision(config):
-        a = params.alpha
-        t = params.t
-        num = (
-            n * (n + 2 * a)
-            + 2 * (n + a) * r_n
-            + sigma_n
-            + 2 * t * (_parity(n) * (n + a) - a)
-        )
-        return num / ((2 * n + 1 + 2 * a) * (2 * n - 1 + 2 * a))
+        try:
+            return sum(beta_aux_terms(n, R_n, r_n, params))
+        except ZeroDivisionError:
+            raise NumericsError(f"beta expression pole at n={n}: R_n={R_n}") from None
 
 
 def v_prime(z, params: WeightParams) -> mpf:

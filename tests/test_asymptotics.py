@@ -21,16 +21,17 @@ from hankelpv.asymptotics import (
     g_large_coefficients,
     g_small_coefficients,
     log_ratio_small_coefficients,
-    pv_residual_rows,
     series_eval,
     series_expansion,
-    sigma_form_residual,
     solve_piii_prime,
 )
 from hankelpv.cli import _grid, target_digits_for_bits
+from hankelpv.identities import _ladder_t_derivatives
+from hankelpv.ladder import aux_table
 from hankelpv.precision import PrecisionConfig, working_precision
+from hankelpv.recurrence import recurrence_table
 from hankelpv.special import UnsupportedArgumentError
-from hankelpv.weights import make_params
+from hankelpv.weights import MomentTable, make_params
 
 CFG = PrecisionConfig()
 LO = PrecisionConfig(bits=256, target_digits=30)
@@ -501,6 +502,9 @@ def test_flow_argument_validation():
         solve_piii_prime(HALF, 1, LO, seed=SEED_EXPLICIT, s0="0.5")
     with pytest.raises(ValueError):
         solve_piii_prime(Fraction(3), 1, LO)
+    for seed in (SEED_SMALL_SERIES, SEED_LARGE_SERIES):
+        with pytest.raises(ValueError, match="seed order"):
+            solve_piii_prime(HALF, 1, LO, seed=seed, seed_order=2)
 
 
 def test_flow_value_at_unknown_point():
@@ -577,15 +581,18 @@ def test_pv_endpoint_matches_direct_tables():
         assert traj.endpoint_gap < mpf(10) ** -20
 
 
-def test_pv_residual_rows_pass():
-    params = make_params(1, "0.1", LO)
-    traj = continue_pv(2, params, "0.1", 1, LO, tolerance="1e-6")
-    rows = pv_residual_rows(traj, LO, max_rows=9)
-    assert 2 <= len(rows) <= 9
-    assert all(r.identity == "pv-path" for r in rows)
-    assert all(r.passed for r in rows)
-    assert rows[0].t == traj.t0
-    assert rows[-1].t == traj.t_end
+@pytest.mark.parametrize("alpha, t, n", [(1, "0.5", 2), ("2.5", 3, 3), ("0.7", "0.05", 5)])
+def test_pv_rhs_solves_for_the_moment_second_derivative(alpha, t, n):
+    # R and R' from the tables, R'' exactly from the moments' t-jets: the
+    # flow's rhs must solve the cleared equation for the same R''
+    params = make_params(alpha, t, LO)
+    moments = MomentTable.build(params, 2 * n + 2, LO)
+    rec = recurrence_table(n + 1, params, LO, moments)
+    big_r = aux_table(n, params, LO, recurrence=rec).R[n]
+    der = _ladder_t_derivatives(rec, n, LO, moments)["R"]
+    with working_precision(LO):
+        got = asymptotics._pv_rhs(n, params.alpha)(params.t, [big_r, der[0][n]])[1]
+        assert abs(got - der[1][n]) <= mpf(10) ** -60 * abs(der[1][n])
 
 
 def test_pv_trivial_span():
@@ -681,30 +688,6 @@ def test_scan_determinism():
     two = double_scaling_scan("0.1", (4, 8), 1, "g2", LO)
     assert one.raw == two.raw
     assert one.extrapolated == two.extrapolated
-
-
-# --- the scaled second-order form ------------------------------------------------
-
-
-def test_sigma_form_constant_sampler_is_trivial():
-    rows = sigma_form_residual(lambda s: mpf(3), ["0.1", "0.5"], LO)
-    assert all(r.trivial and r.passed for r in rows)
-    assert all(r.identity == "sf" for r in rows)
-
-
-def test_sigma_form_square_root_family_satisfies_it():
-    # sigma = C sqrt(s) zeroes the form identically for every C
-    for c in ("1", "-0.7"):
-        rows = sigma_form_residual(lambda s, c=mpf(c): c * s ** mpf("0.5"),
-                                   ["0.1", "0.4"], LO)
-        assert all(r.passed and not r.trivial for r in rows)
-
-
-def test_sigma_form_flags_non_solution():
-    rows = sigma_form_residual(lambda s: s * s, ["0.5"], LO)
-    assert not rows[0].passed
-    with working_precision(LO):
-        assert rows[0].residual > mpf("0.1")
 
 
 # --- the constant-term experiment ---------------------------------------------

@@ -153,8 +153,10 @@ def test_bridge_at_small_t(suite):
     (["verify", "--suite", "all", *AT, "--n-max", "-1"], "--n-max"),
     (["moments", *AT, "--j-max", "-1"], "--j-max"),
     (["verify", "--suite", "scalar", *AT, "--n-max", "-1"], "--n-max"),
+    # the series seeds' tail estimates read the last kept terms
+    (["solve-p3", "--a", "1/2", "--s", "0.05", "--seed-order", "1"], "--seed-order"),
 ], ids=["hankel-n-max-0", "verify-all-n-max-minus-1", "moments-j-max-minus-1",
-        "verify-scalar-n-max-minus-1"])
+        "verify-scalar-n-max-minus-1", "solve-p3-seed-order-1"])
 def test_bad_counts_are_usage_errors(argv, flag):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as excinfo:
@@ -233,6 +235,22 @@ def test_escalated_pass_says_so_on_stderr(command, loud, quiet, rows, note):
     assert len(_rows(out)) == rows
     assert notes == [f"{command}: bits: 128 -> 256{note}"]
     assert bits_notes(quiet)[2] == []
+
+
+@pytest.mark.parametrize("argv, note", [
+    (["--s", "5", "--seed", "large-series"],
+     "error: the large-series seed at s0=10.0 has a tail of 1.9"),
+    (["--s", "0.05", "--s0", "0.1", "--seed-order", "6"],
+     "error: the small-series seed at s0=0.1 has a tail of 1.9"),
+], ids=["large-series", "small-series-s0"])
+def test_seed_tail_above_the_step_budget_exits_2(argv, note):
+    # tolerance^4 * max(1, |g0|) is the bound the default small-series
+    # search meets; a seed above it would print digits it does not hold
+    err = io.StringIO()
+    status, out = _run(["solve-p3", "--a", "1/2", *argv], err)
+    assert (status, out) == (cli.EXIT_NUMERIC, "")
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(note)
 
 
 def test_integral_suite_exits_2_past_the_node_cap(monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 from mpmath import mp, mpf
 
 from hankelpv.derivatives import derivative
+from hankelpv.identities import verify_scalar_identities
 from hankelpv.ladder import (
     ROUTE_IDENTITY,
     ROUTE_QUADRATURE,
@@ -15,7 +16,6 @@ from hankelpv.ladder import (
     aux_r_oracle,
     aux_table,
     beta_via_aux,
-    beta_via_sigma,
     eval_ladder,
     initial_R1,
     initial_r1,
@@ -166,20 +166,19 @@ def test_sigma_matches_logdet_derivative(n, alpha, t):
 @pytest.mark.parametrize("n", [1, 2, 4, 5, 8])
 @pytest.mark.parametrize("alpha,t", [(1, "0.5"), ("0.7", "0.05")])
 def test_beta_recovery_both_expressions(n, alpha, t):
+    # beta_n from (R_n, r_n) by beta_via_aux, and from (r_n, sigma_n) by the
+    # be4 identity row, its only transcription
     p = make_params(alpha, t, CFG)
-    rec = recurrence_table(9, p, CFG)
-    aux = aux_table(8, p, CFG, recurrence=rec)
+    rec = recurrence_table(10, p, CFG)
+    aux = aux_table(9, p, CFG, recurrence=rec)
     with working_precision(CFG):
         tol = mpf(10) ** -30
         b_aux = beta_via_aux(n, aux.R[n], aux.r[n], p, CFG)
-        b_sig = beta_via_sigma(n, aux.r[n], aux.sigma[n], p, CFG)
         assert abs(b_aux - rec.beta[n]) < tol * abs(rec.beta[n])
-        assert abs(b_sig - rec.beta[n]) < tol * abs(rec.beta[n])
-
-
-def test_beta_via_sigma_n_zero():
-    p = make_params(1, "0.5", CFG)
-    assert beta_via_sigma(0, mpf(0), mpf(0), p, CFG) == 0
+    be4 = next(row for row in verify_scalar_identities(n, p, aux, rec, CFG)
+               if (row.identity, row.n) == ("be4", n))
+    assert be4.passed and not be4.trivial
+    assert be4.residual < tol
 
 
 def test_beta_via_aux_reports_pole():
