@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 from mpmath import mp, mpf
 
-from .ladder import _parity, aux_R, aux_r, pv_terms, riccati_terms
+from .ladder import _parity, ladder_maps, pv_terms, riccati_terms
 from .ode import OdeHalt, OdeProblem, cauchy, solve_ode
 from .precision import NumericsError, PrecisionConfig, to_mpf, working_precision
 from .recurrence import hankel_det_t0, recurrence_table
@@ -508,14 +508,6 @@ class PiiiTrajectory:
     def reached(self) -> mpf:
         return self.samples[-1][0]
 
-    def value_at(self, s) -> mpf:
-        sv = mpf(s)
-        tol = abs(sv) * mpf(10) ** -40 + mpf(10) ** -60
-        for x, g, _ in self.samples:
-            if abs(x - sv) <= tol:
-                return g
-        raise ValueError(f"s={sv} is not a stored sample point")
-
 
 def _default_flow_tolerance(config: PrecisionConfig) -> mpf:
     # the integrator's internal budget is tolerance^4, so a quarter of the
@@ -702,9 +694,9 @@ def _seed_aux(n: int, alpha, t, config: PrecisionConfig):
     params = make_params(alpha, t, config)
     rec = recurrence_table(n + 1, params, config)
     with working_precision(config):
-        big_r = aux_R(n, rec)
-        rp = sum(riccati_terms(n, big_r, aux_r(n, rec), params)) / (2 * params.t)
-    return big_r, rp
+        _, r, big_r, _ = ladder_maps(rec.beta, params)
+        rp = sum(riccati_terms(n, big_r[n], r[n], params)) / (2 * params.t)
+    return big_r[n], rp
 
 
 def continue_pv(
@@ -829,12 +821,10 @@ def _scan_raw(mode: str, s: mpf, n: int, alpha: mpf, config: PrecisionConfig):
         else:
             t = s / (2 * mpf(n) ** 2)
         params = make_params(alpha, t, config)
-        if mode == "g1":
-            rec = recurrence_table(2 * n + 1, params, config)
-            return n * aux_R(2 * n, rec), rec.config
-        if mode == "g2":
-            rec = recurrence_table(2 * n + 2, params, config)
-            return n * aux_R(2 * n + 1, rec), rec.config
+        if mode in ("g1", "g2"):
+            index = 2 * n if mode == "g1" else 2 * n + 1
+            rec = recurrence_table(index + 1, params, config)
+            return n * ladder_maps(rec.beta, params)[2][index], rec.config
         if mode == "delta1":
             rec = recurrence_table(2 * n, params, config)
             return rec.logD[2 * n] - hankel_det_t0(2 * n, alpha, config), rec.config
@@ -843,7 +833,7 @@ def _scan_raw(mode: str, s: mpf, n: int, alpha: mpf, config: PrecisionConfig):
             return rec.logD[2 * n + 1] - hankel_det_t0(2 * n + 1, alpha, config), rec.config
         # sigma-n4
         rec = recurrence_table(n + 1, params, config)
-        return -mp.fsum(aux_R(k, rec) for k in range(n)), rec.config
+        return -mp.fsum(ladder_maps(rec.beta, params)[2][:n]), rec.config
 
 
 _REFERENCE_KINDS = {

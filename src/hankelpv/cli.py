@@ -1,7 +1,9 @@
 """Command-line front end exposing every pipeline with reproducible output.
 
 Exit-status contract: 0 on success, 1 when any row of a verify or bridge
-report has passed=false (a finding, not a crash), 2 on numeric breakdown
+report has passed=false or when solve-pv's endpoint differs from the direct
+tables' R_n(t_end) by more than tolerance * max(1, |R_n(t_end)|) (a
+finding, not a crash), 2 on numeric breakdown
 (precision escalation failure, halted trajectory, unusable scan) and on
 usage errors. All real-valued output is printed as decimal strings at
 target_digits; identical invocations produce byte-identical output.
@@ -260,6 +262,13 @@ def _cmd_solve_pv(run: RunConfig, config: PrecisionConfig):
         status = EXIT_NUMERIC
     elif trajectory.endpoint_gap is not None:
         notes.append(f"endpoint_gap: {report.fmt(trajectory.endpoint_gap, config)}")
+        # the flow was asked for this tolerance; R_n(t_end) is the direct tables' value
+        with working_precision(config):
+            bar = trajectory.tolerance * max(1, abs(trajectory.endpoint_direct))
+        if trajectory.endpoint_gap > bar:
+            notes.append(f"finding: endpoint_gap above tolerance * max(1, |R_n(t_end)|) "
+                         f"= {report.fmt(bar, config)}")
+            status = EXIT_FINDING
     notes += _flow_notes(trajectory)
     return report.pv_records(trimmed, config), status, notes
 

@@ -16,7 +16,10 @@ route (defining integrals), beta_n and p(n,t) through the moment
 determinants, and t-derivatives are exact, from d/dt mu_j = -mu_{j-2}
 (Chebyshev's algorithm on the Taylor series of the moments at t,
 recurrence.t_jets), so no relation is checked against values produced by
-that same relation.  The relations that are also solved (PV for R_n, the
+that same relation.  The t-differential and integral-representation rows
+read values and derivatives from one such jets pass: its order-0
+coefficients are the recurrence table's beta_n, and ladder.ladder_maps
+takes every order of beta to p, r, R and sigma.  The relations that are also solved (PV for R_n, the
 Riccati relation for R_n', beta_n from R_n and r_n) live in ladder.py as
 pv_terms, riccati_terms and beta_aux_terms, which the ode, ricca2 and be3
 rows normalize; the flows' Taylor jets stay separate, to check their rhs.
@@ -29,7 +32,7 @@ negative and only the squared form is checkable).
 """
 
 from dataclasses import dataclass
-from itertools import accumulate
+from math import factorial
 
 from mpmath import mp, mpf
 
@@ -40,6 +43,7 @@ from .ladder import (
     aux_table,
     beta_aux_terms,
     eval_ladder,
+    ladder_maps,
     ladder_pieces,
     pv_terms,
     riccati_terms,
@@ -56,7 +60,7 @@ from .recurrence import (
     series_quotient,
     t_jets,
 )
-from .weights import MomentTable, WeightParams, make_params
+from .weights import WeightParams, make_params
 
 IDENTITY_IDS = (
     "s1",
@@ -409,80 +413,70 @@ def _sd_row(n, params, aux, config):
                         *normalize([lhs, rhs, n - q, n + 2 * a - q], lhs - rhs))
 
 
-def _ladder_t_derivatives(rec: RecurrenceTable, n_top: int, config: PrecisionConfig,
-                          moments: MomentTable):
-    """{name: [first, second]} t-derivatives of ln h, beta, p, r, R and sigma.
+def _ladder_t_derivatives(n_top: int, params: WeightParams, config: PrecisionConfig,
+                          order: int):
+    """Values and t-derivatives of beta, p, r, R and sigma from one t_jets pass.
 
-    Each entry is a list over the index. The jets of h_0 .. h_{n_top+1}
-    (t_jets) give ln h by its log-derivative and beta_m = h_m / h_{m-1} by
-    series division; p, r, R and sigma are linear in beta, as in the
-    identity route of aux_table, so their jets follow by the same maps. R
-    and sigma run to index n_top.
+    Each of those names maps to a list over k = 0 .. order of the k-th
+    derivatives, each a list over the index; "dlnh" holds (ln h_m)'. The
+    jets of h_0 .. h_{n_top+1} give beta_m = h_m / h_{m-1} by series
+    division at the bits the pass ran at, so the values are those of
+    recurrence_table bit for bit, and ladder_maps takes beta's k-th
+    derivative to those of p, r, R and sigma, the values being those of
+    aux_table's identity route. R and sigma run to index n_top.
     """
-    a = rec.params.alpha
-    jets = t_jets(n_top + 1, rec.params, config, 2, moments)
+    jets, cfg = t_jets(n_top + 1, params, config, order)
+    with working_precision(cfg):
+        beta = [[mpf(0)] * (order + 1)] + [series_quotient(jets[m], jets[m - 1])
+                                           for m in range(1, n_top + 2)]
+        # the k-th derivative is k! times the order-k coefficient
+        out = {"dlnh": [log_derivative_jet(jet)[0] for jet in jets],
+               "beta": [[factorial(k) * b[k] for b in beta] for k in range(order + 1)]}
     with working_precision(config):
-        lnh = [list(d) for d in zip(*(log_derivative_jet(jet) for jet in jets))]
-        beta = [[mpf(0)] * 3] + [series_quotient(jets[m], jets[m - 1])
-                                 for m in range(1, n_top + 2)]
-        out = {"lnh": lnh, "beta": [], "p": [], "r": [], "R": [], "sigma": []}
-        # the k-th derivative is k! (here k) times the order-k coefficient; dt
-        # is that derivative's share of the [1-(-1)^n] t term of r_n
-        for k, dt in ((1, 1), (2, 0)):
-            db = [k * b[k] for b in beta]
-            p = list(accumulate((-v for v in db[: n_top + 1]), initial=mpf(0)))
-            r = [mpf(0)] + [(1 - _parity(n)) * dt + (2 * n + 1 + 2 * a) * db[n] - 2 * p[n]
-                            for n in range(1, n_top + 2)]
-            big_r = [r[n + 1] + r[n] for n in range(n_top + 1)]
-            sig = list(accumulate((-v for v in big_r[:n_top]), initial=mpf(0)))
-            for name, values in zip(("beta", "p", "r", "R", "sigma"), (db, p, r, big_r, sig)):
-                out[name].append(values)
-        return out
+        maps = [ladder_maps(db, params, k) for k, db in enumerate(out["beta"])]
+    for name, values in zip(("p", "r", "R", "sigma"), zip(*maps)):
+        out[name] = list(values)
+    return out
 
 
 def verify_differential(n_list, params: WeightParams, config: PrecisionConfig):
     """Rows for the nine t-differential relations at each n in n_list.
 
-    Values come from one recurrence table and one aux table at t, and
-    t-derivatives from _ladder_t_derivatives at the same t, which needs
-    t > 0 for its moments of negative order.
+    Values and t-derivatives come from one _ladder_t_derivatives pass at t,
+    which needs t > 0 for its moments of negative order.
     """
     if not params.t > 0:
         raise ValueError("the t-differential suite needs t > 0: "
                          "its t-derivatives use moments of negative order")
-    n_top = max(n_list)
-    moments = MomentTable.build(params, 2 * n_top + 2, config)
-    rec0 = recurrence_table(n_top + 1, params, config, moments)
-    aux0 = aux_table(n_top, params, config, recurrence=rec0)
-    der = _ladder_t_derivatives(rec0, n_top, config, moments)
+    der = _ladder_t_derivatives(max(n_list), params, config, 2)
     rows = []
     a, t = params.alpha, params.t
     with working_precision(config):
         for n in n_list:
             par = _parity(n)
             k1 = 2 * n + 1 + 2 * a
-            r, R, sig, beta = aux0.r[n], aux0.R[n], aux0.sigma[n], rec0.beta[n]
+            r, r1, r2 = (der["r"][k][n] for k in range(3))
+            R, R1, R2 = (der["R"][k][n] for k in range(3))
+            sig, beta = der["sigma"][0][n], der["beta"][0][n]
 
-            lhs = 2 * t * der["lnh"][0][n]
+            lhs = 2 * t * der["dlnh"][n]
             rows.append(residual_row("eq1", n, a, t, config,
                                      *normalize([lhs, R], lhs + R), detail="deriv=jet"))
 
             if n >= 1:
-                lhs = 2 * t * der["beta"][0][n]
-                rhs = beta * aux0.R[n - 1] - beta * R
+                R_prev = der["R"][0][n - 1]
+                lhs = 2 * t * der["beta"][1][n]
+                rhs = beta * R_prev - beta * R
                 rows.append(residual_row(
                     "eq2", n, a, t, config,
-                    *normalize([lhs, beta * aux0.R[n - 1], beta * R], lhs - rhs),
+                    *normalize([lhs, beta * R_prev, beta * R], lhs - rhs),
                     detail="deriv=jet"))
 
-            lhs = 2 * t * der["p"][0][n]
+            lhs = 2 * t * der["p"][1][n]
             terms = [(1 - par) * t, beta * R]
             rows.append(residual_row("pnt", n, a, t, config,
                                      *normalize([lhs] + terms, lhs - terms[0] + terms[1]),
                                      detail="deriv=jet"))
-
-            r1, r2 = der["r"][0][n], der["r"][1][n]
-            R1, R2 = der["R"][0][n], der["R"][1][n]
 
             if R != 0:
                 lhs = 2 * t * r1
@@ -501,8 +495,8 @@ def verify_differential(n_list, params: WeightParams, config: PrecisionConfig):
             rows.append(_ode_row(n, params, config, R, R1, R2))
             rows.append(_pv_row(n, params, config, R, R1, R2))
             rows.append(_ode2_row(n, params, config, r, r1, r2))
-            rows.append(_sode_row(n, params, config, sig, der["sigma"][0][n],
-                                  der["sigma"][1][n], r))
+            rows.append(_sode_row(n, params, config, sig, der["sigma"][1][n],
+                                  der["sigma"][2][n], r))
     return rows
 
 
@@ -681,8 +675,8 @@ def verify_integral_representation(
     """One row: the R_n-integrand quadrature against the determinant ratio.
 
     The integrand is taken in u = sqrt(s), where R_n is analytic through
-    u = 0. At each Chebyshev-Lobatto node in u it uses R_n from the node's
-    aux table and R_n' exactly from _ladder_t_derivatives on the node's own
+    u = 0. At each Chebyshev-Lobatto node in u it takes R_n and, exactly,
+    R_n' from one order-1 _ladder_t_derivatives pass on the node's own
     moments, so no interpolant stands between the samples and the sum.
     Nested Clenshaw-Curtis rules double m from CC_START, reusing every
     earlier sample, until |Q_m - Q_{m/2}| is at most 1/100 of the residual
@@ -711,13 +705,10 @@ def verify_integral_representation(
         def integrand(x):
             u = center + radius * x
             s = u * u
-            pv = make_params(a, s, config)
-            moments = MomentTable.build(pv, 2 * n + 2, config)
-            rec = recurrence_table(n + 1, pv, config, moments)
-            R = aux_table(n, pv, config, recurrence=rec).R[n]
+            big_r = _ladder_t_derivatives(n, make_params(a, s, config), config, 1)["R"]
+            R, R1 = big_r[0][n], big_r[1][n]
             if R == 0:
                 raise ValueError("R_n vanishes on the integration path")
-            R1 = _ladder_t_derivatives(rec, n, config, moments)["R"][0][n]
             bracket = (
                 4 * s ** 2 * k1 * R1 ** 2
                 - 4 * s * R * (k1 + R) * R1

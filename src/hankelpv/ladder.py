@@ -18,9 +18,12 @@ avoid the integrals entirely:
     R_n = r_{n+1} + r_n,
     sigma_n = 2t d/dt ln D_n = -sum_{j<n} R_j.
 
-Both routes are implemented; the integral route is kept as the independent
-oracle.  Closed forms for the first members (r_1 = R_0 and R_1) come from
-direct evaluation of the integrals in terms of Kummer functions.
+ladder_maps is the one transcription of these maps, for the values and for
+every t-derivative of beta_n: the identity route of aux_table, the scans,
+the flows' seed and the t-differential rows all read it. The integral
+route is kept as the independent oracle.  Closed forms for the first
+members (r_1 = R_0 and R_1) come from direct evaluation of the integrals
+in terms of Kummer functions.
 
 The sign of R_n for t > 0 is never asserted: it is an observed property
 (positive on every grid tested here) recorded at report level only.
@@ -32,7 +35,7 @@ from mpmath import mp, mpf
 
 from .precision import NumericsError, PrecisionConfig, working_precision
 from .quadrature import integrate, integrate_unit_vector
-from .recurrence import RecurrenceTable, eval_poly, recurrence_table
+from .recurrence import RecurrenceTable, eval_poly, negated_prefix_sums, recurrence_table
 from .special import gamma, kummer_phi
 from .weights import WeightParams, weight_value
 
@@ -44,24 +47,38 @@ def _parity(n: int) -> int:
     return -1 if n % 2 else 1
 
 
+def ladder_maps(beta, params: WeightParams, order: int = 0):
+    """(p, r, R, sigma) from beta_0 .. beta_N, or from their order-th
+    t-derivatives, at ambient precision.
+
+    The one transcription of the maps in the module docstring: p and r run
+    to index N, R and sigma to N - 1, and every map is linear in beta but
+    for the t term of r_n, which gives t at order 0, 1-(-1)^n at order 1
+    and nothing beyond, and the -n term, which enters at order 0 only.
+    """
+    t_term = {0: params.t, 1: 1}.get(order, 0)
+    p = negated_prefix_sums(beta[:-1])
+    r = [mpf(0)] + [
+        (1 - _parity(n)) * t_term + (2 * n + 1 + 2 * params.alpha) * beta[n] - 2 * p[n]
+        - (n if order == 0 else 0)
+        for n in range(1, len(beta))
+    ]
+    big_r = [r[n + 1] + r[n] for n in range(len(beta) - 1)]
+    return p, r, big_r, negated_prefix_sums(big_r[:-1])
+
+
 def aux_r(n: int, table: RecurrenceTable) -> mpf:
-    """r_n(t) by the algebraic route (exact parity prefactor)."""
+    """r_n(t), one entry of ladder_maps on the table's beta (perfbench/record.py
+    reads it)."""
     if n < 0:
         raise ValueError("index must be non-negative")
-    if n == 0:
-        return mpf(0)
-    params = table.params
-    return (
-        (1 - _parity(n)) * params.t
-        + (2 * n + 1 + 2 * params.alpha) * table.beta[n]
-        - 2 * table.p1[n]
-        - n
-    )
+    return ladder_maps(table.beta[: n + 1], table.params)[1][n]
 
 
 def aux_R(n: int, table: RecurrenceTable) -> mpf:
-    """R_n(t) = r_{n+1}(t) + r_n(t)."""
-    return aux_r(n + 1, table) + aux_r(n, table)
+    """R_n(t), one entry of ladder_maps on the table's beta (perfbench/record.py
+    reads it)."""
+    return ladder_maps(table.beta[: n + 2], table.params)[2][n]
 
 
 def aux_oracles(
@@ -148,17 +165,14 @@ def aux_table(
     table = recurrence
     if table is None or table.n_max < n_max + 1:
         table = recurrence_table(n_max + 1, params, config)
-    if route == ROUTE_IDENTITY:
-        with working_precision(config):
-            r = [aux_r(k, table) for k in range(n_max + 2)]
-            big_r = [r[k + 1] + r[k] for k in range(n_max + 1)]
-            r = r[: n_max + 1]
-    else:
+    if route == ROUTE_QUADRATURE:
         r, big_r = aux_oracles(n_max, params, config, table)
-    with working_precision(config):
-        sigma = [mpf(0)]
-        for k in range(n_max):
-            sigma.append(sigma[-1] - big_r[k])
+        with working_precision(config):
+            sigma = negated_prefix_sums(big_r[:n_max])
+    else:
+        with working_precision(config):
+            _, r, big_r, sigma = ladder_maps(table.beta[: n_max + 2], params)
+        r = r[: n_max + 1]
     return AuxTable(
         params=params,
         config=config,
@@ -167,12 +181,6 @@ def aux_table(
         sigma=sigma,
         tags=[route] * (n_max + 1),
     )
-
-
-def sigma(n: int, table: AuxTable) -> mpf:
-    if n < 0 or n >= len(table.sigma):
-        raise ValueError("sigma index outside table range")
-    return table.sigma[n]
 
 
 def initial_r1(params: WeightParams, config: PrecisionConfig) -> mpf:

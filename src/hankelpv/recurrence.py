@@ -36,6 +36,7 @@ so the jets need t > 0.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import factorial
 
 from mpmath import mp, mpf
@@ -178,9 +179,9 @@ def hankel_det(n: int, params: WeightParams, config: PrecisionConfig, moments=No
     return hankel_log_dets(n, params, config, moments)[0][-1], 1
 
 
-def t_jets(n_top: int, params: WeightParams, config: PrecisionConfig, order: int,
-           moments=None) -> list:
-    """[jet of h_m for m = 0 .. n_top] to the given order, at the one t > 0.
+def t_jets(n_top: int, params: WeightParams, config: PrecisionConfig, order: int):
+    """[jet of h_m for m = 0 .. n_top] to the given order, at the one t > 0,
+    and the config the pass ran at.
 
     One chebyshev_jets pass on the moments with step 2; the negative orders
     come from negative_moments and the odd moments are exact zeros. A
@@ -200,7 +201,13 @@ def t_jets(n_top: int, params: WeightParams, config: PrecisionConfig, order: int
 
         return chebyshev_jets(mu, n_top + 1, order, 2, cfg)[0]
 
-    return _retried(params, 2 * n_top, config, moments, work)[0]
+    return _retried(params, 2 * n_top, config, None, work)
+
+
+def negated_prefix_sums(values) -> list:
+    """[0, -v_0, -v_0 - v_1, ...] at ambient precision: p(n,t) from the
+    beta_j, and sigma_n = -sum_{j<n} R_j from the R_j."""
+    return list(accumulate((-v for v in values), initial=mpf(0)))
 
 
 @dataclass
@@ -230,9 +237,7 @@ def recurrence_table(
         beta = [mpf(0)]
         for k in range(1, n_max + 1):
             beta.append(h[k] / h[k - 1])
-        p1 = [mpf(0)]
-        for k in range(1, n_max + 1):
-            p1.append(p1[-1] - beta[k - 1])
+        p1 = negated_prefix_sums(beta[:n_max])
         log_d = [mpf(0)]
         for k in range(1, n_max + 1):
             log_d.append(log_d[-1] + mp.log(h[k - 1]))

@@ -3,9 +3,9 @@
 mpmath supplies the raw evaluations; the wrappers here pin the working
 precision, validate arguments against the domains the package actually
 uses, and stabilize cancellation-prone cases by precision escalation.
-The Barnes-G and zeta'(-1) routines are built from recurrences and an
-independent Euler-Maclaurin series so they can serve as oracles for each
-other and for mpmath itself.
+log Barnes-G is built from the Gamma recurrence; its half-integer anchor
+takes zeta'(-1) = 1/12 - ln A from mpmath's Glaisher constant. The tests'
+references are mp.barnesg, mp.zeta(-1, derivative=1) and frozen literals.
 """
 
 from __future__ import annotations
@@ -146,62 +146,11 @@ def log_barnes_g(x, config: PrecisionConfig) -> mpf:
         return total
 
 
-def _zeta_prime_at_2(bits: int) -> mpf:
-    """zeta'(2) = -sum_{k>=2} ln(k)/k^2 by Euler-Maclaurin tail summation.
-
-    The tail from the cutoff N is
-        sum_{k>=N} f(k) = int_N^inf f + f(N)/2 - sum_m B_{2m}/(2m)! f^(2m-1)(N)
-    with f(x) = ln(x)/x^2, whose derivatives follow the exact ladder
-    f^(m)(x) = (a_m ln x + b_m)/x^(m+2),
-    a_{m+1} = -(m+2) a_m, b_{m+1} = a_m - (m+2) b_m, a_0 = 1, b_0 = 0.
-    Optimal truncation error ~ e^(-2 pi N), so N ~ bits/8 suffices.
-    """
-    with working_precision(bits + 64) as ctx:
-        N = max(32, bits // 8)
-        head = mpf(0)
-        for k in range(2, N):
-            head += ctx.log(k) / mpf(k) ** 2
-        lnN = ctx.log(N)
-        tail = (lnN + 1) / N + lnN / (2 * mpf(N) ** 2)
-        # derivative ladder up to the needed odd orders
-        a_m, b_m = mpf(1), mpf(0)
-        derivs = {}
-        for m in range(0, 2 * (bits // 8) + 2):
-            derivs[m] = (a_m, b_m)
-            a_m, b_m = -(m + 2) * a_m, a_m - (m + 2) * b_m
-        eps = mpf(2) ** (-(bits + 32))
-        previous_term = None
-        for m in range(1, bits // 8 + 1):
-            am, bm = derivs[2 * m - 1]
-            term = (
-                ctx.bernoulli(2 * m)
-                / ctx.factorial(2 * m)
-                * (am * lnN + bm)
-                / mpf(N) ** (2 * m + 1)
-            )
-            if previous_term is not None and abs(term) > abs(previous_term):
-                break  # asymptotic series started diverging
-            tail -= term
-            previous_term = term
-            if abs(term) < eps:
-                break
-        return -(head + tail)
-
-
 def zeta_prime_minus_one(config: PrecisionConfig) -> mpf:
-    """zeta'(-1) via the Glaisher-Kinkelin constant.
+    """zeta'(-1) = 1/12 - ln A, with A the Glaisher-Kinkelin constant.
 
-    zeta'(-1) = 1/12 - ln A,
-    ln A = ln(2 pi)/12 + euler_gamma/12 - zeta'(2)/(2 pi^2),
-    with zeta'(2) summed independently by Euler-Maclaurin.
+    mpmath evaluates A (mp.glaisher) to full working precision and caches
+    it per precision.
     """
     with working_precision(config) as ctx:
-        zp2 = _zeta_prime_at_2(config.bits)
-        ln_a = ctx.log(2 * ctx.pi) / 12 + ctx.euler / 12 - zp2 / (2 * ctx.pi**2)
-        return mpf(1) / 12 - ln_a
-
-
-def log_glaisher(config: PrecisionConfig) -> mpf:
-    """ln A = 1/12 - zeta'(-1)."""
-    with working_precision(config):
-        return mpf(1) / 12 - zeta_prime_minus_one(config)
+        return mpf(1) / 12 - ctx.log(ctx.glaisher)

@@ -29,9 +29,8 @@ from hankelpv.cli import _grid, target_digits_for_bits
 from hankelpv.identities import _ladder_t_derivatives
 from hankelpv.ladder import aux_table
 from hankelpv.precision import PrecisionConfig, working_precision
-from hankelpv.recurrence import recurrence_table
 from hankelpv.special import UnsupportedArgumentError
-from hankelpv.weights import MomentTable, make_params
+from hankelpv.weights import make_params
 
 CFG = PrecisionConfig()
 LO = PrecisionConfig(bits=256, target_digits=30)
@@ -432,7 +431,8 @@ def test_flow_small_seed_tracks_series():
     assert not traj.halted
     with working_precision(LO):
         ref = series_eval("g-small", "0.25", LO, a=HALF)
-        got = traj.value_at(mpf("0.25"))
+        assert traj.reached == mpf("0.25")
+        got = traj.endpoint[1]
         # frozen from the order-56 exact-rational Taylor sum at s = 1/4
         assert abs(got - mpf("0.52215902024942062066529546906978918953")) < mpf(10) ** -18
         # the short tabulated series differs by its own truncation
@@ -505,12 +505,6 @@ def test_flow_argument_validation():
     for seed in (SEED_SMALL_SERIES, SEED_LARGE_SERIES):
         with pytest.raises(ValueError, match="seed order"):
             solve_piii_prime(HALF, 1, LO, seed=seed, seed_order=2)
-
-
-def test_flow_value_at_unknown_point():
-    traj = solve_piii_prime(HALF, "0.25", LO, tolerance="1e-6", seed_order=40)
-    with pytest.raises(ValueError):
-        traj.value_at(mpf("0.123456"))
 
 
 def test_flow_checkpoints_do_not_multiply_the_work(taylor_steps):
@@ -586,13 +580,11 @@ def test_pv_rhs_solves_for_the_moment_second_derivative(alpha, t, n):
     # R and R' from the tables, R'' exactly from the moments' t-jets: the
     # flow's rhs must solve the cleared equation for the same R''
     params = make_params(alpha, t, LO)
-    moments = MomentTable.build(params, 2 * n + 2, LO)
-    rec = recurrence_table(n + 1, params, LO, moments)
-    big_r = aux_table(n, params, LO, recurrence=rec).R[n]
-    der = _ladder_t_derivatives(rec, n, LO, moments)["R"]
+    big_r = aux_table(n, params, LO).R[n]
+    der = _ladder_t_derivatives(n, params, LO, 2)["R"]
     with working_precision(LO):
-        got = asymptotics._pv_rhs(n, params.alpha)(params.t, [big_r, der[0][n]])[1]
-        assert abs(got - der[1][n]) <= mpf(10) ** -60 * abs(der[1][n])
+        got = asymptotics._pv_rhs(n, params.alpha)(params.t, [big_r, der[1][n]])[1]
+        assert abs(got - der[2][n]) <= mpf(10) ** -60 * abs(der[2][n])
 
 
 def test_pv_trivial_span():

@@ -33,6 +33,7 @@ CASES = [
     ("hankel", ["hankel", *AT, "--n-max", "6"], 0),
     ("recurrence", ["recurrence", *AT, "--n-max", "6"], 0),
     ("aux", ["aux", "--route", "quadrature", *AT, "--n-max", "4"], 0),
+    ("aux-identity", ["aux", "--route", "identity", *AT, "--n-max", "4"], 0),
     ("verify", ["verify", "--suite", "all", *AT, "--n-max", "2"], 0),
     ("bridge-parity", ["bridge", "--suite", "parity", *AT, "--n-max", "1"], 0),
     ("bridge-jmo", ["bridge", "--suite", "jmo", *AT, "--n-max", "0", "--n-list", "1"], 0),
@@ -40,6 +41,8 @@ CASES = [
                   "--t-end", "0.12", "--samples", "3"], 0),
     ("solve-p3", ["solve-p3", "--a", "1/2", "--s", "0.05", "--samples", "3"], 0),
     ("scan", ["scan", "--mode", "g2", "--s", "0.5", "--n-list", "4,8"], 0),
+    ("scan-g1", ["scan", "--mode", "g1", "--s", "0.1", "--n-list", "4,8"], 0),
+    ("scan-sigma-n4", ["scan", "--mode", "sigma-n4", "--s", "1", "--n-list", "4,8"], 0),
     ("series-g1-small", ["series", "--kind", "g1-small", "--s", "0.001,0.1"], 0),
     ("series-g-small", ["series", "--kind", "g-small", "--a", "1/2", "--s", "0.01,0.1"], 0),
     ("series-delta-large", ["series", "--kind", "delta-large", "--s", "10,1000"], 0),
@@ -208,6 +211,20 @@ def test_flows_report_their_step_count(monkeypatch, taylor_steps, name, solver):
     assert made[0].steps == len(taylor_steps) > 0
     assert f"{name}: steps: {len(taylor_steps)}\n" in err.getvalue()
     assert f"{name}: order: {made[0].order}\n" in err.getvalue()
+
+
+def test_solve_pv_grades_its_endpoint_gap(monkeypatch):
+    # one extra R in 2tR' gives the flow a wrong seed slope
+    original = asymptotics.riccati_terms
+    monkeypatch.setattr(asymptotics, "riccati_terms",
+                        lambda n, R, r, params: original(n, R, r, params) + [R])
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        status = cli.main(["solve-pv", "--n", "2", "--alpha", "1", "--t0", "0.1",
+                           "--t-end", "0.3", "--bits", "256"])
+    assert status == cli.EXIT_FINDING
+    notes = [line for line in err.getvalue().splitlines() if "finding:" in line]
+    assert len(notes) == 1 and notes[0].startswith("solve-pv: finding: endpoint_gap")
 
 
 G2 = ["--mode", "g2", "--s", "0.5", "--n-list"]

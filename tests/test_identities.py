@@ -186,7 +186,8 @@ def test_clenshaw_curtis_rule_is_exact_to_degree_m(m):
 
 
 def test_integral_representation_samples_each_node_once(monkeypatch):
-    calls = {"recurrence_table": 0, "hankel_det": 0}
+    # one jets pass per node gives R_n and R_n'; no table is built beside it
+    calls = {"t_jets": 0, "recurrence_table": 0, "aux_table": 0, "hankel_det": 0}
     for name in calls:
         original = getattr(identities, name)
 
@@ -199,7 +200,7 @@ def test_integral_representation_samples_each_node_once(monkeypatch):
                                          config=CFG_LO)
     m = int(row.detail.split(";m=")[1].split(";")[0])
     assert m >= identities.CC_START
-    assert calls == {"recurrence_table": m + 1, "hankel_det": 2}
+    assert calls == {"t_jets": m + 1, "recurrence_table": 0, "aux_table": 0, "hankel_det": 2}
 
 
 def test_integral_representation_fails_loudly_past_the_node_cap(monkeypatch):
@@ -213,6 +214,23 @@ def test_integral_representation_zero_endpoint():
     p = make_params(1, 0, CFG)
     row = verify_integral_representation(2, p, 0, config=CFG)
     assert row.trivial and row.residual == 0
+
+
+@pytest.mark.parametrize("alpha, t, n_top, config", [
+    (1, "0.5", 3, CFG), ("2.5", 3, 3, CFG), ("0.7", "0.05", 3, CFG),
+    # 128 bits run out on the order-60 table: both routes rebuild at 256
+    (1, "0.5", 59, PrecisionConfig(bits=128, target_digits=20)),
+])
+def test_differential_values_are_the_tables_bit_for_bit(alpha, t, n_top, config):
+    p = make_params(alpha, t, config)
+    der = identities._ladder_t_derivatives(n_top, p, config, 2)
+    rec = recurrence_table(n_top + 1, p, config)
+    aux = aux_table(n_top, p, config)
+    assert rec.config.bits == (256 if n_top == 59 else config.bits)
+    assert der["beta"][0] == rec.beta
+    assert der["r"][0][: n_top + 1] == aux.r
+    assert der["R"][0] == aux.R
+    assert der["sigma"][0] == aux.sigma
 
 
 def test_sode_branch_constant_between_root_collisions():

@@ -9,7 +9,6 @@ from hankelpv.ladder import (
     ROUTE_IDENTITY,
     ROUTE_QUADRATURE,
     AuxTable,
-    aux_R,
     aux_R_oracle,
     aux_r,
     aux_oracles,
@@ -19,10 +18,10 @@ from hankelpv.ladder import (
     eval_ladder,
     initial_R1,
     initial_r1,
+    ladder_maps,
     ladder_oracle_A,
     ladder_oracle_B,
     ladder_pieces,
-    sigma,
     v_prime,
 )
 from hankelpv.precision import NumericsError, PrecisionConfig, working_precision
@@ -52,7 +51,7 @@ def test_r_vanishes_at_t_zero(n):
     p = make_params("1.3", 0, CFG)
     table = recurrence_table(11, p, CFG)
     with working_precision(CFG):
-        assert abs(aux_r(n, table)) < mpf(10) ** -60
+        assert abs(ladder_maps(table.beta, p)[1][n]) < mpf(10) ** -60
 
 
 def test_oracles_trivial_cases():
@@ -100,10 +99,11 @@ def test_cross_route_spot_checks(alpha, t):
     rec = recurrence_table(13, p, CFG)
     r_ints, R_ints = aux_oracles(12, p, CFG, rec)
     with working_precision(CFG):
+        _, r_algs, R_algs, _ = ladder_maps(rec.beta, p)
         tol = mpf(10) ** -30
         for n in (0, 5, 12):
-            r_alg = aux_r(n, rec)
-            R_alg = aux_R(n, rec)
+            r_alg = r_algs[n]
+            R_alg = R_algs[n]
             r_int = r_ints[n]
             R_int = R_ints[n]
             assert abs(r_alg - r_int) < tol * max(abs(r_alg), mpf(1))
@@ -120,9 +120,10 @@ def test_initial_values_closed_form(alpha, t):
         tol = mpf(10) ** -40
         r1_closed = initial_r1(p, CFG)
         R1_closed = initial_R1(p, CFG)
-        assert abs(aux_r(1, rec) - r1_closed) < tol * max(abs(r1_closed), mpf(1))
-        assert abs(aux_R(0, rec) - r1_closed) < tol * max(abs(r1_closed), mpf(1))
-        assert abs(aux_R(1, rec) - R1_closed) < tol * max(abs(R1_closed), mpf(1))
+        _, r, big_r, _ = ladder_maps(rec.beta, p)
+        assert abs(r[1] - r1_closed) < tol * max(abs(r1_closed), mpf(1))
+        assert abs(big_r[0] - r1_closed) < tol * max(abs(r1_closed), mpf(1))
+        assert abs(big_r[1] - R1_closed) < tol * max(abs(R1_closed), mpf(1))
 
 
 def test_initial_r1_matches_defining_integral():
@@ -136,13 +137,11 @@ def test_initial_r1_matches_defining_integral():
 def test_sigma_bookkeeping():
     p = make_params(1, "0.5", CFG)
     aux = aux_table(4, p, CFG)
-    assert sigma(0, aux) == 0
+    assert aux.sigma[0] == 0
     with working_precision(CFG):
-        assert sigma(1, aux) == -aux.R[0]
+        assert aux.sigma[1] == -aux.R[0]
         expect = -(aux.R[0] + aux.R[1] + aux.R[2])
-        assert abs(sigma(3, aux) - expect) < mpf(10) ** -70
-    with pytest.raises(ValueError):
-        sigma(5, aux)
+        assert abs(aux.sigma[3] - expect) < mpf(10) ** -70
 
 
 @pytest.mark.parametrize("n,alpha,t", [(3, 1, "0.5"), (5, "0.7", "0.8")])
@@ -160,7 +159,7 @@ def test_sigma_matches_logdet_derivative(n, alpha, t):
         val, err = derivative(logdet, mpf(t), 1, CFG)
         target = 2 * mpf(t) * val
         tol = max(10 * err * 2 * mpf(t), mpf(10) ** -30)
-        assert abs(sigma(n, aux) - target) < tol
+        assert abs(aux.sigma[n] - target) < tol
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 5, 8])

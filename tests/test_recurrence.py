@@ -253,7 +253,7 @@ def test_t_jets_against_stencils(alpha, t):
     # balances truncation (h^8) against the determinant noise (eps/h^2)
     cfg = PrecisionConfig(bits=256, target_digits=30)
     p = make_params(alpha, t, cfg)
-    d1, d2 = _log_det_derivatives(t_jets(3, p, cfg, 2), cfg)
+    d1, d2 = _log_det_derivatives(t_jets(3, p, cfg, 2)[0], cfg)
     tables = {}
 
     def log_det(m):
@@ -296,8 +296,8 @@ def test_t_jets_agree_across_precisions(alpha, t):
     # the 77 digits of 256 bits
     lo_cfg = PrecisionConfig(bits=256, target_digits=30)
     hi_cfg = PrecisionConfig(bits=1024, target_digits=120)
-    lo = t_jets(23, make_params(alpha, t, lo_cfg), lo_cfg, 3)
-    hi = t_jets(23, make_params(alpha, t, hi_cfg), hi_cfg, 3)
+    lo = t_jets(23, make_params(alpha, t, lo_cfg), lo_cfg, 3)[0]
+    hi = t_jets(23, make_params(alpha, t, hi_cfg), hi_cfg, 3)[0]
     with working_precision(hi_cfg):
         lo_d, hi_d = (_log_det_derivatives(jets, hi_cfg, 3) for jets in (lo, hi))
         for lo_k, hi_k in zip(lo_d, hi_d):
