@@ -9,7 +9,10 @@ R_n(t), seeded from the series respectively from the finite-n tables; the
 R_n flow's rhs and seed slope solve ladder.pv_terms and riccati_terms, which
 the identity rows check.  Each Taylor jet for ode.py is its own transcription
 of its cleared equation: solve_ode checks every step's jet against the rhs,
-which is a check only while the two are written apart.  The scan driver
+which is a check only while the two are written apart.  The three flows
+(g, R_n, and g with the log-ratio) share one runner and one Trajectory;
+each names the factors of its cleared denominator (g; R_n and k1 + R_n),
+which drive the runner's singularity guard.  The scan driver
 measures the double-scaling limits directly: raw finite-n values along the
 prescribed (n, t) trajectories, Richardson extrapolation in 1/n with a
 dual-model error bar, and comparison against the series references.
@@ -421,9 +424,96 @@ def _large_seed(a: Fraction, s0: mpf, order: int):
     return val, der, tail
 
 
-# --- scaled flow for g(s, a) -------------------------------------------------
+# --- one runner for every flow ---------------------------------------------
 
 _DIVERGENCE_CAP = mpf(10) ** 12
+
+
+def _flow_tolerance(tolerance, config: PrecisionConfig) -> mpf:
+    """The flow tolerance asked for, or by default a quarter of the digit
+    target: the integrator's internal budget is tolerance^4, which keeps the
+    endpoint error near the working floor."""
+    if tolerance is None:
+        return mpf(10) ** (-(config.target_digits // 4))
+    return to_mpf(tolerance, config)
+
+
+@dataclass
+class Trajectory:
+    """One flow's rows (x, *y), from the seed to where it finished or halted.
+
+    `halt_reason` is None when the flow reached its end point; `steps`
+    counts the integrator's accepted steps, Taylor polynomials of degree
+    `order`. `seed_error` is the series seed's tail estimate (0 for a seed
+    that is exact or read off the tables); `endpoint_direct` and
+    `endpoint_gap` are the PV flow's cross-check against the tables.
+    """
+
+    samples: list
+    tolerance: mpf
+    halt_reason: Optional[str]
+    steps: int
+    order: int
+    seed_error: mpf = mpf(0)
+    endpoint_direct: Optional[mpf] = None
+    endpoint_gap: Optional[mpf] = None
+
+    @property
+    def halted(self) -> bool:
+        return self.halt_reason is not None
+
+    @property
+    def s0(self) -> mpf:
+        return self.samples[0][0]
+
+    @property
+    def reached(self) -> mpf:
+        return self.samples[-1][0]
+
+    @property
+    def endpoint(self):
+        return self.samples[-1]
+
+
+def _run_flow(rhs, jet, factors, x0, y0, x_end, tolerance, config: PrecisionConfig,
+              sample_points=None) -> Trajectory:
+    """Integrate one flow from (x0, y0) to x_end; a halt returns the partial path.
+
+    `factors(y)` lists the state-dependent factors of the flow's cleared
+    denominator. Their product is the denominator the integrator keeps the
+    sign of, and the guard halts where one of them falls below
+    10^-(target_digits/2), a genuine singular point of the flow, or where
+    |y| or |y'| passes the divergence cap, a movable pole, before step
+    collapse sets in.
+    """
+    floor = mpf(10) ** (-(config.target_digits // 2))
+
+    def guard(x, y):
+        return (any(abs(f) < floor for f in factors(y))
+                or abs(y[0]) > _DIVERGENCE_CAP or abs(y[1]) > _DIVERGENCE_CAP)
+
+    problem = OdeProblem(
+        dimension=len(y0),
+        rhs=rhs,
+        jet=jet,
+        x0=x0,
+        y0=y0,
+        x_end=x_end,
+        tolerance=tolerance,
+        singularity_guard=guard,
+        denominator=lambda x, y: mp.fprod(factors(y)),
+    )
+    reason = None
+    try:
+        samples = solve_ode(problem, config, sample_points=sample_points)
+    except OdeHalt as halt:
+        samples = halt.samples
+        reason = str(halt)
+    return Trajectory(samples=[(x, *y) for x, y in samples], tolerance=tolerance,
+                      halt_reason=reason, steps=samples.steps, order=samples.order)
+
+
+# --- scaled flow for g(s, a) -------------------------------------------------
 
 
 def _piii_rhs(a_val: mpf) -> Callable:
@@ -465,54 +555,13 @@ def _piii_jet(a_val: mpf) -> Callable:
     return lambda s, y, order: _piii_series(a_val, s, y, order)
 
 
-def _g_factor(s, y):
-    """The factor g of the cleared denominator 4s^2 g."""
-    return y[0]
-
-
-def _flow_guard(config: PrecisionConfig) -> Callable:
-    floor = mpf(10) ** (-(config.target_digits // 2))
-
-    def guard(x, y):
-        # zeros of g are genuine singular points of the flow; the cap
-        # catches movable-pole blowups before step collapse sets in
-        return (abs(y[0]) < floor or abs(y[0]) > _DIVERGENCE_CAP
-                or abs(y[1]) > _DIVERGENCE_CAP)
-
-    return guard
-
-
-@dataclass
-class PiiiTrajectory:
-    """Integrated path of (g, g') with its seed's tail estimate `seed_error`
-    (0 when explicit) and halt status; `steps` counts the integrator's
-    accepted steps, Taylor polynomials of degree `order`."""
-
-    a: mpf
-    seed: str
-    s0: mpf
-    seed_error: mpf
-    s_end: mpf
-    tolerance: mpf
-    samples: list
-    halted: bool
-    halt_reason: Optional[str]
-    steps: int
-    order: int
-
-    @property
-    def endpoint(self):
-        return self.samples[-1]
-
-    @property
-    def reached(self) -> mpf:
-        return self.samples[-1][0]
-
-
-def _default_flow_tolerance(config: PrecisionConfig) -> mpf:
-    # the integrator's internal budget is tolerance^4, so a quarter of the
-    # digit target keeps the endpoint error near the working floor
-    return mpf(10) ** (-(config.target_digits // 4))
+def seed_point(seed: str, s_end, config: PrecisionConfig) -> mpf:
+    """Where a series seed starts when no s0 is given: 2 s_end for the
+    descending series, min(s_end/2, 1/8) for the Taylor series, where its
+    search for an admissible seed point begins."""
+    with working_precision(config):
+        s_end = to_mpf(s_end, config)
+        return 2 * s_end if seed == SEED_LARGE_SERIES else min(s_end / 2, mpf(1) / 8)
 
 
 def solve_piii_prime(
@@ -525,7 +574,7 @@ def solve_piii_prime(
     tolerance=None,
     sample_points=None,
     seed_order: Optional[int] = None,
-) -> PiiiTrajectory:
+) -> Trajectory:
     """Integrate g'' = (g')^2/g - g'/s + 2g^2/s^2 + a/(2s) - 1/(4g).
 
     Seeding: `small-series` starts from the extended Taylor expansion at an
@@ -544,14 +593,13 @@ def solve_piii_prime(
         s_end = to_mpf(s_end, config)
         if s_end <= 0:
             raise ValueError("s_end must be positive")
-        tol = _default_flow_tolerance(config) if tolerance is None \
-            else to_mpf(tolerance, config)
+        tol = _flow_tolerance(tolerance, config)
         if seed == SEED_SMALL_SERIES:
             fr = _as_fraction(a)
             order = ORDER_SMALL_SEED if seed_order is None else seed_order
             coeffs = g_small_coefficients(fr, order)
             if s0 is None:
-                s0 = min(s_end / 2, mpf(1) / 8)
+                s0 = seed_point(seed, s_end, config)
                 budget = tol ** 4
                 for _ in range(80):
                     g0, _unused = _poly_seed(coeffs, s0)
@@ -569,7 +617,7 @@ def solve_piii_prime(
         elif seed == SEED_LARGE_SERIES:
             fr = _as_fraction(a)
             order = ORDER_LARGE_SEED if seed_order is None else seed_order
-            s0 = 2 * s_end if s0 is None else to_mpf(s0, config)
+            s0 = seed_point(seed, s_end, config) if s0 is None else to_mpf(s0, config)
             gv, gd, seed_error = _large_seed(fr, s0, order)
             start = [gv, gd]
             a_val = _fr(fr)
@@ -586,58 +634,13 @@ def solve_piii_prime(
         else:
             raise ValueError(f"unknown seed mode {seed!r}")
 
-        problem = OdeProblem(
-            dimension=2,
-            rhs=_piii_rhs(a_val),
-            jet=_piii_jet(a_val),
-            x0=s0,
-            y0=start,
-            x_end=s_end,
-            tolerance=tol,
-            singularity_guard=_flow_guard(config),
-            denominator=_g_factor,
-        )
-        halted = False
-        reason = None
-        try:
-            samples = solve_ode(problem, config, sample_points=sample_points)
-        except OdeHalt as halt:
-            samples = halt.samples
-            halted = True
-            reason = str(halt)
-        path = [(x, y[0], y[1]) for x, y in samples]
-    return PiiiTrajectory(
-        a=a_val, seed=seed, s0=s0, seed_error=seed_error, s_end=s_end, tolerance=tol,
-        samples=path, halted=halted, halt_reason=reason,
-        steps=samples.steps, order=samples.order,
-    )
+        trajectory = _run_flow(_piii_rhs(a_val), _piii_jet(a_val), lambda y: [y[0]],
+                               s0, start, s_end, tol, config, sample_points)
+    trajectory.seed_error = seed_error
+    return trajectory
 
 
 # --- finite-n evolution of R_n(t) --------------------------------------------
-
-
-@dataclass
-class PvTrajectory:
-    """Integrated path of (R_n, R_n') with the endpoint cross-check;
-    `steps` counts the integrator's accepted steps, Taylor polynomials of
-    degree `order`."""
-
-    n: int
-    alpha: mpf
-    t0: mpf
-    t_end: mpf
-    tolerance: mpf
-    samples: list
-    halted: bool
-    halt_reason: Optional[str]
-    endpoint_direct: Optional[mpf]
-    endpoint_gap: Optional[mpf]
-    steps: int
-    order: int
-
-    @property
-    def endpoint(self):
-        return self.samples[-1]
 
 
 def _pv_rhs(n: int, alpha: mpf) -> Callable:
@@ -707,14 +710,15 @@ def continue_pv(
     config: PrecisionConfig,
     tolerance=None,
     sample_points=None,
-) -> PvTrajectory:
+) -> Trajectory:
     """Evolve R_n(t) from t0 to t_end and cross-check the endpoint.
 
     The seed (R_n, R_n') comes from the finite-n tables at t0, the slope
     through the Riccati relation.  Guards halt on R_n -> 0 or
-    2n+2alpha+1+R_n -> 0, the zeros of the evolution's leading coefficient.
-    Only params.alpha is read; the trajectory's own t span is [t0, t_end],
-    which must stay positive (the equation is singular at t=0).
+    2n+2alpha+1+R_n -> 0, the zeros of the evolution's leading coefficient,
+    and at the divergence cap.  Only params.alpha is read; the trajectory's
+    own t span is [t0, t_end], which must stay positive (the equation is
+    singular at t=0).
     """
     if n < 0:
         raise ValueError("index must be non-negative")
@@ -723,56 +727,16 @@ def continue_pv(
         t_end = to_mpf(t_end, config)
         if t0 <= 0 or t_end <= 0:
             raise ValueError("the evolution needs t0 > 0 and t_end > 0")
-        tol = _default_flow_tolerance(config) if tolerance is None \
-            else to_mpf(tolerance, config)
         alpha = to_mpf(params.alpha, config)
         k1 = 2 * n + 2 * alpha + 1
-        big_r0, rp0 = _seed_aux(n, alpha, t0, config)
-
-        if t_end == t0:
-            return PvTrajectory(
-                n=n, alpha=alpha, t0=t0, t_end=t_end, tolerance=tol,
-                samples=[(t0, big_r0, rp0)], halted=False, halt_reason=None,
-                endpoint_direct=big_r0, endpoint_gap=mpf(0), steps=0, order=0,
-            )
-
-        floor = mpf(10) ** (-(config.target_digits // 2))
-
-        def guard(x, y):
-            return abs(y[0]) < floor or abs(k1 + y[0]) < floor
-
-        problem = OdeProblem(
-            dimension=2,
-            rhs=_pv_rhs(n, alpha),
-            jet=_pv_jet(n, alpha),
-            x0=t0,
-            y0=[big_r0, rp0],
-            x_end=t_end,
-            tolerance=tol,
-            singularity_guard=guard,
-            denominator=lambda x, y: y[0] * (k1 + y[0]),
-        )
-        halted = False
-        reason = None
-        try:
-            samples = solve_ode(problem, config, sample_points=sample_points)
-        except OdeHalt as halt:
-            samples = halt.samples
-            halted = True
-            reason = str(halt)
-        path = [(x, y[0], y[1]) for x, y in samples]
-
-        endpoint_direct = None
-        endpoint_gap = None
-        if not halted:
-            endpoint_direct, _ = _seed_aux(n, alpha, t_end, config)
-            endpoint_gap = abs(path[-1][1] - endpoint_direct)
-    return PvTrajectory(
-        n=n, alpha=alpha, t0=t0, t_end=t_end, tolerance=tol,
-        samples=path, halted=halted, halt_reason=reason,
-        endpoint_direct=endpoint_direct, endpoint_gap=endpoint_gap,
-        steps=samples.steps, order=samples.order,
-    )
+        trajectory = _run_flow(_pv_rhs(n, alpha), _pv_jet(n, alpha),
+                               lambda y: [y[0], k1 + y[0]],
+                               t0, list(_seed_aux(n, alpha, t0, config)), t_end,
+                               _flow_tolerance(tolerance, config), config, sample_points)
+        if not trajectory.halted:
+            trajectory.endpoint_direct, _ = _seed_aux(n, alpha, t_end, config)
+            trajectory.endpoint_gap = abs(trajectory.endpoint[1] - trajectory.endpoint_direct)
+    return trajectory
 
 
 # --- double-scaling scans -----------------------------------------------------
@@ -1059,8 +1023,7 @@ def dyson_constant_experiment(
         s_hi_val = to_mpf(s_hi, config)
         if not 0 < s_lo_val < s_hi_val:
             raise ValueError("need 0 < s_lo < s_hi")
-        tol = _default_flow_tolerance(config) if tolerance is None \
-            else to_mpf(tolerance, config)
+        tol = _flow_tolerance(tolerance, config)
 
         exact_sum = (c_constant(Fraction(1, 2), config)
                      + c_constant(Fraction(-1, 2), config))
@@ -1074,12 +1037,10 @@ def dyson_constant_experiment(
         tail = large.eval(s_hi_val, config, include_constant=False)
 
         ode_constant = None
-        ode_halted = False
         ode_reason = None
         ode_reached = None
         if route in ("auto", "ode"):
-            branch_logs = []
-            reached = []
+            flows = []
             for fr in (Fraction(1, 2), Fraction(-1, 2)):
                 dser = series_expansion("delta-ab-small", a=fr)
                 if not dser.in_regime(s_lo_val, config):
@@ -1089,31 +1050,17 @@ def dyson_constant_experiment(
                 lam = log_ratio_small_coefficients(fr, ORDER_SMALL_SEED)
                 lv, ld = _poly_seed(lam, s_lo_val)
                 start = [gv, gd, s_lo_val * ld, lv]
-                problem = OdeProblem(
-                    dimension=4,
-                    rhs=_coupled_rhs(_fr(fr)),
-                    jet=_coupled_jet(_fr(fr)),
-                    x0=s_lo_val,
-                    y0=start,
-                    x_end=s_hi_val,
-                    tolerance=tol,
-                    singularity_guard=_flow_guard(config),
-                    denominator=_g_factor,
-                )
-                try:
-                    samples = solve_ode(problem, config)
-                    branch_logs.append(samples[-1][1][3])
-                    reached.append(samples[-1][0])
-                except OdeHalt as halt:
-                    ode_halted = True
-                    ode_reason = f"a={fr}: {halt}"
-                    reached.append(halt.x)
+                flows.append(_run_flow(_coupled_rhs(_fr(fr)), _coupled_jet(_fr(fr)),
+                                       lambda y: [y[0]], s_lo_val, start, s_hi_val, tol,
+                                       config))
+                if flows[-1].halted:
+                    ode_reason = f"a={fr}: {flows[-1].halt_reason}"
+                    flags.append("ode-route-halted")
                     break
-            ode_reached = min(reached) if reached else None
-            if not ode_halted and len(branch_logs) == 2:
-                ode_constant = branch_logs[0] + branch_logs[1] - tail
-            elif ode_halted:
-                flags.append("ode-route-halted")
+            else:
+                # the rows are (s, g, g', H, L): the branches' log-ratios are L
+                ode_constant = flows[0].endpoint[4] + flows[1].endpoint[4] - tail
+            ode_reached = min(flow.reached for flow in flows)
 
         scan_constant = None
         scan_result = None
@@ -1127,7 +1074,7 @@ def dyson_constant_experiment(
         constant = ode_constant if ode_constant is not None else scan_constant
     return DysonExperiment(
         alpha=alpha_val, s_lo=s_lo_val, s_hi=s_hi_val, n_list=n_list,
-        route=route, ode_constant=ode_constant, ode_halted=ode_halted,
+        route=route, ode_constant=ode_constant, ode_halted=ode_reason is not None,
         ode_halt_reason=ode_reason, ode_reached=ode_reached,
         scan_constant=scan_constant, scan=scan_result,
         constant_estimate=constant, exact_constant_sum=exact_sum,

@@ -158,15 +158,6 @@ class TildeTable:
         return len(self.tilde_h) - 1
 
 
-def eval_tilde_poly(n: int, x, table: TildeTable) -> mpf:
-    """Monic auxiliary polynomial of degree n at x, by three-term recurrence."""
-    if n < 0:
-        raise ValueError("polynomial degree must be non-negative")
-    if n > table.n_top:
-        raise ValueError(f"table only covers degrees up to {table.n_top}")
-    return _three_term_values(n, mpf(x), table.rec_a, table.rec_b)[n]
-
-
 def _three_term_values(n: int, x: mpf, rec_a, rec_b) -> list:
     """tilde_P_0(x) .. tilde_P_n(x) in one three-term sweep."""
     values = [mpf(1)]

@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+
+from mpmath import mp
 
 from . import report
 from .asymptotics import (
@@ -28,6 +30,7 @@ from .asymptotics import (
     continue_pv,
     double_scaling_scan,
     dyson_constant_experiment,
+    seed_point,
     series_eval,
     solve_piii_prime,
 )
@@ -139,12 +142,12 @@ def _make_precision(run: RunConfig) -> PrecisionConfig:
 
 
 def _grid(a, b, count: int, config: PrecisionConfig):
-    """count points from a to b inclusive, at working precision."""
+    """count >= 2 points from a to b inclusive, at working precision."""
     with working_precision(config):
         lo = to_mpf(a, config)
         hi = to_mpf(b, config)
-        if count < 2 or lo == hi:
-            return [lo, hi] if lo != hi else [lo]
+        if lo == hi:
+            return [lo]
         step = (hi - lo) / (count - 1)
         points = [lo + k * step for k in range(count - 1)]
         points.append(hi)
@@ -163,9 +166,18 @@ def _nearest_rows(samples, points):
     return chosen
 
 
-def _flow_notes(trajectory) -> list:
-    """The flow's accepted Taylor steps and the order they ran at."""
-    return [f"steps: {trajectory.steps}", f"order: {trajectory.order}"]
+def _flow_report(trajectory, points, columns, config: PrecisionConfig,
+                 notes=(), status=EXIT_OK):
+    """A flow's rows nearest the grid points, under `columns` (x, y, y'); a
+    halted flow exits 2 with a `halted:` note. Every flow reports its
+    accepted Taylor steps and the order they ran at."""
+    if trajectory.halted:
+        notes = [f"halted: {trajectory.halt_reason} at "
+                 f"{columns[0]}={report.fmt(trajectory.reached, config)}", *notes]
+        status = EXIT_NUMERIC
+    notes = [*notes, f"steps: {trajectory.steps}", f"order: {trajectory.order}"]
+    rows = _nearest_rows(trajectory.samples, points)
+    return report.flow_records(rows, columns, config), status, notes
 
 
 def _cmd_moments(run: RunConfig, config: PrecisionConfig):
@@ -243,61 +255,43 @@ def _cmd_bridge(run: RunConfig, config: PrecisionConfig):
 
 def _cmd_solve_pv(run: RunConfig, config: PrecisionConfig):
     t0 = run.options["t0"]
-    t_end = run.options["t_end"]
-    params = make_params(run.alpha, t0, config)
-    points = _grid(t0, t_end, run.options["samples"], config)
-    tolerance = run.options.get("tolerance")
-    trajectory = continue_pv(
-        run.n, params, t0, t_end, config,
-        tolerance=None if tolerance is None else to_mpf(tolerance, config),
-        sample_points=points,
-    )
-    trimmed = replace(
-        trajectory, samples=_nearest_rows(trajectory.samples, points)
-    )
+    points = _grid(t0, run.options["t_end"], run.options["samples"], config)
+    trajectory = continue_pv(run.n, make_params(run.alpha, t0, config), t0,
+                             run.options["t_end"], config,
+                             tolerance=run.options["tolerance"], sample_points=points)
     notes = []
     status = EXIT_OK
-    if trajectory.halted:
-        notes.append(f"halted: {trajectory.halt_reason} at t={report.fmt(trajectory.samples[-1][0], config)}")
-        status = EXIT_NUMERIC
-    elif trajectory.endpoint_gap is not None:
-        notes.append(f"endpoint_gap: {report.fmt(trajectory.endpoint_gap, config)}")
+    gap = trajectory.endpoint_gap
+    if gap is not None:
         # the flow was asked for this tolerance; R_n(t_end) is the direct tables' value
         with working_precision(config):
-            bar = trajectory.tolerance * max(1, abs(trajectory.endpoint_direct))
-        if trajectory.endpoint_gap > bar:
+            scale = abs(trajectory.endpoint_direct)
+            bar = trajectory.tolerance * max(1, scale)
+            digits = config.target_digits if gap == 0 else \
+                int(mp.floor(min(config.target_digits, -mp.log10(gap / scale))))
+        notes.append(f"endpoint_gap: {report.fmt(gap, config)}")
+        notes.append(f"endpoint_digits: {digits}")
+        if gap > bar:
             notes.append(f"finding: endpoint_gap above tolerance * max(1, |R_n(t_end)|) "
                          f"= {report.fmt(bar, config)}")
             status = EXIT_FINDING
-    notes += _flow_notes(trajectory)
-    return report.pv_records(trimmed, config), status, notes
+    return _flow_report(trajectory, points, ("t", "R", "dR"), config, notes, status)
 
 
 def _cmd_solve_p3(run: RunConfig, config: PrecisionConfig):
     opts = run.options
     seed = opts["seed"]
-    s_end = to_mpf(run.s, config)
-    s0 = opts.get("s0")
     y0 = None
     if seed == SEED_EXPLICIT:
-        if s0 is None or opts.get("g0") is None or opts.get("dg0") is None:
+        if opts["s0"] is None or opts["g0"] is None or opts["dg0"] is None:
             raise ValueError("explicit seed needs --s0, --g0 and --dg0")
-        y0 = (to_mpf(opts["g0"], config), to_mpf(opts["dg0"], config))
-    with working_precision(config):
-        if s0 is not None:
-            start = to_mpf(s0, config)
-        elif seed == SEED_LARGE_SERIES:
-            start = 2 * s_end
-        else:
-            start = min(s_end / 2, to_mpf("0.125", config))
-    points = _grid(start, s_end, opts["samples"], config)
-    tolerance = opts.get("tolerance")
+        y0 = (opts["g0"], opts["dg0"])
+    start = seed_point(seed, run.s, config) if opts["s0"] is None else opts["s0"]
+    points = _grid(start, run.s, opts["samples"], config)
     trajectory = solve_piii_prime(
-        opts["a"], s_end, config, seed=seed,
-        s0=None if s0 is None else to_mpf(s0, config), y0=y0,
-        tolerance=None if tolerance is None else to_mpf(tolerance, config),
-        sample_points=[p for p in points if p != start] or None,
-        seed_order=opts.get("seed_order"),
+        opts["a"], run.s, config, seed=seed, s0=opts["s0"], y0=y0,
+        tolerance=opts["tolerance"], sample_points=points[1:] or None,
+        seed_order=opts["seed_order"],
     )
     # the bound the small-series search meets, so no printed digit rests on the seed
     bound = trajectory.tolerance ** 4 * max(1, abs(trajectory.samples[0][1]))
@@ -305,16 +299,7 @@ def _cmd_solve_p3(run: RunConfig, config: PrecisionConfig):
         raise NumericsError(f"the {seed} seed at s0={report.fmt(trajectory.s0, config, 6)} "
                             f"has a tail of {report.fmt(trajectory.seed_error, config, 3)}, "
                             f"above tolerance^4*max(1,|g0|) = {report.fmt(bound, config, 3)}")
-    trimmed = replace(
-        trajectory, samples=_nearest_rows(trajectory.samples, points)
-    )
-    notes = []
-    status = EXIT_OK
-    if trajectory.halted:
-        notes.append(f"halted: {trajectory.halt_reason} at s={report.fmt(trajectory.reached, config)}")
-        status = EXIT_NUMERIC
-    notes += _flow_notes(trajectory)
-    return report.piii_records(trimmed, config), status, notes
+    return _flow_report(trajectory, points, ("s", "g", "dg"), config)
 
 
 def _cmd_scan(run: RunConfig, config: PrecisionConfig):
@@ -343,11 +328,9 @@ def _cmd_series(run: RunConfig, config: PrecisionConfig):
 
 def _cmd_dyson(run: RunConfig, config: PrecisionConfig):
     n_list = run.n_list if run.n_list is not None else DEFAULT_N_LIST
-    tolerance = run.options.get("tolerance")
     experiment = dyson_constant_experiment(
         run.alpha, run.options["s_lo"], run.options["s_hi"], n_list, config,
-        route=run.options["route"],
-        tolerance=None if tolerance is None else to_mpf(tolerance, config),
+        route=run.options["route"], tolerance=run.options["tolerance"],
     )
     notes = [f"flag: {flag}" for flag in experiment.flags]
     status = EXIT_OK if experiment.constant_estimate is not None else EXIT_NUMERIC
@@ -460,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", required=True)
     p.add_argument("--t-end", required=True)
     p.add_argument("--tolerance", default=None)
-    p.add_argument("--samples", type=int, default=17)
+    p.add_argument("--samples", type=_count(2), default=17)
     _add_common(p, plot=True)
 
     p = sub.add_parser("solve-p3", help="integrate the scaling-limit ODE for g(s)")
@@ -473,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dg0", default=None)
     p.add_argument("--tolerance", default=None)
     p.add_argument("--seed-order", type=_count(3), default=None)
-    p.add_argument("--samples", type=int, default=17)
+    p.add_argument("--samples", type=_count(2), default=17)
     _add_common(p, plot=True)
 
     p = sub.add_parser("scan", help="finite-n double-scaling scan with extrapolation")

@@ -21,9 +21,7 @@ avoid the integrals entirely:
 ladder_maps is the one transcription of these maps, for the values and for
 every t-derivative of beta_n: the identity route of aux_table, the scans,
 the flows' seed and the t-differential rows all read it. The integral
-route is kept as the independent oracle.  Closed forms for the first
-members (r_1 = R_0 and R_1) come from direct evaluation of the integrals
-in terms of Kummer functions.
+route is kept as the independent oracle.
 
 The sign of R_n for t > 0 is never asserted: it is an observed property
 (positive on every grid tested here) recorded at report level only.
@@ -34,9 +32,8 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .precision import NumericsError, PrecisionConfig, working_precision
-from .quadrature import integrate, integrate_unit_vector
-from .recurrence import RecurrenceTable, eval_poly, negated_prefix_sums, recurrence_table
-from .special import gamma, kummer_phi
+from .quadrature import integrate_unit_vector
+from .recurrence import RecurrenceTable, negated_prefix_sums, recurrence_table
 from .weights import WeightParams, weight_value
 
 ROUTE_IDENTITY = "identity"
@@ -183,48 +180,6 @@ def aux_table(
     )
 
 
-def initial_r1(params: WeightParams, config: PrecisionConfig) -> mpf:
-    """Closed form for r_1(t) = R_0(t) in terms of Kummer functions."""
-    with working_precision(config):
-        a = params.alpha
-        t = params.t
-        rt = mp.sqrt(t)
-        num = 2 * rt * (
-            gamma(mpf(3) / 2 + a, config) * kummer_phi(-a, mpf(1) / 2, -t, config)
-            - (1 + 2 * a)
-            * rt
-            * gamma(1 + a, config)
-            * kummer_phi(mpf(1) / 2 - a, mpf(3) / 2, -t, config)
-        )
-        den = gamma(1 + a, config) * kummer_phi(
-            -mpf(1) / 2 - a, mpf(1) / 2, -t, config
-        ) - 2 * rt * gamma(mpf(3) / 2 + a, config) * kummer_phi(
-            -a, mpf(3) / 2, -t, config
-        )
-        return num / den
-
-
-def initial_R1(params: WeightParams, config: PrecisionConfig) -> mpf:
-    """Closed form for R_1(t) in terms of Kummer functions."""
-    with working_precision(config):
-        a = params.alpha
-        t = params.t
-        rt = mp.sqrt(t)
-        num = 6 * t * (
-            (3 + 2 * a)
-            * gamma(1 + a, config)
-            * kummer_phi(-mpf(1) / 2 - a, mpf(1) / 2, -t, config)
-            - 4 * rt * gamma(mpf(5) / 2 + a, config)
-            * kummer_phi(-a, mpf(3) / 2, -t, config)
-        )
-        den = 3 * gamma(1 + a, config) * kummer_phi(
-            -mpf(3) / 2 - a, -mpf(1) / 2, -t, config
-        ) + 8 * t * rt * gamma(mpf(5) / 2 + a, config) * kummer_phi(
-            -a, mpf(5) / 2, -t, config
-        )
-        return num / den
-
-
 # --- the compatibility conditions as additive terms, k1 = 2n+1+2alpha ---------
 
 
@@ -280,12 +235,6 @@ def v_prime(z, params: WeightParams) -> mpf:
     return -2 * params.t / z ** 3 + 2 * params.alpha * z / (1 - z * z)
 
 
-def v_double_prime(z, params: WeightParams) -> mpf:
-    z = mpf(z)
-    one_m = 1 - z * z
-    return 6 * params.t / z ** 4 + 2 * params.alpha * (1 + z * z) / one_m ** 2
-
-
 def ladder_pieces(n: int, z, R_n, r_n, params: WeightParams):
     """A_n, B_n and their z-derivatives at ambient precision.
 
@@ -315,68 +264,3 @@ def eval_ladder(n: int, z, aux: AuxTable, params: WeightParams = None):
         params = aux.params
     pieces = ladder_pieces(n, z, aux.R[n], aux.r[n], params)
     return pieces["A"], pieces["B"]
-
-
-def ladder_oracle_A(
-    n: int,
-    z,
-    params: WeightParams,
-    config: PrecisionConfig,
-    recurrence=None,
-) -> mpf:
-    """A_n(z) from its defining integral with the raw difference quotient."""
-    table = recurrence
-    if table is None or table.n_max < n:
-        table = recurrence_table(max(n, 1), params, config)
-    with working_precision(config):
-        z = mpf(z)
-        vz = v_prime(z, params)
-        near = mpf(2) ** (-(mp.prec // 2))
-
-        def f(y):
-            # w underflows to exact 0 only where its decay beats every
-            # kernel pole; the discarded nodes are below working precision
-            w = weight_value(y, params)
-            if w == 0:
-                return mpf(0)
-            if abs(z - y) < near:
-                kernel = v_double_prime((z + y) / 2, params)
-            else:
-                kernel = (vz - v_prime(y, params)) / (z - y)
-            pn = eval_poly(n, y, table).value
-            return kernel * pn * pn * w
-
-        return integrate(f, (-1, 1), config) / table.h[n]
-
-
-def ladder_oracle_B(
-    n: int,
-    z,
-    params: WeightParams,
-    config: PrecisionConfig,
-    recurrence=None,
-) -> mpf:
-    """B_n(z) from its defining integral."""
-    if n < 1:
-        raise ValueError("B oracle needs n >= 1")
-    table = recurrence
-    if table is None or table.n_max < n:
-        table = recurrence_table(n, params, config)
-    with working_precision(config):
-        z = mpf(z)
-        vz = v_prime(z, params)
-        near = mpf(2) ** (-(mp.prec // 2))
-
-        def f(y):
-            w = weight_value(y, params)
-            if w == 0:
-                return mpf(0)
-            if abs(z - y) < near:
-                kernel = v_double_prime((z + y) / 2, params)
-            else:
-                kernel = (vz - v_prime(y, params)) / (z - y)
-            pn = eval_poly(n, y, table).value
-            pm = eval_poly(n - 1, y, table).value
-            return kernel * pn * pm * w
-
-        return integrate(f, (-1, 1), config) / table.h[n - 1]

@@ -101,7 +101,7 @@ class JetDefectError(NumericsError):
 class Samples(list):
     """Trajectory rows (x, y): x0, every step end and every sample point, in
     order of x; `steps` counts the accepted steps that made them, each a
-    Taylor polynomial of degree `order`."""
+    Taylor polynomial of degree `order` (0 for a zero span)."""
 
     steps = 0
     order = 0
@@ -176,7 +176,8 @@ def solve_ode(problem: OdeProblem, config: PrecisionConfig, sample_points=None):
     """Integrate problem from x0 to x_end.
 
     Returns Samples: (x, y_list) rows for x0, every accepted step end and
-    every requested sample point, ending at x_end. Raises SingularityHalt /
+    every requested sample point, ending at x_end; a zero span returns the
+    one row x0 with no steps and order 0. Raises SingularityHalt /
     StepUnderflowHalt with the partial trajectory attached when integration
     cannot proceed, and JetDefectError when the jet misses the rhs.
     """
@@ -196,10 +197,10 @@ def solve_ode(problem: OdeProblem, config: PrecisionConfig, sample_points=None):
             )
         budget = max(tol**TOLERANCE_EXPONENT, mpf(2) ** (-(config.bits - 48)))
         samples = Samples([(x, list(y))])
-        samples.order = order = _taylor_order(budget)
         span = x_end - x
         if span == 0:
             return samples
+        samples.order = order = _taylor_order(budget)
         direction = 1 if span > 0 else -1
 
         pending = []

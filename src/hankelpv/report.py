@@ -193,30 +193,9 @@ def scan_records(result, config: PrecisionConfig):
     return records
 
 
-def piii_records(trajectory, config: PrecisionConfig):
-    records = []
-    for s, g, dg in trajectory.samples:
-        records.append(
-            {
-                "s": fmt(s, config),
-                "g": fmt(g, config),
-                "dg": fmt(dg, config),
-            }
-        )
-    return records
-
-
-def pv_records(trajectory, config: PrecisionConfig):
-    records = []
-    for t, big_r, d_big_r in trajectory.samples:
-        records.append(
-            {
-                "t": fmt(t, config),
-                "R": fmt(big_r, config),
-                "dR": fmt(d_big_r, config),
-            }
-        )
-    return records
+def flow_records(rows, columns, config: PrecisionConfig):
+    """Trajectory rows (x, y, y') as records keyed by `columns`."""
+    return [{key: fmt(value, config) for key, value in zip(columns, row)} for row in rows]
 
 
 def series_records(entries, config: PrecisionConfig):

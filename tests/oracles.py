@@ -1,0 +1,141 @@
+"""Independent routes that only the tests use.
+
+Closed forms for the first ladder coefficients (r_1 = R_0 and R_1, by
+direct evaluation of their defining integrals in terms of Kummer
+functions), the ladder functions A_n(z) and B_n(z) from their defining
+integrals, and the shifted weight's monic polynomials one degree at a
+time. The package computes the same quantities by other routes, which
+these check.
+"""
+
+from mpmath import mp, mpf
+
+from hankelpv import bridge
+from hankelpv.ladder import v_prime
+from hankelpv.precision import PrecisionConfig, working_precision
+from hankelpv.quadrature import integrate
+from hankelpv.recurrence import eval_poly, recurrence_table
+from hankelpv.special import gamma, kummer_phi
+from hankelpv.weights import WeightParams, weight_value
+
+
+def initial_r1(params: WeightParams, config: PrecisionConfig) -> mpf:
+    """Closed form for r_1(t) = R_0(t) in terms of Kummer functions."""
+    with working_precision(config):
+        a = params.alpha
+        t = params.t
+        rt = mp.sqrt(t)
+        num = 2 * rt * (
+            gamma(mpf(3) / 2 + a, config) * kummer_phi(-a, mpf(1) / 2, -t, config)
+            - (1 + 2 * a)
+            * rt
+            * gamma(1 + a, config)
+            * kummer_phi(mpf(1) / 2 - a, mpf(3) / 2, -t, config)
+        )
+        den = gamma(1 + a, config) * kummer_phi(
+            -mpf(1) / 2 - a, mpf(1) / 2, -t, config
+        ) - 2 * rt * gamma(mpf(3) / 2 + a, config) * kummer_phi(
+            -a, mpf(3) / 2, -t, config
+        )
+        return num / den
+
+
+def initial_R1(params: WeightParams, config: PrecisionConfig) -> mpf:
+    """Closed form for R_1(t) in terms of Kummer functions."""
+    with working_precision(config):
+        a = params.alpha
+        t = params.t
+        rt = mp.sqrt(t)
+        num = 6 * t * (
+            (3 + 2 * a)
+            * gamma(1 + a, config)
+            * kummer_phi(-mpf(1) / 2 - a, mpf(1) / 2, -t, config)
+            - 4 * rt * gamma(mpf(5) / 2 + a, config)
+            * kummer_phi(-a, mpf(3) / 2, -t, config)
+        )
+        den = 3 * gamma(1 + a, config) * kummer_phi(
+            -mpf(3) / 2 - a, -mpf(1) / 2, -t, config
+        ) + 8 * t * rt * gamma(mpf(5) / 2 + a, config) * kummer_phi(
+            -a, mpf(5) / 2, -t, config
+        )
+        return num / den
+
+
+def v_double_prime(z, params: WeightParams) -> mpf:
+    z = mpf(z)
+    one_m = 1 - z * z
+    return 6 * params.t / z ** 4 + 2 * params.alpha * (1 + z * z) / one_m ** 2
+
+
+def ladder_oracle_A(
+    n: int,
+    z,
+    params: WeightParams,
+    config: PrecisionConfig,
+    recurrence=None,
+) -> mpf:
+    """A_n(z) from its defining integral with the raw difference quotient."""
+    table = recurrence
+    if table is None or table.n_max < n:
+        table = recurrence_table(max(n, 1), params, config)
+    with working_precision(config):
+        z = mpf(z)
+        vz = v_prime(z, params)
+        near = mpf(2) ** (-(mp.prec // 2))
+
+        def f(y):
+            # w underflows to exact 0 only where its decay beats every
+            # kernel pole; the discarded nodes are below working precision
+            w = weight_value(y, params)
+            if w == 0:
+                return mpf(0)
+            if abs(z - y) < near:
+                kernel = v_double_prime((z + y) / 2, params)
+            else:
+                kernel = (vz - v_prime(y, params)) / (z - y)
+            pn = eval_poly(n, y, table).value
+            return kernel * pn * pn * w
+
+        return integrate(f, (-1, 1), config) / table.h[n]
+
+
+def ladder_oracle_B(
+    n: int,
+    z,
+    params: WeightParams,
+    config: PrecisionConfig,
+    recurrence=None,
+) -> mpf:
+    """B_n(z) from its defining integral."""
+    if n < 1:
+        raise ValueError("B oracle needs n >= 1")
+    table = recurrence
+    if table is None or table.n_max < n:
+        table = recurrence_table(n, params, config)
+    with working_precision(config):
+        z = mpf(z)
+        vz = v_prime(z, params)
+        near = mpf(2) ** (-(mp.prec // 2))
+
+        def f(y):
+            w = weight_value(y, params)
+            if w == 0:
+                return mpf(0)
+            if abs(z - y) < near:
+                kernel = v_double_prime((z + y) / 2, params)
+            else:
+                kernel = (vz - v_prime(y, params)) / (z - y)
+            pn = eval_poly(n, y, table).value
+            pm = eval_poly(n - 1, y, table).value
+            return kernel * pn * pm * w
+
+        return integrate(f, (-1, 1), config) / table.h[n - 1]
+
+
+def eval_tilde_poly(n: int, x, table: bridge.TildeTable) -> mpf:
+    """Monic auxiliary polynomial of degree n at x, by three-term recurrence."""
+    if n < 0:
+        raise ValueError("polynomial degree must be non-negative")
+    if n > table.n_top:
+        raise ValueError(f"table only covers degrees up to {table.n_top}")
+    return bridge._three_term_values(n, mpf(x), table.rec_a, table.rec_b)[n]

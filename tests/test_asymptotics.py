@@ -593,6 +593,20 @@ def test_pv_trivial_span():
     assert len(traj.samples) == 1
     assert traj.endpoint_gap == 0
     assert not traj.halted
+    assert traj.steps == traj.order == 0
+
+
+def test_pv_halts_at_the_divergence_cap(monkeypatch):
+    # a seed slope of 1e9 drives the flow into the cap the g flows share;
+    # without it the flow ran on until its step size underflowed
+    seed = asymptotics._seed_aux
+    monkeypatch.setattr(asymptotics, "_seed_aux",
+                        lambda n, alpha, t, config: (seed(n, alpha, t, config)[0], mpf(10) ** 9))
+    config = PrecisionConfig(bits=128, target_digits=15)
+    traj = continue_pv(2, make_params(1, "0.1", config), "0.1", "0.3", config,
+                       tolerance="1e-3")
+    assert traj.halted
+    assert "guard" in traj.halt_reason
 
 
 def test_pv_downward_span():

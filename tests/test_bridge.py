@@ -7,7 +7,6 @@ from hankelpv.bridge import (
     JMO_IDS,
     PARITY_IDS,
     _boosted_digits,
-    eval_tilde_poly,
     make_tilde_params,
     tilde_H_derivatives,
     tilde_moments,
@@ -24,6 +23,8 @@ from hankelpv.quadrature import integrate, integrate_unit_vector
 from hankelpv.recurrence import _cholesky, recurrence_table
 from hankelpv.special import exp_beta_moment
 from hankelpv.weights import make_params, moment_entry
+
+from oracles import eval_tilde_poly
 
 CFG = PrecisionConfig()
 CFG128 = PrecisionConfig(bits=128, target_digits=15)

@@ -158,8 +158,13 @@ def test_bridge_at_small_t(suite):
     (["verify", "--suite", "scalar", *AT, "--n-max", "-1"], "--n-max"),
     # the series seeds' tail estimates read the last kept terms
     (["solve-p3", "--a", "1/2", "--s", "0.05", "--seed-order", "1"], "--seed-order"),
+    # a grid holds both ends of the span
+    (["solve-p3", "--a", "1/2", "--s", "0.05", "--samples", "1"], "--samples"),
+    (["solve-pv", "--n", "2", "--alpha", "1", "--t0", "0.1", "--t-end", "0.12",
+      "--samples", "1"], "--samples"),
 ], ids=["hankel-n-max-0", "verify-all-n-max-minus-1", "moments-j-max-minus-1",
-        "verify-scalar-n-max-minus-1", "solve-p3-seed-order-1"])
+        "verify-scalar-n-max-minus-1", "solve-p3-seed-order-1", "solve-p3-samples-1",
+        "solve-pv-samples-1"])
 def test_bad_counts_are_usage_errors(argv, flag):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as excinfo:
@@ -225,6 +230,19 @@ def test_solve_pv_grades_its_endpoint_gap(monkeypatch):
     assert status == cli.EXIT_FINDING
     notes = [line for line in err.getvalue().splitlines() if "finding:" in line]
     assert len(notes) == 1 and notes[0].startswith("solve-pv: finding: endpoint_gap")
+
+
+@pytest.mark.parametrize("argv, digits", [
+    (["--n", "2", "--alpha", "1", "--t0", "0.1", "--t-end", "0.12", "--samples", "3"], 15),
+    # 15 digits are printed, but the flow meets the tables' R_5(2) to 11 only
+    (["--n", "5", "--alpha", "0.7", "--t0", "0.05", "--t-end", "2"], 11),
+], ids=["golden", "short"])
+def test_solve_pv_says_how_many_digits_its_endpoint_holds(argv, digits):
+    err = io.StringIO()
+    status, _ = _run(["solve-pv", *argv], err)
+    assert status == cli.EXIT_OK
+    notes = [line for line in err.getvalue().splitlines() if "endpoint_digits" in line]
+    assert notes == [f"solve-pv: endpoint_digits: {digits}"]
 
 
 G2 = ["--mode", "g2", "--s", "0.5", "--n-list"]
@@ -301,13 +319,21 @@ def test_traced_benchmark_job_runs():
     # perfbench/tracer.py wraps package functions by name, so a rename
     # shows here as a failed traced job. For the flows it also swaps
     # OdeProblem.rhs, which the integrator calls once per step to check
-    # its jet. The verify workload's jmo job calls the bridge directly
+    # its jet, and counts the halts it catches. The verify workload's jmo
+    # job calls the bridge directly
     jmo = next(job for job in runpy.run_path(str(JOB.parent / "workloads.py"))["VERIFY"]
                if job["id"] == "jmo")
     for spec, counts in [({"argv": ["moments", *AT, "--j-max", "6", "--bits", "128"]},
                           {"weights.table_builds": 1}),
                          ({"argv": ["solve-p3", "--a", "1/2", "--s", "0.05", "--bits", "128"]},
                           {"ode.solves": 1, "ode.rhs_calls": 1}),
+                         ({"argv": ["solve-pv", "--n", "2", "--alpha", "1", "--t0", "0.1",
+                                    "--t-end", "0.12", "--samples", "3", "--bits", "128"]},
+                          {"ode.solves": 1}),
+                         # the ode route halts on its first branch and the scan
+                         # route stands in, so the run exits 0
+                         ({"argv": ["dyson", "--n-list", "4,8", "--bits", "128"]},
+                          {"ode.solves": 1, "ode.halts": 1}),
                          (jmo, {"bridge.rows": 3})]:
         proc = subprocess.run([sys.executable, str(JOB), json.dumps(spec), "1"],
                               capture_output=True, text=True, timeout=300, check=False)

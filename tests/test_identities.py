@@ -15,11 +15,13 @@ from hankelpv.identities import (
     verify_linear_ode_Pn,
     verify_scalar_identities,
 )
-from hankelpv.ladder import ROUTE_QUADRATURE, aux_table, initial_R1, initial_r1
+from hankelpv.ladder import ROUTE_QUADRATURE, aux_table
 from hankelpv.precision import PrecisionConfig, working_precision
 from hankelpv.quadrature import ConvergenceError
 from hankelpv.recurrence import recurrence_table
 from hankelpv.weights import make_params
+
+from oracles import initial_R1, initial_r1
 
 CFG = PrecisionConfig()
 CFG_LO = PrecisionConfig(bits=256, target_digits=30)

@@ -16,17 +16,15 @@ from hankelpv.ladder import (
     aux_table,
     beta_via_aux,
     eval_ladder,
-    initial_R1,
-    initial_r1,
     ladder_maps,
-    ladder_oracle_A,
-    ladder_oracle_B,
     ladder_pieces,
     v_prime,
 )
 from hankelpv.precision import NumericsError, PrecisionConfig, working_precision
 from hankelpv.recurrence import eval_poly, hankel_det, recurrence_table
 from hankelpv.weights import make_params
+
+from oracles import initial_R1, initial_r1, ladder_oracle_A, ladder_oracle_B
 
 CFG = PrecisionConfig()
 
