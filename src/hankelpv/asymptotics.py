@@ -406,6 +406,19 @@ def _small_seed_tail(coeffs, s0: mpf) -> mpf:
     return t_last * 10
 
 
+def _small_seed_point(series, s0: mpf, tol: mpf) -> mpf:
+    """s0, halved until each small-s series' seed tail is at most
+    tol^4 * max(1, |its value|), the integrator's budget, so no flow starts
+    from digits its seed does not hold."""
+    budget = tol ** 4
+    for _ in range(80):
+        if all(_small_seed_tail(coeffs, s0) <= budget * max(mpf(1), abs(_poly_seed(coeffs, s0)[0]))
+               for coeffs in series):
+            return s0
+        s0 /= 2
+    raise NumericsError("no admissible seed point for the flow")
+
+
 def _large_seed(a: Fraction, s0: mpf, order: int):
     """(g, g', tail) from the descending expansion truncated at its smallest term."""
     d = g_large_coefficients(a, order)
@@ -599,15 +612,7 @@ def solve_piii_prime(
             order = ORDER_SMALL_SEED if seed_order is None else seed_order
             coeffs = g_small_coefficients(fr, order)
             if s0 is None:
-                s0 = seed_point(seed, s_end, config)
-                budget = tol ** 4
-                for _ in range(80):
-                    g0, _unused = _poly_seed(coeffs, s0)
-                    if _small_seed_tail(coeffs, s0) <= budget * max(mpf(1), abs(g0)):
-                        break
-                    s0 /= 2
-                else:
-                    raise NumericsError("no admissible seed point for the flow")
+                s0 = _small_seed_point([coeffs], seed_point(seed, s_end, config), tol)
             else:
                 s0 = to_mpf(s0, config)
             gv, gd = _poly_seed(coeffs, s0)
@@ -753,13 +758,11 @@ class ScanResult:
     raw: list
     errors: list
     extrapolated: Optional[mpf]
-    extrapolated_alt: Optional[mpf]
     model: Optional[str]
     error_bar: Optional[mpf]
     reference: Optional[mpf]
     reference_kind: Optional[str]
     agreement_digits: Optional[mpf]
-    monotone: Optional[bool]
     flags: list = field(default_factory=list)
     # the config each point's table ran at: more bits than asked is an escalation
     configs: list = field(default_factory=list)
@@ -887,7 +890,7 @@ def double_scaling_scan(
         if any(errors):
             flags.append("point-errors")
         good = [(n, v) for n, v in zip(n_list, raw) if v is not None]
-        extrapolated = extrapolated_alt = model = error_bar = None
+        extrapolated = model = error_bar = None
         if len(good) >= 2:
             xs1 = [mpf(1) / n for n, _ in good]
             xs2 = [mpf(1) / (mpf(n) * n) for n, _ in good]
@@ -897,11 +900,9 @@ def double_scaling_scan(
             step1 = abs(diag1[-1] - diag1[-2])
             step2 = abs(diag2[-1] - diag2[-2])
             if step1 <= step2:
-                extrapolated, extrapolated_alt = diag1[-1], diag2[-1]
-                model, step = "1/n", step1
+                extrapolated, model, step = diag1[-1], "1/n", step1
             else:
-                extrapolated, extrapolated_alt = diag2[-1], diag1[-1]
-                model, step = "1/n^2", step2
+                extrapolated, model, step = diag2[-1], "1/n^2", step2
             error_bar = abs(diag1[-1] - diag2[-1]) + step
         else:
             flags.append("extrapolation-unavailable")
@@ -909,7 +910,6 @@ def double_scaling_scan(
         flags.extend(ref_flags)
 
         agreement = None
-        monotone = None
         if reference is not None and extrapolated is not None:
             diff = abs(extrapolated - reference)
             scale = max(abs(reference), mpf(10) ** (-config.target_digits))
@@ -919,15 +919,13 @@ def double_scaling_scan(
                 agreement = min(-mp.log10(diff / scale),
                                 mpf(config.target_digits))
             gaps = [abs(v - reference) for _, v in good]
-            monotone = all(b <= a for a, b in zip(gaps, gaps[1:]))
-            if not monotone:
+            if any(b > a for a, b in zip(gaps, gaps[1:])):
                 flags.append("non-monotone-approach")
     return ScanResult(
         mode=mode, s=s_val, alpha=alpha_val, n_list=n_list, raw=raw,
-        errors=errors, extrapolated=extrapolated,
-        extrapolated_alt=extrapolated_alt, model=model, error_bar=error_bar,
+        errors=errors, extrapolated=extrapolated, model=model, error_bar=error_bar,
         reference=reference, reference_kind=ref_kind,
-        agreement_digits=agreement, monotone=monotone, flags=flags, configs=configs,
+        agreement_digits=agreement, flags=flags, configs=configs,
     )
 
 
@@ -945,7 +943,6 @@ class DysonExperiment:
     route: str
     ode_constant: Optional[mpf]
     ode_halted: bool
-    ode_halt_reason: Optional[str]
     ode_reached: Optional[mpf]
     scan_constant: Optional[mpf]
     scan: Optional[ScanResult]
@@ -1006,13 +1003,15 @@ def dyson_constant_experiment(
 ) -> DysonExperiment:
     """Estimate the constant term of the large-s delta expansion.
 
-    The flow route anchors ln Delta(s, a, alpha) for a = +-1/2 at s_lo via
-    the small-s series, carries it to s_hi with the coupled g flow, sums
-    the two branches, and subtracts the non-constant large-s terms.  The
-    scan route reads ln Delta_1(s_hi) off the finite-n extrapolation
-    instead.  `route` picks "ode", "scan", or "auto" (flow first, scan as
-    fallback when the flow halts).  Every exact ingredient - the Barnes
-    constant sum and the odd-term cancellation - is computed regardless.
+    The flow route anchors ln Delta(s, a, alpha) for a = +-1/2 via the
+    small-s series at s_lo, halved until the tails of the g and log-ratio
+    series meet the flow's budget, carries it to s_hi with the coupled g
+    flow, sums the two branches, and subtracts the non-constant large-s
+    terms.  The scan route reads ln Delta_1(s_hi) off the finite-n
+    extrapolation instead.  `route` picks "ode", "scan", or "auto" (flow
+    first, scan as fallback when the flow halts).  Every exact ingredient -
+    the Barnes constant sum and the odd-term cancellation - is computed
+    regardless.
     """
     if route not in ("auto", "ode", "scan"):
         raise ValueError(f"unknown route {route!r}")
@@ -1037,7 +1036,7 @@ def dyson_constant_experiment(
         tail = large.eval(s_hi_val, config, include_constant=False)
 
         ode_constant = None
-        ode_reason = None
+        ode_halted = False
         ode_reached = None
         if route in ("auto", "ode"):
             flows = []
@@ -1045,16 +1044,16 @@ def dyson_constant_experiment(
                 dser = series_expansion("delta-ab-small", a=fr)
                 if not dser.in_regime(s_lo_val, config):
                     flags.append(f"s_lo-outside-small-regime(a={fr})")
-                gv, gd = _poly_seed(
-                    g_small_coefficients(fr, ORDER_SMALL_SEED), s_lo_val)
+                coeffs = g_small_coefficients(fr, ORDER_SMALL_SEED)
                 lam = log_ratio_small_coefficients(fr, ORDER_SMALL_SEED)
-                lv, ld = _poly_seed(lam, s_lo_val)
-                start = [gv, gd, s_lo_val * ld, lv]
+                s0 = _small_seed_point([coeffs, lam], s_lo_val, tol)
+                gv, gd = _poly_seed(coeffs, s0)
+                lv, ld = _poly_seed(lam, s0)
+                start = [gv, gd, s0 * ld, lv]
                 flows.append(_run_flow(_coupled_rhs(_fr(fr)), _coupled_jet(_fr(fr)),
-                                       lambda y: [y[0]], s_lo_val, start, s_hi_val, tol,
-                                       config))
+                                       lambda y: [y[0]], s0, start, s_hi_val, tol, config))
                 if flows[-1].halted:
-                    ode_reason = f"a={fr}: {flows[-1].halt_reason}"
+                    ode_halted = True
                     flags.append("ode-route-halted")
                     break
             else:
@@ -1074,8 +1073,7 @@ def dyson_constant_experiment(
         constant = ode_constant if ode_constant is not None else scan_constant
     return DysonExperiment(
         alpha=alpha_val, s_lo=s_lo_val, s_hi=s_hi_val, n_list=n_list,
-        route=route, ode_constant=ode_constant, ode_halted=ode_reason is not None,
-        ode_halt_reason=ode_reason, ode_reached=ode_reached,
+        route=route, ode_constant=ode_constant, ode_halted=ode_halted, ode_reached=ode_reached,
         scan_constant=scan_constant, scan=scan_result,
         constant_estimate=constant, exact_constant_sum=exact_sum,
         reference=reference, cancellation_ok=cancellation, flags=flags,

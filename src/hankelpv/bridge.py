@@ -144,7 +144,6 @@ class TildeTable:
 
     tp: TildeParams
     config: PrecisionConfig
-    moments: list
     tilde_h: list
     tilde_logD: list
     rec_a: list
@@ -238,9 +237,8 @@ def tilde_moments_and_table(n_max: int, tp: TildeParams, config: PrecisionConfig
             H = [mpf(0)] * (n_max + 2)
         else:
             H = [tp.t * d1 for d1 in _prefix_sums([jet[1] / jet[0] for jet in jets])]
-    table = TildeTable(tp=tp, config=config, moments=values[-j_lo:], tilde_h=h,
-                       tilde_logD=logd, rec_a=[jet[0] for jet in alpha], rec_b=rec_b,
-                       H=H, Rstar=[], Rtilde=[])
+    table = TildeTable(tp=tp, config=config, tilde_h=h, tilde_logD=logd,
+                       rec_a=[jet[0] for jet in alpha], rec_b=rec_b, H=H, Rstar=[], Rtilde=[])
     table.Rstar, table.Rtilde = tilde_R_lists(n_max, table)
     return table
 

@@ -7,6 +7,10 @@ finding, not a crash), 2 on numeric breakdown
 (precision escalation failure, halted trajectory, unusable scan) and on
 usage errors. All real-valued output is printed as decimal strings at
 target_digits; identical invocations produce byte-identical output.
+
+Each subcommand's handler reads the parsed argparse namespace, once
+config_from_args has resolved --bits and split --n-list, and passes its
+value rows under its own column names to report.table_records.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 
 from mpmath import mp
 
@@ -60,7 +63,7 @@ EXIT_NUMERIC = 2
 BRIDGE_SUITES = ("all", "parity", "jmo")
 AUX_ROUTES = (ROUTE_IDENTITY, ROUTE_QUADRATURE)
 
-# natural (x, y) columns for --emit-plot-data, per command
+# natural (x, y) columns for --emit-plot-data, per command that offers it
 PLOT_KEYS = {
     "moments": ("j", "value"),
     "hankel": ("n", "log_det"),
@@ -71,25 +74,6 @@ PLOT_KEYS = {
     "scan": ("n", "raw"),
     "series": ("s", "value"),
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One fully parsed invocation; identical configs give identical bytes."""
-
-    command: str
-    bits: int
-    format: str = report.FORMAT_CSV
-    output: str | None = None
-    emit_plot_data: str | None = None
-    alpha: str | None = None
-    t: str | None = None
-    s: str | None = None
-    n: int | None = None
-    n_max: int | None = None
-    n_list: tuple[int, ...] | None = None
-    suite: str | None = None
-    options: dict = field(default_factory=dict)
 
 
 def target_digits_for_bits(bits: int) -> int:
@@ -135,12 +119,6 @@ def _parse_n_list(raw: str) -> tuple[int, ...]:
     return values
 
 
-def _make_precision(run: RunConfig) -> PrecisionConfig:
-    if run.bits < MIN_BITS:
-        raise ValueError(f"bits must be at least {MIN_BITS}")
-    return PrecisionConfig(bits=run.bits, target_digits=target_digits_for_bits(run.bits))
-
-
 def _grid(a, b, count: int, config: PrecisionConfig):
     """count >= 2 points from a to b inclusive, at working precision."""
     with working_precision(config):
@@ -177,20 +155,18 @@ def _flow_report(trajectory, points, columns, config: PrecisionConfig,
         status = EXIT_NUMERIC
     notes = [*notes, f"steps: {trajectory.steps}", f"order: {trajectory.order}"]
     rows = _nearest_rows(trajectory.samples, points)
-    return report.flow_records(rows, columns, config), status, notes
+    return report.table_records(rows, columns, config), status, notes
 
 
-def _cmd_moments(run: RunConfig, config: PrecisionConfig):
-    params = make_params(run.alpha, run.t, config)
-    single = run.options.get("j")
-    if single is not None:
-        indices = [single]
+def _cmd_moments(args, config: PrecisionConfig):
+    params = make_params(args.alpha, args.t, config)
+    if args.j is not None:
+        indices = [args.j]
     else:
-        j_max = run.options.get("j_max")
-        indices = list(range((8 if j_max is None else j_max) + 1))
+        indices = list(range((8 if args.j_max is None else args.j_max) + 1))
     table = MomentTable.build(params, indices[-1], config)
-    entries = [(j, table.mu[j], table.provenance[j]) for j in indices]
-    return report.moment_records(entries, params, config), EXIT_OK, []
+    rows = [(j, params.alpha, params.t, table.mu[j], table.provenance[j]) for j in indices]
+    return report.table_records(rows, ("j", "alpha", "t", "value", "route"), config), EXIT_OK, []
 
 
 def _bits_note(config: PrecisionConfig, used: PrecisionConfig) -> list:
@@ -198,25 +174,31 @@ def _bits_note(config: PrecisionConfig, used: PrecisionConfig) -> list:
     return [f"bits: {config.bits} -> {used.bits}"] if used.bits > config.bits else []
 
 
-def _cmd_hankel(run: RunConfig, config: PrecisionConfig):
-    params = make_params(run.alpha, run.t, config)
-    orders = [run.n] if run.n is not None else list(range(1, run.n_max + 1))
+def _cmd_hankel(args, config: PrecisionConfig):
+    params = make_params(args.alpha, args.t, config)
+    orders = [args.n] if args.n is not None else list(range(1, args.n_max + 1))
     log_dets, used = hankel_log_dets(orders[-1], params, config)
-    entries = [(n, log_dets[n - 1], 1) for n in orders]
-    return report.hankel_records(entries, params, config), EXIT_OK, _bits_note(config, used)
+    rows = [(n, params.alpha, params.t, log_dets[n - 1], 1) for n in orders]
+    return (report.table_records(rows, ("n", "alpha", "t", "log_det", "sign"), config),
+            EXIT_OK, _bits_note(config, used))
 
 
-def _cmd_recurrence(run: RunConfig, config: PrecisionConfig):
-    params = make_params(run.alpha, run.t, config)
-    table = recurrence_table(run.n_max, params, config)
-    return (report.recurrence_records(table, config), EXIT_OK,
-            _bits_note(config, table.config))
+def _cmd_recurrence(args, config: PrecisionConfig):
+    params = make_params(args.alpha, args.t, config)
+    table = recurrence_table(args.n_max, params, config)
+    rows = [(n, table.params.alpha, table.params.t, table.h[n], table.beta[n], table.p1[n],
+             table.logD[n]) for n in range(table.n_max + 1)]
+    return (report.table_records(rows, ("n", "alpha", "t", "h", "beta", "p1", "log_D"), config),
+            EXIT_OK, _bits_note(config, table.config))
 
 
-def _cmd_aux(run: RunConfig, config: PrecisionConfig):
-    params = make_params(run.alpha, run.t, config)
-    aux = aux_table(run.n_max, params, config, route=run.options["route"])
-    return report.aux_records(aux, config), EXIT_OK, []
+def _cmd_aux(args, config: PrecisionConfig):
+    params = make_params(args.alpha, args.t, config)
+    aux = aux_table(args.n_max, params, config, route=args.route)
+    rows = [(n, aux.params.alpha, aux.params.t, aux.r[n], aux.R[n], aux.sigma[n], aux.tags[n])
+            for n in range(len(aux.r))]
+    return (report.table_records(rows, ("n", "alpha", "t", "r", "R", "sigma", "route"), config),
+            EXIT_OK, [])
 
 
 def _residual_report(rows, config: PrecisionConfig, notes: list):
@@ -227,10 +209,10 @@ def _residual_report(rows, config: PrecisionConfig, notes: list):
     return report.verify_records(rows, config), EXIT_FINDING if failed else EXIT_OK, notes
 
 
-def _cmd_verify(run: RunConfig, config: PrecisionConfig):
-    params = make_params(run.alpha, run.t, config)
-    rows, bad_signs = run_identity_suite(run.n_max, params, config, run.suite,
-                                         2 if run.n is None else run.n)
+def _cmd_verify(args, config: PrecisionConfig):
+    params = make_params(args.alpha, args.t, config)
+    rows, bad_signs = run_identity_suite(args.n_max, params, config, args.suite,
+                                         2 if args.n is None else args.n)
     notes = []
     if bad_signs:
         joined = ",".join(str(n) for n in bad_signs)
@@ -238,27 +220,25 @@ def _cmd_verify(run: RunConfig, config: PrecisionConfig):
     return _residual_report(rows, config, notes)
 
 
-def _cmd_bridge(run: RunConfig, config: PrecisionConfig):
-    params = make_params(run.alpha, run.t, config)
+def _cmd_bridge(args, config: PrecisionConfig):
+    params = make_params(args.alpha, args.t, config)
     rows = []
-    if run.suite in ("all", "parity"):
-        rows += verify_parity_splitting(run.n_max, params, config)
-    if run.suite in ("all", "jmo"):
+    if args.suite in ("all", "parity"):
+        rows += verify_parity_splitting(args.n_max, params, config)
+    if args.suite in ("all", "jmo"):
         if params.t <= 0:
             raise ValueError("the jmo rows need t > 0: the t-derivatives of H_n use "
                              "moments of negative order")
-        tp = make_tilde_params(run.options["b"], run.alpha, run.t, config)
-        n_list = run.n_list if run.n_list is not None else (1, 2)
+        tp = make_tilde_params(args.b, args.alpha, args.t, config)
+        n_list = args.n_list if args.n_list is not None else (1, 2)
         rows += verify_jmo_sigma_form(list(n_list), tp, config)
     return _residual_report(rows, config, [])
 
 
-def _cmd_solve_pv(run: RunConfig, config: PrecisionConfig):
-    t0 = run.options["t0"]
-    points = _grid(t0, run.options["t_end"], run.options["samples"], config)
-    trajectory = continue_pv(run.n, make_params(run.alpha, t0, config), t0,
-                             run.options["t_end"], config,
-                             tolerance=run.options["tolerance"], sample_points=points)
+def _cmd_solve_pv(args, config: PrecisionConfig):
+    points = _grid(args.t0, args.t_end, args.samples, config)
+    trajectory = continue_pv(args.n, make_params(args.alpha, args.t0, config), args.t0,
+                             args.t_end, config, tolerance=args.tolerance, sample_points=points)
     notes = []
     status = EXIT_OK
     gap = trajectory.endpoint_gap
@@ -278,20 +258,18 @@ def _cmd_solve_pv(run: RunConfig, config: PrecisionConfig):
     return _flow_report(trajectory, points, ("t", "R", "dR"), config, notes, status)
 
 
-def _cmd_solve_p3(run: RunConfig, config: PrecisionConfig):
-    opts = run.options
-    seed = opts["seed"]
+def _cmd_solve_p3(args, config: PrecisionConfig):
+    seed = args.seed
     y0 = None
     if seed == SEED_EXPLICIT:
-        if opts["s0"] is None or opts["g0"] is None or opts["dg0"] is None:
+        if args.s0 is None or args.g0 is None or args.dg0 is None:
             raise ValueError("explicit seed needs --s0, --g0 and --dg0")
-        y0 = (opts["g0"], opts["dg0"])
-    start = seed_point(seed, run.s, config) if opts["s0"] is None else opts["s0"]
-    points = _grid(start, run.s, opts["samples"], config)
+        y0 = (args.g0, args.dg0)
+    start = seed_point(seed, args.s, config) if args.s0 is None else args.s0
+    points = _grid(start, args.s, args.samples, config)
     trajectory = solve_piii_prime(
-        opts["a"], run.s, config, seed=seed, s0=opts["s0"], y0=y0,
-        tolerance=opts["tolerance"], sample_points=points[1:] or None,
-        seed_order=opts["seed_order"],
+        args.a, args.s, config, seed=seed, s0=args.s0, y0=y0, tolerance=args.tolerance,
+        sample_points=points[1:] or None, seed_order=args.seed_order,
     )
     # the bound the small-series search meets, so no printed digit rests on the seed
     bound = trajectory.tolerance ** 4 * max(1, abs(trajectory.samples[0][1]))
@@ -302,39 +280,43 @@ def _cmd_solve_p3(run: RunConfig, config: PrecisionConfig):
     return _flow_report(trajectory, points, ("s", "g", "dg"), config)
 
 
-def _cmd_scan(run: RunConfig, config: PrecisionConfig):
-    n_list = run.n_list if run.n_list is not None else DEFAULT_N_LIST
-    result = double_scaling_scan(
-        run.s, n_list, run.alpha, run.options["mode"], config,
-        allow_large_n=run.options["allow_large_n"],
-        reference_kind=run.options.get("reference"),
-    )
+def _cmd_scan(args, config: PrecisionConfig):
+    n_list = args.n_list if args.n_list is not None else DEFAULT_N_LIST
+    result = double_scaling_scan(args.s, n_list, args.alpha, args.mode, config,
+                                 allow_large_n=args.allow_large_n,
+                                 reference_kind=args.reference)
     notes = [f"{note} at n={n}" for n, used in zip(result.n_list, result.configs)
              for note in _bits_note(config, used)]
     notes += [f"flag: {flag}" for flag in result.flags]
     if result.error_bar is not None:
         notes.append(f"error_bar: {report.fmt(result.error_bar, config)}")
     status = EXIT_OK if result.extrapolated is not None else EXIT_NUMERIC
-    return report.scan_records(result, config), status, notes
+    rows = [(result.mode, result.s, n, raw, result.extrapolated, result.reference,
+             result.agreement_digits) for n, raw in zip(result.n_list, result.raw)]
+    columns = ("mode", "s", "n", "raw", "extrapolated", "reference", "agreement_digits")
+    return report.table_records(rows, columns, config), status, notes
 
 
-def _cmd_series(run: RunConfig, config: PrecisionConfig):
-    entries = []
-    for part in run.s.split(","):
-        value = series_eval(run.options["kind"], part.strip(), config, a=run.options.get("a"))
-        entries.append((value.kind, value.a, value.s, value))
-    return report.series_records(entries, config), EXIT_OK, []
+def _cmd_series(args, config: PrecisionConfig):
+    rows = []
+    for part in args.s.split(","):
+        value = series_eval(args.kind, part.strip(), config, a=args.a)
+        rows.append((value.kind, value.a, value.s, value.value, value.truncation,
+                     value.in_regime))
+    columns = ("kind", "a", "s", "value", "truncation", "in_regime")
+    return report.table_records(rows, columns, config), EXIT_OK, []
 
 
-def _cmd_dyson(run: RunConfig, config: PrecisionConfig):
-    n_list = run.n_list if run.n_list is not None else DEFAULT_N_LIST
-    experiment = dyson_constant_experiment(
-        run.alpha, run.options["s_lo"], run.options["s_hi"], n_list, config,
-        route=run.options["route"], tolerance=run.options["tolerance"],
-    )
+def _cmd_dyson(args, config: PrecisionConfig):
+    n_list = args.n_list if args.n_list is not None else DEFAULT_N_LIST
+    experiment = dyson_constant_experiment(args.alpha, args.s_lo, args.s_hi, n_list, config,
+                                           route=args.route, tolerance=args.tolerance)
     notes = [f"flag: {flag}" for flag in experiment.flags]
     status = EXIT_OK if experiment.constant_estimate is not None else EXIT_NUMERIC
-    return report.dyson_records(experiment, config), status, notes
+    columns = ("alpha", "s_lo", "s_hi", "route", "constant_estimate", "reference",
+               "exact_constant_sum", "cancellation_ok", "ode_halted", "ode_reached", "flags")
+    row = [getattr(experiment, key) for key in columns[:-1]] + [";".join(experiment.flags)]
+    return report.table_records([row], columns, config), status, notes
 
 
 _HANDLERS = {
@@ -360,27 +342,30 @@ def _write_text(text: str, path: str | None) -> None:
             handle.write(text)
 
 
-def run(run_config: RunConfig) -> int:
-    """Execute one invocation; returns the exit status."""
-    config = _make_precision(run_config)
-    records, status, notes = _HANDLERS[run_config.command](run_config, config)
-    _write_text(report.render(records, run_config.format), run_config.output)
-    if run_config.emit_plot_data is not None:
-        x_key, y_key = PLOT_KEYS[run_config.command]
-        _write_text(report.plot_lines(records, x_key, y_key), run_config.emit_plot_data)
+def run(args: argparse.Namespace) -> int:
+    """Execute one invocation, as config_from_args resolves it; returns the exit status."""
+    if args.bits < MIN_BITS:
+        raise ValueError(f"bits must be at least {MIN_BITS}")
+    config = PrecisionConfig(bits=args.bits, target_digits=target_digits_for_bits(args.bits))
+    records, status, notes = _HANDLERS[args.command](args, config)
+    _write_text(report.render(records, args.format), args.output)
+    if args.emit_plot_data is not None:
+        _write_text(report.plot_lines(records, *PLOT_KEYS[args.command]), args.emit_plot_data)
     for note in notes:
-        print(f"{run_config.command}: {note}", file=sys.stderr)
+        print(f"{args.command}: {note}", file=sys.stderr)
     return status
 
 
-def _add_common(parser: argparse.ArgumentParser, plot: bool = False) -> None:
+def _add_common(parser: argparse.ArgumentParser, command: str) -> None:
     parser.add_argument("--bits", type=int, default=None,
                         help=f"working precision in bits (default: ${ENV_BITS} or {DEFAULT_BITS})")
     parser.add_argument("--format", choices=report.FORMATS, default=report.FORMAT_CSV)
     parser.add_argument("--output", default=None, help="write the table here instead of stdout")
-    if plot:
+    if command in PLOT_KEYS:
         parser.add_argument("--emit-plot-data", default=None, metavar="PATH",
                             help="also write a two-column (x, y) file for plotting")
+    else:
+        parser.set_defaults(emit_plot_data=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--j-max", type=_count(0), default=None)
     group.add_argument("--j", type=_count(0), default=None)
-    _add_common(p, plot=True)
 
     p = sub.add_parser("hankel", help="log Hankel determinants ln D_n(t)")
     p.add_argument("--alpha", required=True)
@@ -404,20 +388,17 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=_count(1), default=None)
     group.add_argument("--n-max", type=_count(1), default=None)
-    _add_common(p, plot=True)
 
     p = sub.add_parser("recurrence", help="h_n, beta_n, p(n,t), ln D_n table")
     p.add_argument("--alpha", required=True)
     p.add_argument("--t", required=True)
     p.add_argument("--n-max", type=_count(1), required=True)
-    _add_common(p, plot=True)
 
     p = sub.add_parser("aux", help="auxiliary quantities r_n, R_n, sigma_n")
     p.add_argument("--alpha", required=True)
     p.add_argument("--t", required=True)
     p.add_argument("--n-max", type=_count(0), required=True)
     p.add_argument("--route", choices=AUX_ROUTES, default=ROUTE_IDENTITY)
-    _add_common(p, plot=True)
 
     p = sub.add_parser("verify", help="residual report for the identity suite")
     p.add_argument("--suite", choices=VERIFY_SUITES, default="all")
@@ -426,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=_count(0), required=True)
     p.add_argument("--n", type=_count(1), default=None,
                    help="integral suite only: representation order")
-    _add_common(p)
 
     p = sub.add_parser("bridge", help="parity splitting and shifted-weight reports")
     p.add_argument("--suite", choices=BRIDGE_SUITES, default="all")
@@ -435,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=_count(0), required=True)
     p.add_argument("--n-list", default=None, help="orders for the jmo rows, e.g. 1,2")
     p.add_argument("--b", default="-0.5", help="shifted-weight exponent at 0")
-    _add_common(p)
 
     p = sub.add_parser("solve-pv", help="continue R_n(t) in t by its Painleve V equation")
     p.add_argument("--n", type=_count(0), required=True)
@@ -444,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", required=True)
     p.add_argument("--tolerance", default=None)
     p.add_argument("--samples", type=_count(2), default=17)
-    _add_common(p, plot=True)
 
     p = sub.add_parser("solve-p3", help="integrate the scaling-limit ODE for g(s)")
     p.add_argument("--a", required=True, help="parameter a, exact fractions accepted")
@@ -457,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", default=None)
     p.add_argument("--seed-order", type=_count(3), default=None)
     p.add_argument("--samples", type=_count(2), default=17)
-    _add_common(p, plot=True)
 
     p = sub.add_parser("scan", help="finite-n double-scaling scan with extrapolation")
     p.add_argument("--mode", choices=SCAN_MODES, required=True)
@@ -466,13 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", default=None)
     p.add_argument("--reference", choices=FIXED_KINDS, default=None)
     p.add_argument("--allow-large-n", action="store_true")
-    _add_common(p, plot=True)
 
     p = sub.add_parser("series", help="evaluate a printed asymptotic expansion")
     p.add_argument("--kind", choices=SERIES_KINDS, required=True)
     p.add_argument("--s", required=True, help="point or comma-separated points")
     p.add_argument("--a", default=None)
-    _add_common(p, plot=True)
 
     p = sub.add_parser("dyson", help="constant-term experiment for the large-s expansion")
     p.add_argument("--alpha", default="1")
@@ -481,45 +456,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", default=None)
     p.add_argument("--route", choices=("auto", "ode", "scan"), default="auto")
     p.add_argument("--tolerance", default=None)
-    _add_common(p)
 
+    for command, p in sub.choices.items():
+        _add_common(p, command)
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    bits = args.bits if args.bits is not None else _default_bits()
-    n_list = None
-    if getattr(args, "n_list", None) is not None:
-        n_list = _parse_n_list(args.n_list)
-    options = {}
-    for key in ("j", "j_max", "route", "b", "t0", "t_end", "tolerance", "samples",
-                "a", "seed", "s0", "g0", "dg0", "seed_order", "mode",
-                "reference", "allow_large_n", "kind", "s_lo", "s_hi"):
-        if hasattr(args, key):
-            options[key] = getattr(args, key)
-    return RunConfig(
-        command=args.command,
-        bits=bits,
-        format=args.format,
-        output=args.output,
-        emit_plot_data=getattr(args, "emit_plot_data", None),
-        alpha=getattr(args, "alpha", None),
-        t=getattr(args, "t", None),
-        s=getattr(args, "s", None),
-        n=getattr(args, "n", None),
-        n_max=getattr(args, "n_max", None),
-        n_list=n_list,
-        suite=getattr(args, "suite", None),
-        options=options,
-    )
+def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """A copy of the parsed arguments with --bits resolved and --n-list split."""
+    resolved = argparse.Namespace(**vars(args))
+    if resolved.bits is None:
+        resolved.bits = _default_bits()
+    if getattr(resolved, "n_list", None) is not None:
+        resolved.n_list = _parse_n_list(resolved.n_list)
+    return resolved
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        run_config = config_from_args(args)
-        return run(run_config)
+        return run(config_from_args(args))
     except (NumericsError, EscalationError, UnsupportedArgumentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

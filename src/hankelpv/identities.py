@@ -7,9 +7,9 @@ Every relation is evaluated as a normalized residual
 
 the maximum running over the individual additive terms of both sides, so
 a fixed threshold is meaningful even when the terms span many orders of
-magnitude.  A row passes when the residual is at most
-10^(-residual_scale * target_digits).  Rows whose every term is exactly
-zero are tagged trivially-true with residual 0.
+magnitude.  A row passes when the residual is at most the config's
+residual_threshold(), 10^(-target_digits/2).  Rows whose every term is
+exactly zero are tagged trivially-true with residual 0.
 
 Independence policy: r_n, R_n, sigma_n enter through the quadrature
 route (defining integrals), beta_n and p(n,t) through the moment
@@ -179,11 +179,9 @@ def verify_scalar_identities(
     params: WeightParams,
     aux: AuxTable,
     table: RecurrenceTable,
-    config: PrecisionConfig = None,
+    config: PrecisionConfig,
 ):
     """Rows for the algebraic relations (indices available up to n_max+1)."""
-    if config is None:
-        config = aux.config
     if len(aux.r) < n_max + 2 or table.n_max < n_max + 1:
         raise ValueError("aux and table must cover n_max + 1")
     rows = []
@@ -305,11 +303,9 @@ def verify_scalar_identities(
 
 
 def verify_difference_equations(
-    n_max: int, params: WeightParams, aux: AuxTable, config: PrecisionConfig = None
+    n_max: int, params: WeightParams, aux: AuxTable, config: PrecisionConfig
 ):
     """Rows for the three second-order difference equations, 1 <= n <= n_max."""
-    if config is None:
-        config = aux.config
     if len(aux.r) < n_max + 2:
         raise ValueError("aux must cover n_max + 1")
     rows = []
@@ -670,7 +666,7 @@ def verify_integral_representation(
     n: int,
     params: WeightParams,
     t_end,
-    config: PrecisionConfig = None,
+    config: PrecisionConfig,
 ):
     """One row: the R_n-integrand quadrature against the determinant ratio.
 
@@ -685,8 +681,6 @@ def verify_integral_representation(
     and s0. The short initial piece [0, s0] is evaluated directly as a
     determinant difference, so no endpoint series is needed.
     """
-    if config is None:
-        config = PrecisionConfig()
     a = params.alpha
     with working_precision(config):
         t_end = mpf(t_end)
@@ -755,11 +749,9 @@ def verify_linear_ode_Pn(
     params: WeightParams,
     aux: AuxTable,
     table: RecurrenceTable,
-    config: PrecisionConfig = None,
+    config: PrecisionConfig,
 ):
     """One row: the second-order ODE for y = P_n(z), max residual over z."""
-    if config is None:
-        config = aux.config
     with working_precision(config):
         samples = []
         for z in z_points:
@@ -790,11 +782,9 @@ def verify_ladder_relations(
     params: WeightParams,
     aux: AuxTable,
     table: RecurrenceTable,
-    config: PrecisionConfig = None,
+    config: PrecisionConfig,
 ):
     """Lowering/raising rows per n, max residual over the z sample."""
-    if config is None:
-        config = aux.config
     rows = []
     with working_precision(config):
         for n in range(1, n_max + 1):

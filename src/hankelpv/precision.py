@@ -2,9 +2,10 @@
 
 All arithmetic goes through mpmath's global real context, but only inside
 the `working_precision` context manager, which pins the binary precision
-and restores it afterwards. A `PrecisionConfig` bundles the three knobs
-that matter: working bits, the decimal digits the caller wants certified,
-and the fraction of those digits used as an identity-residual threshold.
+and restores it afterwards. A `PrecisionConfig` bundles the two knobs
+that matter: working bits and the decimal digits the caller wants
+certified. An identity residual passes below 10^(-RESIDUAL_SCALE *
+target_digits).
 Given identical inputs and an identical config, every routine in this
 package is bit-for-bit deterministic: node orderings, summation orders and
 step sequences are all fixed.
@@ -23,7 +24,8 @@ ENV_BITS = "HANKELPV_BITS"
 MIN_BITS = 128
 DEFAULT_BITS = 512
 DEFAULT_TARGET_DIGITS = 60
-DEFAULT_RESIDUAL_SCALE = 0.5
+# fraction of target_digits used as the identity residual threshold
+RESIDUAL_SCALE = 0.5
 
 # Decimal digits reserved as guard when converting bits -> digits capacity.
 GUARD_DIGITS = 10
@@ -57,13 +59,10 @@ class PrecisionConfig:
     bits: binary working precision (>= 128).
     target_digits: decimal digits the caller wants certified; must leave
         guard room, i.e. target_digits <= bits*log10(2) - 10.
-    residual_scale: fraction of target_digits used as the identity
-        residual threshold 10**(-residual_scale*target_digits).
     """
 
     bits: int = DEFAULT_BITS
     target_digits: int = DEFAULT_TARGET_DIGITS
-    residual_scale: float = DEFAULT_RESIDUAL_SCALE
 
     def __post_init__(self):
         if self.bits < MIN_BITS:
@@ -75,8 +74,6 @@ class PrecisionConfig:
                 f"target_digits={self.target_digits} exceeds capacity "
                 f"{digits_capacity(self.bits)} of {self.bits} bits"
             )
-        if not (0.0 < self.residual_scale <= 1.0):
-            raise ValueError("residual_scale must lie in (0, 1]")
 
     def with_bits(self, bits: int) -> "PrecisionConfig":
         """Same policy at a different working precision.
@@ -87,16 +84,15 @@ class PrecisionConfig:
         return PrecisionConfig(
             bits=bits,
             target_digits=min(self.target_digits, digits_capacity(bits)),
-            residual_scale=self.residual_scale,
         )
 
     def doubled(self) -> "PrecisionConfig":
         return self.with_bits(2 * self.bits)
 
     def residual_threshold(self) -> mpf:
-        """10**(-residual_scale*target_digits), evaluated at working bits."""
+        """10**(-RESIDUAL_SCALE*target_digits), evaluated at working bits."""
         with working_precision(self):
-            return mpf(10) ** (-mpf(self.residual_scale) * self.target_digits)
+            return mpf(10) ** (-mpf(RESIDUAL_SCALE) * self.target_digits)
 
 
 @contextmanager

@@ -1,10 +1,12 @@
 """Flat-record building and deterministic rendering for the command line.
 
-Every numeric field is rendered through trunc_decimal, never as a binary
-float, so a consumer that re-parses the JSON or CSV recovers exactly the
-digits that were printed. Each record family has a fixed key order and
-the serializers avoid hash-order or locale dependence, which makes a
-repeated run byte-identical to the first.
+One builder, table_records, turns a command's value rows into records
+under the column names that command passes; every cell goes through fmt,
+and every number through trunc_decimal, never as a binary float, so a
+consumer that re-parses the JSON or CSV recovers exactly the digits that
+were printed. Records keep their columns' order and the serializers avoid
+hash-order or locale dependence, which makes a repeated run
+byte-identical to the first.
 """
 
 from __future__ import annotations
@@ -84,153 +86,19 @@ def fmt(value, config: PrecisionConfig, digits: int | None = None) -> str:
     return trunc_decimal(value, config, digits)
 
 
-def moment_records(entries, params, config: PrecisionConfig):
-    """entries: iterable of (j, value, route) triples."""
-    records = []
-    for j, value, route in entries:
-        records.append(
-            {
-                "j": fmt(j, config),
-                "alpha": fmt(params.alpha, config),
-                "t": fmt(params.t, config),
-                "value": fmt(value, config),
-                "route": route,
-            }
-        )
-    return records
+def table_records(rows, columns, config: PrecisionConfig):
+    """Value rows as records keyed by `columns`, every cell through fmt."""
+    return [{key: fmt(value, config) for key, value in zip(columns, row)} for row in rows]
 
 
-def hankel_records(entries, params, config: PrecisionConfig):
-    """entries: iterable of (n, log_det, sign) triples."""
-    records = []
-    for n, log_det, sign in entries:
-        records.append(
-            {
-                "n": fmt(n, config),
-                "alpha": fmt(params.alpha, config),
-                "t": fmt(params.t, config),
-                "log_det": fmt(log_det, config),
-                "sign": fmt(sign, config),
-            }
-        )
-    return records
-
-
-def recurrence_records(table, config: PrecisionConfig):
-    records = []
-    for n in range(table.n_max + 1):
-        records.append(
-            {
-                "n": fmt(n, config),
-                "alpha": fmt(table.params.alpha, config),
-                "t": fmt(table.params.t, config),
-                "h": fmt(table.h[n], config),
-                "beta": fmt(table.beta[n], config),
-                "p1": fmt(table.p1[n], config),
-                "log_D": fmt(table.logD[n], config),
-            }
-        )
-    return records
-
-
-def aux_records(aux, config: PrecisionConfig):
-    records = []
-    for n in range(len(aux.r)):
-        records.append(
-            {
-                "n": fmt(n, config),
-                "alpha": fmt(aux.params.alpha, config),
-                "t": fmt(aux.params.t, config),
-                "r": fmt(aux.r[n], config),
-                "R": fmt(aux.R[n], config),
-                "sigma": fmt(aux.sigma[n], config),
-                "route": aux.tags[n],
-            }
-        )
-    return records
+VERIFY_COLUMNS = ("identity", "n", "alpha", "t", "bits", "lhs_scale", "residual",
+                  "passed", "trivial", "branch", "detail")
 
 
 def verify_records(rows, config: PrecisionConfig):
     """ReportRow list to flat records, one per residual row."""
-    records = []
-    for row in rows:
-        records.append(
-            {
-                "identity": row.identity,
-                "n": fmt(row.n, config),
-                "alpha": fmt(row.alpha, config),
-                "t": fmt(row.t, config),
-                "bits": fmt(row.bits, config),
-                "lhs_scale": fmt(row.lhs_scale, config),
-                "residual": fmt(row.residual, config),
-                "passed": fmt(row.passed, config),
-                "trivial": fmt(row.trivial, config),
-                "branch": row.branch,
-                "detail": row.detail,
-            }
-        )
-    return records
-
-
-def scan_records(result, config: PrecisionConfig):
-    """ScanResult to one record per n, table-level columns repeated."""
-    extrapolated = fmt(result.extrapolated, config)
-    reference = fmt(result.reference, config)
-    agreement = fmt(result.agreement_digits, config)
-    records = []
-    for n, raw in zip(result.n_list, result.raw):
-        records.append(
-            {
-                "mode": result.mode,
-                "s": fmt(result.s, config),
-                "n": fmt(n, config),
-                "raw": fmt(raw, config),
-                "extrapolated": extrapolated,
-                "reference": reference,
-                "agreement_digits": agreement,
-            }
-        )
-    return records
-
-
-def flow_records(rows, columns, config: PrecisionConfig):
-    """Trajectory rows (x, y, y') as records keyed by `columns`."""
-    return [{key: fmt(value, config) for key, value in zip(columns, row)} for row in rows]
-
-
-def series_records(entries, config: PrecisionConfig):
-    """entries: iterable of (kind, a, s, SeriesValue) tuples."""
-    records = []
-    for kind, a, s, sv in entries:
-        records.append(
-            {
-                "kind": kind,
-                "a": fmt(a, config),
-                "s": fmt(s, config),
-                "value": fmt(sv.value, config),
-                "truncation": fmt(sv.truncation, config),
-                "in_regime": fmt(sv.in_regime, config),
-            }
-        )
-    return records
-
-
-def dyson_records(experiment, config: PrecisionConfig):
-    return [
-        {
-            "alpha": fmt(experiment.alpha, config),
-            "s_lo": fmt(experiment.s_lo, config),
-            "s_hi": fmt(experiment.s_hi, config),
-            "route": experiment.route,
-            "constant_estimate": fmt(experiment.constant_estimate, config),
-            "reference": fmt(experiment.reference, config),
-            "exact_constant_sum": fmt(experiment.exact_constant_sum, config),
-            "cancellation_ok": fmt(experiment.cancellation_ok, config),
-            "ode_halted": fmt(experiment.ode_halted, config),
-            "ode_reached": fmt(experiment.ode_reached, config),
-            "flags": ";".join(experiment.flags),
-        }
-    ]
+    return table_records([[getattr(row, key) for key in VERIFY_COLUMNS] for row in rows],
+                         VERIFY_COLUMNS, config)
 
 
 def to_json(records) -> str:

@@ -8,6 +8,7 @@ floating-point operations shows up here. A golden changes only when a
 change is meant to alter printed digits, and says so.
 """
 
+import argparse
 import csv
 import io
 import json
@@ -71,10 +72,107 @@ def test_every_subcommand_has_a_golden():
 
 @pytest.mark.parametrize("name, argv, status", CASES, ids=[case[0] for case in CASES])
 def test_golden_output(name, argv, status):
-    expected = (GOLDEN / f"{name}.csv").read_bytes().decode()
     first = _run(argv)
-    assert first == (status, expected)
+    assert first == (status, _golden(name))
     assert _run(argv) == first
+
+
+def _golden(name):
+    return (GOLDEN / f"{name}.csv").read_bytes().decode()
+
+
+@pytest.mark.parametrize("name, argv, status", CASES, ids=[case[0] for case in CASES])
+def test_json_output_holds_the_golden_rows(name, argv, status):
+    expected = json.dumps(_rows(_golden(name)), indent=2) + "\n"
+    assert _run([*argv, "--format", "json"]) == (status, expected)
+
+
+@pytest.mark.parametrize("name, argv, status", CASES, ids=[case[0] for case in CASES])
+def test_output_writes_the_bytes_stdout_would(tmp_path, name, argv, status):
+    path = tmp_path / "table.csv"
+    assert _run([*argv, "--output", str(path)]) == (status, "")
+    assert path.read_bytes().decode() == _golden(name)
+
+
+PLOTTED = [case for case in CASES if case[1][0] in cli.PLOT_KEYS]
+
+
+def test_every_plotting_command_has_a_golden():
+    assert {argv[0] for _, argv, _ in PLOTTED} == set(cli.PLOT_KEYS)
+
+
+@pytest.mark.parametrize("name, argv, status", PLOTTED, ids=[case[0] for case in PLOTTED])
+def test_plot_data_holds_the_golden_columns(tmp_path, name, argv, status):
+    path = tmp_path / "plot.txt"
+    assert _run([*argv, "--emit-plot-data", str(path)]) == (status, _golden(name))
+    x_key, y_key = cli.PLOT_KEYS[argv[0]]
+    lines = [f"{row[x_key]} {row[y_key]}" for row in _rows(_golden(name))
+             if row[x_key] != "" and row[y_key] != ""]
+    assert path.read_text() == "".join(f"{line}\n" for line in lines)
+
+
+# every option string of every subcommand, with one argv per side of a
+# mutually exclusive group; the common options are added by the test
+OPTION_ARGVS = {
+    "moments": [[*AT, "--j-max", "2"], [*AT, "--j", "2"]],
+    "hankel": [[*AT, "--n", "2"], [*AT, "--n-max", "2"]],
+    "recurrence": [[*AT, "--n-max", "2"]],
+    "aux": [["--route", "quadrature", *AT, "--n-max", "1"]],
+    "verify": [["--suite", "integral", *AT, "--n-max", "1", "--n", "1"]],
+    "bridge": [["--suite", "jmo", *AT, "--n-max", "0", "--n-list", "1", "--b", "-0.5"]],
+    "solve-pv": [["--n", "1", "--alpha", "1", "--t0", "0.1", "--t-end", "0.11",
+                  "--tolerance", "1e-6", "--samples", "2"]],
+    "solve-p3": [["--a", "1/2", "--s", "0.05", "--seed", "explicit", "--s0", "0.025",
+                  "--g0", "0.0267359655051193", "--dg0", "1.14175830984582",
+                  "--tolerance", "1e-6", "--seed-order", "8", "--samples", "2"]],
+    "scan": [["--mode", "g1", "--s", "0.1", "--alpha", "1", "--n-list", "4,8",
+              "--reference", "g1-small", "--allow-large-n"]],
+    "series": [["--kind", "g-small", "--s", "0.1", "--a", "1/2"]],
+    "dyson": [["--alpha", "1", "--s-lo", "0.05", "--s-hi", "0.5", "--n-list", "4,8",
+               "--route", "ode", "--tolerance", "1e-6"]],
+}
+
+
+def _common_options(command, tmp_path, index):
+    options = ["--bits", "128", "--format", "json",
+               "--output", str(tmp_path / f"{command}-{index}.json")]
+    if command in cli.PLOT_KEYS:
+        options += ["--emit-plot-data", str(tmp_path / f"{command}-{index}.txt")]
+    return options
+
+
+def test_every_option_reaches_its_handler(tmp_path):
+    # a handler that reads a misspelt args.<dest> raises AttributeError,
+    # which main does not catch
+    parser = cli.build_parser()
+    [commands] = [action.choices for action in parser._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    assert set(OPTION_ARGVS) == set(commands)
+    for command, subparser in commands.items():
+        defined = {option for action in subparser._actions
+                   if not isinstance(action, argparse._HelpAction)
+                   for option in action.option_strings}
+        argvs = [[*argv, *_common_options(command, tmp_path, i)]
+                 for i, argv in enumerate(OPTION_ARGVS[command])]
+        assert {word for argv in argvs for word in argv if word.startswith("--")} == defined
+        for argv in argvs:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                status = cli.main([command, *argv])
+            assert status in (cli.EXIT_OK, cli.EXIT_FINDING, cli.EXIT_NUMERIC), argv
+
+
+def test_dyson_ode_constant_holds_its_digits_whatever_the_seed_point():
+    # the flows seed from truncated small-s series, whose tails at s = 0.6
+    # lie far above the integrator's budget unless the seed point moves in
+    constants = []
+    for s_lo in ("0.05", "0.6"):
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            status = cli.main(["dyson", "--route", "ode", "--s-lo", s_lo, "--s-hi", "0.85",
+                               "--bits", "256"])
+        assert status == cli.EXIT_OK
+        constants.append(Fraction(_rows(out.getvalue())[0]["constant_estimate"]))
+    assert abs(constants[0] - constants[1]) < Fraction(10) ** -20
 
 
 def test_bridge_jmo_maps_b_to_the_exponent_at_zero(monkeypatch):

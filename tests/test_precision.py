@@ -11,7 +11,6 @@ def test_default_config_is_valid():
     cfg = PrecisionConfig()
     assert cfg.bits == 512
     assert cfg.target_digits == 60
-    assert cfg.residual_scale == 0.5
 
 
 @pytest.mark.parametrize(
@@ -21,8 +20,6 @@ def test_default_config_is_valid():
         {"bits": 127},
         {"target_digits": 0},
         {"bits": 128, "target_digits": 40},  # capacity of 128 bits is 28
-        {"residual_scale": 0.0},
-        {"residual_scale": 1.5},
     ],
 )
 def test_invalid_configs_rejected(kwargs):
