@@ -11,7 +11,8 @@ The modules are organized bottom-up:
 - `weights`: the weight's parameters and moment tables;
 - `recurrence`: Hankel determinants, three-term recurrence tables and
   their exact t-jets;
-- `ladder`: the auxiliary Painleve-type quantities r_n, R_n and sigma_n;
+- `ladder`: the auxiliary Painleve-type quantities r_n, R_n and sigma_n,
+  and their forward run by the difference equation for r_n;
 - `identities`: the residual verification suite for the paper's relations;
 - `bridge`: the associated deformed-Jacobi system on [0, 1] and the parity
   splitting onto it;

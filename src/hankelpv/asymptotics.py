@@ -17,6 +17,17 @@ measures the double-scaling limits directly: raw finite-n values along the
 prescribed (n, t) trajectories, Richardson extrapolation in 1/n with a
 dual-model error bar, and comparison against the series references.
 
+Each raw value comes from ladder.difference_run, the forward run of the
+paper's second-order difference equation for r_n seeded by the two moment
+anchors: O(n) steps per point, where a Chebyshev table from 2n moments
+costs O(n^2) and loses about 0.75 digits per degree.  The g modes read R_n
+from the run and sigma-n4 sums it; the delta modes take beta_k(t) from
+ladder.beta_aux_terms and normalise by the closed-form t = 0 Jacobi data
+(recurrence.log_det_ratio).  The run's digits fall with s, not with n.
+Every point is certified by a second run at SECOND_RUN_BITS more bits
+from its own anchors, and escalates once to doubled bits before it fails;
+at s = 0 every value is an exact zero, and no run is made.
+
 The two scaling regimes are distinct and never mixed: the g/delta scans
 hold s = 2n^2 t fixed, the sigma scan holds s = n^4 t fixed.
 """
@@ -30,12 +41,13 @@ from typing import Callable, Optional, Sequence
 
 from mpmath import mp, mpf
 
-from .ladder import _parity, ladder_maps, pv_terms, riccati_terms
+from .ladder import (_parity, beta_aux_terms, difference_run, ladder_maps, pv_terms,
+                     riccati_terms)
 from .ode import OdeHalt, OdeProblem, cauchy, solve_ode
 from .precision import NumericsError, PrecisionConfig, to_mpf, working_precision
-from .recurrence import hankel_det_t0, recurrence_table
+from .recurrence import log_det_ratio, recurrence_table
 from .special import log_barnes_g, zeta_prime_minus_one
-from .weights import WeightParams, make_params
+from .weights import MomentTable, WeightParams, make_params
 
 SMALL = "small-s"
 LARGE = "large-s"
@@ -47,8 +59,10 @@ SERIES_KINDS = FIXED_KINDS + PARAMETRIC_KINDS
 
 SCAN_MODES = ("g1", "g2", "delta1", "delta2", "sigma-n4")
 DEFAULT_N_LIST = (8, 16, 32, 64)
-N_CAP = 64
-N_CAP_EXTENDED = 128
+N_CAP = 1024
+N_CAP_EXTENDED = 4096
+# extra bits of the second run that certifies each scan value
+SECOND_RUN_BITS = 64
 
 SEED_SMALL_SERIES = "small-series"
 SEED_LARGE_SERIES = "large-series"
@@ -764,7 +778,7 @@ class ScanResult:
     reference_kind: Optional[str]
     agreement_digits: Optional[mpf]
     flags: list = field(default_factory=list)
-    # the config each point's table ran at: more bits than asked is an escalation
+    # the config each point was certified at: more bits than asked is an escalation
     configs: list = field(default_factory=list)
 
 
@@ -780,27 +794,47 @@ def _neville_zero(xs, ys):
     return diag
 
 
+def _scan_value(mode: str, n: int, params: WeightParams, config: PrecisionConfig):
+    """The mode's finite-n value at params.t > 0, from one difference run."""
+    with working_precision(config):
+        if mode in ("g1", "g2"):
+            index = 2 * n if mode == "g1" else 2 * n + 1
+            return n * difference_run(index + 1, params, config)[1][index]
+        if mode == "sigma-n4":
+            return -mp.fsum(difference_run(n, params, config)[1])
+        size = 2 * n if mode == "delta1" else 2 * n + 1
+        moments = MomentTable.build(params, 2, config)
+        r, big_r = difference_run(size, params, config, moments)
+        beta = [mpf(0)] + [sum(beta_aux_terms(k, big_r[k], r[k], params))
+                           for k in range(1, size)]
+        return log_det_ratio(moments[0], beta, params.alpha, config)
+
+
 def _scan_raw(mode: str, s: mpf, n: int, alpha: mpf, config: PrecisionConfig):
-    """The mode's finite-n value, and the config its table ran at."""
+    """The mode's finite-n value, and the config the two runs that certify
+    it ran at (double_scaling_scan); raises NumericsError if they disagree
+    at doubled bits too. At s = 0 every r_n and R_n vanishes, and so does
+    every mode."""
     with working_precision(config):
         if mode == "sigma-n4":
             t = s / mpf(n) ** 4
         else:
             t = s / (2 * mpf(n) ** 2)
+        if t == 0:
+            return mpf(0), config
         params = make_params(alpha, t, config)
-        if mode in ("g1", "g2"):
-            index = 2 * n if mode == "g1" else 2 * n + 1
-            rec = recurrence_table(index + 1, params, config)
-            return n * ladder_maps(rec.beta, params)[2][index], rec.config
-        if mode == "delta1":
-            rec = recurrence_table(2 * n, params, config)
-            return rec.logD[2 * n] - hankel_det_t0(2 * n, alpha, config), rec.config
-        if mode == "delta2":
-            rec = recurrence_table(2 * n + 1, params, config)
-            return rec.logD[2 * n + 1] - hankel_det_t0(2 * n + 1, alpha, config), rec.config
-        # sigma-n4
-        rec = recurrence_table(n + 1, params, config)
-        return -mp.fsum(ladder_maps(rec.beta, params)[2][:n]), rec.config
+    for cfg in (config, config.doubled()):
+        value = _scan_value(mode, n, params, cfg)
+        check = _scan_value(mode, n, params, cfg.with_bits(cfg.bits + SECOND_RUN_BITS))
+        with working_precision(cfg):
+            gap = abs(value - check)
+            if gap <= abs(check) * mpf(10) ** -config.target_digits:
+                return value, cfg
+    with working_precision(cfg):
+        held = -mp.log10(gap / abs(check)) if check else 0
+    raise NumericsError(
+        f"runs at {cfg.bits} and {cfg.bits + SECOND_RUN_BITS} bits agree to "
+        f"{mp.nstr(held, 3)} of {config.target_digits} digits")
 
 
 _REFERENCE_KINDS = {
@@ -847,10 +881,19 @@ def double_scaling_scan(
     """Finite-n approach to a scaled limit along the mode's trajectory.
 
     g/delta modes hold s = 2n^2 t fixed; sigma-n4 holds s = n^4 t fixed.
+    Each raw value is one forward run of the difference equation for r_n
+    (module docstring), O(n) per point, so n runs to N_CAP, or to
+    N_CAP_EXTENDED with allow_large_n. A value is kept when a second run at
+    SECOND_RUN_BITS more bits agrees with it to target_digits; otherwise
+    the pair is run again at doubled bits, and `configs` records the config
+    each point was certified at. At s = 0 every raw value is an exact zero.
+    The delta modes are ln D_N(t) - ln D_N(0), normalised by the closed
+    form of the Jacobi weight at t = 0 (recurrence.log_det_ratio).
     Extrapolation runs two Richardson models (corrections in powers of 1/n
     and of 1/n^2); the reported value comes from the model whose final
     correction is smaller and the spread between models feeds the error
-    bar.  Per-point numeric failures are recorded, not raised.
+    bar.  Per-point numeric failures, a point that fails its second run at
+    doubled bits included, are recorded, not raised.
     """
     if mode not in SCAN_MODES:
         raise ValueError(f"unknown scan mode {mode!r}")

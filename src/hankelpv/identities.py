@@ -47,6 +47,7 @@ from .ladder import (
     ladder_pieces,
     pv_terms,
     riccati_terms,
+    rn_diff_terms,
     v_prime,
 )
 from .precision import PrecisionConfig, working_precision
@@ -313,15 +314,7 @@ def verify_difference_equations(
     t = params.t
     with working_precision(config):
         for n in range(1, n_max + 1):
-            par = _parity(n)
-            k1 = 2 * n + 1 + 2 * a
-            k0 = 2 * n - 1 + 2 * a
-            r = aux.r[n]
-            rp = aux.r[n + 1]
-            rm = aux.r[n - 1]
-
-            t1 = (n + r) * (n + 2 * a + r) * (rp + r) * (r + rm)
-            t2 = 2 * par * t * r * (k0 + r + rm) * (k1 + rp + r)
+            t1, t2 = rn_diff_terms(n, aux.r[n - 1], aux.r[n], aux.r[n + 1], params)
             rows.append(residual_row("rn-diff", n, a, t, config,
                                      *normalize([t1, t2], t1 + t2)))
 

@@ -19,9 +19,17 @@ avoid the integrals entirely:
     sigma_n = 2t d/dt ln D_n = -sum_{j<n} R_j.
 
 ladder_maps is the one transcription of these maps, for the values and for
-every t-derivative of beta_n: the identity route of aux_table, the scans,
-the flows' seed and the t-differential rows all read it. The integral
-route is kept as the independent oracle.
+every t-derivative of beta_n: the identity route of aux_table, the flows'
+seed and the t-differential rows all read it. The integral route is kept
+as the independent oracle.
+
+The second-order difference equation for r_n is affine in r_{n+1}, so it
+also runs forward: difference_run gives r_n and R_n for n < N in O(N)
+steps from the two moment anchors, and the double-scaling scans read it.
+Its coefficients are transcribed once (rn_diff_coefficients); the step
+solves with them, and the identity suite checks the terms they make
+(rn_diff_terms) on moment-route tables, which keeps the relation tied to
+the moments.
 
 The sign of R_n for t > 0 is never asserted: it is an observed property
 (positive on every grid tested here) recorded at report level only.
@@ -34,7 +42,7 @@ from mpmath import mp, mpf
 from .precision import NumericsError, PrecisionConfig, working_precision
 from .quadrature import integrate_unit_vector
 from .recurrence import RecurrenceTable, negated_prefix_sums, recurrence_table
-from .weights import WeightParams, weight_value
+from .weights import MomentTable, WeightParams, weight_value
 
 ROUTE_IDENTITY = "identity"
 ROUTE_QUADRATURE = "quadrature"
@@ -209,6 +217,50 @@ def riccati_terms(n: int, R, r, params: WeightParams) -> list:
     par = _parity(n)
     k1 = 2 * n + 1 + 2 * params.alpha
     return [R ** 2, (1 - 2 * par * t - 2 * r) * R, -2 * par * k1 * t]
+
+
+def rn_diff_coefficients(n: int, r_prev, r, params: WeightParams) -> list:
+    """A_n and B_n of the second-order difference equation for r_n,
+
+        A_n R_n + B_n (k1 + R_n) = 0,   R_n = r_{n+1} + r_n,
+
+    with A_n = (n+r_n)(n+2alpha+r_n)(r_n+r_{n-1}) and
+    B_n = 2(-1)^n t r_n (2n-1+2alpha+r_n+r_{n-1})."""
+    a, t = params.alpha, params.t
+    return [(n + r) * (n + 2 * a + r) * (r + r_prev),
+            2 * _parity(n) * t * r * (2 * n - 1 + 2 * a + r + r_prev)]
+
+
+def rn_diff_terms(n: int, r_prev, r, r_next, params: WeightParams) -> list:
+    """The two terms of the difference equation for r_n, whose sum vanishes:
+    A_n R_n and B_n (k1 + R_n), from rn_diff_coefficients."""
+    a_n, b_n = rn_diff_coefficients(n, r_prev, r, params)
+    big_r = r_next + r
+    return [a_n * big_r, b_n * (2 * n + 1 + 2 * params.alpha + big_r)]
+
+
+def difference_run(size: int, params: WeightParams, config: PrecisionConfig,
+                   moments=None):
+    """[r_0 .. r_{size-1}] and [R_0 .. R_{size-1}] by the forward run of the
+    difference equation for r_n, for t > 0.
+
+    The seed is r_0 = 0 and r_1 = 2t + (3+2alpha) mu_2/mu_0 - 1 (ladder_maps
+    at n = 1, with beta_1 = mu_2/mu_0), so the run reads only the two moment
+    anchors. The equation is affine in R_n, and each step solves it from
+    rn_diff_coefficients: R_n = -B_n k1 / (A_n + B_n), r_{n+1} = R_n - r_n.
+    At t = 0 every r_n vanishes and the step is 0/0.
+    """
+    if not params.t > 0:
+        raise ValueError("the difference run needs t > 0: at t = 0 its step is 0/0")
+    table = moments if moments is not None else MomentTable.build(params, 2, config)
+    with working_precision(config):
+        r = [mpf(0), 2 * params.t + (3 + 2 * params.alpha) * table[2] / table[0] - 1]
+        big_r = [r[1]]
+        for n in range(1, size):
+            a_n, b_n = rn_diff_coefficients(n, r[n - 1], r[n], params)
+            big_r.append(-b_n * (2 * n + 1 + 2 * params.alpha) / (a_n + b_n))
+            r.append(big_r[n] - r[n])
+        return r[:size], big_r
 
 
 def beta_aux_terms(n: int, R, r, params: WeightParams) -> list:

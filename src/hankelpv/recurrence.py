@@ -33,6 +33,14 @@ auxiliary weight needs; on this even weight it is an exact zero, and the
 order-0 coefficients are the norms of the plain pass bit for bit. The
 negative orders come from the weight's Pearson relation (negative_moments),
 so the jets need t > 0.
+
+At t = 0 the weight is Jacobi's, with beta_k(0) = k(k+2alpha)/((2k+2alpha-1)
+(2k+2alpha+1)) and mu_0(0) = B(1/2, 1+alpha) in closed form. log_det_ratio
+uses them to give ln D_N(t) - ln D_N(0) from mu_0(t) and the beta_k(t) of
+any route, without forming the two ln D_N of size N^2: the double-scaling
+scans take their beta_k(t) from ladder.difference_run, in O(N) steps, and
+build no table here. hankel_det_t0 is ln D_n(0) by Barnes G or Gamma
+products; the tests check that route against these tables through it.
 """
 
 from dataclasses import dataclass
@@ -43,7 +51,7 @@ from mpmath import mp, mpf
 
 from .ode import cauchy
 from .precision import NumericsError, PrecisionConfig, to_mpf, working_precision
-from .special import log_barnes_g, log_gamma
+from .special import exp_beta_moment, log_barnes_g, log_gamma
 from .weights import MomentTable, WeightParams, negative_moments
 
 
@@ -278,6 +286,32 @@ def eval_poly(n: int, x, table: RecurrenceTable) -> PolynomialEval:
         )
         prev, cur = cur, nxt
     return PolynomialEval(n=n, x=x, value=cur[0], d1=cur[1], d2=cur[2])
+
+
+def jacobi_beta_t0(k: int, alpha) -> mpf:
+    """beta_k(0) = k(k+2alpha)/((2k+2alpha-1)(2k+2alpha+1)), the closed form
+    for the Jacobi weight (1-x^2)^alpha, at ambient precision."""
+    return k * (k + 2 * alpha) / ((2 * k + 2 * alpha - 1) * (2 * k + 2 * alpha + 1))
+
+
+def log_det_ratio(mu0, beta, alpha, config: PrecisionConfig) -> mpf:
+    """ln D_N(t) - ln D_N(0) for N = len(beta), from mu_0(t) and
+    beta_1 .. beta_{N-1} at t (beta[0] is not read).
+
+    D_N = mu_0^N prod_{0<k<N} beta_k^(N-k), so the difference is
+    N ln(mu_0(t)/mu_0(0)) + sum_k (N-k) ln(beta_k(t)/beta_k(0)), with
+    mu_0(0) = B(1/2, 1+alpha) and beta_k(0) from jacobi_beta_t0. It is taken
+    as one log of prod_{k<N} h_k(t)/h_k(0), whose factors run up as
+    products of those ratios; the two ln D_N, of size N^2, whose difference
+    this is are never formed.
+    """
+    with working_precision(config):
+        ratio = mu0 / exp_beta_moment(-mpf(1) / 2, alpha, 0, config)
+        product = ratio
+        for k in range(1, len(beta)):
+            ratio *= beta[k] / jacobi_beta_t0(k, alpha)
+            product *= ratio
+        return mp.log(product)
 
 
 def _t0_log_det_gammas(n: int, alpha, config: PrecisionConfig) -> mpf:

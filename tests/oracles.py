@@ -1,6 +1,8 @@
 """Independent routes that only the tests use.
 
-Closed forms for the first ladder coefficients (r_1 = R_0 and R_1, by
+The scan values on the moment route (Chebyshev tables, with ln D_n(0) in
+closed form), which the difference run of the scans replaces. Closed
+forms for the first ladder coefficients (r_1 = R_0 and R_1, by
 direct evaluation of their defining integrals in terms of Kummer
 functions), the ladder functions A_n(z) and B_n(z) from their defining
 integrals, and the shifted weight's monic polynomials one degree at a
@@ -11,12 +13,34 @@ these check.
 from mpmath import mp, mpf
 
 from hankelpv import bridge
-from hankelpv.ladder import v_prime
+from hankelpv.ladder import ladder_maps, v_prime
 from hankelpv.precision import PrecisionConfig, working_precision
 from hankelpv.quadrature import integrate
-from hankelpv.recurrence import eval_poly, recurrence_table
+from hankelpv.recurrence import eval_poly, hankel_det_t0, recurrence_table
 from hankelpv.special import gamma, kummer_phi
-from hankelpv.weights import WeightParams, weight_value
+from hankelpv.weights import WeightParams, make_params, weight_value
+
+
+def chebyshev_scan_value(mode: str, s, n: int, alpha, config: PrecisionConfig) -> mpf:
+    """The scan mode's finite-n value from a Chebyshev recurrence table.
+
+    g1 and g2 are n R_2n and n R_2n+1, sigma-n4 is -sum_{j<n} R_j, and the
+    delta modes are ln D_N(t) - ln D_N(0) for N = 2n and 2n + 1.
+    """
+    with working_precision(config):
+        s = mpf(s)
+        t = s / mpf(n) ** 4 if mode == "sigma-n4" else s / (2 * mpf(n) ** 2)
+        params = make_params(alpha, t, config)
+        if mode in ("g1", "g2"):
+            index = 2 * n if mode == "g1" else 2 * n + 1
+            rec = recurrence_table(index + 1, params, config)
+            return n * ladder_maps(rec.beta, params)[2][index]
+        if mode == "sigma-n4":
+            rec = recurrence_table(n + 1, params, config)
+            return -mp.fsum(ladder_maps(rec.beta, params)[2][:n])
+        size = 2 * n if mode == "delta1" else 2 * n + 1
+        return recurrence_table(size, params, config).logD[size] - hankel_det_t0(
+            size, alpha, config)
 
 
 def initial_r1(params: WeightParams, config: PrecisionConfig) -> mpf:

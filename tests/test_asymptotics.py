@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from hankelpv import asymptotics
+from hankelpv import asymptotics, ladder
 from hankelpv.asymptotics import (
     FIXED_KINDS,
     ORDER_SMALL_SEED,
@@ -31,6 +31,7 @@ from hankelpv.ladder import aux_table
 from hankelpv.precision import PrecisionConfig, working_precision
 from hankelpv.special import UnsupportedArgumentError
 from hankelpv.weights import make_params
+from oracles import chebyshev_scan_value
 
 CFG = PrecisionConfig()
 LO = PrecisionConfig(bits=256, target_digits=30)
@@ -682,7 +683,10 @@ def test_scan_validation():
     with pytest.raises(ValueError):
         double_scaling_scan("0.1", (8, 4), 1, "g1", LO)
     with pytest.raises(ValueError):
-        double_scaling_scan("0.1", (4, 96), 1, "g1", LO)
+        double_scaling_scan("0.1", (4, asymptotics.N_CAP + 1), 1, "g1", LO)
+    with pytest.raises(ValueError):
+        double_scaling_scan("0.1", (4, asymptotics.N_CAP_EXTENDED + 1), 1, "g1", LO,
+                            allow_large_n=True)
     with pytest.raises(ValueError):
         double_scaling_scan("0.1", (4, 8), 1, "sigma-n2", LO)
     with pytest.raises(ValueError):
@@ -694,6 +698,62 @@ def test_scan_determinism():
     two = double_scaling_scan("0.1", (4, 8), 1, "g2", LO)
     assert one.raw == two.raw
     assert one.extrapolated == two.extrapolated
+
+
+CROSS_ROUTE_N = (1, 5, 64)
+
+
+def _moment_route_digits(mode, s):
+    """Digits of each scan value against the moment route at 4x the bits."""
+    res = double_scaling_scan(s, CROSS_ROUTE_N, 1, mode, LO, allow_large_n=True)
+    hi = LO.with_bits(4 * LO.bits)
+    digits = []
+    for n, value in zip(CROSS_ROUTE_N, res.raw):
+        reference = chebyshev_scan_value(mode, s, n, 1, hi)
+        with working_precision(hi):
+            digits.append(-mp.log10(abs(value - reference) / abs(reference)))
+    return digits
+
+
+@pytest.mark.parametrize("s", ["0.5", "20"])
+@pytest.mark.parametrize("mode", asymptotics.SCAN_MODES)
+def test_scan_values_match_the_moment_route(mode, s):
+    assert min(_moment_route_digits(mode, s)) >= LO.target_digits
+
+
+@pytest.mark.parametrize("mode", asymptotics.SCAN_MODES)
+def test_moment_route_detects_a_corrupted_difference_relation(monkeypatch, mode):
+    # both runs of a point share the corrupted relation, so its own
+    # certificate passes; only the moment route can see the change
+    original = ladder.rn_diff_coefficients
+
+    def corrupted(*args):
+        a_n, b_n = original(*args)
+        return [a_n * (1 + mpf("1e-6")), b_n]
+
+    monkeypatch.setattr(ladder, "rn_diff_coefficients", corrupted)
+    assert min(_moment_route_digits(mode, "0.5")) < 10
+
+
+def test_scan_certifies_every_point_to_n_1024():
+    n_list = (16, 32, 64, 128, 256, 512, 1024)
+    res = double_scaling_scan("0.1", n_list, 1, "g1", LO, allow_large_n=True)
+    assert res.errors == [None] * len(n_list)
+    assert res.configs == [LO] * len(n_list)
+
+
+def test_scan_point_whose_runs_disagree_is_an_error(monkeypatch):
+    # a value that moves by 2^-(bits/8) holds 5 digits at 128 bits and 10
+    # at 256: short of 15 at the point's bits and again at doubled bits
+    def drifting(mode, n, params, config):
+        return 1 + mpf(2) ** (-config.bits // 8)
+
+    monkeypatch.setattr(asymptotics, "_scan_value", drifting)
+    cfg = PrecisionConfig(bits=128, target_digits=15)
+    res = double_scaling_scan("0.1", (4, 8), 1, "g1", cfg)
+    assert res.raw == [None, None]
+    assert all("runs at 256 and 320 bits agree to" in error for error in res.errors)
+    assert "point-errors" in res.flags
 
 
 # --- the constant-term experiment ---------------------------------------------

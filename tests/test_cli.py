@@ -343,14 +343,15 @@ def test_solve_pv_says_how_many_digits_its_endpoint_holds(argv, digits):
     assert notes == [f"solve-pv: endpoint_digits: {digits}"]
 
 
-G2 = ["--mode", "g2", "--s", "0.5", "--n-list"]
+G2 = ["--mode", "g2", "--s", "2000", "--n-list"]
 
 
 @pytest.mark.parametrize("command, loud, quiet, rows, note", [
     ("recurrence", ["--n-max", "60"], ["--n-max", "6"], 61, ""),
     ("hankel", ["--n-max", "60"], ["--n-max", "6"], 60, ""),
-    # the g2 point n = 30 reads the order-62 table
-    ("scan", ["4,30"], ["4,8"], 2, " at n=30"),
+    # at s = 2000 the difference run loses digits as n grows: at 128 bits
+    # the g2 point n = 16 holds 13.7 digits, n = 2 and n = 4 hold 22 and 18
+    ("scan", ["4,16"], ["2,4"], 2, " at n=16"),
 ], ids=["recurrence", "hankel", "scan"])
 def test_escalated_pass_says_so_on_stderr(command, loud, quiet, rows, note):
     # 128 bits run out on the order-60 table (test_pivot_escalation_doubles_bits)

@@ -15,6 +15,7 @@ from hankelpv.ladder import (
     aux_r_oracle,
     aux_table,
     beta_via_aux,
+    difference_run,
     eval_ladder,
     ladder_maps,
     ladder_pieces,
@@ -130,6 +131,24 @@ def test_initial_r1_matches_defining_integral():
         closed = initial_r1(p, CFG)
         integral = aux_R_oracle(0, p, CFG)
         assert abs(closed - integral) < mpf(10) ** -30 * max(abs(closed), mpf(1))
+
+
+@pytest.mark.parametrize("alpha, t", [(1, "0.5"), ("2.5", "3")])
+def test_difference_run_matches_the_identity_route(alpha, t):
+    # the seed r_1 against its Kummer closed form, the steps against beta
+    p = make_params(alpha, t, CFG)
+    r, big_r = difference_run(6, p, CFG)
+    aux = aux_table(6, p, CFG)
+    with working_precision(CFG):
+        assert abs(r[1] - initial_r1(p, CFG)) < mpf(10) ** -100
+        assert all(abs(r[n] - aux.r[n]) < mpf(10) ** -100 for n in range(6))
+        assert all(abs(big_r[n] - aux.R[n]) < mpf(10) ** -100 for n in range(6))
+
+
+def test_difference_run_needs_positive_t():
+    # at t = 0 every r_n vanishes and the step is 0/0
+    with pytest.raises(ValueError):
+        difference_run(4, make_params(1, 0, CFG), CFG)
 
 
 def test_sigma_bookkeeping():

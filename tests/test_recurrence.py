@@ -22,7 +22,9 @@ from hankelpv.recurrence import (
     eval_poly,
     hankel_det,
     hankel_det_t0,
+    jacobi_beta_t0,
     log_derivative_jet,
+    log_det_ratio,
     recurrence_table,
     t_jets,
 )
@@ -108,6 +110,19 @@ def test_t0_gamma_line_matches_barnes_line():
                 _t0_log_det_barnes(n, a, CFG) - _t0_log_det_gammas(n, a, CFG)
             )
             assert diff < mpf(10) ** -140
+
+
+@pytest.mark.parametrize("alpha", ["1", "0.7"])
+def test_t0_closed_forms_normalise_the_log_determinant(alpha):
+    t0 = recurrence_table(8, make_params(alpha, 0, CFG), CFG)
+    rec = recurrence_table(8, make_params(alpha, "0.3", CFG), CFG)
+    with working_precision(CFG):
+        a = mpf(alpha)
+        assert all(abs(t0.beta[k] - jacobi_beta_t0(k, a)) < mpf(10) ** -100
+                   for k in range(1, 9))
+        for n in (1, 2, 8):
+            ratio = log_det_ratio(rec.h[0], rec.beta[:n], a, CFG)
+            assert abs(ratio - (rec.logD[n] - hankel_det_t0(n, alpha, CFG))) < mpf(10) ** -100
 
 
 def test_t0_general_alpha_uses_gamma_line():
