@@ -5,7 +5,10 @@ recurrences for the small-s and large-s expansions of the scaled quantities,
 truncated after six or seven terms, evaluated together with a
 first-omitted-term truncation estimate.  The flow solvers integrate the
 scaled second-order equation for g(s,a) and the Painleve V equation for
-R_n(t), seeded from the series respectively from the finite-n tables; the
+R_n(t), seeded from the small-s Taylor series (or a given start)
+respectively from the finite-n tables.  The large-s series are references,
+never seeds: the g solutions that share that expansion differ by
+exponentially small terms, which grow as a flow runs inward.  The
 R_n flow's rhs and seed slope solve ladder.pv_terms and riccati_terms, which
 the identity rows check.  Each Taylor jet for ode.py is its own transcription
 of its cleared equation: solve_ode checks every step's jet against the rhs,
@@ -63,10 +66,6 @@ N_CAP = 1024
 N_CAP_EXTENDED = 4096
 # extra bits of the second run that certifies each scan value
 SECOND_RUN_BITS = 64
-
-SEED_SMALL_SERIES = "small-series"
-SEED_LARGE_SERIES = "large-series"
-SEED_EXPLICIT = "explicit"
 
 # Unknown-next-coefficient allowance: the tabulated families show
 # consecutive-coefficient magnitude ratios jumping by up to ~2.4 after a
@@ -314,10 +313,9 @@ def series_eval(kind: str, s, config: PrecisionConfig, a=None) -> SeriesValue:
 # are far too few to seed an integrator whose per-step budget is
 # tolerance^4: matching that budget with a 7th-order remainder would push
 # the seed point so close to the singular origin that the step count
-# explodes, so the seeds run the recurrences much further.
+# explodes, so the flows' seeds run the small-s recurrence much further.
 
 ORDER_SMALL_SEED = 64
-ORDER_LARGE_SEED = 72
 
 
 @lru_cache(maxsize=None)
@@ -420,35 +418,26 @@ def _small_seed_tail(coeffs, s0: mpf) -> mpf:
     return t_last * 10
 
 
-def _small_seed_point(series, s0: mpf, tol: mpf) -> mpf:
-    """s0, halved until each small-s series' seed tail is at most
-    tol^4 * max(1, |its value|), the integrator's budget, so no flow starts
-    from digits its seed does not hold."""
+def _small_seed_point(series, s0: mpf, tol: mpf, search: bool = True) -> mpf:
+    """s0, or with `search` the first of s0, s0/2, s0/4, ... at which each
+    small-s series' seed tail is at most tol^4 * max(1, |its value|), the
+    integrator's budget, so no flow starts from digits its seed does not
+    hold.  Without `search`, an s0 whose tail misses the budget raises."""
     budget = tol ** 4
     for _ in range(80):
-        if all(_small_seed_tail(coeffs, s0) <= budget * max(mpf(1), abs(_poly_seed(coeffs, s0)[0]))
-               for coeffs in series):
+        for coeffs in series:
+            tail = _small_seed_tail(coeffs, s0)
+            bound = budget * max(mpf(1), abs(_poly_seed(coeffs, s0)[0]))
+            if tail > bound:
+                break
+        else:
             return s0
+        if not search:
+            raise NumericsError(f"the small-series seed at s0={mp.nstr(s0, 6)} has a tail of "
+                                f"{mp.nstr(tail, 3)}, above tolerance^4*max(1,|g0|) = "
+                                f"{mp.nstr(bound, 3)}")
         s0 /= 2
     raise NumericsError("no admissible seed point for the flow")
-
-
-def _large_seed(a: Fraction, s0: mpf, order: int):
-    """(g, g', tail) from the descending expansion truncated at its smallest term."""
-    d = g_large_coefficients(a, order)
-    u = s0 ** (mpf(1) / 3)
-    candidates = [(abs(_fr(dk)) * u ** (2 - k), k)
-                  for k, dk in enumerate(d) if k >= 2 and dk != 0]
-    tail, cut = min(candidates) if candidates else (mpf(0), len(d) - 1)
-    val = mpf(0)
-    der = mpf(0)
-    for k in range(cut + 1):
-        if d[k] == 0:
-            continue
-        term = _fr(d[k]) * u ** (2 - k)
-        val += term
-        der += term * (2 - k) / (3 * s0)
-    return val, der, tail
 
 
 # --- one runner for every flow ---------------------------------------------
@@ -471,9 +460,9 @@ class Trajectory:
 
     `halt_reason` is None when the flow reached its end point; `steps`
     counts the integrator's accepted steps, Taylor polynomials of degree
-    `order`. `seed_error` is the series seed's tail estimate (0 for a seed
-    that is exact or read off the tables); `endpoint_direct` and
-    `endpoint_gap` are the PV flow's cross-check against the tables.
+    `order`. A series seed's tail is checked where the seed is made
+    (_small_seed_point), so no trajectory carries it; `endpoint_direct`
+    and `endpoint_gap` are the PV flow's cross-check against the tables.
     """
 
     samples: list
@@ -481,7 +470,6 @@ class Trajectory:
     halt_reason: Optional[str]
     steps: int
     order: int
-    seed_error: mpf = mpf(0)
     endpoint_direct: Optional[mpf] = None
     endpoint_gap: Optional[mpf] = None
 
@@ -582,81 +570,57 @@ def _piii_jet(a_val: mpf) -> Callable:
     return lambda s, y, order: _piii_series(a_val, s, y, order)
 
 
-def seed_point(seed: str, s_end, config: PrecisionConfig) -> mpf:
-    """Where a series seed starts when no s0 is given: 2 s_end for the
-    descending series, min(s_end/2, 1/8) for the Taylor series, where its
-    search for an admissible seed point begins."""
+def seed_point(s_end, config: PrecisionConfig) -> mpf:
+    """Where the small-s seed's search for an admissible seed point begins
+    when no s0 is given: min(s_end/2, 1/8)."""
     with working_precision(config):
-        s_end = to_mpf(s_end, config)
-        return 2 * s_end if seed == SEED_LARGE_SERIES else min(s_end / 2, mpf(1) / 8)
+        return min(to_mpf(s_end, config) / 2, mpf(1) / 8)
 
 
 def solve_piii_prime(
     a,
     s_end,
     config: PrecisionConfig,
-    seed: str = SEED_SMALL_SERIES,
     s0=None,
     y0=None,
     tolerance=None,
     sample_points=None,
-    seed_order: Optional[int] = None,
 ) -> Trajectory:
     """Integrate g'' = (g')^2/g - g'/s + 2g^2/s^2 + a/(2s) - 1/(4g).
 
-    Seeding: `small-series` starts from the extended Taylor expansion at an
-    s0 small enough that the seed remainder sits below tolerance^4 (the
-    equation is singular at s=0, so direct initialization there is
-    impossible); `large-series` starts at s0 = 2*s_end (or the given s0)
-    from the extended descending expansion truncated at its smallest term
-    and integrates downward; `explicit` takes (s0, y0) verbatim.  A guard
-    halts the flow when g approaches 0 or diverges; the partial path is
-    returned with `halted` set rather than raised.  The series seeds' tail
-    estimates read the last kept terms, so seed_order must be at least 3.
+    One start: given y0 = (g0, g0'), the flow starts there at the given s0.
+    Otherwise it starts from the order-ORDER_SMALL_SEED Taylor series at s0,
+    or, with no s0, at the first of seed_point, its half, ... whose seed
+    tail is below tolerance^4 * max(1, |g0|); a given s0 whose tail misses
+    that budget raises NumericsError.  The equation is singular at s = 0, so
+    s0 must be positive.  The descending large-s expansion is no start: the
+    solutions that share it differ by exponentially small terms that grow
+    as the flow runs inward.  A guard halts the flow when g approaches 0 or
+    diverges; the partial path is returned with `halted` set rather than
+    raised.
     """
-    if seed_order is not None and seed_order < 3:
-        raise ValueError(f"seed order must be at least 3, got {seed_order}")
     with working_precision(config):
         s_end = to_mpf(s_end, config)
         if s_end <= 0:
             raise ValueError("s_end must be positive")
-        tol = _flow_tolerance(tolerance, config)
-        if seed == SEED_SMALL_SERIES:
-            fr = _as_fraction(a)
-            order = ORDER_SMALL_SEED if seed_order is None else seed_order
-            coeffs = g_small_coefficients(fr, order)
-            if s0 is None:
-                s0 = _small_seed_point([coeffs], seed_point(seed, s_end, config), tol)
-            else:
-                s0 = to_mpf(s0, config)
-            gv, gd = _poly_seed(coeffs, s0)
-            seed_error = _small_seed_tail(coeffs, s0)
-            start = [gv, gd]
-            a_val = _fr(fr)
-        elif seed == SEED_LARGE_SERIES:
-            fr = _as_fraction(a)
-            order = ORDER_LARGE_SEED if seed_order is None else seed_order
-            s0 = seed_point(seed, s_end, config) if s0 is None else to_mpf(s0, config)
-            gv, gd, seed_error = _large_seed(fr, s0, order)
-            start = [gv, gd]
-            a_val = _fr(fr)
-        elif seed == SEED_EXPLICIT:
-            if s0 is None or y0 is None:
-                raise ValueError("explicit seeding needs both s0 and y0")
+        if s0 is not None:
             s0 = to_mpf(s0, config)
-            start = [to_mpf(y0[0], config), to_mpf(y0[1], config)]
-            seed_error = mpf(0)
-            try:
-                a_val = _fr(_as_fraction(a))
-            except TypeError:
-                a_val = to_mpf(a, config)
+            if s0 <= 0:
+                raise ValueError("s0 must be positive: the flow is singular at s = 0")
+        tol = _flow_tolerance(tolerance, config)
+        fr = _as_fraction(a)
+        if y0 is None:
+            coeffs = g_small_coefficients(fr, ORDER_SMALL_SEED)
+            s0 = _small_seed_point([coeffs], seed_point(s_end, config) if s0 is None else s0,
+                                   tol, search=s0 is None)
+            start = list(_poly_seed(coeffs, s0))
+        elif s0 is None or None in y0:
+            raise ValueError("an explicit start needs s0, g0 and g0'")
         else:
-            raise ValueError(f"unknown seed mode {seed!r}")
-
-        trajectory = _run_flow(_piii_rhs(a_val), _piii_jet(a_val), lambda y: [y[0]],
-                               s0, start, s_end, tol, config, sample_points)
-    trajectory.seed_error = seed_error
-    return trajectory
+            start = [to_mpf(y0[0], config), to_mpf(y0[1], config)]
+        a_val = _fr(fr)
+        return _run_flow(_piii_rhs(a_val), _piii_jet(a_val), lambda y: [y[0]],
+                         s0, start, s_end, tol, config, sample_points)
 
 
 # --- finite-n evolution of R_n(t) --------------------------------------------

@@ -401,8 +401,10 @@ def verify_jmo_sigma_form(n_list, tp: TildeParams, config: PrecisionConfig):
     tilde_H_n = H_n - n(n+a+b) with its Painleve V parameter tuple
     recorded in the detail column, and the exact shift bookkeeping row.
     H_n, H_n' and H_n'' are exact t-derivatives from one moment table at
-    t (tilde_H_derivatives), which needs t > 0.
+    t (tilde_H_derivatives), which needs t > 0, and orders n >= 0.
     """
+    if min(n_list) < 0:
+        raise ValueError(f"the jmo rows need orders n >= 0, got {min(n_list)}")
     n_top = max(n_list)
     derivs = tilde_H_derivatives(n_top, tp, config)
     a, b, t = tp.a, tp.b, tp.t

@@ -26,9 +26,6 @@ from .asymptotics import (
     DEFAULT_N_LIST,
     FIXED_KINDS,
     SCAN_MODES,
-    SEED_EXPLICIT,
-    SEED_LARGE_SERIES,
-    SEED_SMALL_SERIES,
     SERIES_KINDS,
     continue_pv,
     double_scaling_scan,
@@ -259,24 +256,11 @@ def _cmd_solve_pv(args, config: PrecisionConfig):
 
 
 def _cmd_solve_p3(args, config: PrecisionConfig):
-    seed = args.seed
-    y0 = None
-    if seed == SEED_EXPLICIT:
-        if args.s0 is None or args.g0 is None or args.dg0 is None:
-            raise ValueError("explicit seed needs --s0, --g0 and --dg0")
-        y0 = (args.g0, args.dg0)
-    start = seed_point(seed, args.s, config) if args.s0 is None else args.s0
+    y0 = None if args.g0 is None and args.dg0 is None else (args.g0, args.dg0)
+    start = seed_point(args.s, config) if args.s0 is None else args.s0
     points = _grid(start, args.s, args.samples, config)
-    trajectory = solve_piii_prime(
-        args.a, args.s, config, seed=seed, s0=args.s0, y0=y0, tolerance=args.tolerance,
-        sample_points=points[1:] or None, seed_order=args.seed_order,
-    )
-    # the bound the small-series search meets, so no printed digit rests on the seed
-    bound = trajectory.tolerance ** 4 * max(1, abs(trajectory.samples[0][1]))
-    if trajectory.seed_error > bound:
-        raise NumericsError(f"the {seed} seed at s0={report.fmt(trajectory.s0, config, 6)} "
-                            f"has a tail of {report.fmt(trajectory.seed_error, config, 3)}, "
-                            f"above tolerance^4*max(1,|g0|) = {report.fmt(bound, config, 3)}")
+    trajectory = solve_piii_prime(args.a, args.s, config, s0=args.s0, y0=y0,
+                                  tolerance=args.tolerance, sample_points=points[1:] or None)
     return _flow_report(trajectory, points, ("s", "g", "dg"), config)
 
 
@@ -427,13 +411,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-p3", help="integrate the scaling-limit ODE for g(s)")
     p.add_argument("--a", required=True, help="parameter a, exact fractions accepted")
     p.add_argument("--s", required=True, dest="s", help="target point s_end")
-    p.add_argument("--seed", choices=(SEED_SMALL_SERIES, SEED_LARGE_SERIES, SEED_EXPLICIT),
-                   default=SEED_SMALL_SERIES)
-    p.add_argument("--s0", default=None)
-    p.add_argument("--g0", default=None)
-    p.add_argument("--dg0", default=None)
-    p.add_argument("--tolerance", default=None)
-    p.add_argument("--seed-order", type=_count(3), default=None)
+    p.add_argument("--s0", default=None,
+                   help="start point s0 > 0; without --g0/--dg0 the small-s series' tail must "
+                        "meet the seed budget there (default: the first of min(s/2, 1/8), "
+                        "its half, ... that meets it)")
+    p.add_argument("--g0", default=None, help="g(s0); with --dg0 and --s0, start the flow there")
+    p.add_argument("--dg0", default=None, help="g'(s0); with --g0 and --s0, start the flow there")
+    p.add_argument("--tolerance", default=None,
+                   help="flow tolerance (default 10^-(printed digits/4)); a small-s seed's tail "
+                        "must be at most tolerance^4*max(1,|g0|)")
     p.add_argument("--samples", type=_count(2), default=17)
 
     p = sub.add_parser("scan", help="finite-n double-scaling scan with extrapolation")

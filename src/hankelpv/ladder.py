@@ -272,15 +272,6 @@ def beta_aux_terms(n: int, R, r, params: WeightParams) -> list:
             2 * _parity(n) * params.t * r / (k0 * R)]
 
 
-def beta_via_aux(n: int, R_n, r_n, params: WeightParams, config: PrecisionConfig):
-    """beta_n from (R_n, r_n); poles of the expression are reported."""
-    with working_precision(config):
-        try:
-            return sum(beta_aux_terms(n, R_n, r_n, params))
-        except ZeroDivisionError:
-            raise NumericsError(f"beta expression pole at n={n}: R_n={R_n}") from None
-
-
 def v_prime(z, params: WeightParams) -> mpf:
     """(-ln w)' at ambient precision."""
     z = mpf(z)

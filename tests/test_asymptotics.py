@@ -9,9 +9,6 @@ from hankelpv import asymptotics, ladder
 from hankelpv.asymptotics import (
     FIXED_KINDS,
     ORDER_SMALL_SEED,
-    SEED_EXPLICIT,
-    SEED_LARGE_SERIES,
-    SEED_SMALL_SERIES,
     SERIES_KINDS,
     c_constant,
     continue_pv,
@@ -28,7 +25,7 @@ from hankelpv.asymptotics import (
 from hankelpv.cli import _grid, target_digits_for_bits
 from hankelpv.identities import _ladder_t_derivatives
 from hankelpv.ladder import aux_table
-from hankelpv.precision import PrecisionConfig, working_precision
+from hankelpv.precision import NumericsError, PrecisionConfig, working_precision
 from hankelpv.special import UnsupportedArgumentError
 from hankelpv.weights import make_params
 from oracles import chebyshev_scan_value
@@ -427,8 +424,7 @@ def test_large_coefficients_grow_factorially():
 
 
 def test_flow_small_seed_tracks_series():
-    traj = solve_piii_prime(HALF, "0.25", LO, tolerance="1e-7", seed_order=40,
-                            sample_points=["0.25"])
+    traj = solve_piii_prime(HALF, "0.25", LO, tolerance="1e-7", sample_points=["0.25"])
     assert not traj.halted
     with working_precision(LO):
         ref = series_eval("g-small", "0.25", LO, a=HALF)
@@ -449,15 +445,15 @@ def test_flow_linear_start():
 
 
 def test_flow_self_convergence():
-    one = solve_piii_prime(HALF, "0.5", LO, tolerance="1e-7", seed_order=40)
-    two = solve_piii_prime(HALF, "0.5", LO, tolerance="5e-8", seed_order=40)
+    one = solve_piii_prime(HALF, "0.5", LO, tolerance="1e-7")
+    two = solve_piii_prime(HALF, "0.5", LO, tolerance="5e-8")
     assert not one.halted and not two.halted
     with working_precision(LO):
         assert abs(one.endpoint[1] - two.endpoint[1]) < mpf(10) ** -25
 
 
 def test_flow_halts_at_movable_pole():
-    traj = solve_piii_prime(HALF, 2, LO, tolerance="1e-6", seed_order=40)
+    traj = solve_piii_prime(HALF, 2, LO, tolerance="1e-6")
     assert traj.halted
     assert "guard" in traj.halt_reason
     with working_precision(LO):
@@ -468,28 +464,18 @@ def test_flow_halts_at_movable_pole():
 def test_flow_halts_at_movable_zero():
     # the negative-parameter branch runs into g = 0, where the 1/(4g)
     # term is singular
-    traj = solve_piii_prime(-HALF, 2, LO, tolerance="1e-6", seed_order=40)
+    traj = solve_piii_prime(-HALF, 2, LO, tolerance="1e-6")
     assert traj.halted
     with working_precision(LO):
         assert mpf("0.85") < traj.reached < mpf("0.92")
         assert abs(traj.samples[-1][1]) < mpf(10) ** -10
 
 
-def test_flow_large_seed_downward():
-    traj = solve_piii_prime(HALF, 50, LO, seed=SEED_LARGE_SERIES, tolerance="1e-7")
-    assert not traj.halted
-    assert traj.s0 == 100
-    with working_precision(LO):
-        ref = series_eval("g-large", 50, LO, a=HALF)
-        assert abs(traj.endpoint[1] - ref.value) < ref.truncation
-
-
 def test_flow_explicit_seed():
-    base = solve_piii_prime(HALF, "0.25", LO, tolerance="1e-7", seed_order=40)
+    base = solve_piii_prime(HALF, "0.25", LO, tolerance="1e-7")
     s0, g0, gp0 = base.endpoint
-    cont = solve_piii_prime(HALF, "0.5", LO, seed=SEED_EXPLICIT, s0=s0,
-                            y0=(g0, gp0), tolerance="1e-7")
-    direct = solve_piii_prime(HALF, "0.5", LO, tolerance="1e-7", seed_order=40)
+    cont = solve_piii_prime(HALF, "0.5", LO, s0=s0, y0=(g0, gp0), tolerance="1e-7")
+    direct = solve_piii_prime(HALF, "0.5", LO, tolerance="1e-7")
     with working_precision(LO):
         assert abs(cont.endpoint[1] - direct.endpoint[1]) < mpf(10) ** -20
 
@@ -498,14 +484,26 @@ def test_flow_argument_validation():
     with pytest.raises(ValueError):
         solve_piii_prime(HALF, 0, LO)
     with pytest.raises(ValueError):
-        solve_piii_prime(HALF, 1, LO, seed="bootstrap")
-    with pytest.raises(ValueError):
-        solve_piii_prime(HALF, 1, LO, seed=SEED_EXPLICIT, s0="0.5")
-    with pytest.raises(ValueError):
         solve_piii_prime(Fraction(3), 1, LO)
-    for seed in (SEED_SMALL_SERIES, SEED_LARGE_SERIES):
-        with pytest.raises(ValueError, match="seed order"):
-            solve_piii_prime(HALF, 1, LO, seed=seed, seed_order=2)
+    # an explicit start needs its point and both values
+    for s0, y0 in [(None, ("0.1", "1")), ("0.5", ("0.1", None)), ("0.5", (None, "1"))]:
+        with pytest.raises(ValueError, match="explicit start"):
+            solve_piii_prime(HALF, 1, LO, s0=s0, y0=y0)
+    # either start at or below the singular point s = 0
+    for s0 in ("0", "-0.01"):
+        for y0 in (None, ("0.1", "1")):
+            with pytest.raises(ValueError, match="s0 must be positive"):
+                solve_piii_prime(HALF, "0.05", LO, s0=s0, y0=y0)
+
+
+def test_given_seed_point_must_meet_the_seed_budget():
+    # the searched start meets tolerance^4 * max(1, |g0|); a given s0 is
+    # held to the same budget rather than moved
+    searched = solve_piii_prime(HALF, "0.25", LO, tolerance="1e-7")
+    assert solve_piii_prime(HALF, "0.25", LO, s0=searched.s0, tolerance="1e-7").samples \
+        == searched.samples
+    with pytest.raises(NumericsError, match="small-series seed at s0=0.8 has a tail of"):
+        solve_piii_prime(HALF, "0.25", LO, s0="0.8", tolerance="1e-7")
 
 
 def test_flow_checkpoints_do_not_multiply_the_work(taylor_steps):
@@ -524,8 +522,8 @@ def test_flow_checkpoints_do_not_multiply_the_work(taylor_steps):
 
 
 def test_flow_determinism():
-    one = solve_piii_prime(HALF, "0.25", LO, tolerance="1e-6", seed_order=40)
-    two = solve_piii_prime(HALF, "0.25", LO, tolerance="1e-6", seed_order=40)
+    one = solve_piii_prime(HALF, "0.25", LO, tolerance="1e-6")
+    two = solve_piii_prime(HALF, "0.25", LO, tolerance="1e-6")
     assert one.endpoint == two.endpoint
 
 

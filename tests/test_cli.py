@@ -122,9 +122,9 @@ OPTION_ARGVS = {
     "bridge": [["--suite", "jmo", *AT, "--n-max", "0", "--n-list", "1", "--b", "-0.5"]],
     "solve-pv": [["--n", "1", "--alpha", "1", "--t0", "0.1", "--t-end", "0.11",
                   "--tolerance", "1e-6", "--samples", "2"]],
-    "solve-p3": [["--a", "1/2", "--s", "0.05", "--seed", "explicit", "--s0", "0.025",
+    "solve-p3": [["--a", "1/2", "--s", "0.05", "--s0", "0.025",
                   "--g0", "0.0267359655051193", "--dg0", "1.14175830984582",
-                  "--tolerance", "1e-6", "--seed-order", "8", "--samples", "2"]],
+                  "--tolerance", "1e-6", "--samples", "2"]],
     "scan": [["--mode", "g1", "--s", "0.1", "--alpha", "1", "--n-list", "4,8",
               "--reference", "g1-small", "--allow-large-n"]],
     "series": [["--kind", "g-small", "--s", "0.1", "--a", "1/2"]],
@@ -254,14 +254,12 @@ def test_bridge_at_small_t(suite):
     (["verify", "--suite", "all", *AT, "--n-max", "-1"], "--n-max"),
     (["moments", *AT, "--j-max", "-1"], "--j-max"),
     (["verify", "--suite", "scalar", *AT, "--n-max", "-1"], "--n-max"),
-    # the series seeds' tail estimates read the last kept terms
-    (["solve-p3", "--a", "1/2", "--s", "0.05", "--seed-order", "1"], "--seed-order"),
     # a grid holds both ends of the span
     (["solve-p3", "--a", "1/2", "--s", "0.05", "--samples", "1"], "--samples"),
     (["solve-pv", "--n", "2", "--alpha", "1", "--t0", "0.1", "--t-end", "0.12",
       "--samples", "1"], "--samples"),
 ], ids=["hankel-n-max-0", "verify-all-n-max-minus-1", "moments-j-max-minus-1",
-        "verify-scalar-n-max-minus-1", "solve-p3-seed-order-1", "solve-p3-samples-1",
+        "verify-scalar-n-max-minus-1", "solve-p3-samples-1",
         "solve-pv-samples-1"])
 def test_bad_counts_are_usage_errors(argv, flag):
     out, err = io.StringIO(), io.StringIO()
@@ -372,11 +370,9 @@ def test_escalated_pass_says_so_on_stderr(command, loud, quiet, rows, note):
 
 
 @pytest.mark.parametrize("argv, note", [
-    (["--s", "5", "--seed", "large-series"],
-     "error: the large-series seed at s0=10.0 has a tail of 1.9"),
-    (["--s", "0.05", "--s0", "0.1", "--seed-order", "6"],
-     "error: the small-series seed at s0=0.1 has a tail of 1.9"),
-], ids=["large-series", "small-series-s0"])
+    (["--s", "0.05", "--s0", "0.8"],
+     "error: the small-series seed at s0=0.8 has a tail of 0.925"),
+], ids=["small-series-s0"])
 def test_seed_tail_above_the_step_budget_exits_2(argv, note):
     # tolerance^4 * max(1, |g0|) is the bound the default small-series
     # search meets; a seed above it would print digits it does not hold
@@ -385,6 +381,75 @@ def test_seed_tail_above_the_step_budget_exits_2(argv, note):
     assert (status, out) == (cli.EXIT_NUMERIC, "")
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith(note)
+
+
+P3 = ["solve-p3", "--a", "1/2", "--s", "0.05"]
+# the solve-p3 golden's first row, s0 = 0.025, to its 15 printed digits
+GOLDEN_START = ["--s0", "0.025", "--g0", "0.0267359655051193", "--dg0", "1.14175830984582"]
+
+
+def test_given_start_is_where_the_flow_starts():
+    golden = _rows(_golden("solve-p3"))
+    status, out = _run([*P3, *GOLDEN_START])
+    rows = _rows(out)
+    assert status == cli.EXIT_OK
+    assert [rows[0][key] for key in ("s", "g", "dg")] == GOLDEN_START[1::2]
+    assert rows[-1]["s"] == golden[-1]["s"] == "0.05"
+    assert abs(Fraction(rows[-1]["g"]) - Fraction(golden[-1]["g"])) < Fraction(1, 10 ** 14)
+    # another start gives another solution
+    status, out = _run([*P3, "--s0", "0.025", "--g0", "0.03", "--dg0", "1.14175830984582"])
+    rows = _rows(out)
+    assert (status, rows[0]["g"]) == (cli.EXIT_OK, "0.03")
+    assert abs(Fraction(rows[-1]["g"]) - Fraction(golden[-1]["g"])) > Fraction(1, 10 ** 3)
+
+
+@pytest.mark.parametrize("argv, error", [
+    (GOLDEN_START[:4], "error: an explicit start needs s0, g0 and g0'"),
+    (GOLDEN_START[:2] + GOLDEN_START[4:], "error: an explicit start needs s0, g0 and g0'"),
+    (GOLDEN_START[2:], "error: an explicit start needs s0, g0 and g0'"),
+    (GOLDEN_START[2:4], "error: an explicit start needs s0, g0 and g0'"),
+    (GOLDEN_START[4:], "error: an explicit start needs s0, g0 and g0'"),
+    (["--s0", "0"], "error: s0 must be positive: the flow is singular at s = 0"),
+    (["--s0", "-0.01"], "error: s0 must be positive: the flow is singular at s = 0"),
+    ([*GOLDEN_START[2:], "--s0", "-0.01"],
+     "error: s0 must be positive: the flow is singular at s = 0"),
+], ids=["g0-without-dg0", "dg0-without-g0", "start-without-s0", "g0-without-s0",
+        "dg0-without-s0", "s0-zero", "s0-negative", "explicit-s0-negative"])
+def test_bad_start_exits_2_without_rows(argv, error):
+    err = io.StringIO()
+    assert _run([*P3, *argv], err) == (cli.EXIT_NUMERIC, "")
+    assert err.getvalue() == f"{error}\n"
+
+
+@pytest.mark.parametrize("option", [["--seed", "large-series"], ["--seed-order", "8"]],
+                         ids=["seed", "seed-order"])
+def test_removed_seed_options_are_usage_errors(option):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as excinfo:
+        cli.main([*P3, *option])
+    assert (excinfo.value.code, out.getvalue()) == (cli.EXIT_NUMERIC, "")
+    assert "error: unrecognized arguments" in err.getvalue()
+
+
+@pytest.mark.parametrize("n_list", ["-1", "-1,2"])
+def test_jmo_negative_order_exits_2(n_list):
+    err = io.StringIO()
+    argv = ["bridge", "--suite", "jmo", *AT, "--n-max", "0", f"--n-list={n_list}"]
+    assert _run(argv, err) == (cli.EXIT_NUMERIC, "")
+    assert err.getvalue() == "error: the jmo rows need orders n >= 0, got -1\n"
+
+
+def test_every_benchmark_job_parses():
+    # a CLI option that a benchmark job passes cannot go without this failing
+    workloads = runpy.run_path(str(JOB.parent / "workloads.py"))["WORKLOADS"]
+    jobs = [job for workload in workloads.values() for job in workload["jobs"] if "argv" in job]
+    assert jobs
+    parser = cli.build_parser()
+    for job in jobs:
+        try:
+            assert parser.parse_args(job["argv"]).command == job["argv"][0]
+        except SystemExit:
+            pytest.fail(f"benchmark job {job['id']} does not parse: {job['argv']}")
 
 
 def test_integral_suite_exits_2_past_the_node_cap(monkeypatch):

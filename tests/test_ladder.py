@@ -14,7 +14,7 @@ from hankelpv.ladder import (
     aux_oracles,
     aux_r_oracle,
     aux_table,
-    beta_via_aux,
+    beta_aux_terms,
     difference_run,
     eval_ladder,
     ladder_maps,
@@ -182,25 +182,19 @@ def test_sigma_matches_logdet_derivative(n, alpha, t):
 @pytest.mark.parametrize("n", [1, 2, 4, 5, 8])
 @pytest.mark.parametrize("alpha,t", [(1, "0.5"), ("0.7", "0.05")])
 def test_beta_recovery_both_expressions(n, alpha, t):
-    # beta_n from (R_n, r_n) by beta_via_aux, and from (r_n, sigma_n) by the
-    # be4 identity row, its only transcription
+    # beta_n from (R_n, r_n) as the sum of beta_aux_terms, and from
+    # (r_n, sigma_n) by the be4 identity row, its only transcription
     p = make_params(alpha, t, CFG)
     rec = recurrence_table(10, p, CFG)
     aux = aux_table(9, p, CFG, recurrence=rec)
     with working_precision(CFG):
         tol = mpf(10) ** -30
-        b_aux = beta_via_aux(n, aux.R[n], aux.r[n], p, CFG)
+        b_aux = sum(beta_aux_terms(n, aux.R[n], aux.r[n], p))
         assert abs(b_aux - rec.beta[n]) < tol * abs(rec.beta[n])
     be4 = next(row for row in verify_scalar_identities(n, p, aux, rec, CFG)
                if (row.identity, row.n) == ("be4", n))
     assert be4.passed and not be4.trivial
     assert be4.residual < tol
-
-
-def test_beta_via_aux_reports_pole():
-    p = make_params(1, 0, CFG)
-    with pytest.raises(NumericsError, match="pole"):
-        beta_via_aux(2, mpf(0), mpf(0), p, CFG)
 
 
 def test_v_prime_value():
