@@ -27,9 +27,9 @@ costs O(n^2) and loses about 0.75 digits per degree.  The g modes read R_n
 from the run and sigma-n4 sums it; the delta modes take beta_k(t) from
 ladder.beta_aux_terms and normalise by the closed-form t = 0 Jacobi data
 (recurrence.log_det_ratio).  The run's digits fall with s, not with n.
-Every point is certified by a second run at SECOND_RUN_BITS more bits
-from its own anchors, and escalates once to doubled bits before it fails;
-at s = 0 every value is an exact zero, and no run is made.
+Every point is certified by precision.stabilized: a second run at 64
+more bits from its own anchors, and one escalation to doubled bits before
+it fails. At s = 0 every value is an exact zero, and no run is made.
 
 The two scaling regimes are distinct and never mixed: the g/delta scans
 hold s = 2n^2 t fixed, the sigma scan holds s = n^4 t fixed.
@@ -47,7 +47,7 @@ from mpmath import mp, mpf
 from .ladder import (_parity, beta_aux_terms, difference_run, ladder_maps, pv_terms,
                      riccati_terms)
 from .ode import OdeHalt, OdeProblem, cauchy, solve_ode
-from .precision import NumericsError, PrecisionConfig, to_mpf, working_precision
+from .precision import NumericsError, PrecisionConfig, stabilized, to_mpf, working_precision
 from .recurrence import log_det_ratio, recurrence_table
 from .special import log_barnes_g, zeta_prime_minus_one
 from .weights import MomentTable, WeightParams, make_params
@@ -64,8 +64,6 @@ SCAN_MODES = ("g1", "g2", "delta1", "delta2", "sigma-n4")
 DEFAULT_N_LIST = (8, 16, 32, 64)
 N_CAP = 1024
 N_CAP_EXTENDED = 4096
-# extra bits of the second run that certifies each scan value
-SECOND_RUN_BITS = 64
 
 # Unknown-next-coefficient allowance: the tabulated families show
 # consecutive-coefficient magnitude ratios jumping by up to ~2.4 after a
@@ -775,10 +773,10 @@ def _scan_value(mode: str, n: int, params: WeightParams, config: PrecisionConfig
 
 
 def _scan_raw(mode: str, s: mpf, n: int, alpha: mpf, config: PrecisionConfig):
-    """The mode's finite-n value, and the config the two runs that certify
-    it ran at (double_scaling_scan); raises NumericsError if they disagree
-    at doubled bits too. At s = 0 every r_n and R_n vanishes, and so does
-    every mode."""
+    """The mode's finite-n value, certified by precision.stabilized, and the
+    config it was certified at; raises NumericsError if the two runs
+    disagree at doubled bits too. At s = 0 every r_n and R_n vanishes, and
+    so does every mode."""
     with working_precision(config):
         if mode == "sigma-n4":
             t = s / mpf(n) ** 4
@@ -787,18 +785,7 @@ def _scan_raw(mode: str, s: mpf, n: int, alpha: mpf, config: PrecisionConfig):
         if t == 0:
             return mpf(0), config
         params = make_params(alpha, t, config)
-    for cfg in (config, config.doubled()):
-        value = _scan_value(mode, n, params, cfg)
-        check = _scan_value(mode, n, params, cfg.with_bits(cfg.bits + SECOND_RUN_BITS))
-        with working_precision(cfg):
-            gap = abs(value - check)
-            if gap <= abs(check) * mpf(10) ** -config.target_digits:
-                return value, cfg
-    with working_precision(cfg):
-        held = -mp.log10(gap / abs(check)) if check else 0
-    raise NumericsError(
-        f"runs at {cfg.bits} and {cfg.bits + SECOND_RUN_BITS} bits agree to "
-        f"{mp.nstr(held, 3)} of {config.target_digits} digits")
+    return stabilized(lambda cfg: _scan_value(mode, n, params, cfg), config)
 
 
 _REFERENCE_KINDS = {
@@ -847,10 +834,9 @@ def double_scaling_scan(
     g/delta modes hold s = 2n^2 t fixed; sigma-n4 holds s = n^4 t fixed.
     Each raw value is one forward run of the difference equation for r_n
     (module docstring), O(n) per point, so n runs to N_CAP, or to
-    N_CAP_EXTENDED with allow_large_n. A value is kept when a second run at
-    SECOND_RUN_BITS more bits agrees with it to target_digits; otherwise
-    the pair is run again at doubled bits, and `configs` records the config
-    each point was certified at. At s = 0 every raw value is an exact zero.
+    N_CAP_EXTENDED with allow_large_n. precision.stabilized certifies each
+    value by a second run at 64 more bits, escalating once to doubled bits;
+    `configs` records the config of each. At s = 0 every value is zero.
     The delta modes are ln D_N(t) - ln D_N(0), normalised by the closed
     form of the Jacobi weight at t = 0 (recurrence.log_det_ratio).
     Extrapolation runs two Richardson models (corrections in powers of 1/n

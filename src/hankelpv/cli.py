@@ -42,7 +42,6 @@ from .precision import (
     DEFAULT_TARGET_DIGITS,
     ENV_BITS,
     MIN_BITS,
-    EscalationError,
     NumericsError,
     PrecisionConfig,
     digits_capacity,
@@ -50,7 +49,6 @@ from .precision import (
     working_precision,
 )
 from .recurrence import hankel_log_dets, recurrence_table
-from .special import UnsupportedArgumentError
 from .weights import MomentTable, make_params
 
 EXIT_OK = 0
@@ -195,7 +193,7 @@ def _cmd_aux(args, config: PrecisionConfig):
     rows = [(n, aux.params.alpha, aux.params.t, aux.r[n], aux.R[n], aux.sigma[n], aux.tags[n])
             for n in range(len(aux.r))]
     return (report.table_records(rows, ("n", "alpha", "t", "r", "R", "sigma", "route"), config),
-            EXIT_OK, [])
+            EXIT_OK, _bits_note(config, aux.config))
 
 
 def _residual_report(rows, config: PrecisionConfig, notes: list):
@@ -462,7 +460,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return run(config_from_args(args))
-    except (NumericsError, EscalationError, UnsupportedArgumentError, ValueError) as exc:
+    except (NumericsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

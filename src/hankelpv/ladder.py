@@ -146,7 +146,7 @@ def aux_R_oracle(
 
 @dataclass
 class AuxTable:
-    """r_n, R_n, sigma_n for n <= n_max with a per-entry route tag."""
+    """r_n, R_n, sigma_n for n <= n_max with route tags, at its table's config."""
 
     params: WeightParams
     config: PrecisionConfig
@@ -180,7 +180,7 @@ def aux_table(
         r = r[: n_max + 1]
     return AuxTable(
         params=params,
-        config=config,
+        config=table.config,
         r=r,
         R=big_r,
         sigma=sigma,

@@ -9,6 +9,9 @@ target_digits).
 Given identical inputs and an identical config, every routine in this
 package is bit-for-bit deterministic: node orderings, summation orders and
 step sequences are all fixed.
+The one escalation policy lives here: `escalated` reruns a failed
+computation once at doubled bits, and `stabilized` certifies a value by a
+second run at SECOND_RUN_BITS more bits, escalating through it.
 """
 
 from __future__ import annotations
@@ -30,9 +33,8 @@ RESIDUAL_SCALE = 0.5
 # Decimal digits reserved as guard when converting bits -> digits capacity.
 GUARD_DIGITS = 10
 
-# Automatic precision escalation never exceeds this multiple of the
-# starting bits (applies to Kummer summation and similar stabilizers).
-ESCALATION_CAP = 8
+# A value is certified by a second run at this many more bits.
+SECOND_RUN_BITS = 64
 
 
 class NumericsError(Exception):
@@ -40,7 +42,7 @@ class NumericsError(Exception):
 
 
 class EscalationError(NumericsError):
-    """Precision escalation hit its cap without the value stabilizing."""
+    """Two runs of a value disagree, at its bits and again at doubled bits."""
 
     def __init__(self, message, last_two=None):
         super().__init__(message)
@@ -121,29 +123,33 @@ def to_mpf(value, config: PrecisionConfig) -> mpf:
         return mpf(value)
 
 
-def stabilized(evaluate, config: PrecisionConfig, agree_digits: int | None = None):
-    """Evaluate `evaluate(bits)` at escalating precision until stable.
+def escalated(work, config: PrecisionConfig):
+    """(work(config), config), or on NumericsError one retry at doubled bits,
+    whose failure propagates."""
+    try:
+        return work(config), config
+    except NumericsError:
+        doubled = config.doubled()
+        return work(doubled), doubled
 
-    Runs the callable at bits, 2*bits, ... and returns the first value that
-    agrees with its predecessor to `agree_digits` significant digits
-    (default: config.target_digits). Raises EscalationError, carrying the
-    last two values, if the cap (ESCALATION_CAP * bits) is exceeded.
-    """
+
+def stabilized(evaluate, config: PrecisionConfig, agree_digits: int | None = None):
+    """(evaluate(cfg), cfg), kept when a second run at SECOND_RUN_BITS more
+    bits agrees to `agree_digits` (default target_digits) significant digits,
+    at cfg = config or, through `escalated`, config doubled; a second
+    disagreement raises EscalationError carrying the last two values."""
     digits = config.target_digits if agree_digits is None else agree_digits
-    bits = config.bits
-    previous = None
-    while bits <= ESCALATION_CAP * config.bits:
-        current = evaluate(bits)
-        if previous is not None:
-            with working_precision(bits):
-                scale = max(abs(current), abs(previous))
-                # exact zeros (e.g. odd moments) are stable by definition
-                if scale == 0 or abs(current - previous) <= scale * mpf(10) ** (-digits):
-                    return current
-        previous = current
-        bits *= 2
-    raise EscalationError(
-        f"value failed to stabilize to {digits} digits within "
-        f"{ESCALATION_CAP}x precision escalation",
-        last_two=(previous, current),
-    )
+
+    def pair(cfg):
+        value = evaluate(cfg)
+        check = evaluate(cfg.with_bits(cfg.bits + SECOND_RUN_BITS))
+        with working_precision(cfg):
+            gap = abs(value - check)
+            if gap <= abs(check) * mpf(10) ** -digits:
+                return value
+            held = -mp.log10(gap / abs(check)) if check else 0
+        raise EscalationError(
+            f"runs at {cfg.bits} and {cfg.bits + SECOND_RUN_BITS} bits agree to "
+            f"{mp.nstr(held, 3)} of {digits} digits", last_two=(value, check))
+
+    return escalated(pair, config)

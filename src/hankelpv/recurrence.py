@@ -50,7 +50,7 @@ from math import factorial
 from mpmath import mp, mpf
 
 from .ode import cauchy
-from .precision import NumericsError, PrecisionConfig, to_mpf, working_precision
+from .precision import NumericsError, PrecisionConfig, escalated, to_mpf, working_precision
 from .special import exp_beta_moment, log_barnes_g, log_gamma
 from .weights import MomentTable, WeightParams, negative_moments
 
@@ -156,18 +156,16 @@ def chebyshev_jets(mu, size: int, order: int, step: int, config: PrecisionConfig
 def _retried(params, j_max, config, moments, work):
     """work(moments, config) on moments up to j_max, and the config it ran at.
 
-    On a non-positive pivot the moments are rebuilt once at doubled bits;
-    a second failure propagates.
+    A non-positive pivot (any NumericsError) reruns it once at doubled bits
+    (precision.escalated). A caller's moments are used at their own config.
     """
-    for attempt, cfg in enumerate((config, config.doubled())):
+    def attempt(cfg):
         table = moments
-        if table is None or attempt > 0:
+        if table is None or table.config != cfg:
             table = MomentTable.build(params, j_max, cfg)
-        try:
-            return work(table, cfg), cfg
-        except PivotError:
-            if attempt > 0:
-                raise
+        return work(table, cfg)
+
+    return escalated(attempt, config)
 
 
 def hankel_log_dets(n_max: int, params: WeightParams, config: PrecisionConfig,

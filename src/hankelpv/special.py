@@ -2,7 +2,7 @@
 
 mpmath supplies the raw evaluations; the wrappers here pin the working
 precision, validate arguments against the domains the package actually
-uses, and stabilize cancellation-prone cases by precision escalation.
+uses, and certify cancellation-prone cases with precision.stabilized.
 log Barnes-G is built from the Gamma recurrence; its half-integer anchor
 takes zeta'(-1) = 1/12 - ln A from mpmath's Glaisher constant. The tests'
 references are mp.barnesg, mp.zeta(-1, derivative=1) and frozen literals.
@@ -53,9 +53,8 @@ def kummer_phi(a, b, z, config: PrecisionConfig) -> mpf:
     """Confluent hypergeometric Phi(a, b; z) = sum (a)_k z^k / ((b)_k k!).
 
     For z < 0 the series alternates and cancellation can eat digits, so the
-    value is recomputed at escalating precision until two precisions agree
-    to target_digits (cap: 8x the starting bits, after which an
-    EscalationError carrying the last two values is raised).
+    value is certified by precision.stabilized: a second run at 64 more bits,
+    and one escalation to doubled bits before EscalationError.
     """
     with working_precision(config):
         av, bv, zv = mpf(a), mpf(b), mpf(z)
@@ -67,11 +66,11 @@ def kummer_phi(a, b, z, config: PrecisionConfig) -> mpf:
         if terminates_at is None or -int(bv) < terminates_at:
             raise PoleError(f"kummer_phi parameter pole: b={bv}")
 
-    def evaluate(bits):
-        with working_precision(bits):
+    def evaluate(cfg):
+        with working_precision(cfg):
             return mp.hyp1f1(av, bv, zv)
 
-    value = stabilized(evaluate, config)
+    value, _ = stabilized(evaluate, config)
     with working_precision(config):
         return mpf(value)
 

@@ -347,10 +347,11 @@ G2 = ["--mode", "g2", "--s", "2000", "--n-list"]
 @pytest.mark.parametrize("command, loud, quiet, rows, note", [
     ("recurrence", ["--n-max", "60"], ["--n-max", "6"], 61, ""),
     ("hankel", ["--n-max", "60"], ["--n-max", "6"], 60, ""),
+    ("aux", ["--n-max", "59"], ["--n-max", "4"], 60, ""),
     # at s = 2000 the difference run loses digits as n grows: at 128 bits
     # the g2 point n = 16 holds 13.7 digits, n = 2 and n = 4 hold 22 and 18
     ("scan", ["4,16"], ["2,4"], 2, " at n=16"),
-], ids=["recurrence", "hankel", "scan"])
+], ids=["recurrence", "hankel", "aux", "scan"])
 def test_escalated_pass_says_so_on_stderr(command, loud, quiet, rows, note):
     # 128 bits run out on the order-60 table (test_pivot_escalation_doubles_bits)
     args = G2 if command == "scan" else AT
@@ -498,6 +499,11 @@ def test_traced_benchmark_job_runs():
                          # route stands in, so the run exits 0
                          ({"argv": ["dyson", "--n-list", "4,8", "--bits", "128"]},
                           {"ode.solves": 1, "ode.halts": 1}),
+                         # the tracer wraps precision.stabilized, which
+                         # certifies each scan point by two runs
+                         ({"argv": ["scan", "--mode", "g1", "--s", "0.1", "--n-list", "4,8",
+                                    "--bits", "128"]},
+                          {"precision.stabilized_evals": 4, "asymptotics.scan_points": 2}),
                          (jmo, {"bridge.rows": 3})]:
         proc = subprocess.run([sys.executable, str(JOB), json.dumps(spec), "1"],
                               capture_output=True, text=True, timeout=300, check=False)

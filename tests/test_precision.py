@@ -57,31 +57,69 @@ def test_to_mpf_parses_decimal_strings_at_full_precision():
         assert abs(mpf(0.1) - mpf(1) / 10) > mpf(2) ** -60
 
 
-def test_stabilized_returns_stable_value_and_respects_cap():
+@pytest.mark.parametrize("fail_at, bits", [((), 128), ((128,), 256)],
+                         ids=["first-run", "retry"])
+def test_escalated_retries_once_at_doubled_bits(fail_at, bits):
     cfg = PrecisionConfig(bits=128, target_digits=20)
+    calls = []
 
-    def good(bits):
-        with working_precision(bits):
+    def work(config):
+        calls.append(config.bits)
+        if config.bits in fail_at:
+            raise precision.NumericsError("precision ran out")
+        return config.bits
+
+    assert precision.escalated(work, cfg) == (bits, cfg.with_bits(bits))
+    assert calls == [*fail_at, bits]
+
+
+@pytest.mark.parametrize("error, calls", [
+    (precision.NumericsError, [128, 256]),
+    (ValueError, [128]),
+], ids=["second-failure", "value-error"])
+def test_escalated_propagates(error, calls):
+    # a second NumericsError is not retried, a ValueError not even once
+    seen = []
+
+    def work(config):
+        seen.append(config.bits)
+        raise error("no value")
+
+    with pytest.raises(error):
+        precision.escalated(work, PrecisionConfig(bits=128, target_digits=20))
+    assert seen == calls
+
+
+def test_stabilized_returns_stable_value_and_respects_cap():
+    # the cap is one escalation: a pair at the config's bits, one at doubled bits
+    cfg = PrecisionConfig(bits=128, target_digits=20)
+    calls = []
+
+    def good(config):
+        calls.append(config.bits)
+        with working_precision(config):
             return mp.exp(1)
 
-    val = precision.stabilized(good, cfg)
+    val, used = precision.stabilized(good, cfg)
+    assert used == cfg and calls == [128, 192]
     with working_precision(cfg):
         assert abs(val - mp.e) < mpf(10) ** -19
 
-    calls = []
+    calls.clear()
 
-    def jittery(bits):
-        # changes with every precision level: never stabilizes
-        calls.append(bits)
-        with working_precision(bits):
+    def jittery(config):
+        # changes with every run: never stabilizes
+        calls.append(config.bits)
+        with working_precision(config):
             return mpf(2) ** (-len(calls))
 
     with pytest.raises(precision.EscalationError) as excinfo:
         precision.stabilized(jittery, cfg)
-    assert excinfo.value.last_two is not None
-    assert max(calls) <= precision.ESCALATION_CAP * cfg.bits
+    assert calls == [128, 192, 256, 320]
+    assert excinfo.value.last_two == (mpf(2) ** -3, mpf(2) ** -4)
+    assert "runs at 256 and 320 bits agree to" in str(excinfo.value)
 
 
 def test_exact_zero_is_stable():
     cfg = PrecisionConfig(bits=128, target_digits=20)
-    assert precision.stabilized(lambda bits: mpf(0), cfg) == 0
+    assert precision.stabilized(lambda config: mpf(0), cfg) == (0, cfg)

@@ -353,3 +353,6 @@ def test_moment_reuse_path():
     table = recurrence_table(10, p, CFG, moments=moments)
     fresh = recurrence_table(10, p, CFG)
     assert table.h == fresh.h
+    # moments built at other bits are rebuilt at the table's, not reused
+    wide = MomentTable.build(p, 20, CFG.doubled())
+    assert recurrence_table(10, p, CFG, wide).h == fresh.h
