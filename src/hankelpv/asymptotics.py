@@ -392,12 +392,12 @@ def log_ratio_small_coefficients(a: Fraction, order: int) -> tuple:
     return tuple(-c / Fraction((m + 1) ** 2) for m, c in enumerate(cs))
 
 
-def _poly_seed(coeffs, s0: mpf, lowest: int = 1):
-    """Value and derivative of sum coeffs[i] * s^(lowest+i) at s0."""
+def _poly_seed(coeffs, s0: mpf):
+    """Value and derivative of sum coeffs[i] * s^(i+1) at s0."""
     val = mpf(0)
     der = mpf(0)
     for i in range(len(coeffs) - 1, -1, -1):
-        m = lowest + i
+        m = 1 + i
         cm = _fr(coeffs[i])
         val = val + cm * s0 ** m
         der = der + m * cm * s0 ** (m - 1)
@@ -506,7 +506,6 @@ def _run_flow(rhs, jet, factors, x0, y0, x_end, tolerance, config: PrecisionConf
                 or abs(y[0]) > _DIVERGENCE_CAP or abs(y[1]) > _DIVERGENCE_CAP)
 
     problem = OdeProblem(
-        dimension=len(y0),
         rhs=rhs,
         jet=jet,
         x0=x0,

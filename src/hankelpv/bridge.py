@@ -1,18 +1,18 @@
 """Auxiliary weight x^a (1-x)^b e^{-t/x} on (0,1) and the parity splitting.
 
-Because the main weight is even, every even-index quantity of the main
-system is a quantity of this auxiliary system at a = -1/2 and every
-odd-index one at a = +1/2, with b = alpha in both cases. The module
-builds the auxiliary orthogonality data from scratch (quadrature
-moments, then the norms and three-term coefficients by Chebyshev's
-algorithm) and verifies the splitting against the main engine:
+Because the main weight is even, the quantity of main index m = 2n + e,
+e in {0, 1}, is a quantity of this auxiliary system at a = e - 1/2 (even
+indices at a = -1/2, odd ones at a = +1/2), with b = alpha in both cases.
+The module builds the auxiliary orthogonality data from scratch
+(quadrature moments, then the norms and three-term coefficients by
+Chebyshev's algorithm) and verifies the splitting against the main
+engine, each relation once for both parities, with k = n + e:
 
-  polynomial transplant  tilde_P_j(x, -1/2) = P_{2j}(sqrt x)
-                         tilde_P_j(x, +1/2) = P_{2j+1}(sqrt x)/sqrt x
-  norm mapping           h_{2j} = tilde_h_j(-1/2), h_{2j+1} = tilde_h_j(+1/2)
-  determinant product    D_{2n} = tilde_D_n(+1/2) tilde_D_n(-1/2), odd twin
-  sigma sum              sigma_{2n} = 2[H_n(+1/2) + H_n(-1/2)], odd twin
-  R doubling             R_{2n} = 2 Rstar_n(-1/2), R_{2n+1} = 2 Rstar_n(+1/2)
+  polynomial transplant  y^e tilde_P_n(y^2, e - 1/2) = P_m(y)
+  norm mapping           h_m = tilde_h_n(e - 1/2)
+  determinant product    D_m = tilde_D_n(+1/2) tilde_D_k(-1/2)
+  sigma sum              sigma_m = 2[H_n(+1/2) + H_k(-1/2)]
+  R doubling             R_m = 2 Rstar_n(e - 1/2)
 
 where H_n(t,a,b) = t d/dt ln tilde_D_n. H_n and its t-derivatives are
 exact, not finite differences: differentiating under the integral gives
@@ -34,7 +34,7 @@ from math import factorial
 
 from mpmath import mp, mpf
 
-from .identities import ReportRow, normalize, residual_row, worst_sample
+from .identities import normalize, residual_row, worst_sample
 from .ladder import aux_table
 from .precision import (
     PrecisionConfig,
@@ -167,7 +167,7 @@ def _three_term_values(n: int, x: mpf, rec_a, rec_b) -> list:
     return values
 
 
-def tilde_R_lists(n_top: int, table: TildeTable, target_digits=None):
+def tilde_R_lists(n_top: int, table: TildeTable):
     """(Rstar, Rtilde) for n <= n_top from one quadrature pass.
 
     Rstar_n = (t / tilde_h_n) int tilde_P_n^2 w~/x and
@@ -190,7 +190,7 @@ def tilde_R_lists(n_top: int, table: TildeTable, target_digits=None):
             out += [s / y for s in squares]
         return out
 
-    values = integrate_unit_vector(f, size, config, target_digits=target_digits)
+    values = integrate_unit_vector(f, size, config)
     with working_precision(config):
         rtilde = [tp.b * values[n] / table.tilde_h[n] for n in range(count)]
         if not star:
@@ -267,127 +267,82 @@ def tilde_H_derivatives(n_top: int, tp: TildeParams, config: PrecisionConfig):
                 for n in range(n_top + 1)]
 
 
-def _transplant_row(identity, j, params, config, y_points, lhs_fn, rhs_fn) -> ReportRow:
-    """Max-over-samples residual row for a polynomial identity on (0,1)."""
-    with working_precision(config):
-        samples = []
-        for ys in y_points:
-            y = mpf(ys)
-            lhs = lhs_fn(j, y)
-            rhs = rhs_fn(j, y)
-            # the unit term floors the scale at 1
-            samples.append(normalize([lhs, rhs, mpf(1)], lhs - rhs))
-        return residual_row(identity, j, params.alpha, params.t, config,
-                            *worst_sample(samples, scale=mpf(1)),
-                            detail=f"y={','.join(str(v) for v in y_points)}")
-
-
-def verify_parity_splitting(
-    n_max: int, params, config: PrecisionConfig, y_points=DEFAULT_Y_POINTS
-):
+def verify_parity_splitting(n_max: int, params, config: PrecisionConfig):
     """Residual rows for the even/odd splitting relations at n <= n_max.
 
-    The main side comes from the U-anchored Pearson moments and the
-    recurrence ladder; the auxiliary side is quadrature-built end to end, so every
-    row compares two independent routes.
+    Each relation is one statement about the main index m = 2n + e,
+    e = 0 (even) or 1 (odd), against the auxiliary table at a = e - 1/2:
+    de, rela and dou read that table at n; hd, re and rs pair the
+    a = +1/2 table at n with the a = -1/2 table at k = n + e, which is
+    why that one is built to n_max + 1. The main side comes from the
+    U-anchored Pearson moments and the recurrence ladder; the auxiliary
+    side is quadrature-built end to end, so every row compares two
+    independent routes.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     rec = recurrence_table(2 * n_max + 2, params, config)
     aux = aux_table(2 * n_max + 1, params, config, recurrence=rec)
     half = mpf("0.5")
-    tm = tilde_moments_and_table(
-        n_max + 1, make_tilde_params(-half, params.alpha, params.t, config), config
-    )
-    tp_ = tilde_moments_and_table(
-        n_max, make_tilde_params(half, params.alpha, params.t, config), config
-    )
     alpha, t = params.alpha, params.t
+    # tables[e] is the auxiliary table at a = e - 1/2
+    tables = [tilde_moments_and_table(
+        n_max + 1 - e, make_tilde_params(e - half, alpha, t, config), config) for e in (0, 1)]
+    detail = "y=" + ",".join(DEFAULT_Y_POINTS)
     rows = []
-    for j in range(n_max + 1):
-        rows.append(
-            _transplant_row(
-                "de1",
-                j,
-                params,
-                config,
-                y_points,
-                lambda j, y: _three_term_values(j, y * y, tm.rec_a, tm.rec_b)[j],
-                lambda j, y: eval_poly(2 * j, y, rec).value,
-            )
-        )
-        rows.append(
-            _transplant_row(
-                "de2",
-                j,
-                params,
-                config,
-                y_points,
-                lambda j, y: _three_term_values(j, y * y, tp_.rec_a, tp_.rec_b)[j] * y,
-                lambda j, y: eval_poly(2 * j + 1, y, rec).value,
-            )
-        )
     with working_precision(config):
         # at t = 0, sigma_n and H_n vanish: the identity route leaves roundoff
         # in sigma and H is an exact 0, so the sigma rows take a unit floor
         # as the transplant rows do
         floor = [mpf(1)] if t == 0 else []
-        for j in range(n_max + 1):
-            rows.append(residual_row(
-                "rela1", j, alpha, t, config,
-                *normalize([rec.h[2 * j], tm.tilde_h[j]], rec.h[2 * j] - tm.tilde_h[j])))
-            rows.append(residual_row(
-                "rela2", j, alpha, t, config,
-                *normalize([rec.h[2 * j + 1], tp_.tilde_h[j]],
-                           rec.h[2 * j + 1] - tp_.tilde_h[j])))
-        for n in range(n_max + 1):
-            lhs = rec.logD[2 * n]
-            t1, t2 = tp_.tilde_logD[n], tm.tilde_logD[n]
-            rows.append(residual_row(
-                "hd1", n, alpha, t, config,
-                *normalize([lhs, t1, t2], lhs - t1 - t2)))
-            lhs = rec.logD[2 * n + 1]
-            t1, t2 = tp_.tilde_logD[n], tm.tilde_logD[n + 1]
-            rows.append(residual_row(
-                "hd2", n, alpha, t, config,
-                *normalize([lhs, t1, t2], lhs - t1 - t2)))
+        for e, (de, rela, hd, re, rs, dou) in enumerate((
+                ("de1", "rela1", "hd1", "re3", "rs1", "dou1"),
+                ("de2", "rela2", "hd2", "re4", "rs2", "dou2"))):
+            tt = tables[e]
+            for n in range(n_max + 1):
+                m, k = 2 * n + e, n + e
 
-            sig = aux.sigma[2 * n]
-            ha, hb = tp_.H[n], tm.H[n]
-            rows.append(residual_row(
-                "re3", n, alpha, t, config,
-                *normalize([sig, 2 * ha, 2 * hb] + floor, sig - 2 * (ha + hb))))
-            sig = aux.sigma[2 * n + 1]
-            ha, hb = tp_.H[n], tm.H[n + 1]
-            rows.append(residual_row(
-                "re4", n, alpha, t, config,
-                *normalize([sig, 2 * ha, 2 * hb] + floor, sig - 2 * (ha + hb))))
+                # transplant: y^e tilde_P_n(y^2) = P_m(y); the unit term
+                # floors the scale at 1
+                samples = []
+                for ys in DEFAULT_Y_POINTS:
+                    y = mpf(ys)
+                    lhs = _three_term_values(n, y * y, tt.rec_a, tt.rec_b)[n] * y ** e
+                    rhs = eval_poly(m, y, rec).value
+                    samples.append(normalize([lhs, rhs, mpf(1)], lhs - rhs))
+                rows.append(residual_row(de, n, alpha, t, config,
+                                         *worst_sample(samples, scale=mpf(1)), detail=detail))
 
-            sig = aux.sigma[2 * n]
-            hta = tp_.H[n] - n * (n + half + alpha)
-            htb = tm.H[n] - n * (n - half + alpha)
-            shift = 2 * n * (n + alpha)
-            rows.append(residual_row(
-                "rs1", n, alpha, t, config,
-                *normalize([sig, 2 * hta, 2 * htb, 2 * shift],
-                           sig - 2 * (hta + htb + shift))))
-            sig = aux.sigma[2 * n + 1]
-            hta = tp_.H[n] - n * (n + half + alpha)
-            htb = tm.H[n + 1] - (n + 1) * (n + half + alpha)
-            shift = (2 * n + 1) * (n + alpha + half)
-            rows.append(residual_row(
-                "rs2", n, alpha, t, config,
-                *normalize([sig, 2 * hta, 2 * htb, 2 * shift],
-                           sig - 2 * (hta + htb + shift))))
-
-            # R = 2 (Rtilde - shift) cancels down to R, which vanishes at
-            # t = 0, so the scale holds the cancelling magnitudes too
-            for name, big, table, m, shift in (
-                    ("dou1", aux.R[2 * n], tm, n, 2 * n + half + alpha),
-                    ("dou2", aux.R[2 * n + 1], tp_, n, 2 * n + 3 * half + alpha)):
-                star, rtilde = table.Rstar[m], table.Rtilde[m]
                 rows.append(residual_row(
-                    name, n, alpha, t, config,
+                    rela, n, alpha, t, config,
+                    *normalize([rec.h[m], tt.tilde_h[n]], rec.h[m] - tt.tilde_h[n])))
+
+                lhs = rec.logD[m]
+                t1, t2 = tables[1].tilde_logD[n], tables[0].tilde_logD[k]
+                rows.append(residual_row(
+                    hd, n, alpha, t, config, *normalize([lhs, t1, t2], lhs - t1 - t2)))
+
+                sig = aux.sigma[m]
+                ha, hb = tables[1].H[n], tables[0].H[k]
+                rows.append(residual_row(
+                    re, n, alpha, t, config,
+                    *normalize([sig, 2 * ha, 2 * hb] + floor, sig - 2 * (ha + hb))))
+
+                hta = ha - n * (n + half + alpha)
+                htb = hb - k * (k - half + alpha)
+                # the two subtracted shifts sum to m (n + alpha + e/2)
+                shift = m * (n + alpha + e * half)
+                rows.append(residual_row(
+                    rs, n, alpha, t, config,
+                    *normalize([sig, 2 * hta, 2 * htb, 2 * shift],
+                               sig - 2 * (hta + htb + shift))))
+
+                # R = 2 (Rtilde - shift) cancels down to R, which vanishes at
+                # t = 0, so the scale holds the cancelling magnitudes too
+                big, star, rtilde = aux.R[m], tt.Rstar[n], tt.Rtilde[n]
+                shift = m + half + alpha
+                rows.append(residual_row(
+                    dou, n, alpha, t, config,
                     *normalize([big, 2 * star, 2 * rtilde, 2 * shift],
                                max(abs(big - 2 * star), abs(big - 2 * (rtilde - shift))))))
     rows.sort(key=lambda row: (row.identity, row.n))
@@ -401,10 +356,13 @@ def verify_jmo_sigma_form(n_list, tp: TildeParams, config: PrecisionConfig):
     tilde_H_n = H_n - n(n+a+b) with its Painleve V parameter tuple
     recorded in the detail column, and the exact shift bookkeeping row.
     H_n, H_n' and H_n'' are exact t-derivatives from one moment table at
-    t (tilde_H_derivatives), which needs t > 0, and orders n >= 0.
+    t (tilde_H_derivatives), which needs t > 0, and distinct orders n >= 0,
+    in any order.
     """
     if min(n_list) < 0:
         raise ValueError(f"the jmo rows need orders n >= 0, got {min(n_list)}")
+    if len(set(n_list)) != len(n_list):
+        raise ValueError("the jmo orders must not repeat")
     n_top = max(n_list)
     derivs = tilde_H_derivatives(n_top, tp, config)
     a, b, t = tp.a, tp.b, tp.t

@@ -48,7 +48,7 @@ from .precision import (
     to_mpf,
     working_precision,
 )
-from .recurrence import hankel_log_dets, recurrence_table
+from .recurrence import recurrence_table
 from .weights import MomentTable, make_params
 
 EXIT_OK = 0
@@ -56,6 +56,7 @@ EXIT_FINDING = 1
 EXIT_NUMERIC = 2
 
 BRIDGE_SUITES = ("all", "parity", "jmo")
+JMO_B = "-0.5"  # shifted-weight exponent at 0 when --b is not given
 AUX_ROUTES = (ROUTE_IDENTITY, ROUTE_QUADRATURE)
 
 # natural (x, y) columns for --emit-plot-data, per command that offers it
@@ -172,10 +173,10 @@ def _bits_note(config: PrecisionConfig, used: PrecisionConfig) -> list:
 def _cmd_hankel(args, config: PrecisionConfig):
     params = make_params(args.alpha, args.t, config)
     orders = [args.n] if args.n is not None else list(range(1, args.n_max + 1))
-    log_dets, used = hankel_log_dets(orders[-1], params, config)
-    rows = [(n, params.alpha, params.t, log_dets[n - 1], 1) for n in orders]
+    table = recurrence_table(orders[-1], params, config)
+    rows = [(n, params.alpha, params.t, table.logD[n], 1) for n in orders]
     return (report.table_records(rows, ("n", "alpha", "t", "log_det", "sign"), config),
-            EXIT_OK, _bits_note(config, used))
+            EXIT_OK, _bits_note(config, table.config))
 
 
 def _cmd_recurrence(args, config: PrecisionConfig):
@@ -204,7 +205,15 @@ def _residual_report(rows, config: PrecisionConfig, notes: list):
     return report.verify_records(rows, config), EXIT_FINDING if failed else EXIT_OK, notes
 
 
+def _reject_unread(args, option: str, *suites: str) -> None:
+    """A usage error when `option` was given to a suite that never reads it."""
+    if getattr(args, option[2:].replace("-", "_")) is not None and args.suite not in suites:
+        raise ValueError(f"{option} is read only by --suite {' or '.join(suites)}, "
+                         f"not by --suite {args.suite}")
+
+
 def _cmd_verify(args, config: PrecisionConfig):
+    _reject_unread(args, "--n", "integral")
     params = make_params(args.alpha, args.t, config)
     rows, bad_signs = run_identity_suite(args.n_max, params, config, args.suite,
                                          2 if args.n is None else args.n)
@@ -216,6 +225,8 @@ def _cmd_verify(args, config: PrecisionConfig):
 
 
 def _cmd_bridge(args, config: PrecisionConfig):
+    for option in ("--n-list", "--b"):
+        _reject_unread(args, option, "jmo", "all")
     params = make_params(args.alpha, args.t, config)
     rows = []
     if args.suite in ("all", "parity"):
@@ -224,7 +235,7 @@ def _cmd_bridge(args, config: PrecisionConfig):
         if params.t <= 0:
             raise ValueError("the jmo rows need t > 0: the t-derivatives of H_n use "
                              "moments of negative order")
-        tp = make_tilde_params(args.b, args.alpha, args.t, config)
+        tp = make_tilde_params(JMO_B if args.b is None else args.b, args.alpha, args.t, config)
         n_list = args.n_list if args.n_list is not None else (1, 2)
         rows += verify_jmo_sigma_form(list(n_list), tp, config)
     return _residual_report(rows, config, [])
@@ -395,8 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--t", required=True)
     p.add_argument("--n-max", type=_count(0), required=True)
-    p.add_argument("--n-list", default=None, help="orders for the jmo rows, e.g. 1,2")
-    p.add_argument("--b", default="-0.5", help="shifted-weight exponent at 0")
+    p.add_argument("--n-list", default=None, help="jmo rows only: orders, e.g. 1,2")
+    p.add_argument("--b", default=None,
+                   help=f"jmo rows only: shifted-weight exponent at 0 (default {JMO_B})")
 
     p = sub.add_parser("solve-pv", help="continue R_n(t) in t by its Painleve V equation")
     p.add_argument("--n", type=_count(0), required=True)

@@ -152,22 +152,18 @@ def worst_sample(samples, scale=mpf(0)):
 
 
 def residual_row(identity, n, alpha, t, config: PrecisionConfig, scale, residual,
-                 branch="", detail="", bar=None) -> ReportRow:
+                 branch="", detail="") -> ReportRow:
     """The one ReportRow builder.
 
     A None residual marks a trivially true row: it prints residual 0 and
     passes. Any other row passes when its residual is at most the config's
-    residual threshold, or `bar` when the caller propagated a larger
-    uncertainty of its own.
+    residual threshold.
     """
     trivial = residual is None
     if trivial:
         residual, passed = mpf(0), True
     else:
-        threshold = config.residual_threshold()
-        if bar is not None:
-            threshold = max(bar, threshold)
-        passed = bool(residual <= threshold)
+        passed = bool(residual <= config.residual_threshold())
     return ReportRow(
         identity=identity, n=n, alpha=alpha, t=t, bits=config.bits,
         lhs_scale=scale, residual=residual, passed=passed,
@@ -655,13 +651,9 @@ def _cc_rule(m: int):
     return nodes, weights
 
 
-def verify_integral_representation(
-    n: int,
-    params: WeightParams,
-    t_end,
-    config: PrecisionConfig,
-):
-    """One row: the R_n-integrand quadrature against the determinant ratio.
+def verify_integral_representation(n: int, params: WeightParams, config: PrecisionConfig):
+    """One row at t_end = params.t: the R_n-integrand quadrature against the
+    determinant ratio; t_end = 0 gives a trivially true row.
 
     The integrand is taken in u = sqrt(s), where R_n is analytic through
     u = 0. At each Chebyshev-Lobatto node in u it takes R_n and, exactly,
@@ -676,7 +668,7 @@ def verify_integral_representation(
     """
     a = params.alpha
     with working_precision(config):
-        t_end = mpf(t_end)
+        t_end = params.t
         if t_end == 0:
             return residual_row("integral-rep", n, a, t_end, config, mpf(0), None)
         s0 = mpf(10) ** (-(config.target_digits // 4))
@@ -784,8 +776,8 @@ def verify_ladder_relations(
             lowering, raising = [], []
             for z in z_points:
                 zv = mpf(z)
-                a_val, b_val = eval_ladder(n, zv, aux, params)
-                a_prev, _ = eval_ladder(n - 1, zv, aux, params)
+                a_val, b_val = eval_ladder(n, zv, aux)
+                a_prev, _ = eval_ladder(n - 1, zv, aux)
                 pn = eval_poly(n, zv, table)
                 pm = eval_poly(n - 1, zv, table)
 
@@ -831,7 +823,7 @@ def run_identity_suite(n_max: int, params: WeightParams, config: PrecisionConfig
     if suite == "integral":
         if params.t <= 0:
             raise ValueError("the integral representation needs t > 0")
-        return [verify_integral_representation(n, params, params.t, config=config)], []
+        return [verify_integral_representation(n, params, config)], []
     rec = recurrence_table(n_max + 2, params, config)
     aux_q = aux_table(n_max + 1, params, config, route=ROUTE_QUADRATURE, recurrence=rec)
     every = suite == "all"
@@ -850,6 +842,6 @@ def run_identity_suite(n_max: int, params: WeightParams, config: PrecisionConfig
         rows += [verify_linear_ode_Pn(m, z_points, params, aux_q, rec, config)
                  for m in range(n_poly + 1)]
     if with_t:
-        rows.append(verify_integral_representation(2, params, params.t, config=config))
+        rows.append(verify_integral_representation(2, params, config))
     rows.sort(key=lambda row: (row.identity, row.n))
     return rows, sign_monitor(aux_q)

@@ -301,9 +301,7 @@ def ladder_pieces(n: int, z, R_n, r_n, params: WeightParams):
     return {"A": a_val, "A1": a_d1, "B": b_val, "B1": b_d1}
 
 
-def eval_ladder(n: int, z, aux: AuxTable, params: WeightParams = None):
+def eval_ladder(n: int, z, aux: AuxTable):
     """(A_n(z), B_n(z)) from the stored auxiliary values."""
-    if params is None:
-        params = aux.params
-    pieces = ladder_pieces(n, z, aux.R[n], aux.r[n], params)
+    pieces = ladder_pieces(n, z, aux.R[n], aux.r[n], aux.params)
     return pieces["A"], pieces["B"]

@@ -117,7 +117,6 @@ class OdeProblem:
     vanishes.
     """
 
-    dimension: int
     rhs: Callable
     jet: Callable
     x0: object
@@ -185,8 +184,6 @@ def solve_ode(problem: OdeProblem, config: PrecisionConfig, sample_points=None):
         x = mpf(problem.x0)
         x_end = mpf(problem.x_end)
         y = [mpf(v) for v in problem.y0]
-        if len(y) != problem.dimension:
-            raise ValueError("y0 length does not match problem dimension")
         tol = mpf(problem.tolerance)
         if tol <= 0:
             raise ValueError("tolerance must be positive")

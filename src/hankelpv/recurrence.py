@@ -3,6 +3,8 @@
 The monic orthogonal polynomials satisfy x P_n = P_{n+1} + beta_n P_{n-1}
 with beta_n = h_n / h_{n-1}, beta_0 = 0, h_n = int P_n^2 w, and
 D_{n+1}/D_n = h_n. The subleading coefficient obeys p(n,t) = -sum_{j<n} beta_j.
+ln D_n = sum_{k<n} ln h_k is formed in one place, recurrence_table, as a
+running sum; hankel_det reads it from a table of order n.
 
 The squared norms come from Chebyshev's algorithm on the moments (Gautschi,
 *Orthogonal Polynomials: Computation and Approximation*, OUP 2004, §2.1.7,
@@ -168,21 +170,9 @@ def _retried(params, j_max, config, moments, work):
     return escalated(attempt, config)
 
 
-def hankel_log_dets(n_max: int, params: WeightParams, config: PrecisionConfig,
-                    moments=None):
-    """[ln D_n(t) for n = 1 .. n_max] from one Chebyshev pass, and its config."""
-    if n_max < 1:
-        raise ValueError("determinant order must be at least 1")
-    h, cfg = _retried(params, 2 * n_max - 2, config, moments,
-                      lambda table, cfg: _chebyshev_norms(table, n_max, cfg))
-    with working_precision(cfg):
-        logs = [mp.log(x) for x in h]
-        return [mp.fsum(logs[:n]) for n in range(1, n_max + 1)], cfg
-
-
 def hankel_det(n: int, params: WeightParams, config: PrecisionConfig, moments=None):
-    """ln D_n(t) and its sign, by Chebyshev's algorithm."""
-    return hankel_log_dets(n, params, config, moments)[0][-1], 1
+    """ln D_n(t) and its sign, read from recurrence_table(n)."""
+    return recurrence_table(n, params, config, moments).logD[n], 1
 
 
 def t_jets(n_top: int, params: WeightParams, config: PrecisionConfig, order: int):

@@ -1,8 +1,9 @@
 """Golden command-line outputs: every subcommand, byte for byte.
 
-Each case runs `hankelpv.cli.main` in-process at 128 bits and compares its
-stdout with the file of the same name under tests/golden/ and its exit
-status with the recorded one; a second run must print the same bytes.
+Each case runs `hankelpv.cli.main` in-process at 128 bits, unless its argv
+names its own --bits, and compares its stdout with the file of the same
+name under tests/golden/ and its exit status with the recorded one; a
+second run must print the same bytes.
 Residual columns print noise-level digits, so any change in the order of
 floating-point operations shows up here. A golden changes only when a
 change is meant to alter printed digits, and says so.
@@ -37,6 +38,9 @@ CASES = [
     ("aux-identity", ["aux", "--route", "identity", *AT, "--n-max", "4"], 0),
     ("verify", ["verify", "--suite", "all", *AT, "--n-max", "2"], 0),
     ("bridge-parity", ["bridge", "--suite", "parity", *AT, "--n-max", "1"], 0),
+    # non-dyadic alpha and t, and n_max > 1, in the parity shifts
+    ("bridge-parity-alpha07", ["bridge", "--suite", "parity", "--alpha", "0.7", "--t", "0.3",
+                               "--n-max", "3", "--bits", "192"], 0),
     ("bridge-jmo", ["bridge", "--suite", "jmo", *AT, "--n-max", "0", "--n-list", "1"], 0),
     ("solve-pv", ["solve-pv", "--n", "2", "--alpha", "1", "--t0", "0.1",
                   "--t-end", "0.12", "--samples", "3"], 0),
@@ -57,7 +61,7 @@ CASES = [
 def _run(argv, err=None):
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(err or io.StringIO()):
-        status = cli.main([*argv, "--bits", "128"])
+        status = cli.main([argv[0], "--bits", "128", *argv[1:]])
     return status, out.getvalue()
 
 
@@ -438,6 +442,34 @@ def test_jmo_negative_order_exits_2(n_list):
     argv = ["bridge", "--suite", "jmo", *AT, "--n-max", "0", f"--n-list={n_list}"]
     assert _run(argv, err) == (cli.EXIT_NUMERIC, "")
     assert err.getvalue() == "error: the jmo rows need orders n >= 0, got -1\n"
+
+
+def test_jmo_repeated_order_exits_2():
+    # a repeated order once printed each of its rows twice; an unsorted list
+    # is still accepted
+    err = io.StringIO()
+    argv = ["bridge", "--suite", "jmo", *AT, "--n-max", "0"]
+    assert _run([*argv, "--n-list", "2,2"], err) == (cli.EXIT_NUMERIC, "")
+    assert err.getvalue() == "error: the jmo orders must not repeat\n"
+    status, out = _run([*argv, "--n-list", "2,1"])
+    assert status == cli.EXIT_OK
+    assert [row["n"] for row in _rows(out)] == ["1", "2"] * 3
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["verify", "--suite", "scalar", *AT, "--n-max", "1", "--n", "5"],
+     "--n is read only by --suite integral, not by --suite scalar"),
+    (["verify", "--suite", "all", *AT, "--n-max", "1", "--n", "5"],
+     "--n is read only by --suite integral, not by --suite all"),
+    (["bridge", "--suite", "parity", *AT, "--n-max", "0", "--n-list", "5"],
+     "--n-list is read only by --suite jmo or all, not by --suite parity"),
+    (["bridge", "--suite", "parity", *AT, "--n-max", "0", "--b", "0.5"],
+     "--b is read only by --suite jmo or all, not by --suite parity"),
+], ids=["verify-scalar-n", "verify-all-n", "bridge-parity-n-list", "bridge-parity-b"])
+def test_option_the_suite_never_reads_is_a_usage_error(argv, error):
+    err = io.StringIO()
+    assert _run(argv, err) == (cli.EXIT_NUMERIC, "")
+    assert err.getvalue() == f"error: {error}\n"
 
 
 def test_every_benchmark_job_parses():

@@ -154,7 +154,7 @@ def test_corrupted_value_is_detected():
 
 def test_integral_representation_direct():
     p = make_params(1, "0.5", CFG)
-    row = verify_integral_representation(2, p, "0.5", config=CFG)
+    row = verify_integral_representation(2, p, CFG)
     with working_precision(CFG):
         assert row.residual < mpf(10) ** -20
     assert row.passed
@@ -162,7 +162,7 @@ def test_integral_representation_direct():
 
 def test_integral_representation_relaxed_case():
     p = make_params("2.3", 1, CFG)
-    row = verify_integral_representation(6, p, 1, config=CFG)
+    row = verify_integral_representation(6, p, CFG)
     with working_precision(CFG):
         assert row.residual < mpf(10) ** -15
     assert row.passed
@@ -170,7 +170,7 @@ def test_integral_representation_relaxed_case():
 
 def test_integral_representation_resolves_a_steep_R_n():
     # a fixed node count once under-resolved R_n here: residual 2.7e-14
-    row = verify_integral_representation(3, make_params("2.5", 3, CFG_LO), 3, config=CFG_LO)
+    row = verify_integral_representation(3, make_params("2.5", 3, CFG_LO), CFG_LO)
     assert row.passed
     assert row.residual < CFG_LO.residual_threshold()
 
@@ -198,8 +198,7 @@ def test_integral_representation_samples_each_node_once(monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(identities, name, counted)
-    row = verify_integral_representation(2, make_params(1, "0.5", CFG_LO), "0.5",
-                                         config=CFG_LO)
+    row = verify_integral_representation(2, make_params(1, "0.5", CFG_LO), CFG_LO)
     m = int(row.detail.split(";m=")[1].split(";")[0])
     assert m >= identities.CC_START
     assert calls == {"t_jets": m + 1, "recurrence_table": 0, "aux_table": 0, "hankel_det": 2}
@@ -209,12 +208,12 @@ def test_integral_representation_fails_loudly_past_the_node_cap(monkeypatch):
     # this row needs m = 128 at 256 bits
     monkeypatch.setattr(identities, "CC_MAX_NODES", identities.CC_START)
     with pytest.raises(ConvergenceError, match="Clenshaw-Curtis"):
-        verify_integral_representation(3, make_params("2.5", 3, CFG_LO), 3, config=CFG_LO)
+        verify_integral_representation(3, make_params("2.5", 3, CFG_LO), CFG_LO)
 
 
 def test_integral_representation_zero_endpoint():
     p = make_params(1, 0, CFG)
-    row = verify_integral_representation(2, p, 0, config=CFG)
+    row = verify_integral_representation(2, p, CFG)
     assert row.trivial and row.residual == 0
 
 

@@ -54,7 +54,6 @@ SQUARE = jet_of(lambda x, r, k: [cauchy(r[0], r[0], k)])  # y' = y^2
 
 def test_exponential_growth():
     problem = OdeProblem(
-        dimension=1,
         rhs=lambda x, y: [y[0]],
         jet=GROWTH,
         x0=0,
@@ -71,7 +70,6 @@ def test_exponential_growth():
 
 def test_gaussian_decay():
     problem = OdeProblem(
-        dimension=1,
         rhs=lambda x, y: [-2 * x * y[0]],
         jet=GAUSSIAN,
         x0=0,
@@ -87,7 +85,6 @@ def test_gaussian_decay():
 def test_halving_tolerance_improves_error_10x():
     def run(tol):
         problem = OdeProblem(
-            dimension=1,
             rhs=lambda x, y: [y[0] * mp.cos(x)],
             jet=times_trig(mp.cos),
             x0=0,
@@ -126,7 +123,7 @@ def test_error_falls_with_the_tolerance(name, tolerance):
 
     def error(tol):
         problem = OdeProblem(
-            dimension=len(y0), rhs=rhs, jet=jet, x0=0, y0=y0, x_end=x_end, tolerance=tol
+            rhs=rhs, jet=jet, x0=0, y0=y0, x_end=x_end, tolerance=tol
         )
         x, y = endpoint(solve_ode(problem, CFG))
         with working_precision(CFG):
@@ -142,7 +139,6 @@ def test_error_falls_with_the_tolerance(name, tolerance):
 
 def test_backward_integration():
     problem = OdeProblem(
-        dimension=1,
         rhs=lambda x, y: [y[0]],
         jet=GROWTH,
         x0=1,
@@ -158,7 +154,6 @@ def test_backward_integration():
 
 def test_dense_output_hits_requested_points():
     problem = OdeProblem(
-        dimension=2,
         rhs=lambda x, y: [y[1], -y[0]],  # harmonic oscillator
         jet=OSCILLATOR,
         x0=0,
@@ -183,7 +178,6 @@ def test_checkpoint_one_ulp_past_the_first_step():
     # whole range and the checkpoint, one ulp past 1/16, is read off its
     # polynomial
     problem = OdeProblem(
-        dimension=1,
         rhs=lambda x, y: [2 * x],
         jet=jet_of(lambda x, r, k: [2 * [x, 1, 0][min(k, 2)]]),
         x0=0,
@@ -205,7 +199,6 @@ def test_checkpoint_one_ulp_past_the_first_step():
 def test_singularity_guard_halts_with_partial_trajectory():
     # y' = y^2 blows up at x = 1 from y(0) = 1
     problem = OdeProblem(
-        dimension=1,
         rhs=lambda x, y: [y[0] ** 2],
         jet=SQUARE,
         x0=0,
@@ -224,7 +217,6 @@ def test_singularity_guard_halts_with_partial_trajectory():
 
 def test_unguarded_blowup_halts_on_step_budget():
     problem = OdeProblem(
-        dimension=1,
         rhs=lambda x, y: [y[0] ** 2],
         jet=SQUARE,
         x0=0,
@@ -240,7 +232,6 @@ def test_unguarded_blowup_halts_on_step_budget():
 def test_deterministic_step_sequence():
     def make():
         return OdeProblem(
-            dimension=1,
             rhs=lambda x, y: [mp.sin(x) * y[0]],
             jet=times_trig(mp.sin),
             x0=0,
@@ -257,7 +248,7 @@ def test_deterministic_step_sequence():
 
 def test_tolerance_validation():
     problem = OdeProblem(
-        dimension=1, rhs=lambda x, y: [y[0]], jet=GROWTH, x0=0, y0=[1], x_end=1,
+        rhs=lambda x, y: [y[0]], jet=GROWTH, x0=0, y0=[1], x_end=1,
         tolerance=mpf(10) ** -200,
     )
     with pytest.raises(ValueError):
