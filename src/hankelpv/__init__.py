@@ -5,7 +5,7 @@ The modules are organized bottom-up:
 
 - `precision`: working-precision policy, escalation and numeric errors;
 - `special`: Gamma, Barnes G, Kummer and the U-function moments;
-- `quadrature`: tanh-sinh integration on cached node tables;
+- `quadrature`: double-exponential integration (tanh-sinh and the z-map) on cached node tables;
 - `derivatives`: Richardson-extrapolated finite differences, an
   independent check on the exact t-derivatives;
 - `weights`: the weight's parameters and moment tables;

@@ -87,24 +87,29 @@ def make_tilde_params(a, b, t, config: PrecisionConfig) -> TildeParams:
     return TildeParams(a=a, b=b, t=t)
 
 
-def tilde_weight_value(x, tp: TildeParams) -> mpf:
-    """x^a (1-x)^b e^{-t/x} at ambient precision, 0 outside (0,1)."""
+def tilde_weight_value(x, tp: TildeParams, one_minus_x=None) -> mpf:
+    """x^a (1-x)^b e^{-t/x} at ambient precision, 0 outside (0,1).
+
+    one_minus_x, when given, is 1 - x at full relative precision (a
+    quadrature node's), so (1-x)^b keeps its digits where x rounds onto 1.
+    """
     x = mpf(x)
-    if x <= 0 or x >= 1:
+    omx = 1 - x if one_minus_x is None else one_minus_x
+    if x <= 0 or omx <= 0:
         return mpf(0)
     # the decay factor goes first so the x^a spike at 0 for a < 0 is
     # multiplied by an exact zero once the exponential underflows
     decay = mpf(1) if tp.t == 0 else clamped_exp(-tp.t / x)
     if decay == 0:
         return mpf(0)
-    return decay * x ** tp.a * (1 - x) ** tp.b
+    return decay * x ** tp.a * omx ** tp.b
 
 
 def tilde_moments(j_lo: int, j_hi: int, tp: TildeParams, config: PrecisionConfig,
                   target_digits=None) -> list:
     """Moments of orders j_lo .. j_hi against the auxiliary weight, by quadrature.
 
-    One vector tanh-sinh pass evaluates the weight once per node. Orders
+    One vector quadrature pass evaluates the weight once per node. Orders
     below 0 are finite only for t > 0, where e^{-t/x} beats every power
     of x at 0; they give the t-derivatives, d/dt mu~_j = -mu~_{j-1}.
     """
@@ -114,8 +119,8 @@ def tilde_moments(j_lo: int, j_hi: int, tp: TildeParams, config: PrecisionConfig
         raise ValueError("moments of negative order need t > 0")
     size = j_hi - j_lo + 1
 
-    def f(x):
-        tw = tilde_weight_value(x, tp)
+    def f(x, omx):
+        tw = tilde_weight_value(x, tp, omx)
         if tw == 0:
             return [mpf(0)] * size
         out = [tw * x ** j_lo]
@@ -123,7 +128,7 @@ def tilde_moments(j_lo: int, j_hi: int, tp: TildeParams, config: PrecisionConfig
             out.append(out[-1] * x)
         return out
 
-    return integrate_unit_vector(f, size, config, target_digits=target_digits)
+    return integrate_unit_vector(f, size, config, target_digits, t=tp.t, exponent=tp.b)
 
 
 def _boosted_digits(config: PrecisionConfig) -> int:
@@ -180,17 +185,18 @@ def tilde_R_lists(n_top: int, table: TildeTable):
     star = tp.t != 0
     size = 2 * count if star else count
 
-    def f(y):
-        tw = tilde_weight_value(y, tp)
+    def f(y, omy):
+        tw = tilde_weight_value(y, tp, omy)
         if tw == 0:
             return [mpf(0)] * size
         squares = [v * v * tw for v in _three_term_values(n_top, y, table.rec_a, table.rec_b)]
-        out = [s / (1 - y) for s in squares]
+        out = [s / omy for s in squares]
         if star:
             out += [s / y for s in squares]
         return out
 
-    values = integrate_unit_vector(f, size, config)
+    # Rtilde's integrand behaves like (1-y)^(b-1) at y = 1
+    values = integrate_unit_vector(f, size, config, t=tp.t, exponent=tp.b - 1)
     with working_precision(config):
         rtilde = [tp.b * values[n] / table.tilde_h[n] for n in range(count)]
         if not star:
@@ -349,6 +355,14 @@ def verify_parity_splitting(n_max: int, params, config: PrecisionConfig):
     return rows
 
 
+def check_jmo_orders(n_list) -> None:
+    """A ValueError unless n_list holds distinct orders n >= 0."""
+    if min(n_list) < 0:
+        raise ValueError(f"the jmo rows need orders n >= 0, got {min(n_list)}")
+    if len(set(n_list)) != len(n_list):
+        raise ValueError("the jmo orders must not repeat")
+
+
 def verify_jmo_sigma_form(n_list, tp: TildeParams, config: PrecisionConfig):
     """Residual rows for the second-order equation satisfied by H_n.
 
@@ -359,10 +373,7 @@ def verify_jmo_sigma_form(n_list, tp: TildeParams, config: PrecisionConfig):
     t (tilde_H_derivatives), which needs t > 0, and distinct orders n >= 0,
     in any order.
     """
-    if min(n_list) < 0:
-        raise ValueError(f"the jmo rows need orders n >= 0, got {min(n_list)}")
-    if len(set(n_list)) != len(n_list):
-        raise ValueError("the jmo orders must not repeat")
+    check_jmo_orders(n_list)
     n_top = max(n_list)
     derivs = tilde_H_derivatives(n_top, tp, config)
     a, b, t = tp.a, tp.b, tp.t

@@ -34,7 +34,12 @@ from .asymptotics import (
     series_eval,
     solve_piii_prime,
 )
-from .bridge import make_tilde_params, verify_jmo_sigma_form, verify_parity_splitting
+from .bridge import (
+    check_jmo_orders,
+    make_tilde_params,
+    verify_jmo_sigma_form,
+    verify_parity_splitting,
+)
 from .identities import SUITES as VERIFY_SUITES, run_identity_suite
 from .ladder import ROUTE_IDENTITY, ROUTE_QUADRATURE, aux_table
 from .precision import (
@@ -227,17 +232,24 @@ def _cmd_verify(args, config: PrecisionConfig):
 def _cmd_bridge(args, config: PrecisionConfig):
     for option in ("--n-list", "--b"):
         _reject_unread(args, option, "jmo", "all")
+    _reject_unread(args, "--n-max", "parity", "all")
+    parity, jmo = args.suite in ("all", "parity"), args.suite in ("all", "jmo")
+    if parity and args.n_max is None:
+        raise ValueError(f"--suite {args.suite} requires --n-max")
     params = make_params(args.alpha, args.t, config)
-    rows = []
-    if args.suite in ("all", "parity"):
-        rows += verify_parity_splitting(args.n_max, params, config)
-    if args.suite in ("all", "jmo"):
+    # the jmo input is checked before any parity table is built
+    if jmo:
         if params.t <= 0:
             raise ValueError("the jmo rows need t > 0: the t-derivatives of H_n use "
                              "moments of negative order")
         tp = make_tilde_params(JMO_B if args.b is None else args.b, args.alpha, args.t, config)
-        n_list = args.n_list if args.n_list is not None else (1, 2)
-        rows += verify_jmo_sigma_form(list(n_list), tp, config)
+        n_list = list(args.n_list) if args.n_list is not None else [1, 2]
+        check_jmo_orders(n_list)
+    rows = []
+    if parity:
+        rows += verify_parity_splitting(args.n_max, params, config)
+    if jmo:
+        rows += verify_jmo_sigma_form(n_list, tp, config)
     return _residual_report(rows, config, [])
 
 
@@ -405,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=BRIDGE_SUITES, default="all")
     p.add_argument("--alpha", required=True)
     p.add_argument("--t", required=True)
-    p.add_argument("--n-max", type=_count(0), required=True)
+    p.add_argument("--n-max", type=_count(0), default=None,
+                   help="parity rows only, and required by them: largest order")
     p.add_argument("--n-list", default=None, help="jmo rows only: orders, e.g. 1,2")
     p.add_argument("--b", default=None,
                    help=f"jmo rows only: shifted-weight exponent at 0 (default {JMO_B})")

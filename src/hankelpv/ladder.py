@@ -91,7 +91,7 @@ def aux_oracles(
 ):
     """(r, R) for n <= n_max from their defining integrals, in one pass.
 
-    Independent of the ladder identities. One vector tanh-sinh pass
+    Independent of the ladder identities. One vector quadrature pass
     evaluates the weight once per node and P_0 ... P_{n_max} in one
     three-term sweep. The integrands are even, so the integral over
     (-1, 1) is exactly twice the one over (0, 1).
@@ -107,8 +107,8 @@ def aux_oracles(
     beta = table.beta
     size = 2 * n_max + 1
 
-    def f(y):
-        w = weight_value(y, params)
+    def f(y, omy):
+        w = weight_value(y, params, omy)
         if w == 0:
             return [mpf(0)] * size
         polys = [mpf(1), y]
@@ -121,7 +121,8 @@ def aux_oracles(
                 + [p * p * w / y2 for p in polys[: n_max + 1]])
 
     # doubling by exponent shift stays exact at the quadrature's precision
-    integrals = [mp.ldexp(v, 1) for v in integrate_unit_vector(f, size, config)]
+    integrals = [mp.ldexp(v, 1) for v in integrate_unit_vector(
+        f, size, config, t=params.t, p=2, exponent=params.alpha)]
     with working_precision(config):
         r = [mpf(0)] + [2 * params.t * integrals[k - 1] / table.h[k - 1]
                         for k in range(1, n_max + 1)]

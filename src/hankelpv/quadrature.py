@@ -1,24 +1,50 @@
-"""Double-exponential (tanh-sinh) quadrature.
+"""Double-exponential quadrature: one level loop, two node maps.
 
-Nodes and weights are generated once per (working precision, level) and
-cached; levels refine by inserting odd multiples of the halved spacing, so
-coarser-level function values are reused. Refinement stops when two
-successive levels agree to the requested digits, otherwise a
-ConvergenceError carrying the last two level values is raised. Summation
-order is fixed (levels ascending, nodes ascending within a level), making
-results bit-for-bit deterministic.
+Both maps put nodes at u = k h, h = 2^-level, in a variable u in which
+the integrand decays double exponentially, and `_level_loop` sums them.
+Levels refine by inserting odd multiples of the halved spacing, so
+coarser-level function values are reused, and nodes are cached per
+(map, working precision, level). Each component of a vector integrand is
+frozen at the first level where it agrees with the level before, to
+10^-(digits+3) of the integral of |f|; a pass that does not settle within
+MAX_LEVEL raises ConvergenceError carrying the last two level values.
+Summation order is fixed (levels ascending, nodes ascending within a
+level), making results bit-for-bit deterministic.
 
-Endpoint care: a node u maps to x = tanh((pi/2) sinh u), and 1 - x is
-computed directly from the exponential form so callers integrating over
-(0, 1] get both endpoints at full relative precision. Integrands with the
-essential singularity exp(-t/x^2) should evaluate the exponential through
+- tanh-sinh, x = tanh((pi/2) sinh u), serves finite intervals and the
+  (0, 1) integrands without exponential decay (t = 0). Its window
+  |u| <= u_max takes the weights below 2^-(prec+48).
+- The z-map serves (0, 1) integrands that carry e^(-t/x^p), t > 0: the
+  paper's weight (p = 2) and its folded auxiliary form (p = 1). That
+  factor has an infinitely strong zero at x = 0, which tanh-sinh sees as
+  an essential singularity at an endpoint and resolves slowly.
+  z = x^-p - 1 turns it into e^(-t(1+z)) on (0, inf), and the
+  exponential-type map z = exp(u - e^-u) (Takahasi & Mori, Publ. RIMS 9
+  (1974) 721-741) decays double exponentially at both ends of u. Its
+  window is sized from the integrand: the far end from e^(-t(1+z)),
+  where the guard bits are the margin for polynomial factors, and the
+  end at x = 1 from the exponent e of the integrand's (1-x)^e there. A
+  component whose outermost terms are not below the tolerance raises
+  ConvergenceError: the window was too narrow.
+
+`integrate_unit_vector` picks the z-map whenever its caller passes t > 0
+and tanh-sinh at t = 0. It calls its integrand as f(x, 1-x), both at full
+relative precision from either map: tanh-sinh's 1 - x is half of the
+stored 1 - tanh s, the z-map's is z/(1+z) at p = 1 (in general
+(r-1)/r with r = (1+z)^(1/p)). Every node with 1 - x > 0 is kept, even
+where x rounds onto 1, so an integrand that takes its powers of 1 - x
+from the second argument is integrable up to a (1-x)^e, e > -1, spike.
+The scalar entry points `integrate`, `integrate_unit` and
+`integrate_even` call f(y) alone and drop a node whose y rounds onto an
+endpoint. Integrands with e^(-t/x^p) evaluate the exponential through
 `clamped_exp`, which returns exact 0 once the argument underflows the
-working dynamic range instead of overflowing the tanh-sinh tails.
+working dynamic range.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable, NamedTuple
 
 from mpmath import mp, mpf
 
@@ -53,7 +79,7 @@ def _u_max(prec: int) -> float:
 
 
 def _level_nodes(prec: int, level: int):
-    """New nodes at `level` for working precision `prec`.
+    """New tanh-sinh nodes at `level` for working precision `prec`.
 
     Returns a list of (x, one_minus_x, weight) for u > 0, plus the u = 0
     node first when level == 0. Entries for u < 0 follow by symmetry:
@@ -85,19 +111,84 @@ def _level_nodes(prec: int, level: int):
     return nodes
 
 
+def _z_window(prec: int, t, p: int, exponent) -> tuple:
+    """Integer ends (k_lo, k_hi) of the z-map's u-window.
+
+    Far end: t z >= prec ln 2, where e^(-t(1+z)) has dropped below the
+    working precision; z = exp(u - e^-u) is solved for u by Newton's
+    method, which approaches the root of this concave function from
+    below after its first step. End at x = 1: there 1 - x ~ z/p and
+    z ~ exp(-e^-u), so a (1-x)^e integrand times dx/du ~ z falls below
+    the working precision once (e + 1) e^-u >= prec ln 2.
+    """
+    budget = prec * math.log(2.0)
+    target = math.log(budget / float(t))
+    u = max(target, 0.0)
+    for _ in range(30):
+        u -= (u - math.exp(-u) - target) / (1 + math.exp(-u))
+    k_hi = math.ceil(u)
+    k_lo = math.floor(-math.log(budget / (float(exponent) + 1)))
+    return min(k_lo, k_hi - 1), k_hi
+
+
+def _z_node(u, p: int):
+    """(weight, ((x, 1-x),)) of the z-map node at u: x = (1+z)^(-1/p)."""
+    eu = mp.exp(-u)
+    z = mp.exp(u - eu)
+    r = 1 + z if p == 1 else mp.root(1 + z, p)
+    x = 1 / r
+    # r^p - 1 = z = (r - 1)(1 + r + ... + r^(p-1)), so 1 - x = (r - 1)/r keeps
+    # its relative precision as z -> 0
+    omx = z * x / mp.fsum(r**k for k in range(p))
+    # |dx/du| = (1/p) (1+z)^(-1/p-1) dz/du, and dz/du = z (1 + e^-u)
+    return x ** (p + 1) * z * (1 + eu) / p, ((x, omx),)
+
+
+def _z_level_nodes(prec: int, p: int, level: int, k_lo: int, k_hi: int) -> list:
+    """z-map nodes new at `level` in the window [k_lo, k_hi], ascending in u."""
+    cache = _NODE_CACHE.setdefault(("z", prec, p, level), {})
+    steps = 2**level
+    ks = range(k_lo, k_hi + 1) if level == 0 else range(k_lo * steps + 1, k_hi * steps, 2)
+    nodes = []
+    with working_precision(prec):
+        for k in ks:
+            node = cache.get(k)
+            if node is None:
+                node = cache[k] = _z_node(mp.ldexp(mpf(k), -level), p)
+            nodes.append(node)
+    return nodes
+
+
+class _Rule(NamedTuple):
+    """A node map for the level loop.
+
+    nodes(prec, level) lists the level's (weight, points) in ascending u,
+    each point a tuple of integrand arguments; each level sum is multiplied
+    by the constant `scale`. An `edged` map has a finite u-window whose ends
+    are the first and last nodes of level 0.
+    """
+
+    nodes: Callable
+    scale: mpf
+    description: str
+    edged: bool = False
+
+
+def _tanh_sinh(points, scale, description) -> _Rule:
+    """tanh-sinh nodes; points(x, 1-x) gives the points of the node pair +-x."""
+    def nodes(prec, level):
+        return [(w, points(x, omx)) for x, omx, w in _level_nodes(prec, level)]
+
+    return _Rule(nodes, scale, description)
+
+
 def _agrees(value, previous, magnitude, tol) -> bool:
     bound = max(abs(value), magnitude)
     return bound == 0 or abs(value - previous) <= tol * bound
 
 
-def _tanh_sinh(f, size, point_map, scale, config: PrecisionConfig, target_digits,
-               description):
-    """The one tanh-sinh driver: f(y) returns `size` values.
-
-    point_map(x, 1-x) gives the pair (hi, lo) of abscissae for the node
-    pair +-x, with None for a point that rounded onto an endpoint (its
-    weight is below one ulp of the level sum); at x = 0 only hi is used.
-    Each level sum is multiplied by the constant `scale`.
+def _level_loop(f, size, rule: _Rule, config: PrecisionConfig, target_digits):
+    """The one quadrature driver: f(*point) returns `size` values.
 
     Each component is frozen at the first level where it agrees with the
     level before, so its value does not depend on what it is batched with:
@@ -105,27 +196,33 @@ def _tanh_sinh(f, size, point_map, scale, config: PrecisionConfig, target_digits
     when every component is frozen. Agreement is measured against the
     integral of |f| rather than the value itself, so integrals that vanish
     by cancellation (orthogonality inner products) converge once the
-    increments settle at the attainable floor.
+    increments settle at the attainable floor. On an edged map, a component
+    whose outermost terms are not below the same tolerance at a checked
+    level raises ConvergenceError: no finer level can make up for the
+    integrand beyond the window.
     """
     digits = config.target_digits if target_digits is None else target_digits
     prec = config.bits + GUARD_BITS
     with working_precision(prec):
         tol = mpf(10) ** (-(digits + 3))
-        running = running_abs = previous = None
+        running = running_abs = previous = edge = None
         frozen = [None] * size
         for level in range(0, MAX_LEVEL + 1):
             total = [mpf(0)] * size
             total_abs = [mpf(0)] * size
-            for x, omx, w in _level_nodes(prec, level):
-                hi, lo = point_map(x, omx)
-                for y in (hi,) if x == 0 else (hi, lo):
-                    if y is not None:
-                        for i, v in enumerate(f(y)):
-                            term = w * v
-                            total[i] += term
-                            total_abs[i] += abs(term)
-            total = [scale * v for v in total]
-            total_abs = [scale * v for v in total_abs]
+            ends = []
+            for w, points in rule.nodes(prec, level):
+                for point in points:
+                    terms = [w * v for v in f(*point)]
+                    for i, term in enumerate(terms):
+                        total[i] += term
+                        total_abs[i] += abs(term)
+                    if rule.edged and level == 0:
+                        ends = [ends[0] if ends else terms, terms]
+            if ends:
+                edge = [rule.scale * max(abs(a), abs(b)) for a, b in zip(*ends)]
+            total = [rule.scale * v for v in total]
+            total_abs = [rule.scale * v for v in total_abs]
             if running is None:
                 running, running_abs = total, total_abs
             else:
@@ -135,32 +232,46 @@ def _tanh_sinh(f, size, point_map, scale, config: PrecisionConfig, target_digits
             value = [r * step for r in running]
             if level >= FIRST_CHECK_LEVEL:
                 for i, (v, p, m) in enumerate(zip(value, previous, running_abs)):
-                    if frozen[i] is None and _agrees(v, p, m * step, tol):
+                    if frozen[i] is not None:
+                        continue
+                    if edge is not None and edge[i] * step > tol * max(abs(v), m * step):
+                        raise ConvergenceError(
+                            f"the outermost nodes of the {rule.description} carry "
+                            f"more than 10^-{digits + 3} of component {i}: "
+                            "the window is too narrow",
+                            last_two=(previous, value),
+                        )
+                    if _agrees(v, p, m * step, tol):
                         frozen[i] = v
                 if all(v is not None for v in frozen):
                     return frozen
             previous = value
         raise ConvergenceError(
-            f"tanh-sinh failed to reach {digits} digits for {description} "
+            f"quadrature failed to reach {digits} digits for {rule.description} "
             f"within {MAX_LEVEL} levels",
             last_two=(previous, value),
         )
 
 
-def _scalar(f, point_map, scale, config, target_digits, description) -> mpf:
+def _scalar(f, rule: _Rule, config, target_digits) -> mpf:
     try:
-        return _tanh_sinh(lambda y: (f(y),), 1, point_map, scale, config,
-                          target_digits, description)[0]
+        return _level_loop(lambda y: (f(y),), 1, rule, config, target_digits)[0]
     except ConvergenceError as exc:
         exc.last_two = tuple(v[0] for v in exc.last_two)
         raise
 
 
+def _unit_pairs(x, omx):
+    # the points (1+x)/2 near 1 and (1-x)/2 near 0, each with its distance
+    # to 1, which is the other; the latter uses the stored 1-x so the
+    # distance to 0 keeps full relative precision
+    hi, lo = (1 + x) / 2, omx / 2
+    return ((hi, lo),) if x == 0 else ((hi, lo), (lo, hi))
+
+
 def _unit_points(x, omx):
-    # (1+x)/2 near 1 and (1-x)/2 near 0; the latter uses the stored 1-x so
-    # the distance to 0 keeps full relative precision
-    hi = (1 + x) / 2
-    return (hi if hi < 1 else None), omx / 2
+    # the points alone, dropping one that rounds onto 1
+    return tuple((y,) for y, _ in _unit_pairs(x, omx) if y < 1)
 
 
 def integrate(f, interval, config: PrecisionConfig, target_digits=None) -> mpf:
@@ -172,16 +283,17 @@ def integrate(f, interval, config: PrecisionConfig, target_digits=None) -> mpf:
         radius = (bv - av) / 2
 
     def points(x, _omx):
-        hi = center + radius * x
-        lo = center - radius * x
-        return (hi if hi < bv else None), (lo if lo > av else None)
+        ys = (center,) if x == 0 else (center + radius * x, center - radius * x)
+        return tuple((y,) for y in ys if av < y < bv)
 
-    return _scalar(f, points, radius, config, target_digits, f"interval ({a}, {b})")
+    return _scalar(f, _tanh_sinh(points, radius, f"tanh-sinh on ({a}, {b})"), config,
+                   target_digits)
 
 
 def integrate_unit(f, config: PrecisionConfig, target_digits=None) -> mpf:
     """Integral of f over (0, 1) with both endpoints handled stably."""
-    return _scalar(f, _unit_points, mpf(0.5), config, target_digits, "interval (0, 1)")
+    return _scalar(f, _tanh_sinh(_unit_points, mpf(0.5), "tanh-sinh on (0, 1)"), config,
+                   target_digits)
 
 
 def integrate_even(f, config: PrecisionConfig, target_digits=None) -> mpf:
@@ -191,14 +303,25 @@ def integrate_even(f, config: PrecisionConfig, target_digits=None) -> mpf:
     at 0 (tamed by clamped_exp) and at 1 are both safe. The scale is
     2 * (1/2), from the folding and the affine map.
     """
-    return _scalar(f, _unit_points, mpf(1), config, target_digits, "even fold of (-1, 1)")
+    return _scalar(f, _tanh_sinh(_unit_points, mpf(1), "tanh-sinh on the even fold of (-1, 1)"),
+                   config, target_digits)
 
 
-def integrate_unit_vector(f, size, config: PrecisionConfig, target_digits=None):
-    """Vector version of integrate_unit: f returns a list of `size` values.
+def integrate_unit_vector(f, size, config: PrecisionConfig, target_digits=None,
+                          t=0, p=1, exponent=0):
+    """Integrals over (0, 1) of the `size` values of f(x, 1-x).
 
-    Each component equals what integrate_unit returns for it alone, bit for
-    bit; refinement stops when every component has converged.
+    The integrand carries the factor e^(-t/x^p) and behaves like
+    (1-x)^exponent at x = 1 (exponent > -1, the least over the
+    components). t > 0 selects the z-map, whose window is sized from t, p
+    and the exponent; t = 0 the tanh-sinh map. Each component equals what
+    a one-component pass with the same t, p and exponent returns for it,
+    bit for bit; refinement stops when every component has converged.
     """
-    return _tanh_sinh(f, size, _unit_points, mpf(0.5), config, target_digits,
-                      "interval (0, 1)")
+    if t == 0:
+        rule = _tanh_sinh(_unit_pairs, mpf(0.5), "tanh-sinh on (0, 1)")
+    else:
+        k_lo, k_hi = _z_window(config.bits + GUARD_BITS, t, p, exponent)
+        rule = _Rule(lambda prec, level: _z_level_nodes(prec, p, level, k_lo, k_hi), mpf(1),
+                     f"z-map on (0, 1), u in [{k_lo}, {k_hi}]", edged=True)
+    return _level_loop(f, size, rule, config, target_digits)

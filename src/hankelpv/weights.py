@@ -55,12 +55,16 @@ def make_params(alpha, t, config: PrecisionConfig) -> WeightParams:
     return WeightParams(alpha=alpha, t=t)
 
 
-def weight_value(x, params: WeightParams) -> mpf:
-    """w(x,t) at ambient precision (safe inside quadrature integrands)."""
+def weight_value(x, params: WeightParams, one_minus_x=None) -> mpf:
+    """w(x,t) at ambient precision (safe inside quadrature integrands).
+
+    one_minus_x, when given, is 1 - x at full relative precision (a
+    quadrature node's), and 1 - x^2 is taken as (1-x)(1+x) from it.
+    """
     x = mpf(x)
     if x == 0:
         return mpf(1) if params.t == 0 else mpf(0)
-    base = 1 - x * x
+    base = 1 - x * x if one_minus_x is None else one_minus_x * (1 + x)
     if base <= 0:
         return mpf(0)
     value = base ** params.alpha

@@ -9,20 +9,40 @@ from hankelpv import asymptotics, ode, quadrature
 
 @pytest.fixture
 def quadrature_passes(monkeypatch):
-    """Sizes of the tanh-sinh passes made during the test, in call order.
+    """Sizes of the quadrature passes made during the test, in call order.
 
-    Every integrate* entry point runs through quadrature._tanh_sinh, so
-    this counts each pass whichever entry point made it.
+    Every integrate* entry point runs through quadrature._level_loop, on
+    either node map, so this counts each pass whichever entry point and
+    map made it.
     """
     sizes = []
-    driver = quadrature._tanh_sinh
+    driver = quadrature._level_loop
 
     def counted(f, size, *args):
         sizes.append(size)
         return driver(f, size, *args)
 
-    monkeypatch.setattr(quadrature, "_tanh_sinh", counted)
+    monkeypatch.setattr(quadrature, "_level_loop", counted)
     return sizes
+
+
+@pytest.fixture
+def integrand_calls(monkeypatch):
+    """Integrand calls of each quadrature pass made during the test, in call order."""
+    calls = []
+    driver = quadrature._level_loop
+
+    def counted(f, size, *args):
+        calls.append(0)
+
+        def g(*point):
+            calls[-1] += 1
+            return f(*point)
+
+        return driver(g, size, *args)
+
+    monkeypatch.setattr(quadrature, "_level_loop", counted)
+    return calls
 
 
 @pytest.fixture

@@ -119,14 +119,15 @@ def test_tilde_polys_orthogonal(table_neg):
         tol = mpf(10) ** -50
         pairs = ((1, 0), (2, 1), (3, 0), (3, 2), (0, 0), (2, 2), (3, 3))
 
-        def f(y):
-            tw = tilde_weight_value(y, tp)
+        def f(y, omy):
+            tw = tilde_weight_value(y, tp, omy)
             if tw == 0:
                 return [mpf(0)] * len(pairs)
             return [eval_tilde_poly(i, y, table_neg) * eval_tilde_poly(j, y, table_neg) * tw
                     for i, j in pairs]
 
-        inner = dict(zip(pairs, integrate_unit_vector(f, len(pairs), config)))
+        inner = dict(zip(pairs, integrate_unit_vector(f, len(pairs), config, t=tp.t,
+                                                      exponent=tp.b)))
         for i, j in pairs:
             h = table_neg.tilde_h[min(i, j)]
             expected = h if i == j else 0
@@ -278,6 +279,15 @@ def test_tilde_table_makes_two_passes(quadrature_passes, t):
 def test_jmo_rows_make_one_pass(quadrature_passes):
     verify_jmo_sigma_form((1, 2), make_tilde_params(-HALF, 1, "0.5", CFG128), CFG128)
     assert quadrature_passes == [6]  # mu~_{-3} .. mu~_2
+
+
+@pytest.mark.parametrize("alpha", ["0.2", "0.05"])
+def test_parity_rows_at_small_alpha(alpha):
+    # Rtilde's integrand behaves like (1-x)^(alpha-1) at x = 1: it reads 1 - x
+    # from the node, and the window end there is sized from that exponent
+    rows = verify_parity_splitting(1, make_params(alpha, "0.5", CFG128), CFG128)
+    assert len(rows) == 24
+    assert all(row.passed for row in rows)
 
 
 def test_small_t_H_agrees_across_precisions():

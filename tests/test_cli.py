@@ -41,7 +41,7 @@ CASES = [
     # non-dyadic alpha and t, and n_max > 1, in the parity shifts
     ("bridge-parity-alpha07", ["bridge", "--suite", "parity", "--alpha", "0.7", "--t", "0.3",
                                "--n-max", "3", "--bits", "192"], 0),
-    ("bridge-jmo", ["bridge", "--suite", "jmo", *AT, "--n-max", "0", "--n-list", "1"], 0),
+    ("bridge-jmo", ["bridge", "--suite", "jmo", *AT, "--n-list", "1"], 0),
     ("solve-pv", ["solve-pv", "--n", "2", "--alpha", "1", "--t0", "0.1",
                   "--t-end", "0.12", "--samples", "3"], 0),
     ("solve-p3", ["solve-p3", "--a", "1/2", "--s", "0.05", "--samples", "3"], 0),
@@ -123,7 +123,8 @@ OPTION_ARGVS = {
     "recurrence": [[*AT, "--n-max", "2"]],
     "aux": [["--route", "quadrature", *AT, "--n-max", "1"]],
     "verify": [["--suite", "integral", *AT, "--n-max", "1", "--n", "1"]],
-    "bridge": [["--suite", "jmo", *AT, "--n-max", "0", "--n-list", "1", "--b", "-0.5"]],
+    "bridge": [["--suite", "jmo", *AT, "--n-list", "1", "--b", "-0.5"],
+               ["--suite", "parity", *AT, "--n-max", "0"]],
     "solve-pv": [["--n", "1", "--alpha", "1", "--t0", "0.1", "--t-end", "0.11",
                   "--tolerance", "1e-6", "--samples", "2"]],
     "solve-p3": [["--a", "1/2", "--s", "0.05", "--s0", "0.025",
@@ -188,7 +189,7 @@ def test_bridge_jmo_maps_b_to_the_exponent_at_zero(monkeypatch):
 
     monkeypatch.setattr(cli, "verify_jmo_sigma_form", fake_jmo)
     status, _ = _run(["bridge", "--suite", "jmo", "--alpha", "2", "--t", "0.5",
-                      "--n-max", "0", "--b", "0.25"])
+                      "--b", "0.25"])
     assert status == 0
     [(n_list, tp)] = seen
     assert n_list == [1, 2]
@@ -246,8 +247,8 @@ def test_verify_differential_at_t0_needs_positive_t():
 @pytest.mark.parametrize("suite", ["parity", "jmo"])
 def test_bridge_at_small_t(suite):
     # the boundary layer of e^{-t/x} at x ~ t is resolved by the (0, 1) node map
-    status, out = _run(["bridge", "--suite", suite, "--alpha", "1", "--t", "0.001",
-                        "--n-max", "1"])
+    argv = ["bridge", "--suite", suite, "--alpha", "1", "--t", "0.001"]
+    status, out = _run(argv + (["--n-max", "1"] if suite == "parity" else []))
     rows = _rows(out)
     assert status == 0
     assert rows and all(row["passed"] == "true" for row in rows)
@@ -439,7 +440,7 @@ def test_removed_seed_options_are_usage_errors(option):
 @pytest.mark.parametrize("n_list", ["-1", "-1,2"])
 def test_jmo_negative_order_exits_2(n_list):
     err = io.StringIO()
-    argv = ["bridge", "--suite", "jmo", *AT, "--n-max", "0", f"--n-list={n_list}"]
+    argv = ["bridge", "--suite", "jmo", *AT, f"--n-list={n_list}"]
     assert _run(argv, err) == (cli.EXIT_NUMERIC, "")
     assert err.getvalue() == "error: the jmo rows need orders n >= 0, got -1\n"
 
@@ -448,12 +449,25 @@ def test_jmo_repeated_order_exits_2():
     # a repeated order once printed each of its rows twice; an unsorted list
     # is still accepted
     err = io.StringIO()
-    argv = ["bridge", "--suite", "jmo", *AT, "--n-max", "0"]
+    argv = ["bridge", "--suite", "jmo", *AT]
     assert _run([*argv, "--n-list", "2,2"], err) == (cli.EXIT_NUMERIC, "")
     assert err.getvalue() == "error: the jmo orders must not repeat\n"
     status, out = _run([*argv, "--n-list", "2,1"])
     assert status == cli.EXIT_OK
     assert [row["n"] for row in _rows(out)] == ["1", "2"] * 3
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--n-list", "2,2"], "the jmo orders must not repeat"),
+    (["--t", "0"], "the jmo rows need t > 0"),
+], ids=["repeated-order", "t-zero"])
+def test_bridge_all_checks_the_jmo_input_before_any_table(quadrature_passes, argv, error):
+    # a bad jmo input once exited 2 only after every parity table was built
+    err = io.StringIO()
+    status = _run(["bridge", "--suite", "all", *AT, "--n-max", "1", *argv], err)
+    assert status == (cli.EXIT_NUMERIC, "")
+    assert err.getvalue().startswith(f"error: {error}")
+    assert quadrature_passes == []
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -465,7 +479,12 @@ def test_jmo_repeated_order_exits_2():
      "--n-list is read only by --suite jmo or all, not by --suite parity"),
     (["bridge", "--suite", "parity", *AT, "--n-max", "0", "--b", "0.5"],
      "--b is read only by --suite jmo or all, not by --suite parity"),
-], ids=["verify-scalar-n", "verify-all-n", "bridge-parity-n-list", "bridge-parity-b"])
+    (["bridge", "--suite", "jmo", *AT, "--n-max", "0"],
+     "--n-max is read only by --suite parity or all, not by --suite jmo"),
+    (["bridge", "--suite", "parity", *AT], "--suite parity requires --n-max"),
+    (["bridge", "--suite", "all", *AT], "--suite all requires --n-max"),
+], ids=["verify-scalar-n", "verify-all-n", "bridge-parity-n-list", "bridge-parity-b",
+        "bridge-jmo-n-max", "bridge-parity-no-n-max", "bridge-all-no-n-max"])
 def test_option_the_suite_never_reads_is_a_usage_error(argv, error):
     err = io.StringIO()
     assert _run(argv, err) == (cli.EXIT_NUMERIC, "")
@@ -483,6 +502,22 @@ def test_every_benchmark_job_parses():
             assert parser.parse_args(job["argv"]).command == job["argv"][0]
         except SystemExit:
             pytest.fail(f"benchmark job {job['id']} does not parse: {job['argv']}")
+
+
+def test_verify_jobs_keep_their_integrand_calls(integrand_calls):
+    # the quadrature work of the verify workload, pass by pass: the z-map
+    # settles at level 4 (177 calls at 128 bits) or 5 (385 at 256 bits), so
+    # a pass that falls back to a finer level fails here, not only in timing
+    job = runpy.run_path(str(JOB))
+    expected = {"verify-all": [385], "bridge-parity": [177] * 4, "jmo": [177]}
+    for spec in runpy.run_path(str(JOB.parent / "workloads.py"))["VERIFY"]:
+        integrand_calls.clear()
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            if "argv" in spec:
+                status = cli.main(spec["argv"])
+            else:
+                status = job["run_call"](cli, spec["call"])
+        assert (status, integrand_calls) == (cli.EXIT_OK, expected[spec["id"]]), spec["id"]
 
 
 def test_integral_suite_exits_2_past_the_node_cap(monkeypatch):

@@ -1,9 +1,10 @@
-"""tanh-sinh quadrature: classical integrals, endpoint behavior, caching."""
+"""Double-exponential quadrature: classical integrals, endpoints, both maps, caching."""
 
 import pytest
 from mpmath import mp, mpf
 
 from hankelpv import quadrature
+from hankelpv.bridge import make_tilde_params, tilde_moments
 from hankelpv.precision import PrecisionConfig, working_precision
 from hankelpv.quadrature import (
     ConvergenceError,
@@ -13,6 +14,8 @@ from hankelpv.quadrature import (
     integrate_unit,
     integrate_unit_vector,
 )
+from hankelpv.special import exp_beta_moment
+from hankelpv.weights import MomentTable, make_params, weight_value
 
 CFG = PrecisionConfig()
 
@@ -79,18 +82,52 @@ def test_clamped_exp_underflow_is_exact_zero():
 
 
 def test_vector_integrand_matches_scalars():
-    vals = integrate_unit_vector(lambda y: [mpf(1), y, y * y], 3, CFG)
+    vals = integrate_unit_vector(lambda y, _omy: [mpf(1), y, y * y], 3, CFG)
     assert close(vals[0], 1, 55)
     with working_precision(CFG):
         assert close(vals[1], mpf(1) / 2, 55)
         assert close(vals[2], mpf(1) / 3, 55)
 
 
+def _components_and_one_component_passes(t):
+    with working_precision(CFG):
+        t = mpf(t)
+    fs = (lambda y, omy: y ** 5 * clamped_exp(-t / y),
+          lambda y, omy: mp.sqrt(y * omy) * clamped_exp(-t / y),
+          lambda y, omy: clamped_exp(-(t + mpf(1) / 50) / y) / y ** 2)
+    half = mpf(1) / 2
+    vals = integrate_unit_vector(lambda y, omy: [f(y, omy) for f in fs], len(fs), CFG, t=t,
+                                 exponent=half)
+    return vals, [integrate_unit_vector(lambda y, omy, f=f: [f(y, omy)], 1, CFG, t=t,
+                                        exponent=half)[0] for f in fs]
+
+
 def test_vector_components_equal_scalar_passes():
     # each component stops at its own level, so batching changes no bit
-    fs = (lambda y: y ** 5, mp.sqrt, lambda y: clamped_exp(-1 / (50 * y)) / y ** 2)
-    vals = integrate_unit_vector(lambda y: [f(y) for f in fs], len(fs), CFG)
-    assert vals == [integrate_unit(f, CFG) for f in fs]
+    vals, alone = _components_and_one_component_passes(0)
+    assert vals == alone
+
+
+def test_z_map_components_equal_one_component_passes():
+    vals, alone = _components_and_one_component_passes("0.02")
+    assert vals == alone
+
+
+def test_unit_pairs_keep_the_distance_to_one():
+    # every point comes with its distance to 1 at full relative precision,
+    # also where the point itself rounds onto 1
+    points = []
+    for t in (0, mpf(1) / 2):
+
+        def f(y, omy):
+            points.append((y, omy))
+            return [mp.sqrt(omy) * clamped_exp(-t / y)]
+
+        points.clear()
+        integrate_unit_vector(f, 1, CFG, t=t, exponent=mpf(1) / 2)
+        with working_precision(CFG, extra_bits=quadrature.GUARD_BITS):
+            assert all(0 < omy <= 1 and abs((1 - y) - omy) <= mp.eps for y, omy in points)
+            assert any(y == 1 for y, _ in points)
 
 
 def test_jump_discontinuity_raises_convergence_error():
@@ -111,3 +148,59 @@ def test_determinism_and_node_cache_reuse():
     second = integrate_unit(f, CFG)
     assert first == second
     assert len(quadrature._NODE_CACHE) == cache_size
+
+
+T_GRID = ("1e-6", "1e-3", "0.5", "2", "50")
+
+
+@pytest.mark.parametrize("t", T_GRID)
+def test_z_map_tilde_moments_match_the_closed_form(t):
+    # x^a (1-x)^b e^(-t/x), p = 1, orders down to -3 as the jmo rows take them
+    tp = make_tilde_params("-0.5", "0.7", t, CFG)
+    values = tilde_moments(-3, 4, tp, CFG)
+    with working_precision(CFG):
+        for j, value in zip(range(-3, 5), values):
+            closed = exp_beta_moment(j + tp.a, tp.b, tp.t, CFG)
+            assert abs(value - closed) <= mpf(10) ** -CFG.target_digits * closed
+
+
+@pytest.mark.parametrize("t", T_GRID)
+def test_z_map_main_moments_match_the_table(t):
+    # (1-x^2)^alpha e^(-t/x^2), p = 2, folded onto (0, 1)
+    params = make_params("0.3", t, CFG)
+    table = MomentTable.build(params, 6, CFG)
+
+    def f(y, omy):
+        w = weight_value(y, params, omy)
+        return [w * y**j for j in (0, 2, 4, 6)]
+
+    values = integrate_unit_vector(f, 4, CFG, t=params.t, p=2, exponent=params.alpha)
+    with working_precision(CFG):
+        for j, value in zip((0, 2, 4, 6), values):
+            assert abs(2 * value - table[j]) <= mpf(10) ** -CFG.target_digits * table[j]
+
+
+def test_z_map_window_too_narrow_raises(monkeypatch):
+    # a window whose ends still carry the integrand cannot converge to the
+    # integral, however fine the levels
+    monkeypatch.setattr(quadrature, "_z_window", lambda *args: (-1, 1))
+    tp = make_tilde_params("-0.5", "1", "0.5", CFG)
+    with pytest.raises(ConvergenceError, match="window is too narrow") as excinfo:
+        tilde_moments(0, 2, tp, CFG)
+    assert excinfo.value.last_two is not None
+
+
+@pytest.mark.parametrize("exponent", ["-0.95", "0", "2.5"])
+def test_z_map_spike_at_one(exponent):
+    # (1-x)^e e^(-t/x) is a closed-form moment; the window end at x = 1 is
+    # sized from e, and the integrand reads 1 - x from the node
+    with working_precision(CFG):
+        e, t = mpf(exponent), mpf(1) / 2
+
+    def f(y, omy):
+        return [omy**e * clamped_exp(-t / y)]
+
+    [value] = integrate_unit_vector(f, 1, CFG, t=t, exponent=e)
+    with working_precision(CFG):
+        closed = exp_beta_moment(0, e, t, CFG)
+        assert abs(value - closed) <= mpf(10) ** -CFG.target_digits * closed
