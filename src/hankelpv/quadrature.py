@@ -111,7 +111,7 @@ def _level_nodes(prec: int, level: int):
     return nodes
 
 
-def _z_window(prec: int, t, p: int, exponent) -> tuple:
+def _z_window(prec: int, t, exponent) -> tuple:
     """Integer ends (k_lo, k_hi) of the z-map's u-window.
 
     Far end: t z >= prec ln 2, where e^(-t(1+z)) has dropped below the
@@ -313,15 +313,16 @@ def integrate_unit_vector(f, size, config: PrecisionConfig, target_digits=None,
 
     The integrand carries the factor e^(-t/x^p) and behaves like
     (1-x)^exponent at x = 1 (exponent > -1, the least over the
-    components). t > 0 selects the z-map, whose window is sized from t, p
-    and the exponent; t = 0 the tanh-sinh map. Each component equals what
-    a one-component pass with the same t, p and exponent returns for it,
-    bit for bit; refinement stops when every component has converged.
+    components). t > 0 selects the z-map in z = x^-p - 1, whose window is
+    sized from t and the exponent; t = 0 the tanh-sinh map. Each component
+    equals what a one-component pass with the same t, p and exponent
+    returns for it, bit for bit; refinement stops when every component has
+    converged.
     """
     if t == 0:
         rule = _tanh_sinh(_unit_pairs, mpf(0.5), "tanh-sinh on (0, 1)")
     else:
-        k_lo, k_hi = _z_window(config.bits + GUARD_BITS, t, p, exponent)
+        k_lo, k_hi = _z_window(config.bits + GUARD_BITS, t, exponent)
         rule = _Rule(lambda prec, level: _z_level_nodes(prec, p, level, k_lo, k_hi), mpf(1),
                      f"z-map on (0, 1), u in [{k_lo}, {k_hi}]", edged=True)
     return _level_loop(f, size, rule, config, target_digits)
