@@ -99,7 +99,7 @@ def tilde_weight_value(x, tp: TildeParams, one_minus_x=None) -> mpf:
         return mpf(0)
     # the decay factor goes first so the x^a spike at 0 for a < 0 is
     # multiplied by an exact zero once the exponential underflows
-    decay = mpf(1) if tp.t == 0 else clamped_exp(-tp.t / x)
+    decay = mpf(1) if tp.t == 0 else clamped_exp(-tp.t / x, -tp.t)
     if decay == 0:
         return mpf(0)
     return decay * x ** tp.a * omx ** tp.b
@@ -300,7 +300,7 @@ def verify_parity_splitting(n_max: int, params, config: PrecisionConfig):
         # at t = 0, sigma_n and H_n vanish: the identity route leaves roundoff
         # in sigma and H is an exact 0, so the sigma rows take a unit floor
         # as the transplant rows do
-        floor = [mpf(1)] if t == 0 else []
+        floor = 1 if t == 0 else 0
         for e, (de, rela, hd, re, rs, dou) in enumerate((
                 ("de1", "rela1", "hd1", "re3", "rs1", "dou1"),
                 ("de2", "rela2", "hd2", "re4", "rs2", "dou2"))):
@@ -308,49 +308,38 @@ def verify_parity_splitting(n_max: int, params, config: PrecisionConfig):
             for n in range(n_max + 1):
                 m, k = 2 * n + e, n + e
 
-                # transplant: y^e tilde_P_n(y^2) = P_m(y); the unit term
-                # floors the scale at 1
-                samples = []
-                for ys in DEFAULT_Y_POINTS:
-                    y = mpf(ys)
-                    lhs = _three_term_values(n, y * y, tt.rec_a, tt.rec_b)[n] * y ** e
-                    rhs = eval_poly(m, y, rec).value
-                    samples.append(normalize([lhs, rhs, mpf(1)], lhs - rhs))
+                # transplant: y^e tilde_P_n(y^2) = P_m(y), the scale floored at 1
+                samples = [normalize([_three_term_values(n, y * y, tt.rec_a, tt.rec_b)[n] * y ** e,
+                                      -eval_poly(m, y, rec).value], floor=1)
+                           for y in map(mpf, DEFAULT_Y_POINTS)]
                 rows.append(residual_row(de, n, alpha, t, config,
-                                         *worst_sample(samples, scale=mpf(1)), detail=detail))
+                                         *worst_sample(samples), detail=detail))
 
-                rows.append(residual_row(
-                    rela, n, alpha, t, config,
-                    *normalize([rec.h[m], tt.tilde_h[n]], rec.h[m] - tt.tilde_h[n])))
+                rows.append(residual_row(rela, n, alpha, t, config,
+                                         *normalize([rec.h[m], -tt.tilde_h[n]])))
 
-                lhs = rec.logD[m]
-                t1, t2 = tables[1].tilde_logD[n], tables[0].tilde_logD[k]
-                rows.append(residual_row(
-                    hd, n, alpha, t, config, *normalize([lhs, t1, t2], lhs - t1 - t2)))
+                rows.append(residual_row(hd, n, alpha, t, config, *normalize(
+                    [rec.logD[m], -tables[1].tilde_logD[n], -tables[0].tilde_logD[k]])))
 
                 sig = aux.sigma[m]
                 ha, hb = tables[1].H[n], tables[0].H[k]
-                rows.append(residual_row(
-                    re, n, alpha, t, config,
-                    *normalize([sig, 2 * ha, 2 * hb] + floor, sig - 2 * (ha + hb))))
+                rows.append(residual_row(re, n, alpha, t, config,
+                                         *normalize([sig, -2 * ha, -2 * hb], floor=floor)))
 
-                hta = ha - n * (n + half + alpha)
-                htb = hb - k * (k - half + alpha)
                 # the two subtracted shifts sum to m (n + alpha + e/2)
-                shift = m * (n + alpha + e * half)
-                rows.append(residual_row(
-                    rs, n, alpha, t, config,
-                    *normalize([sig, 2 * hta, 2 * htb, 2 * shift],
-                               sig - 2 * (hta + htb + shift))))
+                rows.append(residual_row(rs, n, alpha, t, config, *normalize([
+                    sig,
+                    -2 * (ha - n * (n + half + alpha)),
+                    -2 * (hb - k * (k - half + alpha)),
+                    -2 * m * (n + alpha + e * half),
+                ])))
 
                 # R = 2 (Rtilde - shift) cancels down to R, which vanishes at
                 # t = 0, so the scale holds the cancelling magnitudes too
-                big, star, rtilde = aux.R[m], tt.Rstar[n], tt.Rtilde[n]
-                shift = m + half + alpha
-                rows.append(residual_row(
-                    dou, n, alpha, t, config,
-                    *normalize([big, 2 * star, 2 * rtilde, 2 * shift],
-                               max(abs(big - 2 * star), abs(big - 2 * (rtilde - shift))))))
+                big = aux.R[m]
+                rows.append(residual_row(dou, n, alpha, t, config, *normalize(
+                    [big, -2 * tt.Rstar[n]],
+                    [big, -2 * tt.Rtilde[n], 2 * (m + half + alpha)])))
     rows.sort(key=lambda row: (row.identity, row.n))
     return rows
 
@@ -382,30 +371,23 @@ def verify_jmo_sigma_form(n_list, tp: TildeParams, config: PrecisionConfig):
         for n in sorted(n_list):
             hv, h1, h2 = derivs[n]
             lhs = (t * h2) ** 2
-            mid = n * (n + a + b) - hv + (a + t) * h1
-            tail = 4 * h1 * (t * h1 - hv) * (b - h1)
-            rows.append(residual_row(
-                "hn", n, b, t, config,
-                *normalize([lhs, mid ** 2, tail], lhs - mid ** 2 - tail),
-                detail=f"a={mp.nstr(a, 8)};deriv=jet"))
+            rows.append(residual_row("hn", n, b, t, config, *normalize([
+                lhs,
+                -(n * (n + a + b) - hv + (a + t) * h1) ** 2,
+                -4 * h1 * (t * h1 - hv) * (b - h1),
+            ]), detail=f"a={mp.nstr(a, 8)};deriv=jet"))
             # exact subtraction: ht + shift rounds back to hv exactly
             shift = n * (n + a + b)
             ht = mp.fsub(hv, shift, exact=True)
-            t1 = -4 * t * h1 ** 3
-            t2 = h1 ** 2 * (4 * ht + (a + 2 * b + t) ** 2 + 4 * shift - 4 * b * (a + b))
-            t3 = -2 * h1 * ((a + 2 * b + t) * ht + 2 * n * b * (n + a + b))
-            t4 = ht ** 2
-            nu = (
-                "nu=(0,"
-                f"{mp.nstr(-(n + a + b), 8)},{n},{mp.nstr(-b, 8)})"
-            )
-            rows.append(residual_row(
-                "hn-sigma", n, b, t, config,
-                *normalize([lhs, t1, t2, t3, t4], lhs - t1 - t2 - t3 - t4),
-                detail=f"a={mp.nstr(a, 8)};{nu};deriv=jet"))
-            rows.append(residual_row(
-                "hn-shift", n, b, t, config,
-                *normalize([hv, ht, shift], ht + shift - hv),
-                detail="definition"))
+            nu = f"nu=(0,{mp.nstr(-(n + a + b), 8)},{n},{mp.nstr(-b, 8)})"
+            rows.append(residual_row("hn-sigma", n, b, t, config, *normalize([
+                lhs,
+                4 * t * h1 ** 3,
+                -h1 ** 2 * (4 * ht + (a + 2 * b + t) ** 2 + 4 * shift - 4 * b * (a + b)),
+                2 * h1 * ((a + 2 * b + t) * ht + 2 * n * b * (n + a + b)),
+                -ht ** 2,
+            ]), detail=f"a={mp.nstr(a, 8)};{nu};deriv=jet"))
+            rows.append(residual_row("hn-shift", n, b, t, config,
+                                     *normalize([ht, shift, -hv]), detail="definition"))
     rows.sort(key=lambda row: (row.identity, row.n))
     return rows

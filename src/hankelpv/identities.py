@@ -1,15 +1,20 @@
 """Residual verification of the relations tying together h_n, beta_n,
 p(n,t), r_n, R_n and sigma_n.
 
-Every relation is evaluated as a normalized residual
+Every relation is written once, as a list of signed terms whose exact sum
+vanishes when the relation holds, and is reported as the normalized
+residual
 
-    residual = |LHS - RHS| / max(|term|),
+    residual = |fsum(terms)| / max(|term|),
 
-the maximum running over the individual additive terms of both sides, so
-a fixed threshold is meaningful even when the terms span many orders of
-magnitude.  A row passes when the residual is at most the config's
-residual_threshold(), 10^(-target_digits/2).  Rows whose every term is
-exactly zero are tagged trivially-true with residual 0.
+so a fixed threshold is meaningful even when the terms span many orders
+of magnitude. A row that states two relations reports the larger of their
+residuals against the scale of all their terms; a row may also floor its
+scale (at 1 where both sides vanish analytically). A row passes when the
+residual is at most the config's residual_threshold(),
+10^(-target_digits/2). Rows whose every term is exactly zero, and the
+pole and degenerate rows that state no relation, are tagged trivially
+true with residual 0.
 
 Independence policy: r_n, R_n, sigma_n enter through the quadrature
 route (defining integrals), beta_n and p(n,t) through the moment
@@ -22,7 +27,8 @@ coefficients are the recurrence table's beta_n, and ladder.ladder_maps
 takes every order of beta to p, r, R and sigma.  The relations that are also solved (PV for R_n, the
 Riccati relation for R_n', beta_n from R_n and r_n) live in ladder.py as
 pv_terms, riccati_terms and beta_aux_terms, which the ode, ricca2 and be3
-rows normalize; the flows' Taylor jets stay separate, to check their rhs.
+rows normalize (negated where they form a right-hand side); the flows'
+Taylor jets stay separate, to check their rhs.
 
 Three relations were printed after clearing a square root and are
 quadratic in the highest derivative or in an inner bracket.  Those rows
@@ -118,37 +124,29 @@ class ReportRow:
     detail: str = ""
 
 
-def normalize(terms, diff):
-    """(scale, residual) of one relation at the ambient precision.
+def normalize(*relations, floor=0):
+    """(scale, residual) of one row at the ambient precision.
 
-    scale is the largest |term| and residual = |diff| / scale; residual is
-    None when every term is exactly zero (a trivially true relation).
+    Each relation is a list of signed terms whose fsum vanishes when it
+    holds. scale is the largest |term| over every list, and at least
+    floor; residual is the largest |fsum| over the lists, over scale. No
+    lists, or a scale of 0, give (0, None): a trivially true row.
     """
-    scale = mpf(0)
-    for v in terms:
-        scale = max(scale, abs(v))
-    if scale == 0:
-        return scale, None
-    return scale, abs(diff) / scale
+    scale = max([mpf(floor)] + [abs(v) for terms in relations for v in terms])
+    if not relations or scale == 0:
+        return mpf(0), None
+    return scale, max(abs(mp.fsum(terms)) for terms in relations) / scale
 
 
-def worst_sample(samples, scale=mpf(0)):
-    """The (scale, residual) pair with the largest residual, for rows that
-    report the worst of several sample points.
+def worst_sample(samples):
+    """The (scale, residual) sample with the largest residual (the first on
+    a tie), for rows that report the worst of several sample points.
 
-    Samples with a None residual are skipped; None comes back when no
-    sample is left. While every residual is exactly 0 the given scale
-    stands.
+    Trivial samples (residual None) are skipped; (0, None) comes back when
+    no sample is left.
     """
-    worst = None
-    for sample_scale, residual in samples:
-        if residual is None:
-            continue
-        if worst is None:
-            worst = mpf(0)
-        if residual > worst:
-            scale, worst = sample_scale, residual
-    return scale, worst
+    return max((s for s in samples if s[1] is not None), key=lambda s: s[1],
+               default=(mpf(0), None))
 
 
 def residual_row(identity, n, alpha, t, config: PrecisionConfig, scale, residual,
@@ -195,107 +193,74 @@ def verify_scalar_identities(
             # R_{n-1} multiplies beta_0 = 0 at n=0, so any value works there
             R_prev = aux.R[n - 1] if n >= 1 else mpf(0)
 
-            d = R - (aux.r[n + 1] + r)
-            rows.append(
-                residual_row("s1", n, a, t, config, *normalize([R, aux.r[n + 1], r], d))
-            )
+            rows.append(residual_row("s1", n, a, t, config,
+                                     *normalize([R, -aux.r[n + 1], -r])))
 
             if n >= 1:
-                t1 = table.beta[n + 1] * aux.R[n + 1]
-                t2 = beta * R_prev
-                t3 = 2 * par * t
-                rows.append(residual_row("s21", n, a, t, config,
-                                         *normalize([t1, t2, t3], t1 - t2 - t3)))
+                rows.append(residual_row("s21", n, a, t, config, *normalize(
+                    [table.beta[n + 1] * aux.R[n + 1], -beta * R_prev, -2 * par * t])))
+                rows.append(residual_row("s22", n, a, t, config, *normalize(
+                    [table.beta[n + 1] * (2 * n + 3 + 2 * a + aux.R[n + 1]),
+                     -beta * (k0 + R_prev), -1 - aux.r[n + 1] + r])))
 
-                t1 = table.beta[n + 1] * (2 * n + 3 + 2 * a + aux.R[n + 1])
-                t2 = beta * (k0 + R_prev)
-                t3 = 1 + aux.r[n + 1] - r
-                rows.append(residual_row("s22", n, a, t, config,
-                                         *normalize([t1, t2, t3], t1 - t2 - t3)))
+            rows.append(residual_row("s2", n, a, t, config, *normalize(
+                [(1 - par) * t, k1 * beta, -2 * table.p1[n], -(n + r)])))
 
-            terms = [(1 - par) * t, k1 * beta, 2 * table.p1[n], n + r]
-            d = terms[0] + terms[1] - terms[2] - terms[3]
-            rows.append(residual_row("s2", n, a, t, config, *normalize(terms, d)))
-
-            lhs = -2 * par * t * r
-            rhs = beta * R * R_prev
             rows.append(residual_row("s2p1", n, a, t, config,
-                                     *normalize([lhs, rhs], lhs - rhs)))
+                                     *normalize([-2 * par * t * r, -beta * R * R_prev])))
 
             if n >= 1:
-                lhs = (n + r) ** 2 + 2 * a * (n + r)
-                rhs = beta * (k1 + R) * (k0 + R_prev)
-                rows.append(
-                    residual_row("s2p2", n, a, t, config, *normalize(
-                        [(n + r) ** 2, 2 * a * (n + r), rhs], lhs - rhs))
-                )
+                rows.append(residual_row("s2p2", n, a, t, config, *normalize(
+                    [(n + r) ** 2, 2 * a * (n + r), -beta * (k1 + R) * (k0 + R_prev)])))
 
-                terms = [
+                rows.append(residual_row("s2p3", n, a, t, config, *normalize([
                     r ** 2,
                     -2 * par * t * (n + r),
                     2 * a * (1 - par) * t,
                     -aux.sigma[n],
-                ]
-                rhs1 = beta * (k1 + R) * R_prev
-                rhs2 = beta * R * (k0 + R_prev)
-                d = sum(terms) - rhs1 - rhs2
-                rows.append(
-                    residual_row("s2p3", n, a, t, config,
-                                 *normalize(terms + [rhs1, rhs2], d))
-                )
+                    -beta * (k1 + R) * R_prev,
+                    -beta * R * (k0 + R_prev),
+                ])))
 
-                lhs1 = k1 * beta * R_prev
-                lhs2 = k0 * beta * R
-                terms = [
-                    (n + r) ** 2,
-                    2 * a * (n + r),
-                    2 * par * t * r,
-                    -k1 * k0 * beta,
-                ]
-                d = lhs1 + lhs2 - sum(terms)
-                rows.append(residual_row("imp", n, a, t, config,
-                                         *normalize([lhs1, lhs2] + terms, d)))
+                rows.append(residual_row("imp", n, a, t, config, *normalize([
+                    k1 * beta * R_prev,
+                    k0 * beta * R,
+                    -(n + r) ** 2,
+                    -2 * a * (n + r),
+                    -2 * par * t * r,
+                    k1 * k0 * beta,
+                ])))
 
                 if R != 0:
                     t1, t2 = beta_aux_terms(n, R, r, params)
-                    rows.append(
-                        residual_row("be3", n, a, t, config,
-                                     *normalize([beta, t1, t2], beta - t1 - t2))
-                    )
+                    rows.append(residual_row("be3", n, a, t, config,
+                                             *normalize([beta, -t1, -t2])))
                 else:
-                    rows.append(residual_row("be3", n, a, t, config, mpf(0), None,
+                    rows.append(residual_row("be3", n, a, t, config, *normalize(),
                                              detail="R=0 pole"))
 
-            num_terms = [
-                n * (n + 2 * a),
-                2 * (n + a) * r,
-                aux.sigma[n],
-                2 * t * (par * (n + a) - a),
-            ]
-            rhs = sum(num_terms) / (k1 * k0)
-            rows.append(
-                residual_row("be4", n, a, t, config, *normalize(
-                    [beta] + [v / (k1 * k0) for v in num_terms], beta - rhs))
-            )
+            k10 = k1 * k0
+            rows.append(residual_row("be4", n, a, t, config, *normalize([
+                beta,
+                -n * (n + 2 * a) / k10,
+                -2 * (n + a) * r / k10,
+                -aux.sigma[n] / k10,
+                -2 * t * (par * (n + a) - a) / k10,
+            ])))
 
             # sigma_n in terms of r_n and R_n alone
             if R != 0:
-                terms = [
-                    -mpf(n) ** 2,
-                    -2 * a * (n - t),
-                    -2 * (n + a) * (par * t + r),
-                    k1 * 2 * par * t * r / R,
-                    k1 * (n + r) * (n + 2 * a + r) / (k1 + R),
-                ]
-                d = aux.sigma[n] - sum(terms)
-                rows.append(
-                    residual_row("sr", n, a, t, config,
-                                 *normalize([aux.sigma[n]] + terms, d))
-                )
+                rows.append(residual_row("sr", n, a, t, config, *normalize([
+                    aux.sigma[n],
+                    mpf(n) ** 2,
+                    2 * a * (n - t),
+                    2 * (n + a) * (par * t + r),
+                    -k1 * 2 * par * t * r / R,
+                    -k1 * (n + r) * (n + 2 * a + r) / (k1 + R),
+                ])))
             else:
-                rows.append(
-                    residual_row("sr", n, a, t, config, mpf(0), None, detail="R=0 pole")
-                )
+                rows.append(residual_row("sr", n, a, t, config, *normalize(),
+                                         detail="R=0 pole"))
     return rows
 
 
@@ -311,8 +276,7 @@ def verify_difference_equations(
     with working_precision(config):
         for n in range(1, n_max + 1):
             t1, t2 = rn_diff_terms(n, aux.r[n - 1], aux.r[n], aux.r[n + 1], params)
-            rows.append(residual_row("rn-diff", n, a, t, config,
-                                     *normalize([t1, t2], t1 + t2)))
+            rows.append(residual_row("rn-diff", n, a, t, config, *normalize([t1, t2])))
 
             rows.append(_rn_big_row(n, params, aux, config))
 
@@ -365,15 +329,13 @@ def _rn_big_row(n, params, aux, config):
         par * t * m1 * (m3 + Rp) - ((n + a + 1 - par * t) * Rp - par * t * m3) * R
     ) ** 2 - (n + 1) * (n + 2 * a + 1) * R ** 2 * Rp ** 2
 
-    lhs = left ** 2
-    rhs = 4 * brace_a * brace_b
     branch = "none"
     prod = brace_a * brace_b
     if prod >= 0:
         root = 2 * mp.sqrt(prod)
         branch = "+" if abs(left - root) <= abs(left + root) else "-"
     return residual_row("Rn-diff", n, a, t, config,
-                        *normalize([lhs, rhs], lhs - rhs), branch=branch)
+                        *normalize([left ** 2, -4 * brace_a * brace_b]), branch=branch)
 
 
 def _sd_row(n, params, aux, config):
@@ -389,13 +351,12 @@ def _sd_row(n, params, aux, config):
     q_den = 2 * (par * t * k1 * k0 + (n + a) * dm * dp)
     r_den = t * k1 * k0 + par * (n + a) * dm * dp
     if q_den == 0 or r_den == 0:
-        return residual_row("sd", n, a, t, config,
-                            mpf(0), None, detail="degenerate denominator")
+        return residual_row("sd", n, a, t, config, *normalize(),
+                            detail="degenerate denominator")
     q = dm * dp * e / q_den
-    lhs = (n - q) * (n + 2 * a - q)
-    rhs = t * (k0 + dm) * (k1 + dp) * e / r_den
-    return residual_row("sd", n, a, t, config,
-                        *normalize([lhs, rhs, n - q, n + 2 * a - q], lhs - rhs))
+    return residual_row("sd", n, a, t, config, *normalize(
+        [(n - q) * (n + 2 * a - q), -t * (k0 + dm) * (k1 + dp) * e / r_den],
+        floor=max(abs(n - q), abs(n + 2 * a - q))))
 
 
 def _ladder_t_derivatives(n_top: int, params: WeightParams, config: PrecisionConfig,
@@ -444,51 +405,37 @@ def verify_differential(n_list, params: WeightParams, config: PrecisionConfig):
             R, R1, R2 = (der["R"][k][n] for k in range(3))
             sig, beta = der["sigma"][0][n], der["beta"][0][n]
 
-            lhs = 2 * t * der["dlnh"][n]
-            rows.append(residual_row("eq1", n, a, t, config,
-                                     *normalize([lhs, R], lhs + R), detail="deriv=jet"))
+            rows.append(residual_row("eq1", n, a, t, config, *normalize(
+                [2 * t * der["dlnh"][n], R]), detail="deriv=jet"))
 
             if n >= 1:
                 R_prev = der["R"][0][n - 1]
-                lhs = 2 * t * der["beta"][1][n]
-                rhs = beta * R_prev - beta * R
-                rows.append(residual_row(
-                    "eq2", n, a, t, config,
-                    *normalize([lhs, beta * R_prev, beta * R], lhs - rhs),
+                rows.append(residual_row("eq2", n, a, t, config, *normalize(
+                    [2 * t * der["beta"][1][n], -beta * R_prev, beta * R]),
                     detail="deriv=jet"))
 
-            lhs = 2 * t * der["p"][1][n]
-            terms = [(1 - par) * t, beta * R]
-            rows.append(residual_row("pnt", n, a, t, config,
-                                     *normalize([lhs] + terms, lhs - terms[0] + terms[1]),
-                                     detail="deriv=jet"))
+            rows.append(residual_row("pnt", n, a, t, config, *normalize(
+                [2 * t * der["p"][1][n], -(1 - par) * t, beta * R]), detail="deriv=jet"))
 
             if R != 0:
-                lhs = 2 * t * r1
-                t1 = -2 * par * t * r * (k1 + R) / R
-                t2 = -(n + r) * (n + 2 * a + r) * R / (k1 + R)
-                rows.append(residual_row("ricca1", n, a, t, config,
-                                         *normalize([lhs, t1, t2], lhs - t1 - t2),
-                                         detail="deriv=jet"))
+                rows.append(residual_row("ricca1", n, a, t, config, *normalize([
+                    2 * t * r1,
+                    2 * par * t * r * (k1 + R) / R,
+                    (n + r) * (n + 2 * a + r) * R / (k1 + R),
+                ]), detail="deriv=jet"))
 
-            lhs = 2 * t * R1
-            terms = riccati_terms(n, R, r, params)
-            rows.append(residual_row("ricca2", n, a, t, config,
-                                     *normalize([lhs] + terms, lhs - sum(terms)),
+            rows.append(residual_row("ricca2", n, a, t, config, *normalize(
+                [2 * t * R1] + [-v for v in riccati_terms(n, R, r, params)]),
+                detail="deriv=jet"))
+
+            rows.append(residual_row("ode", n, a, t, config,
+                                     *normalize(pv_terms(n, R, R1, R2, params)),
                                      detail="deriv=jet"))
-
-            rows.append(_ode_row(n, params, config, R, R1, R2))
             rows.append(_pv_row(n, params, config, R, R1, R2))
             rows.append(_ode2_row(n, params, config, r, r1, r2))
             rows.append(_sode_row(n, params, config, sig, der["sigma"][1][n],
                                   der["sigma"][2][n], r))
     return rows
-
-
-def _ode_row(n, params, config, R, R1, R2):
-    terms = pv_terms(n, R, R1, R2, params)
-    return residual_row("ode", n, params.alpha, params.t, config,
-                        *normalize(terms, sum(terms)), detail="deriv=jet")
 
 
 def _pv_row(n, params, config, R, R1, R2):
@@ -500,17 +447,15 @@ def _pv_row(n, params, config, R, R1, R2):
     S1 = R1 / k1
     S2 = R2 / k1
     if S == 0 or S == 1:
-        return residual_row("pv", n, a, t, config, mpf(0), None, detail="S(S-1)=0 pole")
-    terms = [
-        (3 * S - 1) * S1 ** 2 / (2 * S * (S - 1)),
-        -S1 / t,
-        (S - 1) ** 2 / t ** 2 * (k1 ** 2 * S / 8 - a ** 2 / (2 * S)),
-        -par * S / (2 * t),
-        -S * (S + 1) / (2 * (S - 1)),
-    ]
-    return residual_row("pv", n, a, t, config,
-                        *normalize([S2] + terms, S2 - sum(terms)),
-                        detail="deriv=jet")
+        return residual_row("pv", n, a, t, config, *normalize(), detail="S(S-1)=0 pole")
+    return residual_row("pv", n, a, t, config, *normalize([
+        S2,
+        -(3 * S - 1) * S1 ** 2 / (2 * S * (S - 1)),
+        S1 / t,
+        -(S - 1) ** 2 / t ** 2 * (k1 ** 2 * S / 8 - a ** 2 / (2 * S)),
+        par * S / (2 * t),
+        S * (S + 1) / (2 * (S - 1)),
+    ]), detail="deriv=jet")
 
 
 def _ode2_row(n, params, config, r, r1, r2):
@@ -542,7 +487,7 @@ def _ode2_row(n, params, config, r, r1, r2):
         minus = (-qb - root) / (2 * qa)
         branch = "+" if abs(r2 - plus) <= abs(r2 - minus) else "-"
     return residual_row("ode2", n, a, t, config,
-                        *normalize(terms, sum(terms)), branch=branch,
+                        *normalize(terms), branch=branch,
                         detail="deriv=jet")
 
 
@@ -618,8 +563,6 @@ def _sode_row(n, params, config, sig, s1, s2, r_val):
             )
         )
     )
-    lhs = left ** 2
-    rhs = 16 * g * h ** 2
     # the derivation's square root is sqrt(g); record which sign of it
     # reproduces the directly computed r_n
     branch = "none"
@@ -628,7 +571,7 @@ def _sode_row(n, params, config, sig, s1, s2, r_val):
         base = -par * t
         branch = "+" if abs(r_val - (base + root)) <= abs(r_val - (base - root)) else "-"
     return residual_row("sode", n, a, t, config,
-                        *normalize([lhs, rhs], lhs - rhs), branch=branch,
+                        *normalize([left ** 2, -16 * g * h ** 2]), branch=branch,
                         detail="deriv=jet")
 
 
@@ -670,7 +613,7 @@ def verify_integral_representation(n: int, params: WeightParams, config: Precisi
     with working_precision(config):
         t_end = params.t
         if t_end == 0:
-            return residual_row("integral-rep", n, a, t_end, config, mpf(0), None)
+            return residual_row("integral-rep", n, a, t_end, config, *normalize())
         s0 = mpf(10) ** (-(config.target_digits // 4))
         if s0 >= t_end:
             # the integration path [s0, t_end] must not be empty
@@ -724,7 +667,7 @@ def verify_integral_representation(n: int, params: WeightParams, config: Precisi
         p_lo = make_params(a, s0, config)
         lhs = hankel_det(n, p_end, config)[0] - hankel_det(n, p_lo, config)[0]
         return residual_row("integral-rep", n, p_end.alpha, p_end.t, config,
-                            *normalize([lhs, quad], lhs - quad),
+                            *normalize([lhs, -quad]),
                             detail=f"cc-err~{mp.nstr(err, 3)};m={m};s0={mp.nstr(s0, 2)}")
 
 
@@ -755,7 +698,7 @@ def verify_linear_ode_Pn(
                 -(v_prime(zv, params) + ratio) * ev.d1,
                 (pieces["B1"] - pieces["B"] * ratio + sum_a) * ev.value,
             ]
-            samples.append(normalize(terms, sum(terms)))
+            samples.append(normalize(terms))
         detail = "z=" + ",".join(str(z) for z in z_points)
         return residual_row("linear-ode-Pn", n, params.alpha, params.t, config,
                             *worst_sample(samples), detail=detail)
@@ -782,14 +725,14 @@ def verify_ladder_relations(
                 pm = eval_poly(n - 1, zv, table)
 
                 terms = [pn.d1, b_val * pn.value, -table.beta[n] * a_val * pm.value]
-                lowering.append(normalize(terms, sum(terms)))
+                lowering.append(normalize(terms))
 
                 terms = [
                     pm.d1,
                     -(b_val + v_prime(zv, params)) * pm.value,
                     a_prev * pn.value,
                 ]
-                raising.append(normalize(terms, sum(terms)))
+                raising.append(normalize(terms))
             detail = "z=" + ",".join(str(z) for z in z_points)
             for name, samples in (("lowering", lowering), ("raising", raising)):
                 rows.append(residual_row(name, n, params.alpha, params.t, config,

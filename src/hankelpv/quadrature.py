@@ -4,16 +4,20 @@ Both maps put nodes at u = k h, h = 2^-level, in a variable u in which
 the integrand decays double exponentially, and `_level_loop` sums them.
 Levels refine by inserting odd multiples of the halved spacing, so
 coarser-level function values are reused, and nodes are cached per
-(map, working precision, level). Each component of a vector integrand is
-frozen at the first level where it agrees with the level before, to
-10^-(digits+3) of the integral of |f|; a pass that does not settle within
-MAX_LEVEL raises ConvergenceError carrying the last two level values.
+map, working precision and level (tanh-sinh's also per window). Each
+component of a vector integrand is frozen at the first level where it
+agrees with the level before, to 10^-(digits+3) of the integral of |f|;
+a pass that does not settle within MAX_LEVEL, or that sees a component
+exactly 0 at every node, raises ConvergenceError carrying the last two
+level values.
 Summation order is fixed (levels ascending, nodes ascending within a
 level), making results bit-for-bit deterministic.
 
 - tanh-sinh, x = tanh((pi/2) sinh u), serves finite intervals and the
   (0, 1) integrands without exponential decay (t = 0). Its window
-  |u| <= u_max takes the weights below 2^-(prec+48).
+  |u| <= u_max ends where the weights, times a (1-x)^e integrand at the
+  ends, drop below 2^-(prec+48): an exponent e < 0 widens it, as it
+  widens the z-map's end at x = 1.
 - The z-map serves (0, 1) integrands that carry e^(-t/x^p), t > 0: the
   paper's weight (p = 2) and its folded auxiliary form (p = 1). That
   factor has an infinitely strong zero at x = 0, which tanh-sinh sees as
@@ -37,8 +41,10 @@ from the second argument is integrable up to a (1-x)^e, e > -1, spike.
 The scalar entry points `integrate`, `integrate_unit` and
 `integrate_even` call f(y) alone and drop a node whose y rounds onto an
 endpoint. Integrands with e^(-t/x^p) evaluate the exponential through
-`clamped_exp`, which returns exact 0 once the argument underflows the
-working dynamic range.
+`clamped_exp`, which returns exact 0 once the argument lies below the
+integrand's peak exponent, -t at x = 1, by more than the working dynamic
+range: the cut is relative, so at large t, where every node carries about
+e^(-t), no node that holds digits of the integral is cut.
 """
 
 from __future__ import annotations
@@ -65,33 +71,35 @@ class ConvergenceError(NumericsError):
         self.last_two = last_two
 
 
-def clamped_exp(x) -> mpf:
-    """exp(x), or exact 0 once x underflows the working dynamic range."""
-    if x < -0.6931471805599453 * (mp.prec + 2 * GUARD_BITS):
+def clamped_exp(x, peak) -> mpf:
+    """exp(x), or exact 0 once x lies below peak, the largest exponent the
+    integrand reaches, by more than the working dynamic range."""
+    if x - peak < -0.6931471805599453 * (mp.prec + 2 * GUARD_BITS):
         return mpf(0)
     return mp.exp(x)
 
 
-def _u_max(prec: int) -> float:
-    # beyond u_max both the weight and the endpoint distance drop below
-    # 2^-(prec+48): pi*sinh(u) = (prec+48)*ln2
-    return math.asinh((prec + 48) * math.log(2.0) / math.pi)
+def _u_max(prec: int, exponent) -> float:
+    # beyond u_max the weight times (1-x)^e, e = min(exponent, 0), drops
+    # below 2^-(prec+48): (e+1)*pi*sinh(u) = (prec+48)*ln2
+    e = min(float(exponent), 0.0)
+    return math.asinh((prec + 48) * math.log(2.0) / ((e + 1) * math.pi))
 
 
-def _level_nodes(prec: int, level: int):
-    """New tanh-sinh nodes at `level` for working precision `prec`.
+def _level_nodes(prec: int, level: int, umax: float):
+    """New tanh-sinh nodes at `level` for working precision `prec` in the
+    window |u| <= umax.
 
     Returns a list of (x, one_minus_x, weight) for u > 0, plus the u = 0
     node first when level == 0. Entries for u < 0 follow by symmetry:
     x -> -x with the same weight, and 1 - (-x) = 1 + x is benign.
     """
-    key = (prec, level)
+    key = (prec, level, umax)
     cached = _NODE_CACHE.get(key)
     if cached is not None:
         return cached
     nodes = []
     with working_precision(prec):
-        umax = _u_max(prec)
         h = mpf(2) ** (-level)
         half_pi = mp.pi / 2
         if level == 0:
@@ -174,17 +182,18 @@ class _Rule(NamedTuple):
     edged: bool = False
 
 
-def _tanh_sinh(points, scale, description) -> _Rule:
-    """tanh-sinh nodes; points(x, 1-x) gives the points of the node pair +-x."""
+def _tanh_sinh(points, scale, description, exponent=0) -> _Rule:
+    """tanh-sinh nodes; points(x, 1-x) gives the points of the node pair +-x,
+    in a window sized for an integrand like (1-x)^exponent at the ends."""
     def nodes(prec, level):
-        return [(w, points(x, omx)) for x, omx, w in _level_nodes(prec, level)]
+        umax = _u_max(prec, exponent)
+        return [(w, points(x, omx)) for x, omx, w in _level_nodes(prec, level, umax)]
 
     return _Rule(nodes, scale, description)
 
 
 def _agrees(value, previous, magnitude, tol) -> bool:
-    bound = max(abs(value), magnitude)
-    return bound == 0 or abs(value - previous) <= tol * bound
+    return abs(value - previous) <= tol * max(abs(value), magnitude)
 
 
 def _level_loop(f, size, rule: _Rule, config: PrecisionConfig, target_digits):
@@ -196,7 +205,9 @@ def _level_loop(f, size, rule: _Rule, config: PrecisionConfig, target_digits):
     when every component is frozen. Agreement is measured against the
     integral of |f| rather than the value itself, so integrals that vanish
     by cancellation (orthogonality inner products) converge once the
-    increments settle at the attainable floor. On an edged map, a component
+    increments settle at the attainable floor. A component that is exactly
+    0 at every node of a checked level raises ConvergenceError: the pass
+    has seen nothing of it, so 0 is no value. On an edged map, a component
     whose outermost terms are not below the same tolerance at a checked
     level raises ConvergenceError: no finer level can make up for the
     integrand beyond the window.
@@ -234,6 +245,10 @@ def _level_loop(f, size, rule: _Rule, config: PrecisionConfig, target_digits):
                 for i, (v, p, m) in enumerate(zip(value, previous, running_abs)):
                     if frozen[i] is not None:
                         continue
+                    if m == 0:
+                        raise ConvergenceError(f"component {i} is exactly 0 at every node "
+                                               f"of the {rule.description}",
+                                               last_two=(previous, value))
                     if edge is not None and edge[i] * step > tol * max(abs(v), m * step):
                         raise ConvergenceError(
                             f"the outermost nodes of the {rule.description} carry "
@@ -314,13 +329,13 @@ def integrate_unit_vector(f, size, config: PrecisionConfig, target_digits=None,
     The integrand carries the factor e^(-t/x^p) and behaves like
     (1-x)^exponent at x = 1 (exponent > -1, the least over the
     components). t > 0 selects the z-map in z = x^-p - 1, whose window is
-    sized from t and the exponent; t = 0 the tanh-sinh map. Each component
-    equals what a one-component pass with the same t, p and exponent
-    returns for it, bit for bit; refinement stops when every component has
-    converged.
+    sized from t and the exponent; t = 0 the tanh-sinh map, whose window
+    is sized from the exponent. Each component equals what a one-component
+    pass with the same t, p and exponent returns for it, bit for bit;
+    refinement stops when every component has converged.
     """
     if t == 0:
-        rule = _tanh_sinh(_unit_pairs, mpf(0.5), "tanh-sinh on (0, 1)")
+        rule = _tanh_sinh(_unit_pairs, mpf(0.5), "tanh-sinh on (0, 1)", exponent)
     else:
         k_lo, k_hi = _z_window(config.bits + GUARD_BITS, t, exponent)
         rule = _Rule(lambda prec, level: _z_level_nodes(prec, p, level, k_lo, k_hi), mpf(1),

@@ -70,7 +70,7 @@ def weight_value(x, params: WeightParams, one_minus_x=None) -> mpf:
     value = base ** params.alpha
     if params.t == 0:
         return value
-    return value * clamped_exp(-params.t / (x * x))
+    return value * clamped_exp(-params.t / (x * x), -params.t)
 
 
 def _pearson_step(m: int, mid, outer, params: WeightParams, downward: bool) -> mpf:

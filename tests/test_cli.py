@@ -214,6 +214,21 @@ def test_bridge_parity_at_t0_has_no_false_findings(alpha):
     assert all(row["passed"] == "true" for row in rows)
 
 
+def test_aux_quadrature_route_at_large_t_prints_the_identity_values():
+    # at t = 400, e^(-t/x^2) lies below the working dynamic range at every
+    # node; cut relative to its peak e^(-t), the defining integrals keep
+    # their digits instead of reading exact zeros
+    at = ["--alpha", "1", "--t", "400", "--n-max", "3"]
+    (status_q, quad), (status_i, ident) = (_run(["aux", "--route", route, *at])
+                                          for route in ("quadrature", "identity"))
+    assert status_q == status_i == 0
+    for q, i in zip(_rows(quad), _rows(ident), strict=True):
+        for key in ("r", "R", "sigma"):
+            exact = Fraction(i[key])
+            assert abs(Fraction(q[key]) - exact) <= Fraction(1, 10 ** 12) * max(1, abs(exact))
+    assert Fraction(_rows(quad)[0]["R"]) > 800
+
+
 def test_verify_all_at_t0_leaves_out_the_t_derivative_rows():
     status, out = _run(["verify", "--suite", "all", "--alpha", "1", "--t", "0", "--n-max", "1"])
     rows = _rows(out)

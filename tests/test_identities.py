@@ -14,6 +14,8 @@ from hankelpv.identities import (
     verify_integral_representation,
     verify_linear_ode_Pn,
     verify_scalar_identities,
+    normalize,
+    worst_sample,
 )
 from hankelpv.ladder import ROUTE_QUADRATURE, aux_table
 from hankelpv.precision import PrecisionConfig, working_precision
@@ -37,6 +39,37 @@ def test_residual_threshold_values():
         assert CFG.residual_threshold() == mpf(10) ** -30
     with working_precision(CFG_LO):
         assert CFG_LO.residual_threshold() == mpf(10) ** -15
+
+
+def test_normalize_two_relations_share_one_scale():
+    with working_precision(CFG):
+        scale, residual = normalize([mpf(3), mpf(-2), mpf(-1)], [mpf(3), mpf(-4), mpf(0.5)])
+        assert (scale, residual) == (4, mpf(0.5) / 4)
+
+
+def test_normalize_floor():
+    with working_precision(CFG):
+        assert normalize([mpf(2), mpf(-2)], floor=1) == (2, 0)
+        assert normalize([mpf(0.25), mpf(-0.125)], floor=1) == (1, mpf(0.125))
+        # both sides vanishing exactly still makes a checked row at the floor
+        assert normalize([mpf(0), mpf(0)], floor=1) == (1, 0)
+
+
+def test_normalize_without_terms_is_trivial():
+    with working_precision(CFG):
+        assert normalize() == (0, None)
+        assert normalize([mpf(0), mpf(0)], [mpf(0)]) == (0, None)
+
+
+def test_worst_sample_keeps_the_first_on_a_tie():
+    samples = [(mpf(2), mpf(0.5)), (mpf(0), None), (mpf(3), mpf(0.5)), (mpf(1), mpf(0.25))]
+    assert worst_sample(samples) == (2, mpf(0.5))
+    assert worst_sample([(mpf(2), mpf(0)), (mpf(3), mpf(0))]) == (2, 0)
+
+
+def test_worst_sample_of_trivial_samples_is_trivial():
+    assert worst_sample([(mpf(0), None), (mpf(0), None)]) == (0, None)
+    assert worst_sample([]) == (0, None)
 
 
 @pytest.fixture(scope="module")

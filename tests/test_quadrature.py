@@ -1,10 +1,12 @@
-"""Double-exponential quadrature: classical integrals, endpoints, both maps, caching."""
+"""Double-exponential quadrature: classical integrals, endpoints, both maps, caching,
+and the oracles built on it over the (alpha, t) domain the CLI accepts."""
 
 import pytest
 from mpmath import mp, mpf
 
 from hankelpv import quadrature
-from hankelpv.bridge import make_tilde_params, tilde_moments
+from hankelpv.bridge import make_tilde_params, tilde_moments, verify_parity_splitting
+from hankelpv.ladder import ROUTE_IDENTITY, ROUTE_QUADRATURE, aux_table
 from hankelpv.precision import PrecisionConfig, working_precision
 from hankelpv.quadrature import (
     ConvergenceError,
@@ -14,6 +16,7 @@ from hankelpv.quadrature import (
     integrate_unit,
     integrate_unit_vector,
 )
+from hankelpv.recurrence import recurrence_table
 from hankelpv.special import exp_beta_moment
 from hankelpv.weights import MomentTable, make_params, weight_value
 
@@ -54,7 +57,7 @@ def test_essential_singularity_against_mpmath():
         t = mpf(1) / 2
 
         def f(x):
-            return (1 - x * x) * clamped_exp(-t / (x * x))
+            return (1 - x * x) * clamped_exp(-t / (x * x), -t)
 
         ours = integrate_even(f, CFG, target_digits=40)
         theirs = mp.quad(lambda x: (1 - x * x) * mp.exp(-t / (x * x)), [-1, 0, 1])
@@ -68,7 +71,7 @@ def test_incomplete_gamma_tail_with_clamp():
         t = mpf(2)
 
         def f(y):
-            return y ** mpf(-1.5) * clamped_exp(-t / y)
+            return y ** mpf(-1.5) * clamped_exp(-t / y, -t)
 
         ours = integrate_unit(f, CFG, target_digits=40)
         theirs = mp.quad(lambda u: u ** mpf(-0.5) * mp.exp(-t * u), [1, mp.inf])
@@ -77,8 +80,8 @@ def test_incomplete_gamma_tail_with_clamp():
 
 def test_clamped_exp_underflow_is_exact_zero():
     with working_precision(CFG):
-        assert clamped_exp(-10**6) == 0
-        assert clamped_exp(mpf(-1)) == mp.exp(-1)
+        assert clamped_exp(-10**6, 0) == 0
+        assert clamped_exp(mpf(-1), 0) == mp.exp(-1)
 
 
 def test_vector_integrand_matches_scalars():
@@ -92,9 +95,9 @@ def test_vector_integrand_matches_scalars():
 def _components_and_one_component_passes(t):
     with working_precision(CFG):
         t = mpf(t)
-    fs = (lambda y, omy: y ** 5 * clamped_exp(-t / y),
-          lambda y, omy: mp.sqrt(y * omy) * clamped_exp(-t / y),
-          lambda y, omy: clamped_exp(-(t + mpf(1) / 50) / y) / y ** 2)
+    fs = (lambda y, omy: y ** 5 * clamped_exp(-t / y, -t),
+          lambda y, omy: mp.sqrt(y * omy) * clamped_exp(-t / y, -t),
+          lambda y, omy: clamped_exp(-(t + mpf(1) / 50) / y, -t - mpf(1) / 50) / y ** 2)
     half = mpf(1) / 2
     vals = integrate_unit_vector(lambda y, omy: [f(y, omy) for f in fs], len(fs), CFG, t=t,
                                  exponent=half)
@@ -121,7 +124,7 @@ def test_unit_pairs_keep_the_distance_to_one():
 
         def f(y, omy):
             points.append((y, omy))
-            return [mp.sqrt(omy) * clamped_exp(-t / y)]
+            return [mp.sqrt(omy) * clamped_exp(-t / y, -t)]
 
         points.clear()
         integrate_unit_vector(f, 1, CFG, t=t, exponent=mpf(1) / 2)
@@ -198,9 +201,66 @@ def test_z_map_spike_at_one(exponent):
         e, t = mpf(exponent), mpf(1) / 2
 
     def f(y, omy):
-        return [omy**e * clamped_exp(-t / y)]
+        return [omy**e * clamped_exp(-t / y, -t)]
 
     [value] = integrate_unit_vector(f, 1, CFG, t=t, exponent=e)
     with working_precision(CFG):
         closed = exp_beta_moment(0, e, t, CFG)
         assert abs(value - closed) <= mpf(10) ** -CFG.target_digits * closed
+
+
+@pytest.mark.parametrize("exponent", ["-0.95", "-0.8", "0", "2.5"])
+def test_tanh_sinh_spike_at_one(exponent):
+    # at t = 0 the window is sized from the exponent at x = 1 too: a
+    # (1-x)^e spike, e < 0, needs 1/(e+1) times the window of e >= 0
+    with working_precision(CFG):
+        e = mpf(exponent)
+
+    [value] = integrate_unit_vector(lambda y, omy: [omy**e], 1, CFG, exponent=e)
+    with working_precision(CFG):
+        closed = 1 / (e + 1)
+        assert abs(value - closed) <= mpf(10) ** -CFG.target_digits * closed
+
+
+def test_clamped_exp_cuts_relative_to_the_peak():
+    # e^(-t/x) at large t lies far below the absolute dynamic range, but
+    # only a factor e^(-t/x + t) below the integrand's peak e^(-t)
+    with working_precision(CFG):
+        t = mpf(1000)
+        assert clamped_exp(-t / mpf("0.999"), -t) == mp.exp(-t / mpf("0.999"))
+        assert clamped_exp(-t / mpf("0.001"), -t) == 0
+
+
+@pytest.mark.parametrize("t", [0, "0.5"])
+def test_all_zero_component_is_a_convergence_error(t):
+    # a component that is exactly 0 at every node has not been seen by the
+    # pass, so 0 is no converged value
+    with working_precision(CFG):
+        t = mpf(t)
+
+    def f(y, omy):
+        return [omy * mp.exp(-t / y), mpf(0)]
+
+    with pytest.raises(ConvergenceError, match="component 1 is exactly 0"):
+        integrate_unit_vector(f, 2, CFG, t=t)
+
+
+@pytest.mark.parametrize("t", [0, "1e-6", "0.5", 50, 200])
+@pytest.mark.parametrize("alpha", ["0.05", "0.2", "1", "2.5"])
+def test_quadrature_routes_over_the_cli_domain(alpha, t):
+    # the defining integrals of r_n, R_n and sigma_n agree with the identity
+    # route to target digits, and every parity row, whose auxiliary side is
+    # quadrature end to end, passes
+    cfg = PrecisionConfig(bits=128, target_digits=15)
+    p = make_params(alpha, t, cfg)
+    rec = recurrence_table(4, p, cfg)
+    by_identity = aux_table(3, p, cfg, route=ROUTE_IDENTITY, recurrence=rec)
+    by_integral = aux_table(3, p, cfg, route=ROUTE_QUADRATURE, recurrence=rec)
+    with working_precision(cfg):
+        tol = mpf(10) ** -cfg.target_digits
+        for name in ("r", "R", "sigma"):
+            for ident, integral in zip(getattr(by_identity, name), getattr(by_integral, name)):
+                assert abs(ident - integral) <= tol * max(abs(ident), 1), (name, ident, integral)
+    rows = verify_parity_splitting(1, p, cfg)
+    assert len(rows) == 24
+    assert [(r.identity, r.n) for r in rows if not r.passed] == []
