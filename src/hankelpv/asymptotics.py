@@ -1,9 +1,9 @@
 """Double-scaling layer: reference series, scaled flows, and finite-n scans.
 
 Three cooperating parts.  The series tables are the exact rational
-recurrences for the small-s and large-s expansions of the scaled quantities,
-truncated after six or seven terms, evaluated together with a
-first-omitted-term truncation estimate.  The flow solvers integrate the
+recurrences of series.py for the small-s and large-s expansions of the
+scaled quantities, truncated after six or seven terms, evaluated together
+with a first-omitted-term truncation estimate.  The flow solvers integrate the
 scaled second-order equation for g(s,a) and the Painleve V equation for
 R_n(t), seeded from the small-s Taylor series (or a given start)
 respectively from the finite-n tables.  The large-s series are references,
@@ -39,16 +39,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from mpmath import mp, mpf
 
 from .ladder import (_parity, beta_aux_terms, difference_run, ladder_maps, pv_terms,
                      riccati_terms)
-from .ode import OdeHalt, OdeProblem, cauchy, solve_ode
+from .ode import (OdeHalt, OdeProblem, binary_point, int_cauchy, shifted, solve_ode,
+                  to_fixed)
 from .precision import NumericsError, PrecisionConfig, stabilized, to_mpf, working_precision
 from .recurrence import log_det_ratio, recurrence_table
+from .series import (_as_fraction, _poly_seed, _small_seed_tail, g_large_coefficients,
+                     g_small_coefficients, g_small_series, log_ratio_small_coefficients,
+                     log_ratio_small_series)
 from .special import log_barnes_g, zeta_prime_minus_one
 from .weights import MomentTable, WeightParams, make_params
 
@@ -73,19 +76,6 @@ N_CAP_EXTENDED = 4096
 ESTIMATOR_SAFETY = 4
 
 _FR0 = Fraction(0)
-
-
-def _as_fraction(value, name: str = "a") -> Fraction:
-    """Exact rational from int/str/Fraction/float (float via its repr)."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
-    raise TypeError(f"{name} must be an exact rational, got {type(value).__name__}")
 
 
 def _fr(value: Fraction) -> mpf:
@@ -301,119 +291,9 @@ def series_eval(kind: str, s, config: PrecisionConfig, a=None) -> SeriesValue:
         )
 
 
-# --- series coefficients to arbitrary order -----------------------------------
-#
-# The evolution equation fixes every coefficient of both expansions through
-# exact rational recurrences obtained from the polynomial form
-#   4s^2 g g'' - 4s^2 (g')^2 + 4s g g' - 8g^3 - 2asg + s^2 = 0.
-# The series tables above are these recurrences truncated after six or seven
-# terms, which the tests compare with the printed coefficients.  Six terms
-# are far too few to seed an integrator whose per-step budget is
-# tolerance^4: matching that budget with a 7th-order remainder would push
-# the seed point so close to the singular origin that the step count
-# explodes, so the flows' seeds run the small-s recurrence much further.
+# --- seeds from the exact small-s series (series.py) ---------------------------
 
 ORDER_SMALL_SEED = 64
-
-
-@lru_cache(maxsize=None)
-def g_small_coefficients(a: Fraction, order: int) -> tuple:
-    """Taylor coefficients c_1..c_order of the analytic branch at s = 0.
-
-    Matching powers of s gives c_1 = 1/(2a) and, for p >= 3, a linear
-    solve for c_{p-1} whose pivot 4c_1(p-2)^2 - 2a = (2/a)((p-2)^2 - a^2)
-    vanishes exactly when a is an integer (the resonant case).
-    """
-    a = _as_fraction(a)
-    if a.denominator == 1:
-        raise ValueError("integer a is resonant; the analytic branch needs a not in Z")
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    c = [Fraction(0)] * (order + 1)
-    c[1] = 1 / (2 * a)
-    g2 = [Fraction(0)] * (order + 1)
-    for p in range(3, order + 2):
-        q = p - 1
-        g2[q] = (2 * sum(c[i] * c[q - i] for i in range(1, (q + 1) // 2))
-                 + (c[q // 2] ** 2 if q % 2 == 0 else 0))
-        # the s^2 g g'', s^2 g'^2 and s g g' products share c_m c_(p-m), with
-        # weight 4(p-m)(p-m-1) - 4m(p-m) + 4(p-m) = 4(p-m)(p-2m); m and p-m
-        # together weigh 4(p-2m)^2
-        pairs = sum(4 * (p - 2 * m) ** 2 * (c[m] * c[p - m]) for m in range(1, (p + 1) // 2))
-        triple = sum(c[m] * g2[p - m] for m in range(1, p - 1))
-        rest = pairs - 8 * triple
-        pivot = 4 * c[1] * (p - 2) ** 2 - 2 * a
-        c[p - 1] = -rest / pivot
-    return tuple(c[1:])
-
-
-@lru_cache(maxsize=None)
-def g_large_coefficients(a: Fraction, order: int) -> tuple:
-    """Coefficients d_0..d_order of the descending branch, d_k on s^{(2-k)/3}.
-
-    The balance at the two leading powers forces d_0 = 1/2 and d_1 = -a/6;
-    each later order is an explicit division by 6, so the whole family is
-    resonance-free.  The expansion is asymptotic (the coefficients grow
-    factorially), so consumers truncate at the smallest term.
-    """
-    a = _as_fraction(a)
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    d = [Fraction(0)] * (order + 1)
-    d[0] = Fraction(1, 2)
-    d[1] = -a / 6
-    g2 = [Fraction(0)] * (order + 1)
-    g2[0] = d[0] * d[0]
-    g2[1] = 2 * d[0] * d[1]
-    for q in range(0, order - 1):
-        slot = q + 2
-        # d_slot is still 0 here, so this is g2[slot] less its 2 d_0 d_slot
-        partial = sum(d[i] * d[slot - i] for i in range(1, slot))
-        # the s^2 g g'', s^2 g'^2 and s g g' products share d_i d_(q-i), with
-        # weight (4/9)(2-j)(i-j) at j = q-i; i and q-i together weigh (4/9)(q-2i)^2
-        pairs = Fraction(4, 9) * sum((q - 2 * i) ** 2 * d[i] * d[q - i]
-                                     for i in range((q + 1) // 2))
-        triple = partial * d[0] + sum(d[m] * g2[slot - m]
-                                      for m in range(1, slot + 1))
-        d[slot] = (pairs - 8 * triple - 2 * a * d[q + 1]) / 6
-        g2[slot] = partial + 2 * d[0] * d[slot]
-    return tuple(d)
-
-
-@lru_cache(maxsize=None)
-def log_ratio_small_coefficients(a: Fraction, order: int) -> tuple:
-    """Taylor coefficients of the small-s log-ratio, lambda_1..lambda_order.
-
-    The log-ratio L(s) is tied to g by d/ds(s L'(s)) = -g(s)/s, which maps
-    coefficients as lambda_m = -c_m/m^2; the delta-ab-small table is the
-    first six.
-    """
-    cs = g_small_coefficients(a, order)
-    return tuple(-c / Fraction((m + 1) ** 2) for m, c in enumerate(cs))
-
-
-def _poly_seed(coeffs, s0: mpf):
-    """Value and derivative of sum coeffs[i] * s^(i+1) at s0."""
-    val = mpf(0)
-    der = mpf(0)
-    for i in range(len(coeffs) - 1, -1, -1):
-        m = 1 + i
-        cm = _fr(coeffs[i])
-        val = val + cm * s0 ** m
-        der = der + m * cm * s0 ** (m - 1)
-    return val, der
-
-
-def _small_seed_tail(coeffs, s0: mpf) -> mpf:
-    """Geometric continuation estimate for the dropped Taylor remainder."""
-    t_last = abs(_fr(coeffs[-1])) * s0 ** len(coeffs)
-    t_prev = abs(_fr(coeffs[-2])) * s0 ** (len(coeffs) - 1)
-    if t_prev == 0:
-        return t_last
-    ratio = t_last / t_prev
-    if ratio < mpf("0.5"):
-        return t_last * ratio / (1 - ratio)
-    return t_last * 10
 
 
 def _small_seed_point(series, s0: mpf, tol: mpf, search: bool = True) -> mpf:
@@ -423,9 +303,9 @@ def _small_seed_point(series, s0: mpf, tol: mpf, search: bool = True) -> mpf:
     hold.  Without `search`, an s0 whose tail misses the budget raises."""
     budget = tol ** 4
     for _ in range(80):
-        for coeffs in series:
-            tail = _small_seed_tail(coeffs, s0)
-            bound = budget * max(mpf(1), abs(_poly_seed(coeffs, s0)[0]))
+        for one in series:
+            tail = _small_seed_tail(one, s0)
+            bound = budget * max(mpf(1), abs(_poly_seed(one, s0)[0]))
             if tail > bound:
                 break
         else:
@@ -541,30 +421,36 @@ def _piii_rhs(a_val: mpf) -> Callable:
     return rhs
 
 
-def _piii_series(a_val: mpf, s0: mpf, y, order: int):
-    """Taylor coefficients of g and g' at s0 through `order`, from the
-    cleared form 4s^2 g g'' = 4s g'(s g' - g) + 8g^3 + 2as g - s^2."""
-    s1 = [s0, 1]
-    s2 = [s0 * s0, 2 * s0, 1]
-    g = [mpf(y[0]), mpf(y[1])]
-    v = [mpf(y[1])]
-    e, c, z, k, d, gpp = [], [], [], [], [], []  # g^2, g^3, s g' - g, g' z, s^2 g, g''
+def _piii_series(a_val: mpf, s0: mpf, y, order: int, scale: int):
+    """Fixed-point Taylor rows of g and g' at s0 through `order` in
+    sigma = (s - s0) / H, H = 2^scale (ode module docstring), from the cleared
+    form 4s^2 g g'' = 4s g'(s g' - g) + 8g^3 + 2as g - s^2. With V = H g' and
+    P = H^2 g'' it reads 4s^2 g P = 4s V (s V - H g) + H^2 (8g^3 + 2as g - s^2);
+    V_k = (k+1) b_(k+1) and P_m = (m+1)(m+2) b_(m+2) on the rows b_k of g."""
+    f = binary_point()
+    a2 = to_fixed(2 * a_val, f)
+    s1 = [to_fixed(s0, f), shifted(1, f + scale)]
+    s2 = [s1[0] * s1[0] >> f, 2 * s1[0] * s1[1] >> f, s1[1] * s1[1] >> f]
+    y1 = to_fixed(y[1], f)
+    g = [to_fixed(y[0], f), shifted(y1, scale)]
+    v = [g[1]]
+    e, c, z, k, d, gpp = [], [], [], [], [], []  # g^2, g^3, s V - H g, V z, s^2 g, P
     for m in range(order):
-        e.append(cauchy(g, g, m))
-        c.append(cauchy(g, e, m))
-        z.append(cauchy(s1, v, m) - g[m])
-        k.append(cauchy(v, z, m))
-        d.append(cauchy(s2, g, m))
-        rhs = (4 * cauchy(s1, k, m) + 8 * c[m] + 2 * a_val * cauchy(s1, g, m)
-               - (s2[m] if m < 3 else 0))
-        gpp.append((rhs / 4 - cauchy(d, gpp, m, start=1)) / d[0])
-        g.append(gpp[m] / ((m + 1) * (m + 2)))
+        e.append(int_cauchy(g, g, m) >> f)
+        c.append(int_cauchy(g, e, m) >> f)
+        z.append((int_cauchy(s1, v, m) >> f) - shifted(g[m], scale))
+        k.append(int_cauchy(v, z, m) >> f)
+        d.append(int_cauchy(s2, g, m) >> f)
+        lower = 8 * c[m] + (a2 * (int_cauchy(s1, g, m) >> f) >> f) - (s2[m] if m < 3 else 0)
+        rhs = 4 * int_cauchy(s1, k, m) + (shifted(lower, 2 * scale) << f)
+        gpp.append(((rhs >> 2) - int_cauchy(d, gpp, m, start=1)) // d[0])
+        g.append(gpp[m] // ((m + 1) * (m + 2)))
         v.append((m + 2) * g[m + 2])
-    return [g[:order + 1], v]
+    return [g[:order + 1], [y1] + [shifted(vk, -scale) for vk in v[1:]]]
 
 
 def _piii_jet(a_val: mpf) -> Callable:
-    return lambda s, y, order: _piii_series(a_val, s, y, order)
+    return lambda s, y, order, scale: _piii_series(a_val, s, y, order, scale)
 
 
 def seed_point(s_end, config: PrecisionConfig) -> mpf:
@@ -607,10 +493,10 @@ def solve_piii_prime(
         tol = _flow_tolerance(tolerance, config)
         fr = _as_fraction(a)
         if y0 is None:
-            coeffs = g_small_coefficients(fr, ORDER_SMALL_SEED)
-            s0 = _small_seed_point([coeffs], seed_point(s_end, config) if s0 is None else s0,
+            series = g_small_series(fr, ORDER_SMALL_SEED)
+            s0 = _small_seed_point([series], seed_point(s_end, config) if s0 is None else s0,
                                    tol, search=s0 is None)
-            start = list(_poly_seed(coeffs, s0))
+            start = list(_poly_seed(series, s0))
         elif s0 is None or None in y0:
             raise ValueError("an explicit start needs s0, g0 and g0'")
         else:
@@ -635,39 +521,46 @@ def _pv_rhs(n: int, alpha: mpf) -> Callable:
 
 
 def _pv_jet(n: int, alpha: mpf) -> Callable:
-    """Taylor coefficients of (R, R') from 8t^2 R(k1+R) R'' = -(the other
+    """Fixed-point Taylor rows of (R, R') in sigma = (t - t0) / H, H = 2^scale
+    (ode module docstring), from 8t^2 R(k1+R) R'' = -(the other
     ladder.pv_terms), written as R^3 (R^2 + 2k1 R + c3) + 4t R' X + t A1 + t^2 A2
-    with X = t(4n+4alpha+2+3R) R' - 2R(k1+R) and A1, A2 linear in R, R^2, R^3."""
+    with X = t(4n+4alpha+2+3R) R' - 2R(k1+R) and A1, A2 linear in R, R^2, R^3.
+    With V = H R' and P = H^2 R'' the terms without R' carry H^2 and X
+    becomes H X = t(4n+4alpha+2+3R) V - 2H R(k1+R)."""
     par = _parity(n)
     k1 = 2 * n + 2 * alpha + 1
     c3 = 4 * n ** 2 + 4 * (2 * alpha + 1) * n + 4 * alpha + 1
     c_v = 4 * n + 4 * alpha + 2
 
-    def jet(t0, y, order):
-        t1 = [t0, 1]
-        t2 = [t0 * t0, 2 * t0, 1]
-        u = [mpf(y[0]), mpf(y[1])]
-        v = [mpf(y[1])]
+    def jet(t0, y, order, scale):
+        f = binary_point()
+        k1_f, k1sq_f, k1cube_f, c3_f, c_v_f = (to_fixed(c, f) for c in
+                                               (k1, k1 ** 2, 8 * k1 ** 3, c3, c_v))
+        t1 = [to_fixed(t0, f), shifted(1, f + scale)]
+        t2 = [t1[0] * t1[0] >> f, 2 * t1[0] * t1[1] >> f, t1[1] * t1[1] >> f]
+        y1 = to_fixed(y[1], f)
+        u = [to_fixed(y[0], f), shifted(y1, scale)]
+        v = [u[1]]
         e2, e3, quad, z, lin, w, x, k, a1, a2, d, rpp = ([] for _ in range(12))
         for m in range(order):
-            e2.append(cauchy(u, u, m))
-            e3.append(cauchy(u, e2, m))
-            quad.append(e2[m] + 2 * k1 * u[m] + (c3 if m == 0 else 0))
-            z.append(k1 * u[m] + e2[m])  # R (k1 + R)
-            lin.append(3 * u[m] + (c_v if m == 0 else 0))
-            w.append(cauchy(lin, v, m))
-            x.append(cauchy(t1, w, m) - 2 * z[m])
-            k.append(cauchy(v, x, m))
-            a1.append(-4 * par * (e3[m] + 2 * k1 * e2[m] + k1 ** 2 * u[m]))
-            a2.append(-4 * e3[m] - 16 * k1 * e2[m] - 20 * k1 ** 2 * u[m]
-                      - (8 * k1 ** 3 if m == 0 else 0))
-            d.append(cauchy(t2, z, m))
-            num = (cauchy(e3, quad, m) + 4 * cauchy(t1, k, m)
-                   + cauchy(t1, a1, m) + cauchy(t2, a2, m))
-            rpp.append((num / 8 - cauchy(d, rpp, m, start=1)) / d[0])
-            u.append(rpp[m] / ((m + 1) * (m + 2)))
+            e2.append(int_cauchy(u, u, m) >> f)
+            e3.append(int_cauchy(u, e2, m) >> f)
+            k1u, k1e2, k1sq_u = k1_f * u[m] >> f, k1_f * e2[m] >> f, k1sq_f * u[m] >> f
+            quad.append(e2[m] + 2 * k1u + (c3_f if m == 0 else 0))
+            z.append(k1u + e2[m])  # R (k1 + R)
+            lin.append(3 * u[m] + (c_v_f if m == 0 else 0))
+            w.append(int_cauchy(lin, v, m) >> f)
+            x.append((int_cauchy(t1, w, m) >> f) - shifted(2 * z[m], scale))
+            k.append(int_cauchy(v, x, m) >> f)
+            a1.append(-4 * par * (e3[m] + 2 * k1e2 + k1sq_u))
+            a2.append(-4 * e3[m] - 16 * k1e2 - 20 * k1sq_u - (k1cube_f if m == 0 else 0))
+            d.append(int_cauchy(t2, z, m) >> f)
+            lower = int_cauchy(e3, quad, m) + int_cauchy(t1, a1, m) + int_cauchy(t2, a2, m)
+            num = shifted(lower, 2 * scale) + 4 * int_cauchy(t1, k, m)
+            rpp.append(((num >> 3) - int_cauchy(d, rpp, m, start=1)) // d[0])
+            u.append(rpp[m] // ((m + 1) * (m + 2)))
             v.append((m + 2) * u[m + 2])
-        return [u[:order + 1], v]
+        return [u[:order + 1], [y1] + [shifted(vk, -scale) for vk in v[1:]]]
 
     return jet
 
@@ -954,17 +847,21 @@ def _odd_terms_cancel() -> bool:
 
 
 def _coupled_jet(a_val: mpf) -> Callable:
-    """The PIII' jet with s H' = -g and s L' = H, order by order."""
+    """The PIII' jet with s H' = -g and s L' = H, order by order: on the
+    scaled rows the order-m terms of (s0 + H sigma) dF/dsigma = H rhs give
+    (m+1) F_(m+1) = H (rhs_m - m F_m) / s0."""
 
-    def jet(s, y, order):
-        g, v = _piii_series(a_val, s, y, order)
-        big_h, big_l = [mpf(y[2])], [mpf(y[3])]
-        dh, dl = [], []
+    def jet(s, y, order, scale):
+        f = binary_point()
+        g, v = _piii_series(a_val, s, y, order, scale)
+        s0 = to_fixed(s, f)
+        big_h, big_l = [to_fixed(y[2], f)], [to_fixed(y[3], f)]
+        dh = dl = 0
         for m in range(order):
-            dh.append((-g[m] - (dh[m - 1] if m else 0)) / s)
-            dl.append((big_h[m] - (dl[m - 1] if m else 0)) / s)
-            big_h.append(dh[m] / (m + 1))
-            big_l.append(dl[m] / (m + 1))
+            dh = shifted((-g[m] - dh) << f, scale) // s0
+            dl = shifted((big_h[m] - dl) << f, scale) // s0
+            big_h.append(dh // (m + 1))
+            big_l.append(dl // (m + 1))
         return [g, v, big_h, big_l]
 
     return jet
@@ -1036,10 +933,10 @@ def dyson_constant_experiment(
                 dser = series_expansion("delta-ab-small", a=fr)
                 if not dser.in_regime(s_lo_val, config):
                     flags.append(f"s_lo-outside-small-regime(a={fr})")
-                coeffs = g_small_coefficients(fr, ORDER_SMALL_SEED)
-                lam = log_ratio_small_coefficients(fr, ORDER_SMALL_SEED)
-                s0 = _small_seed_point([coeffs, lam], s_lo_val, tol)
-                gv, gd = _poly_seed(coeffs, s0)
+                series = g_small_series(fr, ORDER_SMALL_SEED)
+                lam = log_ratio_small_series(fr, ORDER_SMALL_SEED)
+                s0 = _small_seed_point([series, lam], s_lo_val, tol)
+                gv, gd = _poly_seed(series, s0)
                 lv, ld = _poly_seed(lam, s0)
                 start = [gv, gd, s0 * ld, lv]
                 flows.append(_run_flow(_coupled_rhs(_fr(fr)), _coupled_jet(_fr(fr)),

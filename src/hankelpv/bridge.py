@@ -128,7 +128,8 @@ def tilde_moments(j_lo: int, j_hi: int, tp: TildeParams, config: PrecisionConfig
             out.append(out[-1] * x)
         return out
 
-    return integrate_unit_vector(f, size, config, target_digits, t=tp.t, exponent=tp.b)
+    return integrate_unit_vector(f, size, config, target_digits, t=tp.t, exponent=tp.b,
+                                 exponent_at_zero=tp.a)
 
 
 def _boosted_digits(config: PrecisionConfig) -> int:
@@ -195,8 +196,10 @@ def tilde_R_lists(n_top: int, table: TildeTable):
             out += [s / y for s in squares]
         return out
 
-    # Rtilde's integrand behaves like (1-y)^(b-1) at y = 1
-    values = integrate_unit_vector(f, size, config, t=tp.t, exponent=tp.b - 1)
+    # Rtilde's integrand behaves like (1-y)^(b-1) at y = 1 and, at t = 0,
+    # like y^a at y = 0
+    values = integrate_unit_vector(f, size, config, t=tp.t, exponent=tp.b - 1,
+                                   exponent_at_zero=tp.a)
     with working_precision(config):
         rtilde = [tp.b * values[n] / table.tilde_h[n] for n in range(count)]
         if not star:

@@ -10,7 +10,9 @@ target_digits; identical invocations produce byte-identical output.
 
 Each subcommand's handler reads the parsed argparse namespace, once
 config_from_args has resolved --bits and split --n-list, and passes its
-value rows under its own column names to report.table_records.
+value rows under its own column names to report.table_records. The verify
+and bridge handlers import their pipelines when they run, so no other
+command loads them.
 """
 
 from __future__ import annotations
@@ -34,13 +36,6 @@ from .asymptotics import (
     series_eval,
     solve_piii_prime,
 )
-from .bridge import (
-    check_jmo_orders,
-    make_tilde_params,
-    verify_jmo_sigma_form,
-    verify_parity_splitting,
-)
-from .identities import SUITES as VERIFY_SUITES, run_identity_suite
 from .ladder import ROUTE_IDENTITY, ROUTE_QUADRATURE, aux_table
 from .precision import (
     DEFAULT_BITS,
@@ -60,6 +55,7 @@ EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_NUMERIC = 2
 
+VERIFY_SUITES = ("all", "scalar", "difference", "differential", "ladder", "ode-pn", "integral")
 BRIDGE_SUITES = ("all", "parity", "jmo")
 JMO_B = "-0.5"  # shifted-weight exponent at 0 when --b is not given
 AUX_ROUTES = (ROUTE_IDENTITY, ROUTE_QUADRATURE)
@@ -218,6 +214,8 @@ def _reject_unread(args, option: str, *suites: str) -> None:
 
 
 def _cmd_verify(args, config: PrecisionConfig):
+    from .identities import run_identity_suite
+
     _reject_unread(args, "--n", "integral")
     params = make_params(args.alpha, args.t, config)
     rows, bad_signs = run_identity_suite(args.n_max, params, config, args.suite,
@@ -230,6 +228,9 @@ def _cmd_verify(args, config: PrecisionConfig):
 
 
 def _cmd_bridge(args, config: PrecisionConfig):
+    from .bridge import (check_jmo_orders, make_tilde_params, verify_jmo_sigma_form,
+                         verify_parity_splitting)
+
     for option in ("--n-list", "--b"):
         _reject_unread(args, option, "jmo", "all")
     _reject_unread(args, "--n-max", "parity", "all")

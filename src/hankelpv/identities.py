@@ -99,7 +99,6 @@ IDENTITY_IDS = (
     "raising",
 )
 
-SUITES = ("all", "scalar", "difference", "differential", "ladder", "ode-pn", "integral")
 
 DEFAULT_Z_POINTS = ("0.2", "0.37", "0.8")
 

@@ -2,10 +2,28 @@
 
 Every flow here is polynomial once its denominators are cleared, so the
 Taylor coefficients of its solution through any point (x, y) follow order
-by order from Cauchy products of the coefficients already known. Each
-problem supplies them as a jet, `jet(x, y, order)`: one list of
-coefficients a_0 = y_i, a_1, ..., a_order per component (Jorba & Zou,
-Experiment. Math. 14 (2005) 99-117; `cauchy` is the shared product).
+by order from Cauchy products of the coefficients already known (Jorba &
+Zou, Experiment. Math. 14 (2005) 99-117). Each problem supplies them as a
+jet, `jet(x, y, order, scale)`: one row of coefficients per component, in
+the scaled variable sigma = (x' - x) / 2^scale and in fixed point.
+
+Fixed point. A row holds Python-int mantissas at one binary point F =
+binary_point(), the working precision's bits plus GUARD_BITS: entry k is
+a_k 2^(scale k) 2^F rounded down, and entry 0 is y_i. Each Cauchy product
+is one integer dot product (int_cauchy) shifted down by F, so every
+operation rounds by 2^-F absolute, below the budget's own absolute terms
+(Brent & Zimmermann, Modern Computer Arithmetic, CUP 2010, ch. 1-3).
+
+Scale. The power of two 2^scale is chosen near the step, so the scaled
+terms are near the size of their contribution to it: at the step the
+estimate terms are about ESTIMATE_SHARE * budget * 2^scale, and at F =
+bits + 96 they keep about 135 + scale bits whatever the radius of
+convergence, where an unscaled binary point rounds the tail of a
+wide-radius jet away. The first jet of a run is scaled to the whole span,
+each later one to the step estimate of the jet before. A jet whose step
+estimate, or with a vanishing tail the span left, exceeds twice its scale
+is taken again at that scale, so a vanishing tail stays below 2^-F on the
+whole span left.
 
 Budget. The per-step error budget is tolerance^4, clipped at the working
 precision floor 2^-(bits-48), so the local error is far below `tolerance`
@@ -30,9 +48,10 @@ component. When they vanish in every component the solution is a
 polynomial of lower degree and the step runs to x_end. A step within the
 step floor of x_end lands on it.
 
-Dense output. Requested sample abscissae are evaluated by Horner on the
-Taylor polynomial of the step that covers them, so checkpoints never
-shorten a step and sampled values carry the step's accuracy.
+Dense output. The step end and requested sample abscissae are evaluated
+by integer Horner sums on the Taylor polynomial of the step that covers
+them, so checkpoints never shorten a step and sampled values carry the
+step's accuracy.
 
 Singular points. A problem may name the state-dependent factor of its
 cleared denominator (`denominator(x, y)`). The jet divides by it at every
@@ -59,9 +78,10 @@ Step sequences are deterministic functions of the problem and config.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Optional, Sequence
 
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
 
 from .precision import NumericsError, PrecisionConfig, working_precision
 
@@ -74,6 +94,8 @@ ESTIMATE_SHARE = mpf(1) / 512
 DEFAULT_MAX_STEPS = 50000
 # a correct jet meets its rhs within about p * budget * (1 + |y| + |h y'|)
 DEFECT_SAFETY = 2 ** 10
+# fixed-point bits below the working precision's last bit
+GUARD_BITS = 32
 
 
 class OdeHalt(NumericsError):
@@ -111,8 +133,9 @@ class Samples(list):
 class OdeProblem:
     """y' = rhs(x, y) from (x0, y0) to x_end.
 
-    jet(x, y, order) returns, for each component, the Taylor coefficients
-    a_0 .. a_order of the solution through (x, y). denominator(x, y), when
+    jet(x, y, order, scale) returns, for each component, the Taylor
+    coefficients a_0 .. a_order of the solution through (x, y) as integers
+    a_k 2^(scale k) 2^binary_point() (module docstring). denominator(x, y), when
     given, is the factor the jet divides by; the flow is singular where it
     vanishes.
     """
@@ -139,36 +162,78 @@ def cauchy(a, b, m, start=0):
     return mp.fdot(a[start:m + 1], b[m - start::-1])
 
 
+def int_cauchy(a, b, m, start=0) -> int:
+    """cauchy on two fixed-point rows: an integer at twice their binary point."""
+    return sum(map(mul, a[start:m + 1], b[m - start::-1]))
+
+
+def binary_point() -> int:
+    """The jets' binary point F at the ambient precision."""
+    return mp.prec + GUARD_BITS
+
+
+def to_fixed(value, point: int) -> int:
+    """floor(value 2^point) of an mpf, int or string."""
+    return libmp.to_fixed(mpf(value)._mpf_, point)
+
+
+def shifted(value: int, bits: int) -> int:
+    """value 2^bits, rounded down when bits is negative."""
+    return value << bits if bits >= 0 else value >> -bits
+
+
 def _taylor_order(budget) -> int:
     """Order of the steps at this budget: two more per factor 16."""
     return max(MIN_ORDER, 2 * int(mp.ceil(-mp.log(budget, 16))))
 
 
-def _horner(coefficients, tau):
-    total = mpf(0)
-    for c in reversed(coefficients):
-        total = total * tau + c
+def _horner(row, s: int, point: int) -> int:
+    """sum_k row[k] s^k, all at binary point `point`."""
+    total = 0
+    for c in reversed(row):
+        total = (total * s >> point) + c
     return total
 
 
-def _slope(coefficients, tau):
-    total = mpf(0)
-    for k in range(len(coefficients) - 1, 0, -1):
-        total = total * tau + k * coefficients[k]
+def _slope(row, s: int, point: int) -> int:
+    """sum_k k row[k] s^(k-1), all at binary point `point`."""
+    total = 0
+    for k in range(len(row) - 1, 0, -1):
+        total = (total * s >> point) + k * row[k]
     return total
 
 
-def _decay_step(rows, order, budget):
+def _decay_step(rows, order, budget, scale, point):
     """Largest step at which every coefficient past `order` fits its share
     of the budget per unit step in every row; None when they all vanish."""
     step = None
     for row in rows:
-        share = ESTIMATE_SHARE * budget * (1 + abs(row[0]))
+        share = ESTIMATE_SHARE * budget * (1 + abs(mpf((row[0], -point))))
         for k in range(order + 1, order + ESTIMATE_TERMS + 1):
             if row[k]:
-                h = (share / abs(row[k])) ** (mpf(1) / (k - 1))
+                a_k = mpf((abs(row[k]), -point - scale * k))
+                h = (share / a_k) ** (mpf(1) / (k - 1))
                 step = h if step is None else min(step, h)
     return step
+
+
+def _scale_for(estimate, remaining) -> int:
+    """The exponent of the least power of two above the step estimate, or
+    without one the span left."""
+    return mp.mag(remaining if estimate is None else min(estimate, remaining))
+
+
+def _scaled_jet(jet, x, y, order, budget, scale, remaining, point):
+    """The step's rows, step estimate and scale: the jet is taken again at the
+    estimate's scale while the estimate, or with a vanishing tail the span
+    left, exceeds twice the scale (module docstring)."""
+    while True:
+        rows = jet(x, y, order + ESTIMATE_TERMS, scale)
+        h = _decay_step(rows, order, budget, scale, point)
+        need = _scale_for(h, remaining)
+        if need <= scale + 1:
+            return rows, h, scale
+        scale = need
 
 
 def solve_ode(problem: OdeProblem, config: PrecisionConfig, sample_points=None):
@@ -212,20 +277,27 @@ def solve_ode(problem: OdeProblem, config: PrecisionConfig, sample_points=None):
         h_floor_rel = mpf(2) ** (-(config.bits // 2))
         guard = problem.singularity_guard
         denominator = problem.denominator
+        point = binary_point()
+        estimate = None
 
         def halt(kind, message):
             return kind(message, x=x, y=list(y), samples=samples)
+
+        def value(row, at):
+            return mpf((_horner(row, at, point), -point))
 
         while x != x_end:
             if guard is not None and guard(x, y):
                 raise halt(SingularityHalt, f"singularity guard fired at x={mp.nstr(x, 17)}")
             if samples.steps >= problem.max_steps:
                 raise halt(StepUnderflowHalt, "step budget exhausted")
-            rows = problem.jet(x, y, order + ESTIMATE_TERMS)
+            remaining = abs(x_end - x)
+            rows, estimate, scale = _scaled_jet(problem.jet, x, y, order, budget,
+                                                _scale_for(estimate, remaining), remaining,
+                                                point)
             state = [row[:order + 1] for row in rows]
             h_floor = h_floor_rel * max(1, abs(x))
-            remaining = abs(x_end - x)
-            h = _decay_step(rows, order, budget)
+            h = estimate
             if h is None or remaining <= h + h_floor:
                 h = remaining
             sign = None if denominator is None else mp.sign(denominator(x, y))
@@ -234,20 +306,22 @@ def solve_ode(problem: OdeProblem, config: PrecisionConfig, sample_points=None):
                     raise halt(StepUnderflowHalt, f"step size underflow at x={mp.nstr(x, 17)}")
                 x_new = x_end if h == remaining else x + direction * h
                 tau = x_new - x
-                y_new = [_horner(row, tau) for row in state]
+                at = to_fixed(mp.ldexp(tau, -scale), point)
+                y_new = [value(row, at) for row in state]
                 if sign is None or mp.sign(denominator(x_new, y_new)) == sign:
                     break
                 h = h / 2
 
             while pending and (x_new - pending[0]) * direction > 0:
-                point = pending.pop(0)
-                samples.append((point, [_horner(row, point - x) for row in state]))
+                sample = pending.pop(0)
+                at_sample = to_fixed(mp.ldexp(sample - x, -scale), point)
+                samples.append((sample, [value(row, at_sample) for row in state]))
             if pending and pending[0] == x_new:
                 pending.pop(0)
 
             f = problem.rhs(x_new, y_new)
             for i, row in enumerate(state):
-                slope = _slope(row, tau)
+                slope = mpf((_slope(row, at, point), -point - scale))
                 gap = abs(f[i] - slope)
                 bound = DEFECT_SAFETY * order * budget * (1 + abs(y_new[i]) + abs(tau * slope))
                 if not gap <= bound:

@@ -323,19 +323,21 @@ def integrate_even(f, config: PrecisionConfig, target_digits=None) -> mpf:
 
 
 def integrate_unit_vector(f, size, config: PrecisionConfig, target_digits=None,
-                          t=0, p=1, exponent=0):
+                          t=0, p=1, exponent=0, exponent_at_zero=0):
     """Integrals over (0, 1) of the `size` values of f(x, 1-x).
 
     The integrand carries the factor e^(-t/x^p) and behaves like
-    (1-x)^exponent at x = 1 (exponent > -1, the least over the
-    components). t > 0 selects the z-map in z = x^-p - 1, whose window is
-    sized from t and the exponent; t = 0 the tanh-sinh map, whose window
-    is sized from the exponent. Each component equals what a one-component
-    pass with the same t, p and exponent returns for it, bit for bit;
+    (1-x)^exponent at x = 1 and, at t = 0, like x^exponent_at_zero at
+    x = 0 (each > -1, the least over the components). t > 0 selects the
+    z-map in z = x^-p - 1, whose window is sized from t and the exponent at
+    x = 1; t = 0 the tanh-sinh map, whose window is sized from the lesser
+    of the two exponents. Each component equals what a one-component pass
+    with the same t, p and exponents returns for it, bit for bit;
     refinement stops when every component has converged.
     """
     if t == 0:
-        rule = _tanh_sinh(_unit_pairs, mpf(0.5), "tanh-sinh on (0, 1)", exponent)
+        rule = _tanh_sinh(_unit_pairs, mpf(0.5), "tanh-sinh on (0, 1)",
+                          min(exponent, exponent_at_zero))
     else:
         k_lo, k_hi = _z_window(config.bits + GUARD_BITS, t, exponent)
         rule = _Rule(lambda prec, level: _z_level_nodes(prec, p, level, k_lo, k_hi), mpf(1),

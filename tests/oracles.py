@@ -6,14 +6,17 @@ forms for the first ladder coefficients (r_1 = R_0 and R_1, by
 direct evaluation of their defining integrals in terms of Kummer
 functions), the ladder functions A_n(z) and B_n(z) from their defining
 integrals, and the shifted weight's monic polynomials one degree at a
-time. The package computes the same quantities by other routes, which
-these check.
+time. The Taylor jets of the Painleve III' and V flows on mpf arithmetic,
+with unscaled coefficients, which the package's fixed-point jets replace.
+The package computes the same quantities by other routes, which these
+check.
 """
 
 from mpmath import mp, mpf
 
 from hankelpv import bridge
-from hankelpv.ladder import ladder_maps, v_prime
+from hankelpv.ladder import _parity, ladder_maps, v_prime
+from hankelpv.ode import cauchy
 from hankelpv.precision import PrecisionConfig, working_precision
 from hankelpv.quadrature import integrate
 from hankelpv.recurrence import eval_poly, hankel_det_t0, recurrence_table
@@ -163,3 +166,60 @@ def eval_tilde_poly(n: int, x, table: bridge.TildeTable) -> mpf:
     if n > table.n_top:
         raise ValueError(f"table only covers degrees up to {table.n_top}")
     return bridge._three_term_values(n, mpf(x), table.rec_a, table.rec_b)[n]
+
+
+def piii_series(a_val, s0, y, order: int):
+    """Taylor coefficients of g and g' at s0 through `order`, from the
+    cleared form 4s^2 g g'' = 4s g'(s g' - g) + 8g^3 + 2as g - s^2."""
+    s1 = [s0, 1]
+    s2 = [s0 * s0, 2 * s0, 1]
+    g = [mpf(y[0]), mpf(y[1])]
+    v = [mpf(y[1])]
+    e, c, z, k, d, gpp = [], [], [], [], [], []  # g^2, g^3, s g' - g, g' z, s^2 g, g''
+    for m in range(order):
+        e.append(cauchy(g, g, m))
+        c.append(cauchy(g, e, m))
+        z.append(cauchy(s1, v, m) - g[m])
+        k.append(cauchy(v, z, m))
+        d.append(cauchy(s2, g, m))
+        rhs = (4 * cauchy(s1, k, m) + 8 * c[m] + 2 * a_val * cauchy(s1, g, m)
+               - (s2[m] if m < 3 else 0))
+        gpp.append((rhs / 4 - cauchy(d, gpp, m, start=1)) / d[0])
+        g.append(gpp[m] / ((m + 1) * (m + 2)))
+        v.append((m + 2) * g[m + 2])
+    return [g[:order + 1], v]
+
+
+def pv_series(n: int, alpha, t0, y, order: int):
+    """Taylor coefficients of (R, R') at t0 through `order`, from
+    8t^2 R(k1+R) R'' = -(the other ladder.pv_terms), written as
+    R^3 (R^2 + 2k1 R + c3) + 4t R' X + t A1 + t^2 A2 with
+    X = t(4n+4alpha+2+3R) R' - 2R(k1+R) and A1, A2 linear in R, R^2, R^3."""
+    par = _parity(n)
+    k1 = 2 * n + 2 * alpha + 1
+    c3 = 4 * n ** 2 + 4 * (2 * alpha + 1) * n + 4 * alpha + 1
+    c_v = 4 * n + 4 * alpha + 2
+    t1 = [t0, 1]
+    t2 = [t0 * t0, 2 * t0, 1]
+    u = [mpf(y[0]), mpf(y[1])]
+    v = [mpf(y[1])]
+    e2, e3, quad, z, lin, w, x, k, a1, a2, d, rpp = ([] for _ in range(12))
+    for m in range(order):
+        e2.append(cauchy(u, u, m))
+        e3.append(cauchy(u, e2, m))
+        quad.append(e2[m] + 2 * k1 * u[m] + (c3 if m == 0 else 0))
+        z.append(k1 * u[m] + e2[m])  # R (k1 + R)
+        lin.append(3 * u[m] + (c_v if m == 0 else 0))
+        w.append(cauchy(lin, v, m))
+        x.append(cauchy(t1, w, m) - 2 * z[m])
+        k.append(cauchy(v, x, m))
+        a1.append(-4 * par * (e3[m] + 2 * k1 * e2[m] + k1 ** 2 * u[m]))
+        a2.append(-4 * e3[m] - 16 * k1 * e2[m] - 20 * k1 ** 2 * u[m]
+                  - (8 * k1 ** 3 if m == 0 else 0))
+        d.append(cauchy(t2, z, m))
+        num = (cauchy(e3, quad, m) + 4 * cauchy(t1, k, m)
+               + cauchy(t1, a1, m) + cauchy(t2, a2, m))
+        rpp.append((num / 8 - cauchy(d, rpp, m, start=1)) / d[0])
+        u.append(rpp[m] / ((m + 1) * (m + 2)))
+        v.append((m + 2) * u[m + 2])
+    return [u[:order + 1], v]

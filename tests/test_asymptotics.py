@@ -1,6 +1,7 @@
 """Double-scaling layer: series tables, scaled flows, scans, experiments."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from mpmath import mp, mpf
@@ -25,9 +26,12 @@ from hankelpv.asymptotics import (
 from hankelpv.cli import _grid, target_digits_for_bits
 from hankelpv.identities import _ladder_t_derivatives
 from hankelpv.ladder import aux_table
+from hankelpv.ode import JetDefectError, binary_point
 from hankelpv.precision import NumericsError, PrecisionConfig, working_precision
+from hankelpv.series import g_large_series, g_small_series, log_ratio_small_series
 from hankelpv.special import UnsupportedArgumentError
 from hankelpv.weights import make_params
+import oracles
 from oracles import chebyshev_scan_value
 
 CFG = PrecisionConfig()
@@ -367,6 +371,21 @@ def test_large_recurrence_equals_the_three_sum_form(a):
     assert g_large_coefficients(a, 72) == three_sum_large_coefficients(a, 72)
 
 
+@pytest.mark.parametrize("a", [Fraction(1, 3), Fraction(7, 10), Fraction(-5, 2),
+                               Fraction(3, 2)])
+def test_series_numerators_share_one_least_denominator(a):
+    # the recurrences run on integer numerators over one denominator, which
+    # grows only by the factors a new coefficient brings
+    small, large = g_small_series(a, 64), g_large_series(a, 40)
+    for series in (small, large, log_ratio_small_series(a, 64)):
+        denominator = series.denominator
+        assert tuple(Fraction(n, denominator) for n in series.numerators) == series.fractions
+    for series in (small, large):
+        assert series.denominator == lcm(*(c.denominator for c in series.fractions))
+    assert small.fractions == three_sum_small_coefficients(a, 64)
+    assert large.fractions == three_sum_large_coefficients(a, 40)
+
+
 def test_small_recurrence_rejects_integer_a():
     with pytest.raises(ValueError):
         g_small_coefficients(Fraction(2), 8)
@@ -543,6 +562,12 @@ JETS = {
 }
 
 
+def unscaled(rows, scale):
+    """The Taylor coefficients a_k of fixed-point jet rows at this scale."""
+    point = binary_point()
+    return [[mpf((c, -point - scale * k)) for k, c in enumerate(row)] for row in rows]
+
+
 @pytest.mark.parametrize("name", list(JETS))
 def test_each_jet_encodes_its_rhs(name):
     # a slip in clearing a denominator shows here even where an endpoint
@@ -550,7 +575,7 @@ def test_each_jet_encodes_its_rhs(name):
     rhs, jet, x, y = JETS[name]
     with working_precision(LO):
         x, y = mpf(x), [mpf(v) for v in y]
-        rows = jet(x, y, 40)
+        rows = unscaled(jet(x, y, 40, -2), -2)
         assert [row[0] for row in rows] == y
         f = rhs(x, y)
         assert abs(2 * rows[0][2] - f[1]) <= mpf(10) ** -70 * (1 + abs(f[1]))
@@ -561,6 +586,91 @@ def test_each_jet_encodes_its_rhs(name):
         slopes = [mp.polyval([k * a for k, a in enumerate(row)][:0:-1], tau) for row in rows]
         for slope, want in zip(slopes, rhs(x + tau, moved)):
             assert abs(slope - want) <= mpf(10) ** -60 * (1 + abs(want))
+
+
+# (n, or None for the PIII' jet; alpha or a; x; y; scale): the table seeds
+# of two benchmark PV flows and of n = 5, small-s series seeds of g at
+# a = +-1/2, and two wide-radius points, the PV seed at t = 40 (radius
+# about 42) and the large-s leading terms of g at s = 1000 (about 600),
+# where a binary point left at scale 0 rounds the tail away
+JET_CASES = {
+    "pv-n2": (2, "1", "0.1", ("1.02631932097375773737974", "6.301814055587270953375929"), -3),
+    "pv-n3": (3, "2.5", "0.5", ("2.867773740290597707832141", "4.102382102115979357669186"), 0),
+    "pv-n5": (5, "0.7", "2", ("7.713367078617130095422015", "2.872252802628995741347583"), 2),
+    "pv-wide": (2, "1", "40", ("87.11710402282096966179664", "2.017917270131460667531149"), 6),
+    "piii-plus": (None, "0.5", "0.0625",
+                  ("0.07406707133866433236076934", "1.390459105586131955055067"), 0),
+    "piii-minus": (None, "-0.5", "0.05",
+                   ("-0.04382870948578805205336848", "-0.7623469036132143387274904"), 0),
+    "piii-wide": (None, "0.5", "1000", ("49.58333333333333333333333",
+                                        "0.03316666666666666666666667"), 10),
+}
+
+
+def _jet_and_reference(n, a):
+    a = mpf(a)
+    if n is None:
+        return (asymptotics._piii_jet(a),
+                lambda x, y, order: oracles.piii_series(a, x, y, order))
+    return asymptotics._pv_jet(n, a), lambda x, y, order: oracles.pv_series(n, a, x, y, order)
+
+
+def _worst_relative_error(rows, reference):
+    return max(abs(a - b) / abs(b) for row, want in zip(rows, reference)
+               for a, b in zip(row, want) if b)
+
+
+@pytest.mark.parametrize("order", [8, 48, 110])
+@pytest.mark.parametrize("name", list(JET_CASES))
+def test_jets_match_the_mpf_reference(name, order):
+    # every coefficient within 2^-bits relative of the mpf recurrence run at
+    # 1024 bits, wherever the mpf recurrence at the solver's working
+    # precision holds that too; the PIII' recurrences near s = 0 amplify
+    # rounding about 12-fold per order, and there the fixed-point jet may
+    # lose no more than twice what the mpf one loses
+    n, a, x, y, scale = JET_CASES[name]
+    bits = 256
+    with working_precision(bits, extra_bits=64):
+        x, y = mpf(x), [mpf(v) for v in y]
+        jet, reference = _jet_and_reference(n, a)
+        rows = unscaled(jet(x, y, order, scale), scale)
+        floating = reference(x, y, order)
+    with working_precision(1024):
+        exact = reference(x, y, order)
+        for row, want, also in zip(rows, exact, floating):
+            for k, (got, b, c) in enumerate(zip(row, want, also)):
+                allowed = max(mpf(2) ** -bits, 2 * abs(c - b) / abs(b))
+                assert abs(got - b) <= allowed * abs(b), (name, order, k)
+        if name.endswith("-wide") and order >= 48:
+            with working_precision(bits, extra_bits=64):
+                flat = unscaled(jet(x, y, order, 0), 0)
+            assert _worst_relative_error(flat, exact) > mpf(2) ** -bits
+
+
+@pytest.mark.parametrize("flow", ["pv", "piii"])
+def test_a_perturbed_jet_coefficient_is_a_jet_defect(monkeypatch, flow):
+    # the defect check still reads the fixed-point rows: one coefficient
+    # moved by 2^-40 of the unit fails the step that uses it
+    def bumped(make):
+        def factory(*args):
+            jet = make(*args)
+
+            def perturbed(x, y, order, scale):
+                rows = jet(x, y, order, scale)
+                rows[0][5] += 1 << (binary_point() - 40)
+                return rows
+
+            return perturbed
+
+        return factory
+
+    name = "_pv_jet" if flow == "pv" else "_piii_jet"
+    monkeypatch.setattr(asymptotics, name, bumped(getattr(asymptotics, name)))
+    with pytest.raises(JetDefectError):
+        if flow == "pv":
+            continue_pv(2, make_params(1, "0.1", LO), "0.1", "0.3", LO)
+        else:
+            solve_piii_prime(HALF, "0.25", LO)
 
 
 # --- finite-n evolution ---------------------------------------------------------

@@ -113,6 +113,17 @@ def test_tilde_moment_beta_at_t0():
             assert abs(quad - closed) < mpf(10) ** -60 * abs(closed)
 
 
+def test_tilde_moment_at_t0_sizes_its_window_for_the_spike_at_zero():
+    # mu~_0 = B(1/2, 2) = 4/3 at a = -1/2, b = 1: the x^(-1/2) spike at 0
+    # sizes the tanh-sinh window, as the (1-x)^b end does, so the moment
+    # reaches the digits the parity tables ask of it
+    tp = make_tilde_params(-HALF, 1, 0, CFG256)
+    digits = _boosted_digits(CFG256)
+    quad = tilde_moments(0, 0, tp, CFG256, target_digits=digits)[0]
+    with working_precision(CFG256):
+        assert abs(quad - mpf(4) / 3) <= mpf(10) ** -digits
+
+
 def test_tilde_polys_orthogonal(table_neg):
     tp, config = table_neg.tp, table_neg.config
     with working_precision(config):

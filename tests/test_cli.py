@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from hankelpv import asymptotics, cli, identities, report
+from hankelpv import asymptotics, bridge, cli, identities, report
 from hankelpv.precision import DEFAULT_BITS, ENV_BITS, PrecisionConfig
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -187,7 +187,7 @@ def test_bridge_jmo_maps_b_to_the_exponent_at_zero(monkeypatch):
         seen.append((n_list, tp))
         return []
 
-    monkeypatch.setattr(cli, "verify_jmo_sigma_form", fake_jmo)
+    monkeypatch.setattr(bridge, "verify_jmo_sigma_form", fake_jmo)
     status, _ = _run(["bridge", "--suite", "jmo", "--alpha", "2", "--t", "0.5",
                       "--b", "0.25"])
     assert status == 0
@@ -200,6 +200,19 @@ def test_fraction_cells_render_as_decimals():
     config = PrecisionConfig(bits=128, target_digits=15)
     assert report.fmt(Fraction(1, 2), config) == "0.5"
     assert report.fmt(Fraction(-1, 3), config) == "-0.333333333333333"
+
+
+def test_bridge_parity_at_t0_reaches_its_digits_at_256_bits():
+    # the a = -1/2 auxiliary moments at t = 0 carry an x^(-1/2) spike at 0
+    # that the tanh-sinh window is sized for
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        status = cli.main(["bridge", "--suite", "parity", "--alpha", "1", "--t", "0",
+                           "--n-max", "1", "--bits", "256"])
+    rows = _rows(out.getvalue())
+    assert status == cli.EXIT_OK
+    assert len(rows) == 24
+    assert all(row["passed"] == "true" for row in rows)
 
 
 @pytest.mark.parametrize("alpha", ["1", "1.5"])
@@ -533,6 +546,32 @@ def test_verify_jobs_keep_their_integrand_calls(integrand_calls):
             else:
                 status = job["run_call"](cli, spec["call"])
         assert (status, integrand_calls) == (cli.EXIT_OK, expected[spec["id"]]), spec["id"]
+
+
+def test_flows_jobs_keep_their_steps_and_order():
+    # the Taylor work of the flows workload, job by job: the accepted steps
+    # and their order, which the stderr notes report
+    expected = {"p3-s0.25": (1, 48), "p3-s0.1": (1, 60), "pv-n2": (6, 48), "pv-n3": (2, 48)}
+    for spec in runpy.run_path(str(JOB.parent / "workloads.py"))["FLOWS"]:
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            status = cli.main(spec["argv"])
+        command = spec["argv"][0]
+        steps, order = expected[spec["id"]]
+        assert status == cli.EXIT_OK, spec["id"]
+        assert f"{command}: steps: {steps}\n" in err.getvalue(), spec["id"]
+        assert f"{command}: order: {order}\n" in err.getvalue(), spec["id"]
+
+
+def test_importing_the_cli_loads_no_report_pipeline():
+    # verify and bridge import identities and bridge when they run
+    src = str(JOB.parent.parent / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import hankelpv.cli; "
+            "print(sorted(m for m in ('hankelpv.identities', 'hankelpv.bridge') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_integral_suite_exits_2_past_the_node_cap(monkeypatch):

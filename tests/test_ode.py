@@ -7,8 +7,11 @@ from hankelpv.ode import (
     OdeProblem,
     SingularityHalt,
     StepUnderflowHalt,
+    _scaled_jet,
+    binary_point,
     cauchy,
     solve_ode,
+    to_fixed,
 )
 from hankelpv.precision import PrecisionConfig, working_precision
 
@@ -19,16 +22,24 @@ def endpoint(samples):
     return samples[-1]
 
 
+def fixed_rows(rows, scale):
+    """Taylor coefficients a_k as the integrator's rows: a_k 2^(scale k) at
+    the binary point."""
+    point = binary_point()
+    return [[to_fixed(mp.ldexp(a, scale * k), point) for k, a in enumerate(row)]
+            for row in rows]
+
+
 def jet_of(coefficient):
     """Jet of y' = f(x, y) from coefficient(x0, rows, k), the order-k Taylor
     coefficients of f given the rows through order k: a_(k+1) = f_k/(k+1)."""
 
-    def jet(x, y, order):
+    def jet(x, y, order, scale):
         rows = [[mpf(v)] for v in y]
         for k in range(order):
             for row, f in zip(rows, coefficient(x, rows, k)):
                 row.append(f / (k + 1))
-        return rows
+        return fixed_rows(rows, scale)
 
     return jet
 
@@ -36,12 +47,12 @@ def jet_of(coefficient):
 def times_trig(fn):
     """Jet of y' = fn(x) y, with fn(x0 + tau) = sum_k fn(x0 + k pi/2) tau^k/k!."""
 
-    def jet(x, y, order):
+    def jet(x, y, order, scale):
         f = [fn(x + k * mp.pi / 2) / mp.factorial(k) for k in range(order)]
         a = [mpf(y[0])]
         for k in range(order):
             a.append(cauchy(f, a, k) / (k + 1))
-        return [a]
+        return fixed_rows([a], scale)
 
     return jet
 
@@ -253,3 +264,37 @@ def test_tolerance_validation():
     )
     with pytest.raises(ValueError):
         solve_ode(problem, CFG)
+
+
+def _recording(jet, scales):
+    def recorded(x, y, order, scale):
+        scales.append(scale)
+        return jet(x, y, order, scale)
+
+    return recorded
+
+
+def test_a_jet_scaled_below_its_step_is_taken_again():
+    # at 2^-20 the step estimate of y' = y, about 0.09, is 16 binary orders
+    # out: the jet is taken again at the estimate's power of two, where it stays
+    scales = []
+    with working_precision(CFG, extra_bits=64):
+        budget, point = mpf(10) ** -48, binary_point()
+        rows, h, scale = _scaled_jet(_recording(GROWTH, scales), mpf(0), [mpf(1)], 24,
+                                     budget, -20, mpf(1), point)
+        assert scales == [-20, mp.mag(h)] and scale == mp.mag(h)
+        assert rows == GROWTH(mpf(0), [mpf(1)], 26, scale)
+        assert mpf(1) / 16 < h < mpf(1) / 8
+
+
+def test_a_vanishing_tail_is_read_at_the_scale_of_the_span():
+    # y' = 1: the tail is 0 at any scale, so the jet is taken again at the
+    # scale of the span left, where 0 means below 2^-F on all of it
+    scales = []
+    line = jet_of(lambda x, r, k: [1 if k == 0 else 0])
+    with working_precision(CFG, extra_bits=64):
+        point = binary_point()
+        rows, h, scale = _scaled_jet(_recording(line, scales), mpf(0), [mpf(0)], 8,
+                                     mpf(10) ** -48, -20, mpf(6), point)
+    assert (scales, h, scale) == ([-20, 3], None, 3)
+    assert rows == [[0, 1 << (point + 3)] + [0] * 9]
