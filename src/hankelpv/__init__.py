@@ -6,20 +6,24 @@ The modules are organized bottom-up:
 - `precision`: working-precision policy, escalation and numeric errors;
 - `special`: Gamma, Barnes G, Kummer and the U-function moments;
 - `quadrature`: double-exponential integration (tanh-sinh and the z-map) on cached node tables;
-- `derivatives`: Richardson-extrapolated finite differences, an
-  independent check on the exact t-derivatives;
+- `derivatives`: Richardson-extrapolated finite differences, which only
+  the tests use, as a reference for the exact t-derivatives;
 - `weights`: the weight's parameters and moment tables;
-- `recurrence`: Hankel determinants, three-term recurrence tables and
-  their exact t-jets;
+- `recurrence`: Hankel determinants, three-term recurrence tables, their
+  exact t-jets, the mpf Taylor-series kernel and the three-term sweep;
 - `ladder`: the auxiliary Painleve-type quantities r_n, R_n and sigma_n,
   and their forward run by the difference equation for r_n;
 - `identities`: the residual verification suite for the paper's relations;
 - `bridge`: the associated deformed-Jacobi system on [0, 1] and the parity
   splitting onto it;
-- `ode`: adaptive Taylor-series integration of polynomial flows;
+- `ode`: adaptive Taylor-series integration of polynomial flows, in fixed
+  point;
+- `series`: the exact rational small-s and large-s series of g(s, a) and
+  of the log-ratio;
 - `asymptotics`: series tables, the Painleve V and III' flows and the
   double-scaling scans;
-- `report`: one record builder and the deterministic CSV/JSON rendering;
+- `report`: the residual rows, one record builder and the deterministic
+  CSV/JSON rendering;
 - `cli`: the command-line front end.
 """
 

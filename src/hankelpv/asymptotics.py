@@ -124,17 +124,31 @@ class SeriesExpansion:
             return dyson_reference(config)
         return c_constant(self.a, config)
 
-    def _check_point(self, sv: mpf) -> None:
+    def _point(self, s, config: PrecisionConfig) -> mpf:
+        """s at the ambient precision, checked against the regime."""
+        sv = mpf(to_mpf(s, config))
         if self.validity == SMALL:
             if sv < 0:
                 raise ValueError(f"{self.kind} needs s >= 0, got {sv}")
         elif sv <= 0:
             raise ValueError(f"{self.kind} needs s > 0, got {sv}")
+        return sv
+
+    def _tail(self, sv: mpf):
+        """|last kept term| at sv > 0, and |first dropped term| estimated as the
+        last coefficient, grown by its ratio to the one before, at next_exponent."""
+        nz = [(e, c) for e, c in self.terms if c != 0]
+        if not nz:
+            raise ValueError(f"{self.kind} has no nonzero terms")
+        e_last, c_last = nz[-1]
+        c_prev = nz[-2][1] if len(nz) > 1 else c_last
+        last = abs(_fr(c_last))
+        growth = max(mpf(1), last / abs(_fr(c_prev)))
+        return last * sv ** _fr(e_last), growth * last * sv ** _fr(self.next_exponent)
 
     def eval(self, s, config: PrecisionConfig, include_constant: bool = True) -> mpf:
         with working_precision(config):
-            sv = mpf(to_mpf(s, config))
-            self._check_point(sv)
+            sv = self._point(s, config)
             total = mpf(0)
             for exponent, coefficient in self.terms:
                 if coefficient == 0:
@@ -146,45 +160,21 @@ class SeriesExpansion:
                 total += self.constant_value(config)
             return total
 
-    def _nonzero_tail(self):
-        nz = [(e, c) for e, c in self.terms if c != 0]
-        if not nz:
-            raise ValueError(f"{self.kind} has no nonzero terms")
-        last = nz[-1]
-        prev = nz[-2] if len(nz) > 1 else last
-        return last, prev
-
-    def last_term_magnitude(self, s, config: PrecisionConfig) -> mpf:
-        with working_precision(config):
-            sv = abs(mpf(to_mpf(s, config)))
-            self._check_point(sv)
-            (e_last, c_last), _ = self._nonzero_tail()
-            if sv == 0:
-                return mpf(0)
-            return abs(_fr(c_last)) * sv ** _fr(e_last)
-
-    def _next_term_magnitude(self, sv: mpf) -> mpf:
-        (e_last, c_last), (_, c_prev) = self._nonzero_tail()
-        growth = max(mpf(1), abs(_fr(c_last)) / abs(_fr(c_prev)))
-        return growth * abs(_fr(c_last)) * sv ** _fr(self.next_exponent)
-
     def truncation_estimator(self, s, config: PrecisionConfig) -> mpf:
         """Bound proxy for the first omitted term at s."""
         with working_precision(config):
-            sv = abs(mpf(to_mpf(s, config)))
-            self._check_point(sv)
-            if sv == 0:
-                return mpf(0)
-            return ESTIMATOR_SAFETY * self._next_term_magnitude(sv)
+            sv = self._point(s, config)
+            return ESTIMATOR_SAFETY * self._tail(sv)[1] if sv else mpf(0)
 
     def in_regime(self, s, config: PrecisionConfig) -> bool:
-        """Heuristic: estimated first omitted term below the last kept one."""
+        """Heuristic: estimated first omitted term below the last kept one.
+        A small-s table is in regime at s = 0."""
         with working_precision(config):
-            sv = abs(mpf(to_mpf(s, config)))
-            self._check_point(sv)
+            sv = self._point(s, config)
             if sv == 0:
-                return self.validity == SMALL
-            return self._next_term_magnitude(sv) < self.last_term_magnitude(sv, config)
+                return True
+            last, dropped = self._tail(sv)
+            return dropped < last
 
 
 def _ascending(coefficients) -> tuple:
@@ -232,9 +222,6 @@ _SPECS = {
     "delta-ab-large": (LARGE, "delta-ab-large", None, 1, Fraction(-2)),
 }
 
-_SERIES_CACHE: dict = {}
-
-
 def series_expansion(kind: str, a=None) -> SeriesExpansion:
     """Expansion table for `kind`; parametric kinds need the exact a."""
     if kind not in SERIES_KINDS:
@@ -248,9 +235,6 @@ def series_expansion(kind: str, a=None) -> SeriesExpansion:
         if a is not None:
             raise ValueError(f"{kind} does not take a parameter")
         fr = None
-    key = (kind, fr)
-    if key in _SERIES_CACHE:
-        return _SERIES_CACHE[key]
     values = a_values or (fr,)
     summed: dict = {}
     for value in values:
@@ -260,10 +244,8 @@ def series_expansion(kind: str, a=None) -> SeriesExpansion:
     terms = tuple((e, c) for e, c in summed.items() if fr is not None or c != 0)
     has_log = family == "delta-ab-large"
     log_coefficient = sum((1 - 6 * v * v) / Fraction(36) for v in values) if has_log else _FR0
-    exp = SeriesExpansion(kind, validity, terms, next_exponent,
-                          log_coefficient=log_coefficient, has_constant=has_log, a=fr)
-    _SERIES_CACHE[key] = exp
-    return exp
+    return SeriesExpansion(kind, validity, terms, next_exponent,
+                           log_coefficient=log_coefficient, has_constant=has_log, a=fr)
 
 
 @dataclass(frozen=True)
@@ -354,10 +336,6 @@ class Trajectory:
     @property
     def halted(self) -> bool:
         return self.halt_reason is not None
-
-    @property
-    def s0(self) -> mpf:
-        return self.samples[0][0]
 
     @property
     def reached(self) -> mpf:

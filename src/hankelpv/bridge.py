@@ -30,37 +30,15 @@ relations hold at n = 0 as exact trivial rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
 from mpmath import mp, mpf
 
-from .identities import normalize, residual_row, worst_sample
 from .ladder import aux_table
-from .precision import (
-    PrecisionConfig,
-    digits_capacity,
-    to_mpf,
-    working_precision,
-)
+from .precision import PrecisionConfig, digits_capacity, to_mpf, working_precision
 from .quadrature import clamped_exp, integrate_unit_vector
-from .recurrence import chebyshev_jets, eval_poly, log_derivative_jet, recurrence_table
-
-PARITY_IDS = (
-    "de1",
-    "de2",
-    "dou1",
-    "dou2",
-    "hd1",
-    "hd2",
-    "re3",
-    "re4",
-    "rela1",
-    "rela2",
-    "rs1",
-    "rs2",
-)
-
-JMO_IDS = ("hn", "hn-sigma", "hn-shift")
+from .recurrence import (chebyshev_jets, eval_poly, log_derivatives, recurrence_table,
+                         three_term_values)
+from .report import normalize, residual_row, worst_sample
 
 DEFAULT_Y_POINTS = ("0.3", "0.62", "0.85")
 
@@ -163,16 +141,6 @@ class TildeTable:
         return len(self.tilde_h) - 1
 
 
-def _three_term_values(n: int, x: mpf, rec_a, rec_b) -> list:
-    """tilde_P_0(x) .. tilde_P_n(x) in one three-term sweep."""
-    values = [mpf(1)]
-    if n > 0:
-        values.append(x - rec_a[0])
-    for k in range(1, n):
-        values.append((x - rec_a[k]) * values[k] - rec_b[k] * values[k - 1])
-    return values
-
-
 def tilde_R_lists(n_top: int, table: TildeTable):
     """(Rstar, Rtilde) for n <= n_top from one quadrature pass.
 
@@ -190,7 +158,7 @@ def tilde_R_lists(n_top: int, table: TildeTable):
         tw = tilde_weight_value(y, tp, omy)
         if tw == 0:
             return [mpf(0)] * size
-        squares = [v * v * tw for v in _three_term_values(n_top, y, table.rec_a, table.rec_b)]
+        squares = [v * v * tw for v in three_term_values(n_top, y, table.rec_a, table.rec_b)]
         out = [s / omy for s in squares]
         if star:
             out += [s / y for s in squares]
@@ -245,7 +213,7 @@ def tilde_moments_and_table(n_max: int, tp: TildeParams, config: PrecisionConfig
             # at most like an inverse square root as t -> 0)
             H = [mpf(0)] * (n_max + 2)
         else:
-            H = [tp.t * d1 for d1 in _prefix_sums([jet[1] / jet[0] for jet in jets])]
+            H = [tp.t * d1 for d1 in _prefix_sums([log_derivatives(jet)[0] for jet in jets])]
     table = TildeTable(tp=tp, config=config, tilde_h=h, tilde_logD=logd,
                        rec_a=[jet[0] for jet in alpha], rec_b=rec_b, H=H, Rstar=[], Rtilde=[])
     table.Rstar, table.Rtilde = tilde_R_lists(n_max, table)
@@ -269,9 +237,8 @@ def tilde_H_derivatives(n_top: int, tp: TildeParams, config: PrecisionConfig):
     jets, _alpha = _tilde_jets(values, -3, n_top, config)
     t = tp.t
     with working_precision(config):
-        # the Taylor coefficients of (ln tilde_h_k)' are its derivatives over k!
-        slopes = [log_derivative_jet(jet) for jet in jets]
-        l1, l2, l3 = (_prefix_sums([factorial(k) * s[k] for s in slopes]) for k in range(3))
+        slopes = [log_derivatives(jet) for jet in jets]
+        l1, l2, l3 = (_prefix_sums([s[k] for s in slopes]) for k in range(3))
         return [(t * l1[n], l1[n] + t * l2[n], 2 * l2[n] + t * l3[n])
                 for n in range(n_top + 1)]
 
@@ -312,7 +279,7 @@ def verify_parity_splitting(n_max: int, params, config: PrecisionConfig):
                 m, k = 2 * n + e, n + e
 
                 # transplant: y^e tilde_P_n(y^2) = P_m(y), the scale floored at 1
-                samples = [normalize([_three_term_values(n, y * y, tt.rec_a, tt.rec_b)[n] * y ** e,
+                samples = [normalize([three_term_values(n, y * y, tt.rec_a, tt.rec_b)[n] * y ** e,
                                       -eval_poly(m, y, rec).value], floor=1)
                            for y in map(mpf, DEFAULT_Y_POINTS)]
                 rows.append(residual_row(de, n, alpha, t, config,

@@ -192,7 +192,7 @@ def _cmd_recurrence(args, config: PrecisionConfig):
 def _cmd_aux(args, config: PrecisionConfig):
     params = make_params(args.alpha, args.t, config)
     aux = aux_table(args.n_max, params, config, route=args.route)
-    rows = [(n, aux.params.alpha, aux.params.t, aux.r[n], aux.R[n], aux.sigma[n], aux.tags[n])
+    rows = [(n, aux.params.alpha, aux.params.t, aux.r[n], aux.R[n], aux.sigma[n], args.route)
             for n in range(len(aux.r))]
     return (report.table_records(rows, ("n", "alpha", "t", "r", "R", "sigma", "route"), config),
             EXIT_OK, _bits_note(config, aux.config))

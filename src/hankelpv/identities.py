@@ -2,8 +2,8 @@
 p(n,t), r_n, R_n and sigma_n.
 
 Every relation is written once, as a list of signed terms whose exact sum
-vanishes when the relation holds, and is reported as the normalized
-residual
+vanishes when the relation holds, and is reported through
+report.normalize and report.residual_row as the normalized residual
 
     residual = |fsum(terms)| / max(|term|),
 
@@ -37,68 +37,18 @@ measured quantity ("+", "-", or "none" when the discriminant is
 negative and only the squared form is checkable).
 """
 
-from dataclasses import dataclass
 from math import factorial
 
 from mpmath import mp, mpf
 
-from .ladder import (
-    ROUTE_QUADRATURE,
-    AuxTable,
-    _parity,
-    aux_table,
-    beta_aux_terms,
-    eval_ladder,
-    ladder_maps,
-    ladder_pieces,
-    pv_terms,
-    riccati_terms,
-    rn_diff_terms,
-    v_prime,
-)
+from .ladder import (ROUTE_QUADRATURE, AuxTable, _parity, aux_table, beta_aux_terms, eval_ladder,
+                     ladder_maps, ladder_pieces, pv_terms, riccati_terms, rn_diff_terms, v_prime)
 from .precision import PrecisionConfig, working_precision
 from .quadrature import ConvergenceError
-from .recurrence import (
-    RecurrenceTable,
-    eval_poly,
-    hankel_det,
-    log_derivative_jet,
-    recurrence_table,
-    series_quotient,
-    t_jets,
-)
+from .recurrence import (RecurrenceTable, eval_poly, hankel_det, log_derivatives,
+                         recurrence_table, series_quotient, t_jets)
+from .report import normalize, residual_row, worst_sample
 from .weights import WeightParams, make_params
-
-IDENTITY_IDS = (
-    "s1",
-    "s21",
-    "s22",
-    "s2",
-    "s2p1",
-    "s2p2",
-    "s2p3",
-    "imp",
-    "be3",
-    "be4",
-    "rn-diff",
-    "Rn-diff",
-    "ricca1",
-    "ricca2",
-    "ode",
-    "pv",
-    "ode2",
-    "eq1",
-    "eq2",
-    "pnt",
-    "sode",
-    "sd",
-    "sr",
-    "integral-rep",
-    "linear-ode-Pn",
-    "lowering",
-    "raising",
-)
-
 
 DEFAULT_Z_POINTS = ("0.2", "0.37", "0.8")
 
@@ -106,66 +56,6 @@ DEFAULT_Z_POINTS = ("0.2", "0.37", "0.8")
 # row; a first rule of 64 takes the 128-bit rows to roundoff
 CC_START = 64
 CC_MAX_NODES = 1024
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    identity: str
-    n: int
-    alpha: mpf
-    t: mpf
-    bits: int
-    lhs_scale: mpf
-    residual: mpf
-    passed: bool
-    branch: str = ""
-    trivial: bool = False
-    detail: str = ""
-
-
-def normalize(*relations, floor=0):
-    """(scale, residual) of one row at the ambient precision.
-
-    Each relation is a list of signed terms whose fsum vanishes when it
-    holds. scale is the largest |term| over every list, and at least
-    floor; residual is the largest |fsum| over the lists, over scale. No
-    lists, or a scale of 0, give (0, None): a trivially true row.
-    """
-    scale = max([mpf(floor)] + [abs(v) for terms in relations for v in terms])
-    if not relations or scale == 0:
-        return mpf(0), None
-    return scale, max(abs(mp.fsum(terms)) for terms in relations) / scale
-
-
-def worst_sample(samples):
-    """The (scale, residual) sample with the largest residual (the first on
-    a tie), for rows that report the worst of several sample points.
-
-    Trivial samples (residual None) are skipped; (0, None) comes back when
-    no sample is left.
-    """
-    return max((s for s in samples if s[1] is not None), key=lambda s: s[1],
-               default=(mpf(0), None))
-
-
-def residual_row(identity, n, alpha, t, config: PrecisionConfig, scale, residual,
-                 branch="", detail="") -> ReportRow:
-    """The one ReportRow builder.
-
-    A None residual marks a trivially true row: it prints residual 0 and
-    passes. Any other row passes when its residual is at most the config's
-    residual threshold.
-    """
-    trivial = residual is None
-    if trivial:
-        residual, passed = mpf(0), True
-    else:
-        passed = bool(residual <= config.residual_threshold())
-    return ReportRow(
-        identity=identity, n=n, alpha=alpha, t=t, bits=config.bits,
-        lhs_scale=scale, residual=residual, passed=passed,
-        branch=branch, trivial=trivial, detail=detail,
-    )
 
 
 def verify_scalar_identities(
@@ -375,7 +265,7 @@ def _ladder_t_derivatives(n_top: int, params: WeightParams, config: PrecisionCon
         beta = [[mpf(0)] * (order + 1)] + [series_quotient(jets[m], jets[m - 1])
                                            for m in range(1, n_top + 2)]
         # the k-th derivative is k! times the order-k coefficient
-        out = {"dlnh": [log_derivative_jet(jet)[0] for jet in jets],
+        out = {"dlnh": [log_derivatives(jet)[0] for jet in jets],
                "beta": [[factorial(k) * b[k] for b in beta] for k in range(order + 1)]}
     with working_precision(config):
         maps = [ladder_maps(db, params, k) for k, db in enumerate(out["beta"])]
@@ -664,7 +554,7 @@ def verify_integral_representation(n: int, params: WeightParams, config: Precisi
 
         p_end = make_params(a, t_end, config)
         p_lo = make_params(a, s0, config)
-        lhs = hankel_det(n, p_end, config)[0] - hankel_det(n, p_lo, config)[0]
+        lhs = hankel_det(n, p_end, config) - hankel_det(n, p_lo, config)
         return residual_row("integral-rep", n, p_end.alpha, p_end.t, config,
                             *normalize([lhs, -quad]),
                             detail=f"cc-err~{mp.nstr(err, 3)};m={m};s0={mp.nstr(s0, 2)}")

@@ -41,7 +41,8 @@ from mpmath import mp, mpf
 
 from .precision import NumericsError, PrecisionConfig, working_precision
 from .quadrature import integrate_unit_vector
-from .recurrence import RecurrenceTable, negated_prefix_sums, recurrence_table
+from .recurrence import (RecurrenceTable, negated_prefix_sums, recurrence_table,
+                         three_term_values)
 from .weights import MomentTable, WeightParams, weight_value
 
 ROUTE_IDENTITY = "identity"
@@ -93,8 +94,8 @@ def aux_oracles(
 
     Independent of the ladder identities. One vector quadrature pass
     evaluates the weight once per node and P_0 ... P_{n_max} in one
-    three-term sweep. The integrands are even, so the integral over
-    (-1, 1) is exactly twice the one over (0, 1).
+    three-term sweep (recurrence.three_term_values). The integrands are
+    even, so the integral over (-1, 1) is exactly twice the one over (0, 1).
     """
     if n_max < 0:
         raise ValueError("index must be non-negative")
@@ -104,21 +105,20 @@ def aux_oracles(
     table = recurrence
     if table is None or table.n_max < n_max:
         table = recurrence_table(max(n_max, 1), params, config)
-    beta = table.beta
+    # the weight is even: no alpha_k term, and y - 0 is exact
+    alpha = [0] * n_max
     size = 2 * n_max + 1
 
     def f(y, omy):
         w = weight_value(y, params, omy)
         if w == 0:
             return [mpf(0)] * size
-        polys = [mpf(1), y]
-        for k in range(1, n_max):
-            polys.append(y * polys[k] - beta[k] * polys[k - 1])
+        polys = three_term_values(n_max, y, alpha, table.beta)
         y3 = y ** 3
         y2 = y * y
         # r_n pairs P_n with P_{n-1} (P_{-1} = 0, so r_0 = 0); R_n squares P_n
         return ([polys[k] * polys[k - 1] * w / y3 for k in range(1, n_max + 1)]
-                + [p * p * w / y2 for p in polys[: n_max + 1]])
+                + [p * p * w / y2 for p in polys])
 
     # doubling by exponent shift stays exact at the quadrature's precision
     integrals = [mp.ldexp(v, 1) for v in integrate_unit_vector(
@@ -147,14 +147,13 @@ def aux_R_oracle(
 
 @dataclass
 class AuxTable:
-    """r_n, R_n, sigma_n for n <= n_max with route tags, at its table's config."""
+    """r_n, R_n, sigma_n for n <= n_max, at its table's config."""
 
     params: WeightParams
     config: PrecisionConfig
     r: list
     R: list
     sigma: list
-    tags: list
 
 
 def aux_table(
@@ -179,14 +178,7 @@ def aux_table(
         with working_precision(config):
             _, r, big_r, sigma = ladder_maps(table.beta[: n_max + 2], params)
         r = r[: n_max + 1]
-    return AuxTable(
-        params=params,
-        config=table.config,
-        r=r,
-        R=big_r,
-        sigma=sigma,
-        tags=[route] * (n_max + 1),
-    )
+    return AuxTable(params=params, config=table.config, r=r, R=big_r, sigma=sigma)
 
 
 # --- the compatibility conditions as additive terms, k1 = 2n+1+2alpha ---------
@@ -249,7 +241,9 @@ def difference_run(size: int, params: WeightParams, config: PrecisionConfig,
     at n = 1, with beta_1 = mu_2/mu_0), so the run reads only the two moment
     anchors. The equation is affine in R_n, and each step solves it from
     rn_diff_coefficients: R_n = -B_n k1 / (A_n + B_n), r_{n+1} = R_n - r_n.
-    At t = 0 every r_n vanishes and the step is 0/0.
+    At t = 0 every r_n vanishes and the step is 0/0. A step whose A_n + B_n
+    is an exact 0 (at a t so small that r_1 rounds to 0) raises
+    NumericsError.
     """
     if not params.t > 0:
         raise ValueError("the difference run needs t > 0: at t = 0 its step is 0/0")
@@ -259,7 +253,11 @@ def difference_run(size: int, params: WeightParams, config: PrecisionConfig,
         big_r = [r[1]]
         for n in range(1, size):
             a_n, b_n = rn_diff_coefficients(n, r[n - 1], r[n], params)
-            big_r.append(-b_n * (2 * n + 1 + 2 * params.alpha) / (a_n + b_n))
+            denominator = a_n + b_n
+            if denominator == 0:
+                raise NumericsError(f"the difference run divides by A_n + B_n = 0 at n={n}, "
+                                    f"t={mp.nstr(params.t, 6)}")
+            big_r.append(-b_n * (2 * n + 1 + 2 * params.alpha) / denominator)
             r.append(big_r[n] - r[n])
         return r[:size], big_r
 

@@ -12,7 +12,9 @@ binary_point(), the working precision's bits plus GUARD_BITS: entry k is
 a_k 2^(scale k) 2^F rounded down, and entry 0 is y_i. Each Cauchy product
 is one integer dot product (int_cauchy) shifted down by F, so every
 operation rounds by 2^-F absolute, below the budget's own absolute terms
-(Brent & Zimmermann, Modern Computer Arithmetic, CUP 2010, ch. 1-3).
+(Brent & Zimmermann, Modern Computer Arithmetic, CUP 2010, ch. 1-3). The
+module holds fixed-point arithmetic only: the mpf series products of the
+moment-route jets are recurrence.cauchy.
 
 Scale. The power of two 2^scale is chosen near the step, so the scaled
 terms are near the size of their contribution to it: at the step the
@@ -63,8 +65,8 @@ singularity guard stops it there.
 
 Halts. The singularity guard, checked before every step, raises
 SingularityHalt; a step below the floor 2^-(bits/2) max(1, |x|) and more
-than max_steps accepted steps raise StepUnderflowHalt. Either carries the
-trajectory so far.
+than DEFAULT_MAX_STEPS accepted steps raise StepUnderflowHalt. Either
+carries the trajectory so far.
 
 Defect check. After each step, problem.rhs at the step end is compared
 with the derivative of the step's Taylor polynomial there. A jet that
@@ -113,7 +115,7 @@ class SingularityHalt(OdeHalt):
 
 
 class StepUnderflowHalt(OdeHalt):
-    """Step size collapsed below the precision floor, or max_steps ran out."""
+    """Step size collapsed below the precision floor, or DEFAULT_MAX_STEPS ran out."""
 
 
 class JetDefectError(NumericsError):
@@ -148,22 +150,11 @@ class OdeProblem:
     tolerance: object
     singularity_guard: Optional[Callable] = None
     denominator: Optional[Callable] = None
-    max_steps: int = DEFAULT_MAX_STEPS
-
-
-def cauchy(a, b, m, start=0):
-    """sum_{i=start}^{m} a_i b_(m-i), the order-m coefficient of a product.
-
-    `a` may be shorter than m + 1 (a polynomial factor such as the powers
-    of x0 + tau): the pairs stop with its last coefficient.
-    """
-    if m < start:
-        return mpf(0)
-    return mp.fdot(a[start:m + 1], b[m - start::-1])
 
 
 def int_cauchy(a, b, m, start=0) -> int:
-    """cauchy on two fixed-point rows: an integer at twice their binary point."""
+    """sum_{i=start}^{m} a_i b_(m-i), the order-m coefficient of the product
+    of two fixed-point rows: an integer at twice their binary point."""
     return sum(map(mul, a[start:m + 1], b[m - start::-1]))
 
 
@@ -289,7 +280,7 @@ def solve_ode(problem: OdeProblem, config: PrecisionConfig, sample_points=None):
         while x != x_end:
             if guard is not None and guard(x, y):
                 raise halt(SingularityHalt, f"singularity guard fired at x={mp.nstr(x, 17)}")
-            if samples.steps >= problem.max_steps:
+            if samples.steps >= DEFAULT_MAX_STEPS:
                 raise halt(StepUnderflowHalt, "step budget exhausted")
             remaining = abs(x_end - x)
             rows, estimate, scale = _scaled_jet(problem.jet, x, y, order, budget,

@@ -43,6 +43,10 @@ any route, without forming the two ln D_N of size N^2: the double-scaling
 scans take their beta_k(t) from ladder.difference_run, in O(N) steps, and
 build no table here. hankel_det_t0 is ln D_n(0) by Barnes G or Gamma
 products; the tests check that route against these tables through it.
+
+The module also holds the mpf Taylor-series kernel of the jets (cauchy,
+series_quotient, log_derivatives) and the three-term sweep of the ladder
+and bridge integrands (three_term_values).
 """
 
 from dataclasses import dataclass
@@ -51,7 +55,6 @@ from math import factorial
 
 from mpmath import mp, mpf
 
-from .ode import cauchy
 from .precision import NumericsError, PrecisionConfig, escalated, to_mpf, working_precision
 from .special import exp_beta_moment, log_barnes_g, log_gamma
 from .weights import MomentTable, WeightParams, negative_moments
@@ -104,6 +107,17 @@ def _chebyshev_norms(moments, size: int, config: PrecisionConfig) -> list:
         return h
 
 
+def cauchy(a, b, m, start=0):
+    """sum_{i=start}^{m} a_i b_(m-i), the order-m coefficient of a product.
+
+    `a` may be shorter than m + 1 (a polynomial factor such as the powers
+    of x0 + tau): the pairs stop with its last coefficient.
+    """
+    if m < start:
+        return mpf(0)
+    return mp.fdot(a[start:m + 1], b[m - start::-1])
+
+
 def series_quotient(a, b) -> list:
     """Taylor coefficients of a/b to the length of a; b_0 must not vanish."""
     q = []
@@ -112,9 +126,22 @@ def series_quotient(a, b) -> list:
     return q
 
 
-def log_derivative_jet(jet) -> list:
-    """Taylor coefficients of (ln f)' = f'/f from those of f, one order fewer."""
-    return series_quotient([k * c for k, c in enumerate(jet)][1:], jet[:-1])
+def log_derivatives(jet) -> list:
+    """(ln f)', (ln f)'', ... from the jet of f, one order fewer: k! times
+    the order-k Taylor coefficient of f'/f."""
+    q = series_quotient([k * c for k, c in enumerate(jet)][1:], jet[:-1])
+    return [factorial(k) * c for k, c in enumerate(q)]
+
+
+def three_term_values(n: int, x, alpha, beta) -> list:
+    """P_0(x) .. P_n(x) of the monic family x P_k = P_{k+1} + alpha_k P_k +
+    beta_k P_{k-1}, in one sweep at ambient precision."""
+    values = [mpf(1)]
+    if n > 0:
+        values.append(x - alpha[0])
+    for k in range(1, n):
+        values.append((x - alpha[k]) * values[k] - beta[k] * values[k - 1])
+    return values
 
 
 def chebyshev_jets(mu, size: int, order: int, step: int, config: PrecisionConfig):
@@ -171,8 +198,8 @@ def _retried(params, j_max, config, moments, work):
 
 
 def hankel_det(n: int, params: WeightParams, config: PrecisionConfig, moments=None):
-    """ln D_n(t) and its sign, read from recurrence_table(n)."""
-    return recurrence_table(n, params, config, moments).logD[n], 1
+    """ln D_n(t), read from recurrence_table(n); D_n > 0, so no sign is kept."""
+    return recurrence_table(n, params, config, moments).logD[n]
 
 
 def t_jets(n_top: int, params: WeightParams, config: PrecisionConfig, order: int):

@@ -1,12 +1,15 @@
-"""Flat-record building and deterministic rendering for the command line.
+"""Residual rows, flat-record building and deterministic rendering.
 
-One builder, table_records, turns a command's value rows into records
-under the column names that command passes; every cell goes through fmt,
-and every number through trunc_decimal, never as a binary float, so a
-consumer that re-parses the JSON or CSV recovers exactly the digits that
-were printed. Records keep their columns' order and the serializers avoid
-hash-order or locale dependence, which makes a repeated run
-byte-identical to the first.
+A residual row (ReportRow) is built in one place, residual_row, from the
+(scale, residual) pair that normalize gives for one relation written as
+signed terms; identities and bridge both report through it, and
+verify_records prints its fields in their declared order. One builder,
+table_records, turns a command's value rows into records under the column
+names that command passes; every cell goes through fmt, and every number
+through trunc_decimal, never as a binary float, so a consumer that
+re-parses the JSON or CSV recovers exactly the digits that were printed.
+Records keep their columns' order and the serializers avoid hash-order or
+locale dependence, which makes a repeated run byte-identical to the first.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import csv
 import io
 import json
 from fractions import Fraction
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
@@ -58,9 +62,9 @@ def _truncate_sig(rendered: str, digits: int) -> str:
     return out
 
 
-def trunc_decimal(value, config: PrecisionConfig, digits: int | None = None) -> str:
-    """Deterministic truncating decimal rendering at `digits` significant digits."""
-    d = config.target_digits if digits is None else digits
+def trunc_decimal(value, config: PrecisionConfig) -> str:
+    """Deterministic truncating decimal rendering at target_digits significant digits."""
+    d = config.target_digits
     with working_precision(config, extra_bits=32):
         if isinstance(value, Fraction):
             x = mpf(value.numerator) / value.denominator
@@ -73,7 +77,7 @@ def trunc_decimal(value, config: PrecisionConfig, digits: int | None = None) -> 
         return _truncate_sig(mp.nstr(x, d + _GUARD_DIGITS), d)
 
 
-def fmt(value, config: PrecisionConfig, digits: int | None = None) -> str:
+def fmt(value, config: PrecisionConfig) -> str:
     """One output cell. Numbers go through trunc_decimal, flags to true/false."""
     if value is None:
         return ""
@@ -83,7 +87,7 @@ def fmt(value, config: PrecisionConfig, digits: int | None = None) -> str:
         return str(value)
     if isinstance(value, str):
         return value
-    return trunc_decimal(value, config, digits)
+    return trunc_decimal(value, config)
 
 
 def table_records(rows, columns, config: PrecisionConfig):
@@ -91,14 +95,69 @@ def table_records(rows, columns, config: PrecisionConfig):
     return [{key: fmt(value, config) for key, value in zip(columns, row)} for row in rows]
 
 
-VERIFY_COLUMNS = ("identity", "n", "alpha", "t", "bits", "lhs_scale", "residual",
-                  "passed", "trivial", "branch", "detail")
+class ReportRow(NamedTuple):
+    """One residual row, its fields in the order they are printed. A named
+    tuple rather than a dataclass: every command imports this module, and a
+    named tuple class is about ten times cheaper to create."""
+
+    identity: str
+    n: int
+    alpha: mpf
+    t: mpf
+    bits: int
+    lhs_scale: mpf
+    residual: mpf
+    passed: bool
+    trivial: bool
+    branch: str
+    detail: str
+
+
+def normalize(*relations, floor=0):
+    """(scale, residual) of one row at the ambient precision.
+
+    Each relation is a list of signed terms whose fsum vanishes when it
+    holds. scale is the largest |term| over every list, and at least
+    floor; residual is the largest |fsum| over the lists, over scale. No
+    lists, or a scale of 0, give (0, None): a trivially true row.
+    """
+    scale = max([mpf(floor)] + [abs(v) for terms in relations for v in terms])
+    if not relations or scale == 0:
+        return mpf(0), None
+    return scale, max(abs(mp.fsum(terms)) for terms in relations) / scale
+
+
+def worst_sample(samples):
+    """The (scale, residual) sample with the largest residual (the first on
+    a tie), for rows that report the worst of several sample points.
+
+    Trivial samples (residual None) are skipped; (0, None) comes back when
+    no sample is left.
+    """
+    return max((s for s in samples if s[1] is not None), key=lambda s: s[1],
+               default=(mpf(0), None))
+
+
+def residual_row(identity, n, alpha, t, config: PrecisionConfig, scale, residual,
+                 branch="", detail="") -> ReportRow:
+    """The one ReportRow builder.
+
+    A None residual marks a trivially true row: it prints residual 0 and
+    passes. Any other row passes when its residual is at most the config's
+    residual threshold.
+    """
+    trivial = residual is None
+    if trivial:
+        residual, passed = mpf(0), True
+    else:
+        passed = bool(residual <= config.residual_threshold())
+    return ReportRow(identity, n, alpha, t, config.bits, scale, residual, passed,
+                     trivial, branch, detail)
 
 
 def verify_records(rows, config: PrecisionConfig):
     """ReportRow list to flat records, one per residual row."""
-    return table_records([[getattr(row, key) for key in VERIFY_COLUMNS] for row in rows],
-                         VERIFY_COLUMNS, config)
+    return table_records(rows, ReportRow._fields, config)
 
 
 def to_json(records) -> str:

@@ -86,7 +86,8 @@ def exp_beta_moment(c, b, t, config: PrecisionConfig) -> mpf:
     every moment anchor): the same bits, 2 to 100 times faster. The two
     terms cancel about 2.9 t bits at the anchors, so the precision cap is
     raised past hypercomb's default once 3 t outgrows it (t above about
-    1250 at 128 bits).
+    1250 at 128 bits). Past t of about 5000 its 1F1 series give up, and
+    that raises NumericsError.
     """
     with working_precision(config) as ctx:
         c, b, t = mpf(c), mpf(b), mpf(t)
@@ -101,8 +102,12 @@ def exp_beta_moment(c, b, t, config: PrecisionConfig) -> mpf:
                     ([-ctx.pi, w, t], [1, -1, 1 - b], [], [a, 2 - b], [a - b + 1], [2 - b], t))
 
         maxprec = max(ctx._default_hyper_maxprec(ctx.prec), int(ctx.prec + 3 * t + 64))
-        return (gamma(b + 1, config) * ctx.exp(-t)
-                * ctx.hypercomb(terms, [b + 1, -c], maxprec=maxprec))
+        try:
+            u = ctx.hypercomb(terms, [b + 1, -c], maxprec=maxprec)
+        except ctx.NoConvergence as exc:
+            raise NumericsError(f"the U-function moment failed to converge at "
+                                f"t={mp.nstr(t, 8)}: hypercomb gave up on its 1F1 series") from exc
+        return gamma(b + 1, config) * ctx.exp(-t) * u
 
 
 def _require_twice_integer(x) -> int:

@@ -16,10 +16,10 @@ from mpmath import mp, mpf
 
 from hankelpv import bridge
 from hankelpv.ladder import _parity, ladder_maps, v_prime
-from hankelpv.ode import cauchy
 from hankelpv.precision import PrecisionConfig, working_precision
 from hankelpv.quadrature import integrate
-from hankelpv.recurrence import eval_poly, hankel_det_t0, recurrence_table
+from hankelpv.recurrence import (cauchy, eval_poly, hankel_det_t0, recurrence_table,
+                                 three_term_values)
 from hankelpv.special import gamma, kummer_phi
 from hankelpv.weights import WeightParams, make_params, weight_value
 
@@ -165,7 +165,7 @@ def eval_tilde_poly(n: int, x, table: bridge.TildeTable) -> mpf:
         raise ValueError("polynomial degree must be non-negative")
     if n > table.n_top:
         raise ValueError(f"table only covers degrees up to {table.n_top}")
-    return bridge._three_term_values(n, mpf(x), table.rec_a, table.rec_b)[n]
+    return three_term_values(n, mpf(x), table.rec_a, table.rec_b)[n]
 
 
 def piii_series(a_val, s0, y, order: int):

@@ -519,8 +519,8 @@ def test_given_seed_point_must_meet_the_seed_budget():
     # the searched start meets tolerance^4 * max(1, |g0|); a given s0 is
     # held to the same budget rather than moved
     searched = solve_piii_prime(HALF, "0.25", LO, tolerance="1e-7")
-    assert solve_piii_prime(HALF, "0.25", LO, s0=searched.s0, tolerance="1e-7").samples \
-        == searched.samples
+    s0 = searched.samples[0][0]
+    assert solve_piii_prime(HALF, "0.25", LO, s0=s0, tolerance="1e-7").samples == searched.samples
     with pytest.raises(NumericsError, match="small-series seed at s0=0.8 has a tail of"):
         solve_piii_prime(HALF, "0.25", LO, s0="0.8", tolerance="1e-7")
 

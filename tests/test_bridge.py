@@ -4,8 +4,6 @@ import pytest
 from mpmath import mp, mpf
 
 from hankelpv.bridge import (
-    JMO_IDS,
-    PARITY_IDS,
     _boosted_digits,
     make_tilde_params,
     tilde_H_derivatives,
@@ -30,6 +28,23 @@ CFG = PrecisionConfig()
 CFG128 = PrecisionConfig(bits=128, target_digits=15)
 CFG256 = PrecisionConfig(bits=256, target_digits=30)
 HALF = mpf("0.5")
+
+PARITY_IDS = (
+    "de1",
+    "de2",
+    "dou1",
+    "dou2",
+    "hd1",
+    "hd2",
+    "re3",
+    "re4",
+    "rela1",
+    "rela2",
+    "rs1",
+    "rs2",
+)
+
+JMO_IDS = ("hn", "hn-sigma", "hn-shift")
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,10 @@ change is meant to alter printed digits, and says so.
 """
 
 import argparse
+import ast
 import csv
+import importlib
+import inspect
 import io
 import json
 import runpy
@@ -564,14 +567,86 @@ def test_flows_jobs_keep_their_steps_and_order():
 
 
 def test_importing_the_cli_loads_no_report_pipeline():
-    # verify and bridge import identities and bridge when they run
+    # verify and bridge import identities and bridge when they run; bridge
+    # takes its residual rows from report, and recurrence keeps its own
+    # series kernel, each in a fresh interpreter
     src = str(JOB.parent.parent / "src")
-    code = (f"import sys; sys.path.insert(0, {src!r}); import hankelpv.cli; "
-            "print(sorted(m for m in ('hankelpv.identities', 'hankelpv.bridge') "
-            "if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True)
-    assert proc.stdout == "[]\n"
+    for module, unloaded in [("cli", ("identities", "bridge")), ("bridge", ("identities",)),
+                             ("recurrence", ("ode",))]:
+        code = (f"import sys; sys.path.insert(0, {src!r}); import hankelpv.{module}; "
+                f"print(sorted(m for m in {unloaded!r} if 'hankelpv.' + m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert proc.stdout == "[]\n", module
+
+
+def _perfbench_bindings(path):
+    """(name, object, call) for each hankelpv name a perfbench script binds
+    or calls outside the traced jobs: every `from hankelpv... import`, every
+    attribute of a hankelpv module (`cli` is the one job.py passes around),
+    and each call's positional count and keyword names, or None."""
+    tree = ast.parse(path.read_text())
+    modules, names = {"cli": cli}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("hankelpv"):
+            for alias in node.names:
+                bound = getattr(importlib.import_module(node.module), alias.name)
+                (modules if inspect.ismodule(bound) else names)[alias.asname or alias.name] = bound
+    calls = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            calls[id(node.func)] = (len(node.args), [k.arg for k in node.keywords])
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            module = modules[node.value.id]
+            assert hasattr(module, node.attr), f"{path.name}: {module.__name__}.{node.attr}"
+            found.append((node.attr, getattr(module, node.attr), calls.get(id(node))))
+        elif isinstance(node, ast.Name) and node.id in names:
+            found.append((node.id, names[node.id], calls.get(id(node))))
+    return found
+
+
+def test_perfbench_untraced_names_resolve():
+    # perfbench/record.py and job.py bind these names outside any traced job
+    # (record.py patches cli.solve_piii_prime and cli.continue_pv by name),
+    # so a rename or a changed signature shows here, not only when the
+    # benchmark runs
+    seen = set()
+    for script in ("record.py", "job.py"):
+        for name, bound, call in _perfbench_bindings(JOB.parent / script):
+            seen.add(name)
+            if call is not None:
+                positional, keywords = call
+                inspect.signature(bound).bind(*[None] * positional,
+                                              **dict.fromkeys(keywords))
+    for name in ("solve_piii_prime", "continue_pv"):
+        assert callable(getattr(cli, name)), name
+    assert {"aux_r", "aux_R", "fmt", "verify_records", "render", "recurrence_table",
+            "make_tilde_params", "verify_jmo_sigma_form", "config_from_args"} <= seen
+
+
+def test_moments_past_the_anchor_range_exit_2():
+    # at t = 1e4 the U-function anchors' 1F1 series give up
+    err = io.StringIO()
+    assert _run(["moments", "--alpha", "1", "--t", "1e4", "--j", "2"], err) \
+        == (cli.EXIT_NUMERIC, "")
+    assert err.getvalue() == ("error: the U-function moment failed to converge at "
+                              "t=10000.0: hypercomb gave up on its 1F1 series\n")
+
+
+@pytest.mark.parametrize("mode, s", [("g1", "1e6"), ("sigma-n4", "1e-300"), ("g2", "1e-300"),
+                                     ("delta1", "1e-300")])
+def test_scan_past_its_numerics_records_point_errors(mode, s):
+    # at s = 1e6 the moment anchors fail; at s = 1e-300 the seed r_1 rounds
+    # to 0 and the difference run's first step divides by 0. Each point
+    # escalates once, is recorded as an error, and the scan exits 2
+    err = io.StringIO()
+    status, out = _run(["scan", "--mode", mode, "--s", s, "--n-list", "4,8"], err)
+    assert status == cli.EXIT_NUMERIC
+    assert [row["raw"] for row in _rows(out)] == ["", ""]
+    assert "scan: flag: point-errors\n" in err.getvalue()
 
 
 def test_integral_suite_exits_2_past_the_node_cap(monkeypatch):

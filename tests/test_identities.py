@@ -6,7 +6,6 @@ from mpmath import mp, mpf
 from hankelpv import identities
 from hankelpv.identities import (
     DEFAULT_Z_POINTS,
-    IDENTITY_IDS,
     run_identity_suite,
     sign_monitor,
     verify_difference_equations,
@@ -14,19 +13,48 @@ from hankelpv.identities import (
     verify_integral_representation,
     verify_linear_ode_Pn,
     verify_scalar_identities,
-    normalize,
-    worst_sample,
 )
 from hankelpv.ladder import ROUTE_QUADRATURE, aux_table
 from hankelpv.precision import PrecisionConfig, working_precision
 from hankelpv.quadrature import ConvergenceError
 from hankelpv.recurrence import recurrence_table
+from hankelpv.report import normalize, worst_sample
 from hankelpv.weights import make_params
 
 from oracles import initial_R1, initial_r1
 
 CFG = PrecisionConfig()
 CFG_LO = PrecisionConfig(bits=256, target_digits=30)
+
+IDENTITY_IDS = (
+    "s1",
+    "s21",
+    "s22",
+    "s2",
+    "s2p1",
+    "s2p2",
+    "s2p3",
+    "imp",
+    "be3",
+    "be4",
+    "rn-diff",
+    "Rn-diff",
+    "ricca1",
+    "ricca2",
+    "ode",
+    "pv",
+    "ode2",
+    "eq1",
+    "eq2",
+    "pnt",
+    "sode",
+    "sd",
+    "sr",
+    "integral-rep",
+    "linear-ode-Pn",
+    "lowering",
+    "raising",
+)
 
 
 def test_identity_id_enumeration():

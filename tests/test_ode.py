@@ -3,17 +3,18 @@
 import pytest
 from mpmath import mp, mpf
 
+from hankelpv import ode
 from hankelpv.ode import (
     OdeProblem,
     SingularityHalt,
     StepUnderflowHalt,
     _scaled_jet,
     binary_point,
-    cauchy,
     solve_ode,
     to_fixed,
 )
 from hankelpv.precision import PrecisionConfig, working_precision
+from hankelpv.recurrence import cauchy
 
 CFG = PrecisionConfig()
 
@@ -226,7 +227,8 @@ def test_singularity_guard_halts_with_partial_trajectory():
         assert len(halt.samples) > 2
 
 
-def test_unguarded_blowup_halts_on_step_budget():
+def test_unguarded_blowup_halts_on_step_budget(monkeypatch):
+    monkeypatch.setattr(ode, "DEFAULT_MAX_STEPS", 400)
     problem = OdeProblem(
         rhs=lambda x, y: [y[0] ** 2],
         jet=SQUARE,
@@ -234,7 +236,6 @@ def test_unguarded_blowup_halts_on_step_budget():
         y0=[1],
         x_end=2,
         tolerance=mpf(10) ** -3,
-        max_steps=400,
     )
     with pytest.raises((StepUnderflowHalt, SingularityHalt)):
         solve_ode(problem, CFG)
