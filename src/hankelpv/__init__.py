@@ -20,11 +20,16 @@ The modules are organized bottom-up:
   point;
 - `series`: the exact rational small-s and large-s series of g(s, a) and
   of the log-ratio;
-- `asymptotics`: series tables, the Painleve V and III' flows and the
-  double-scaling scans;
+- `flows`: the Painleve V flow for R_n(t) and the PIII' flow for g(s, a),
+  on one runner;
+- `asymptotics`: the series tables, the double-scaling scans and the Dyson
+  constant-term experiment;
 - `report`: the residual rows, one record builder and the deterministic
   CSV/JSON rendering;
-- `cli`: the command-line front end.
+- `choices`: the named choices the command line offers (series kinds, scan
+  modes, aux routes);
+- `cli`: the command-line front end, which loads each pipeline when its
+  command runs.
 """
 
 from .precision import PrecisionConfig, working_precision

@@ -10,9 +10,13 @@ target_digits; identical invocations produce byte-identical output.
 
 Each subcommand's handler reads the parsed argparse namespace, once
 config_from_args has resolved --bits and split --n-list, and passes its
-value rows under its own column names to report.table_records. The verify
-and bridge handlers import their pipelines when they run, so no other
-command loads them.
+value rows under its own column names to report.table_records.
+
+A command loads only what it runs. At import this module loads report,
+precision, the parser's choices (choices.py) and the flows (flows.py,
+with ode and series); every other handler imports its pipeline when it
+runs, so solve-p3 loads no moment table, quadrature or scan, and solve-pv
+loads its tables when its flow is seeded.
 """
 
 from __future__ import annotations
@@ -24,19 +28,9 @@ import sys
 from mpmath import mp
 
 from . import report
-from .asymptotics import (
-    DEFAULT_N_LIST,
-    FIXED_KINDS,
-    SCAN_MODES,
-    SERIES_KINDS,
-    continue_pv,
-    double_scaling_scan,
-    dyson_constant_experiment,
-    seed_point,
-    series_eval,
-    solve_piii_prime,
-)
-from .ladder import ROUTE_IDENTITY, ROUTE_QUADRATURE, aux_table
+from .choices import (AUX_ROUTES, DEFAULT_N_LIST, FIXED_KINDS, ROUTE_IDENTITY, SCAN_MODES,
+                      SERIES_KINDS)
+from .flows import continue_pv, seed_point, solve_piii_prime
 from .precision import (
     DEFAULT_BITS,
     DEFAULT_TARGET_DIGITS,
@@ -48,8 +42,6 @@ from .precision import (
     to_mpf,
     working_precision,
 )
-from .recurrence import recurrence_table
-from .weights import MomentTable, make_params
 
 EXIT_OK = 0
 EXIT_FINDING = 1
@@ -58,7 +50,6 @@ EXIT_NUMERIC = 2
 VERIFY_SUITES = ("all", "scalar", "difference", "differential", "ladder", "ode-pn", "integral")
 BRIDGE_SUITES = ("all", "parity", "jmo")
 JMO_B = "-0.5"  # shifted-weight exponent at 0 when --b is not given
-AUX_ROUTES = (ROUTE_IDENTITY, ROUTE_QUADRATURE)
 
 # natural (x, y) columns for --emit-plot-data, per command that offers it
 PLOT_KEYS = {
@@ -156,6 +147,8 @@ def _flow_report(trajectory, points, columns, config: PrecisionConfig,
 
 
 def _cmd_moments(args, config: PrecisionConfig):
+    from .weights import MomentTable, make_params
+
     params = make_params(args.alpha, args.t, config)
     if args.j is not None:
         indices = [args.j]
@@ -172,6 +165,9 @@ def _bits_note(config: PrecisionConfig, used: PrecisionConfig) -> list:
 
 
 def _cmd_hankel(args, config: PrecisionConfig):
+    from .recurrence import recurrence_table
+    from .weights import make_params
+
     params = make_params(args.alpha, args.t, config)
     orders = [args.n] if args.n is not None else list(range(1, args.n_max + 1))
     table = recurrence_table(orders[-1], params, config)
@@ -181,6 +177,9 @@ def _cmd_hankel(args, config: PrecisionConfig):
 
 
 def _cmd_recurrence(args, config: PrecisionConfig):
+    from .recurrence import recurrence_table
+    from .weights import make_params
+
     params = make_params(args.alpha, args.t, config)
     table = recurrence_table(args.n_max, params, config)
     rows = [(n, table.params.alpha, table.params.t, table.h[n], table.beta[n], table.p1[n],
@@ -190,6 +189,9 @@ def _cmd_recurrence(args, config: PrecisionConfig):
 
 
 def _cmd_aux(args, config: PrecisionConfig):
+    from .ladder import aux_table
+    from .weights import make_params
+
     params = make_params(args.alpha, args.t, config)
     aux = aux_table(args.n_max, params, config, route=args.route)
     rows = [(n, aux.params.alpha, aux.params.t, aux.r[n], aux.R[n], aux.sigma[n], args.route)
@@ -215,6 +217,7 @@ def _reject_unread(args, option: str, *suites: str) -> None:
 
 def _cmd_verify(args, config: PrecisionConfig):
     from .identities import run_identity_suite
+    from .weights import make_params
 
     _reject_unread(args, "--n", "integral")
     params = make_params(args.alpha, args.t, config)
@@ -230,6 +233,7 @@ def _cmd_verify(args, config: PrecisionConfig):
 def _cmd_bridge(args, config: PrecisionConfig):
     from .bridge import (check_jmo_orders, make_tilde_params, verify_jmo_sigma_form,
                          verify_parity_splitting)
+    from .weights import make_params
 
     for option in ("--n-list", "--b"):
         _reject_unread(args, option, "jmo", "all")
@@ -255,6 +259,8 @@ def _cmd_bridge(args, config: PrecisionConfig):
 
 
 def _cmd_solve_pv(args, config: PrecisionConfig):
+    from .weights import make_params
+
     points = _grid(args.t0, args.t_end, args.samples, config)
     trajectory = continue_pv(args.n, make_params(args.alpha, args.t0, config), args.t0,
                              args.t_end, config, tolerance=args.tolerance, sample_points=points)
@@ -287,12 +293,16 @@ def _cmd_solve_p3(args, config: PrecisionConfig):
 
 
 def _cmd_scan(args, config: PrecisionConfig):
+    from .asymptotics import double_scaling_scan
+
     n_list = args.n_list if args.n_list is not None else DEFAULT_N_LIST
     result = double_scaling_scan(args.s, n_list, args.alpha, args.mode, config,
                                  allow_large_n=args.allow_large_n,
                                  reference_kind=args.reference)
     notes = [f"{note} at n={n}" for n, used in zip(result.n_list, result.configs)
              for note in _bits_note(config, used)]
+    notes += [f"point-error at n={n}: {error}" for n, error in zip(result.n_list, result.errors)
+              if error is not None]
     notes += [f"flag: {flag}" for flag in result.flags]
     if result.error_bar is not None:
         notes.append(f"error_bar: {report.fmt(result.error_bar, config)}")
@@ -304,6 +314,8 @@ def _cmd_scan(args, config: PrecisionConfig):
 
 
 def _cmd_series(args, config: PrecisionConfig):
+    from .asymptotics import series_eval
+
     rows = []
     for part in args.s.split(","):
         value = series_eval(args.kind, part.strip(), config, a=args.a)
@@ -314,6 +326,8 @@ def _cmd_series(args, config: PrecisionConfig):
 
 
 def _cmd_dyson(args, config: PrecisionConfig):
+    from .asymptotics import dyson_constant_experiment
+
     n_list = args.n_list if args.n_list is not None else DEFAULT_N_LIST
     experiment = dyson_constant_experiment(args.alpha, args.s_lo, args.s_hi, n_list, config,
                                            route=args.route, tolerance=args.tolerance)

@@ -39,14 +39,12 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
+from .choices import AUX_ROUTES, ROUTE_IDENTITY, ROUTE_QUADRATURE
 from .precision import NumericsError, PrecisionConfig, working_precision
 from .quadrature import integrate_unit_vector
 from .recurrence import (RecurrenceTable, negated_prefix_sums, recurrence_table,
                          three_term_values)
 from .weights import MomentTable, WeightParams, weight_value
-
-ROUTE_IDENTITY = "identity"
-ROUTE_QUADRATURE = "quadrature"
 
 
 def _parity(n: int) -> int:
@@ -165,7 +163,7 @@ def aux_table(
 ) -> AuxTable:
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    if route not in (ROUTE_IDENTITY, ROUTE_QUADRATURE):
+    if route not in AUX_ROUTES:
         raise ValueError(f"unknown route {route!r}")
     table = recurrence
     if table is None or table.n_max < n_max + 1:

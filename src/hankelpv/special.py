@@ -20,6 +20,10 @@ from .precision import (
 )
 
 
+# past this t the U-function moment raises at once (exp_beta_moment)
+ANCHOR_T_MAX = 4096
+
+
 class PoleError(NumericsError):
     """Argument sits on a pole of the requested function."""
 
@@ -86,11 +90,26 @@ def exp_beta_moment(c, b, t, config: PrecisionConfig) -> mpf:
     every moment anchor): the same bits, 2 to 100 times faster. The two
     terms cancel about 2.9 t bits at the anchors, so the precision cap is
     raised past hypercomb's default once 3 t outgrows it (t above about
-    1250 at 128 bits). Past t of about 5000 its 1F1 series give up, and
-    that raises NumericsError.
+    1250 at 128 bits).
+
+    hypercomb climbs to that precision by about the working bits per pass,
+    and each pass sums 1F1 series of about 4.6 t terms, so an anchor's cost
+    grows like t^3: one anchor at 128 bits takes 1 s at t = 1000, 8 s at
+    2000, 32 s at 3000 and 2 minutes at 4000. Its first pass allows 100
+    terms per working bit, so the series give up past t of about
+    21.7 (bits + 60): 4,070 at 128 bits, 6,840 at 256 and 12,390 at 512.
+    Below that the anchors converge, but slowly: at 512 bits one takes 26 s
+    at t = 4096 and 9 minutes at t = 10^4. So past ANCHOR_T_MAX, above
+    every t that converges at 128 bits, the moment raises NumericsError at
+    once; below it every value is the one hypercomb gives, and its
+    NoConvergence becomes a NumericsError too.
     """
     with working_precision(config) as ctx:
         c, b, t = mpf(c), mpf(b), mpf(t)
+        if t > ANCHOR_T_MAX:
+            raise NumericsError(f"the U-function moment at t={mp.nstr(t, 8)} is past the "
+                                f"anchors' range t <= {ANCHOR_T_MAX}, where hypercomb's 1F1 series "
+                                "give up or run for minutes")
         if t == 0:
             if not c > -1:
                 raise ValueError("moments of negative order need t > 0")

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from hankelpv import asymptotics, ode, quadrature
+from hankelpv import flows, ode, quadrature
 
 
 @pytest.fixture
@@ -53,7 +53,7 @@ def taylor_steps(monkeypatch):
     the jet's scale (ode._scaled_jet), which no flow these tests count does,
     and a step it has sized is never retried, so on a run that finishes the
     length is the accepted step count. The flows bind solve_ode by name in
-    hankelpv.asymptotics, so that binding is wrapped too.
+    hankelpv.flows, so that binding is wrapped too.
     """
     points = []
     solve = ode.solve_ode
@@ -68,5 +68,5 @@ def taylor_steps(monkeypatch):
         return solve(dataclasses.replace(problem, jet=recorded), *args, **kwargs)
 
     monkeypatch.setattr(ode, "solve_ode", counted)
-    monkeypatch.setattr(asymptotics, "solve_ode", counted)
+    monkeypatch.setattr(flows, "solve_ode", counted)
     return points

@@ -1,4 +1,4 @@
-"""Double-scaling layer: series tables, scaled flows, scans, experiments."""
+"""Double-scaling layer and the Taylor flows: series tables, flows, scans, experiments."""
 
 from fractions import Fraction
 from math import lcm
@@ -6,13 +6,9 @@ from math import lcm
 import pytest
 from mpmath import mp, mpf
 
-from hankelpv import asymptotics, ladder
+from hankelpv import asymptotics, flows, ladder
 from hankelpv.asymptotics import (
-    FIXED_KINDS,
-    ORDER_SMALL_SEED,
-    SERIES_KINDS,
     c_constant,
-    continue_pv,
     double_scaling_scan,
     dyson_constant_experiment,
     dyson_reference,
@@ -21,9 +17,10 @@ from hankelpv.asymptotics import (
     log_ratio_small_coefficients,
     series_eval,
     series_expansion,
-    solve_piii_prime,
 )
+from hankelpv.choices import FIXED_KINDS, SERIES_KINDS
 from hankelpv.cli import _grid, target_digits_for_bits
+from hankelpv.flows import continue_pv, solve_piii_prime
 from hankelpv.identities import _ladder_t_derivatives
 from hankelpv.ladder import aux_table
 from hankelpv.ode import JetDefectError, binary_point
@@ -549,13 +546,13 @@ def test_flow_determinism():
 # each flow's jet against its right-hand side, at points off the seeded paths:
 # (rhs, jet, x, y)
 JETS = {
-    "piii-plus": (asymptotics._piii_rhs(mpf(1) / 2), asymptotics._piii_jet(mpf(1) / 2),
+    "piii-plus": (flows._piii_rhs(mpf(1) / 2), flows._piii_jet(mpf(1) / 2),
                   "0.3", ("0.25", "0.9")),
-    "piii-minus": (asymptotics._piii_rhs(-mpf(1) / 2), asymptotics._piii_jet(-mpf(1) / 2),
+    "piii-minus": (flows._piii_rhs(-mpf(1) / 2), flows._piii_jet(-mpf(1) / 2),
                    "1.2", ("-0.4", "0.3")),
-    "pv-even": (asymptotics._pv_rhs(2, mpf(1)), asymptotics._pv_jet(2, mpf(1)),
+    "pv-even": (flows._pv_rhs(2, mpf(1)), flows._pv_jet(2, mpf(1)),
                 "0.2", ("1.1", "5")),
-    "pv-odd": (asymptotics._pv_rhs(3, mpf(5) / 2), asymptotics._pv_jet(3, mpf(5) / 2),
+    "pv-odd": (flows._pv_rhs(3, mpf(5) / 2), flows._pv_jet(3, mpf(5) / 2),
                "0.6", ("0.8", "-1.2")),
     "coupled": (asymptotics._coupled_rhs(mpf(1) / 2), asymptotics._coupled_jet(mpf(1) / 2),
                 "0.4", ("0.3", "0.8", "-0.2", "0.1")),
@@ -610,9 +607,9 @@ JET_CASES = {
 def _jet_and_reference(n, a):
     a = mpf(a)
     if n is None:
-        return (asymptotics._piii_jet(a),
+        return (flows._piii_jet(a),
                 lambda x, y, order: oracles.piii_series(a, x, y, order))
-    return asymptotics._pv_jet(n, a), lambda x, y, order: oracles.pv_series(n, a, x, y, order)
+    return flows._pv_jet(n, a), lambda x, y, order: oracles.pv_series(n, a, x, y, order)
 
 
 def _worst_relative_error(rows, reference):
@@ -665,7 +662,7 @@ def test_a_perturbed_jet_coefficient_is_a_jet_defect(monkeypatch, flow):
         return factory
 
     name = "_pv_jet" if flow == "pv" else "_piii_jet"
-    monkeypatch.setattr(asymptotics, name, bumped(getattr(asymptotics, name)))
+    monkeypatch.setattr(flows, name, bumped(getattr(flows, name)))
     with pytest.raises(JetDefectError):
         if flow == "pv":
             continue_pv(2, make_params(1, "0.1", LO), "0.1", "0.3", LO)
@@ -692,7 +689,7 @@ def test_pv_rhs_solves_for_the_moment_second_derivative(alpha, t, n):
     big_r = aux_table(n, params, LO).R[n]
     der = _ladder_t_derivatives(n, params, LO, 2)["R"]
     with working_precision(LO):
-        got = asymptotics._pv_rhs(n, params.alpha)(params.t, [big_r, der[1][n]])[1]
+        got = flows._pv_rhs(n, params.alpha)(params.t, [big_r, der[1][n]])[1]
         assert abs(got - der[2][n]) <= mpf(10) ** -60 * abs(der[2][n])
 
 
@@ -708,8 +705,8 @@ def test_pv_trivial_span():
 def test_pv_halts_at_the_divergence_cap(monkeypatch):
     # a seed slope of 1e9 drives the flow into the cap the g flows share;
     # without it the flow ran on until its step size underflowed
-    seed = asymptotics._seed_aux
-    monkeypatch.setattr(asymptotics, "_seed_aux",
+    seed = flows._seed_aux
+    monkeypatch.setattr(flows, "_seed_aux",
                         lambda n, alpha, t, config: (seed(n, alpha, t, config)[0], mpf(10) ** 9))
     config = PrecisionConfig(bits=128, target_digits=15)
     traj = continue_pv(2, make_params(1, "0.1", config), "0.1", "0.3", config,

@@ -16,6 +16,7 @@ import importlib
 import inspect
 import io
 import json
+import os
 import runpy
 import subprocess
 import sys
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from hankelpv import asymptotics, bridge, cli, identities, report
+from hankelpv import bridge, cli, identities, ladder, report, weights
 from hankelpv.precision import DEFAULT_BITS, ENV_BITS, PrecisionConfig
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -306,9 +307,9 @@ def test_bad_counts_are_usage_errors(argv, flag):
 
 
 def test_scan_rejects_a_mismatched_reference_before_any_table(monkeypatch):
+    # every scan point starts from a moment table
     built = []
-    monkeypatch.setattr(asymptotics, "recurrence_table",
-                        lambda *args: built.append(args))
+    monkeypatch.setattr(weights.MomentTable, "build", lambda *args: built.append(args))
     err = io.StringIO()
     status, out = _run(["scan", "--mode", "g1", "--s", "0.1", "--reference", "g2-small"], err)
     assert (status, out, built) == (cli.EXIT_NUMERIC, "", [])
@@ -352,8 +353,8 @@ def test_flows_report_their_step_count(monkeypatch, taylor_steps, name, solver):
 
 def test_solve_pv_grades_its_endpoint_gap(monkeypatch):
     # one extra R in 2tR' gives the flow a wrong seed slope
-    original = asymptotics.riccati_terms
-    monkeypatch.setattr(asymptotics, "riccati_terms",
+    original = ladder.riccati_terms
+    monkeypatch.setattr(ladder, "riccati_terms",
                         lambda n, R, r, params: original(n, R, r, params) + [R])
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
@@ -566,18 +567,79 @@ def test_flows_jobs_keep_their_steps_and_order():
         assert f"{command}: order: {order}\n" in err.getvalue(), spec["id"]
 
 
+# what a fresh interpreter loads: hankelpv.cli, and what each handler
+# imports when it runs
+SRC = JOB.parent.parent / "src"
+CLI_MODULES = ["choices", "cli", "flows", "ode", "precision", "report", "series"]
+TABLES = ["quadrature", "recurrence", "special", "weights"]
+SCANS = ["asymptotics", "ladder", *TABLES]
+
+
+def _loaded(code):
+    """The hankelpv modules loaded after `code` runs in a fresh interpreter."""
+    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); {code}; "
+            "print(sorted(m[9:] for m in sys.modules if m.startswith('hankelpv.')), "
+            "file=sys.__stdout__)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, check=True)
+    return ast.literal_eval(proc.stdout)
+
+
 def test_importing_the_cli_loads_no_report_pipeline():
-    # verify and bridge import identities and bridge when they run; bridge
-    # takes its residual rows from report, and recurrence keeps its own
-    # series kernel, each in a fresh interpreter
-    src = str(JOB.parent.parent / "src")
-    for module, unloaded in [("cli", ("identities", "bridge")), ("bridge", ("identities",)),
-                             ("recurrence", ("ode",))]:
-        code = (f"import sys; sys.path.insert(0, {src!r}); import hankelpv.{module}; "
-                f"print(sorted(m for m in {unloaded!r} if 'hankelpv.' + m in sys.modules))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              check=True)
-        assert proc.stdout == "[]\n", module
+    # every handler but the flows' imports its pipeline when it runs, and
+    # solve-pv's flow imports its tables when it seeds; bridge takes its
+    # residual rows from report, and recurrence keeps its own series kernel
+    assert _loaded("import hankelpv.cli") == CLI_MODULES
+    pipelines = ("identities", "bridge", "ladder", "recurrence", "weights", "special",
+                 "quadrature", "asymptotics")
+    for module, unloaded in [("cli", pipelines), ("flows", pipelines),
+                             ("bridge", ("identities",)), ("recurrence", ("ode",))]:
+        assert set(_loaded(f"import hankelpv.{module}")).isdisjoint(unloaded), module
+
+
+LOADED_BY = {
+    "moments": (["moments", *AT, "--j", "2"], ["quadrature", "special", "weights"]),
+    "hankel": (["hankel", *AT, "--n", "2"], TABLES),
+    "recurrence": (["recurrence", *AT, "--n-max", "1"], TABLES),
+    "aux": (["aux", *AT, "--n-max", "1"], ["ladder", *TABLES]),
+    "verify": (["verify", "--suite", "scalar", *AT, "--n-max", "1"],
+               ["identities", "ladder", *TABLES]),
+    "bridge": (["bridge", "--suite", "parity", *AT, "--n-max", "0"],
+               ["bridge", "ladder", *TABLES]),
+    "solve-pv": (["solve-pv", "--n", "1", "--alpha", "1", "--t0", "0.1", "--t-end", "0.1"],
+                 ["ladder", *TABLES]),
+    "solve-p3": (["solve-p3", "--a", "1/2", "--s", "0.05", "--samples", "2"], []),
+    "scan": (["scan", "--mode", "g1", "--s", "0.1", "--n-list", "2,4"], SCANS),
+    "series": (["series", "--kind", "g1-small", "--s", "0.1"], SCANS),
+    "dyson": (["dyson", "--route", "scan", "--n-list", "2,4"], SCANS),
+}
+
+
+def test_every_subcommand_pins_what_it_loads():
+    assert set(LOADED_BY) == set(cli._HANDLERS)
+
+
+@pytest.mark.parametrize("command", list(LOADED_BY))
+def test_a_command_loads_only_its_pipeline(command):
+    # solve-p3 loads no table, quadrature or scan: its flow, the ODE
+    # integrator and the exact series load with the cli
+    argv, pipeline = LOADED_BY[command]
+    code = ("import io, hankelpv.cli; sys.stdout = io.StringIO(); "
+            f"assert hankelpv.cli.main({[*argv, '--bits', '128']!r}) == 0")
+    assert _loaded(code) == sorted(CLI_MODULES + pipeline)
+
+
+@pytest.mark.parametrize("command", ["", *cli._HANDLERS])
+def test_help_is_unchanged(monkeypatch, command):
+    # the choices the parser offers live in hankelpv.choices; the help texts
+    # are pinned byte for byte at an 80-column terminal
+    monkeypatch.setenv("COLUMNS", "80")
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as excinfo:
+        cli.main([command, "--help"] if command else ["--help"])
+    assert excinfo.value.code == 0
+    expected = GOLDEN / "help" / f"{command or 'hankelpv'}.txt"
+    assert out.getvalue() == expected.read_bytes().decode()
 
 
 def _perfbench_bindings(path):
@@ -627,13 +689,35 @@ def test_perfbench_untraced_names_resolve():
             "make_tilde_params", "verify_jmo_sigma_form", "config_from_args"} <= seen
 
 
+PAST_THE_ANCHORS = ("error: the U-function moment at t=10000.0 is past the anchors' range "
+                    "t <= 4096, where hypercomb's 1F1 series give up or run for minutes\n")
+
+
 def test_moments_past_the_anchor_range_exit_2():
-    # at t = 1e4 the U-function anchors' 1F1 series give up
+    # at t = 1e4 the U-function anchors' 1F1 series give up at 128 bits
     err = io.StringIO()
     assert _run(["moments", "--alpha", "1", "--t", "1e4", "--j", "2"], err) \
         == (cli.EXIT_NUMERIC, "")
-    assert err.getvalue() == ("error: the U-function moment failed to converge at "
-                              "t=10000.0: hypercomb gave up on its 1F1 series\n")
+    assert err.getvalue() == PAST_THE_ANCHORS
+
+
+def test_anchors_past_their_range_fail_at_once_at_512_bits():
+    # at 512 bits the 1F1 series hold out to t = 1e4, where each anchor
+    # took 9 minutes to converge
+    argv = ["moments", "--alpha", "1", "--t", "1e4", "--j", "2", "--bits", "512"]
+    proc = subprocess.run([sys.executable, "-m", "hankelpv.cli", *argv], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (cli.EXIT_NUMERIC, "", PAST_THE_ANCHORS)
+
+
+# each point's error, and the reference a scan still prints
+POINT_ERRORS = {
+    "1e6": ("the U-function moment at t=31250.0 is past the anchors' range t <= 4096",
+            "the U-function moment at t=7812.5 is past the anchors' range t <= 4096"),
+    "1e-300": ("the difference run divides by A_n + B_n = 0 at n=1",) * 2,
+}
+REFERENCES = {"g1": "20033.3334257746", "sigma-n4": "", "g2": "4.0e-300",
+              "delta1": "-1.33333333333333e-600"}
 
 
 @pytest.mark.parametrize("mode, s", [("g1", "1e6"), ("sigma-n4", "1e-300"), ("g2", "1e-300"),
@@ -641,12 +725,18 @@ def test_moments_past_the_anchor_range_exit_2():
 def test_scan_past_its_numerics_records_point_errors(mode, s):
     # at s = 1e6 the moment anchors fail; at s = 1e-300 the seed r_1 rounds
     # to 0 and the difference run's first step divides by 0. Each point
-    # escalates once, is recorded as an error, and the scan exits 2
+    # escalates once, is recorded as an error and named on stderr, and the
+    # scan exits 2 with no value in its rows
     err = io.StringIO()
     status, out = _run(["scan", "--mode", mode, "--s", s, "--n-list", "4,8"], err)
     assert status == cli.EXIT_NUMERIC
-    assert [row["raw"] for row in _rows(out)] == ["", ""]
-    assert "scan: flag: point-errors\n" in err.getvalue()
+    s_cell = "1000000.0" if s == "1e6" else "1.0e-300"
+    assert out == "mode,s,n,raw,extrapolated,reference,agreement_digits\n" + "".join(
+        f"{mode},{s_cell},{n},,,{REFERENCES[mode]},\n" for n in (4, 8))
+    lines = err.getvalue().splitlines()
+    for line, n, error in zip(lines, (4, 8), POINT_ERRORS[s]):
+        assert line.startswith(f"scan: point-error at n={n}: {error}"), line
+    assert lines[2:] == ["scan: flag: point-errors", "scan: flag: extrapolation-unavailable"]
 
 
 def test_integral_suite_exits_2_past_the_node_cap(monkeypatch):
