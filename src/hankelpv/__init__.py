@@ -19,11 +19,11 @@ The modules are organized bottom-up:
 - `ode`: adaptive Taylor-series integration of polynomial flows, in fixed
   point;
 - `series`: the exact rational small-s and large-s series of g(s, a) and
-  of the log-ratio;
-- `flows`: the Painleve V flow for R_n(t) and the PIII' flow for g(s, a),
-  on one runner;
-- `asymptotics`: the series tables, the double-scaling scans and the Dyson
-  constant-term experiment;
+  of the log-ratio, and the truncated series tables;
+- `flows`: the Painleve V flow for R_n(t), the PIII' flow for g(s, a) and
+  that flow with the log-ratio, on one runner;
+- `scans`: the double-scaling scans and the Dyson constant-term experiment;
+- `asymptotics`: only imports, of the names the benchmark's tracer wraps;
 - `report`: the residual rows, one record builder and the deterministic
   CSV/JSON rendering;
 - `choices`: the named choices the command line offers (series kinds, scan

@@ -1,8 +1,8 @@
 """The named choices the command line offers and the pipelines check.
 
 Every command loads this module, so the parser builds its choices from it
-without importing the pipeline that reads them: the series tables and the
-scans (asymptotics) and the auxiliary tables (ladder).
+without importing the pipeline that reads them: the series tables (series),
+the scans (scans) and the auxiliary tables (ladder).
 """
 
 # series tables: the fixed kinds are the families at a = +-1/2, the

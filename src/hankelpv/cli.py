@@ -14,9 +14,9 @@ value rows under its own column names to report.table_records.
 
 A command loads only what it runs. At import this module loads report,
 precision, the parser's choices (choices.py) and the flows (flows.py,
-with ode and series); every other handler imports its pipeline when it
-runs, so solve-p3 loads no moment table, quadrature or scan, and solve-pv
-loads its tables when its flow is seeded.
+with ode); every other handler imports its pipeline when it runs, so
+series loads only the series, solve-p3 loads no moment table, quadrature
+or scan, and solve-pv loads its tables when its flow is seeded.
 """
 
 from __future__ import annotations
@@ -293,7 +293,7 @@ def _cmd_solve_p3(args, config: PrecisionConfig):
 
 
 def _cmd_scan(args, config: PrecisionConfig):
-    from .asymptotics import double_scaling_scan
+    from .scans import double_scaling_scan
 
     n_list = args.n_list if args.n_list is not None else DEFAULT_N_LIST
     result = double_scaling_scan(args.s, n_list, args.alpha, args.mode, config,
@@ -314,7 +314,7 @@ def _cmd_scan(args, config: PrecisionConfig):
 
 
 def _cmd_series(args, config: PrecisionConfig):
-    from .asymptotics import series_eval
+    from .series import series_eval
 
     rows = []
     for part in args.s.split(","):
@@ -326,7 +326,7 @@ def _cmd_series(args, config: PrecisionConfig):
 
 
 def _cmd_dyson(args, config: PrecisionConfig):
-    from .asymptotics import dyson_constant_experiment
+    from .scans import dyson_constant_experiment
 
     n_list = args.n_list if args.n_list is not None else DEFAULT_N_LIST
     experiment = dyson_constant_experiment(args.alpha, args.s_lo, args.s_hi, n_list, config,

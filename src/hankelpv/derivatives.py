@@ -18,7 +18,7 @@ noise**(1/10) so the truncation and noise contributions balance.
 
 from __future__ import annotations
 
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from .precision import NumericsError, PrecisionConfig, working_precision
 

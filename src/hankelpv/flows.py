@@ -1,28 +1,26 @@
 """Taylor flows: the scaled PIII' function g(s, a) and R_n(t) by Painleve V.
 
-The flow solvers integrate the scaled second-order equation for g(s, a)
-and the Painleve V equation for R_n(t), seeded from the small-s Taylor
-series (or a given start) respectively from the finite-n tables.  The
-large-s series are references, never seeds: the g solutions that share
-that expansion differ by exponentially small terms, which grow as a flow
-runs inward.  The R_n flow's rhs and seed slope solve ladder.pv_terms and
-riccati_terms, which the identity rows check.  Each Taylor jet for ode.py
-is its own transcription of its cleared equation: solve_ode checks every
-step's jet against the rhs, which is a check only while the two are
-written apart.  Every flow (g, R_n, and the Dyson experiment's g with the
-log-ratio in asymptotics) runs through one runner and returns one
-Trajectory; each names the factors of its cleared denominator (g; R_n and
-k1 + R_n), which drive the runner's singularity guard.
+The flow solvers integrate the scaled second-order equation for g(s, a),
+alone or with the log-ratio for the Dyson experiment (scans.py), and the
+Painleve V equation for R_n(t), seeded from the small-s Taylor series (or
+a given start) respectively from the finite-n tables.  The large-s series
+are references, never seeds: the g solutions that share that expansion
+differ by exponentially small terms, which grow as a flow runs inward.
+The R_n flow's rhs and seed slope solve ladder.pv_terms and riccati_terms,
+which the identity rows check.  Each Taylor jet for ode.py is its own
+transcription of its cleared equation: solve_ode checks every step's jet
+against the rhs, which is a check only while the two are written apart.
+Every flow runs through one runner and returns one Trajectory; each names
+the factors of its cleared denominator (g; R_n and k1 + R_n), which drive
+the runner's singularity guard.
 
-Only ode, series and precision load with this module, so `solve-p3` loads
-no table: the R_n flow imports ladder, recurrence and weights inside the
-functions that read them.
+Only ode and precision load with this module: the g flows import series,
+and the R_n flow ladder, recurrence and weights, when they seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 from mpmath import mp, mpf
@@ -30,17 +28,34 @@ from mpmath import mp, mpf
 from .ode import (OdeHalt, OdeProblem, binary_point, int_cauchy, shifted, solve_ode,
                   to_fixed)
 from .precision import NumericsError, PrecisionConfig, to_mpf, working_precision
-from .series import _as_fraction, _poly_seed, _small_seed_tail, g_small_series
-
-
-def _fr(value: Fraction) -> mpf:
-    """Fraction to mpf at the ambient precision."""
-    return mpf(value.numerator) / value.denominator
 
 
 # --- seeds from the exact small-s series (series.py) ---------------------------
 
 ORDER_SMALL_SEED = 64
+
+
+def _poly_seed(series, s0: mpf):
+    """Value and derivative at s0 of an ExactSeries, sum c_m s^m, m = 1..K."""
+    val = der = mpf(0)
+    for m in range(len(series.numerators), 0, -1):
+        n = series.numerators[m - 1]
+        val = val * s0 + n
+        der = der * s0 + m * n
+    return val * s0 / series.denominator, der / series.denominator
+
+
+def _small_seed_tail(series, s0: mpf) -> mpf:
+    """Geometric continuation estimate for the dropped Taylor remainder."""
+    top = len(series.numerators)
+    t_last = abs(series.numerators[-1]) * s0 ** top / series.denominator
+    t_prev = abs(series.numerators[-2]) * s0 ** (top - 1) / series.denominator
+    if t_prev == 0:
+        return t_last
+    ratio = t_last / t_prev
+    if ratio < mpf("0.5"):
+        return t_last * ratio / (1 - ratio)
+    return t_last * 10
 
 
 def _small_seed_point(series, s0: mpf, tol: mpf, search: bool = True) -> mpf:
@@ -70,7 +85,7 @@ def _small_seed_point(series, s0: mpf, tol: mpf, search: bool = True) -> mpf:
 _DIVERGENCE_CAP = mpf(10) ** 12
 
 
-def _flow_tolerance(tolerance, config: PrecisionConfig) -> mpf:
+def flow_tolerance(tolerance, config: PrecisionConfig) -> mpf:
     """The flow tolerance asked for, or by default a quarter of the digit
     target: the integrator's internal budget is tolerance^4, which keeps the
     endpoint error near the working floor."""
@@ -225,6 +240,8 @@ def solve_piii_prime(
     diverges; the partial path is returned with `halted` set rather than
     raised.
     """
+    from .series import _as_fraction, _fr, g_small_series
+
     with working_precision(config):
         s_end = to_mpf(s_end, config)
         if s_end <= 0:
@@ -233,7 +250,7 @@ def solve_piii_prime(
             s0 = to_mpf(s0, config)
             if s0 <= 0:
                 raise ValueError("s0 must be positive: the flow is singular at s = 0")
-        tol = _flow_tolerance(tolerance, config)
+        tol = flow_tolerance(tolerance, config)
         fr = _as_fraction(a)
         if y0 is None:
             series = g_small_series(fr, ORDER_SMALL_SEED)
@@ -247,6 +264,66 @@ def solve_piii_prime(
         a_val = _fr(fr)
         return _run_flow(_piii_rhs(a_val), _piii_jet(a_val), lambda y: [y[0]],
                          s0, start, s_end, tol, config, sample_points)
+
+
+# --- the g flow with the log-ratio, for the Dyson experiment --------------------
+
+
+def _coupled_jet(a_val: mpf) -> Callable:
+    """The PIII' jet with s H' = -g and s L' = H, order by order: on the
+    scaled rows the order-m terms of (s0 + H sigma) dF/dsigma = H rhs give
+    (m+1) F_(m+1) = H (rhs_m - m F_m) / s0."""
+
+    def jet(s, y, order, scale):
+        f = binary_point()
+        g, v = _piii_series(a_val, s, y, order, scale)
+        s0 = to_fixed(s, f)
+        big_h, big_l = [to_fixed(y[2], f)], [to_fixed(y[3], f)]
+        dh = dl = 0
+        for m in range(order):
+            dh = shifted((-g[m] - dh) << f, scale) // s0
+            dl = shifted((big_h[m] - dl) << f, scale) // s0
+            big_h.append(dh // (m + 1))
+            big_l.append(dl // (m + 1))
+        return [g, v, big_h, big_l]
+
+    return jet
+
+
+def _coupled_rhs(a_val: mpf) -> Callable:
+    """(g, g', H, L) flow: the inner pair is the g equation, and
+    d/ds(s L') = -g/s closes the log-ratio, the same map that builds the
+    log-ratio tables from the g coefficients term by term."""
+    base = _piii_rhs(a_val)
+
+    def rhs(s, y):
+        g, gp, slope, _ = y
+        inner = base(s, [g, gp])
+        return [inner[0], inner[1], -g / s, slope / s]
+
+    return rhs
+
+
+def log_ratio_flows(a_values, s_lo, s_end, tol: mpf, config: PrecisionConfig) -> list:
+    """The coupled flow (s, g, g', H, L), L the log-ratio, of each a in
+    `a_values` to s_end, up to the first that halts; each starts at the first
+    of s_lo, s_lo/2, ... where the small-s series of g and L meet its budget."""
+    from .series import _fr, g_small_series, log_ratio_small_series
+
+    flows = []
+    with working_precision(config):
+        for fr in a_values:
+            series = g_small_series(fr, ORDER_SMALL_SEED)
+            lam = log_ratio_small_series(fr, ORDER_SMALL_SEED)
+            s0 = _small_seed_point([series, lam], s_lo, tol)
+            gv, gd = _poly_seed(series, s0)
+            lv, ld = _poly_seed(lam, s0)
+            flows.append(_run_flow(_coupled_rhs(_fr(fr)), _coupled_jet(_fr(fr)),
+                                   lambda y: [y[0]], s0, [gv, gd, s0 * ld, lv], s_end, tol,
+                                   config))
+            if flows[-1].halted:
+                break
+    return flows
 
 
 # --- finite-n evolution of R_n(t) --------------------------------------------
@@ -357,7 +434,7 @@ def continue_pv(
         trajectory = _run_flow(_pv_rhs(n, alpha), _pv_jet(n, alpha),
                                lambda y: [y[0], k1 + y[0]],
                                t0, list(_seed_aux(n, alpha, t0, config)), t_end,
-                               _flow_tolerance(tolerance, config), config, sample_points)
+                               flow_tolerance(tolerance, config), config, sample_points)
         if not trajectory.halted:
             trajectory.endpoint_direct, _ = _seed_aux(n, alpha, t_end, config)
             trajectory.endpoint_gap = abs(trajectory.endpoint[1] - trajectory.endpoint_direct)

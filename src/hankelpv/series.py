@@ -1,16 +1,17 @@
-"""Exact rational series of the scaled quantity g(s, a) to any order.
+"""Exact rational series of the scaled quantity g(s, a), and their tables.
 
 The evolution equation fixes every coefficient of its small-s Taylor
 branch and its large-s descending branch through exact rational
 recurrences obtained from the polynomial form
   4s^2 g g'' - 4s^2 (g')^2 + 4s g g' - 8g^3 - 2asg + s^2 = 0,
 and the log-ratio L(s) follows from g through d/ds(s L'(s)) = -g(s)/s.
-The series tables of asymptotics are these recurrences truncated after six
-or seven terms, which the tests compare with the printed coefficients.  Six
-terms are far too few to seed an integrator whose per-step budget is
-tolerance^4: matching that budget with a 7th-order remainder would push
-the seed point so close to the singular origin that the step count
-explodes, so the flows' seeds run the small-s recurrence much further.
+The series tables, the references of the scans (scans.py), are these
+recurrences truncated after six or seven terms, with a first-omitted-term
+truncation estimate.  Six terms are far too few to seed an integrator
+whose per-step budget is tolerance^4: matching that budget with a
+7th-order remainder would push the seed point so close to the singular
+origin that the step count explodes, so the flows' seeds (flows.py) run
+the small-s recurrence much further.
 
 Each recurrence runs on integers: the coefficients are numerators N_k over
 one common denominator D, and g^2 is kept as numerators over D^2, so the
@@ -27,21 +28,28 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from typing import NamedTuple, Optional
 
-from mpmath import mpf
+from mpmath import mp, mpf
+
+from .choices import SERIES_KINDS
+from .precision import PrecisionConfig, to_mpf, working_precision
 
 
-def _as_fraction(value, name: str = "a") -> Fraction:
+def _as_fraction(value) -> Fraction:
     """Exact rational from int/str/Fraction/float (float via its repr)."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     if isinstance(value, float):
         return Fraction(str(value))
-    raise TypeError(f"{name} must be an exact rational, got {type(value).__name__}")
+    raise TypeError(f"a must be an exact rational, got {type(value).__name__}")
+
+
+def _fr(value: Fraction) -> mpf:
+    """Fraction to mpf at the ambient precision."""
+    return mpf(value.numerator) / value.denominator
 
 
 @dataclass(frozen=True)
@@ -169,24 +177,202 @@ def log_ratio_small_coefficients(a, order: int) -> tuple:
     return log_ratio_small_series(a, order).fractions
 
 
-def _poly_seed(series: ExactSeries, s0: mpf):
-    """Value and derivative of sum c_m s^m, m = 1..K, at s0."""
-    val = der = mpf(0)
-    for m in range(len(series.numerators), 0, -1):
-        n = series.numerators[m - 1]
-        val = val * s0 + n
-        der = der * s0 + m * n
-    return val * s0 / series.denominator, der / series.denominator
+# --- the series tables ---------------------------------------------------------
+
+SMALL = "small-s"
+LARGE = "large-s"
+
+# Unknown-next-coefficient allowance: the tabulated families show
+# consecutive-coefficient magnitude ratios jumping by up to ~2.4 after a
+# dip, so the reported truncation bound carries a factor-4 cushion on top
+# of the geometric ratio extrapolation.  The regime heuristic compares
+# like-for-like magnitudes and therefore omits the cushion.
+ESTIMATOR_SAFETY = 4
+
+_FR0 = Fraction(0)
 
 
-def _small_seed_tail(series: ExactSeries, s0: mpf) -> mpf:
-    """Geometric continuation estimate for the dropped Taylor remainder."""
-    top = len(series.numerators)
-    t_last = abs(series.numerators[-1]) * s0 ** top / series.denominator
-    t_prev = abs(series.numerators[-2]) * s0 ** (top - 1) / series.denominator
-    if t_prev == 0:
-        return t_last
-    ratio = t_last / t_prev
-    if ratio < mpf("0.5"):
-        return t_last * ratio / (1 - ratio)
-    return t_last * 10
+def dyson_reference(config: PrecisionConfig) -> mpf:
+    """ln(2)/12 + 3 zeta'(-1), the constant in the large-s delta expansion."""
+    from .special import zeta_prime_minus_one
+
+    with working_precision(config):
+        return mp.log(2) / 12 + 3 * zeta_prime_minus_one(config)
+
+
+def c_constant(a, config: PrecisionConfig) -> mpf:
+    """c(a) = ln G(a+1) - (a/2) ln(2 pi); Barnes grid only."""
+    from .special import log_barnes_g
+
+    fr = _as_fraction(a)
+    with working_precision(config):
+        av = _fr(fr)
+        return log_barnes_g(av + 1, config) - av / 2 * mp.log(2 * mp.pi)
+
+
+class SeriesExpansion(NamedTuple):
+    """A truncated expansion with exact rational terms.
+
+    `terms` holds (exponent, coefficient) pairs in decreasing significance
+    for the stated regime, so the final entry is the least significant
+    retained term.  `log_coefficient` multiplies ln(s) and `has_constant`
+    marks an s-independent additive constant (evaluated on demand, since
+    it is transcendental).  `next_exponent` is the exponent of the first
+    dropped term.
+    """
+
+    kind: str
+    validity: str
+    terms: tuple
+    next_exponent: Fraction
+    log_coefficient: Fraction = _FR0
+    has_constant: bool = False
+    a: Optional[Fraction] = None
+
+    def constant_value(self, config: PrecisionConfig) -> mpf:
+        if not self.has_constant:
+            return mpf(0)
+        if self.kind == "delta-large":
+            return dyson_reference(config)
+        return c_constant(self.a, config)
+
+    def _point(self, s, config: PrecisionConfig) -> mpf:
+        """s at the ambient precision, checked against the regime."""
+        sv = mpf(to_mpf(s, config))
+        if self.validity == SMALL:
+            if sv < 0:
+                raise ValueError(f"{self.kind} needs s >= 0, got {sv}")
+        elif sv <= 0:
+            raise ValueError(f"{self.kind} needs s > 0, got {sv}")
+        return sv
+
+    def _tail(self, sv: mpf):
+        """|last kept term| at sv > 0, and |first dropped term| estimated as the
+        last coefficient, grown by its ratio to the one before, at next_exponent."""
+        nz = [(e, c) for e, c in self.terms if c != 0]
+        if not nz:
+            raise ValueError(f"{self.kind} has no nonzero terms")
+        e_last, c_last = nz[-1]
+        c_prev = nz[-2][1] if len(nz) > 1 else c_last
+        last = abs(_fr(c_last))
+        growth = max(mpf(1), last / abs(_fr(c_prev)))
+        return last * sv ** _fr(e_last), growth * last * sv ** _fr(self.next_exponent)
+
+    def eval(self, s, config: PrecisionConfig, include_constant: bool = True) -> mpf:
+        with working_precision(config):
+            sv = self._point(s, config)
+            total = mpf(0)
+            for exponent, coefficient in self.terms:
+                if coefficient == 0:
+                    continue
+                total += _fr(coefficient) * sv ** _fr(exponent)
+            if self.log_coefficient != 0:
+                total += _fr(self.log_coefficient) * mp.log(sv)
+            if include_constant and self.has_constant:
+                total += self.constant_value(config)
+            return total
+
+    def truncation_estimator(self, s, config: PrecisionConfig) -> mpf:
+        """Bound proxy for the first omitted term at s."""
+        with working_precision(config):
+            sv = self._point(s, config)
+            return ESTIMATOR_SAFETY * self._tail(sv)[1] if sv else mpf(0)
+
+    def in_regime(self, s, config: PrecisionConfig) -> bool:
+        """Heuristic: estimated first omitted term below the last kept one.
+        A small-s table is in regime at s = 0."""
+        with working_precision(config):
+            sv = self._point(s, config)
+            if sv == 0:
+                return True
+            last, dropped = self._tail(sv)
+            return dropped < last
+
+
+def _ascending(coefficients) -> tuple:
+    """Taylor coefficients c_1, c_2, ... as (m, c_m) terms on s^m."""
+    return tuple((Fraction(m), c) for m, c in enumerate(coefficients, start=1))
+
+
+def _descending(coefficients) -> tuple:
+    """d_0, d_1, ... as ((2-k)/3, d_k) terms; the s^0 slot d_2 vanishes for
+    every a and is left out."""
+    assert coefficients[2] == 0
+    return tuple((Fraction(2 - k, 3), dk) for k, dk in enumerate(coefficients) if k != 2)
+
+
+# Every parametric table is an exact recurrence truncated.  On the large-s
+# side d/ds(s L') = -g/s maps a g term d s^e onto the log-ratio term
+# -d/e^2 s^e; the log coefficient and the Barnes constant are not fixed by
+# the g recurrence.
+_FAMILIES = {
+    "g-small": lambda a: _ascending(g_small_coefficients(a, 6)),
+    "g-large": lambda a: _descending(g_large_coefficients(a, 6)),
+    "delta-ab-small": lambda a: _ascending(log_ratio_small_coefficients(a, 6)),
+    "delta-ab-large": lambda a: tuple((e, -d / e ** 2) for e, d in
+                                      _descending(g_large_coefficients(a, 7))),
+}
+
+_PLUS, _MINUS = (Fraction(1, 2),), (Fraction(-1, 2),)
+
+# kind: (validity, family, a values summed (None: the caller's a), factor,
+# exponent of the first dropped term).  The fixed kinds are the families at
+# a = +-1/2: g1 and g2 are 4 g(s, a) at a = -1/2 and +1/2, and delta sums
+# the two log-ratio branches, dropping the odd powers that cancel.
+# The next exponent is not derived: at a in {0, +-1} the recurrence's next
+# term vanishes, which would move the truncation estimate there.
+_SPECS = {
+    "g1-small": (SMALL, "g-small", _MINUS, 4, Fraction(7)),
+    "g2-small": (SMALL, "g-small", _PLUS, 4, Fraction(7)),
+    "g1-large": (LARGE, "g-large", _MINUS, 4, Fraction(-5, 3)),
+    "g2-large": (LARGE, "g-large", _PLUS, 4, Fraction(-5, 3)),
+    "delta-small": (SMALL, "delta-ab-small", _PLUS + _MINUS, 1, Fraction(8)),
+    "delta-large": (LARGE, "delta-ab-large", _PLUS + _MINUS, 1, Fraction(-2)),
+    "g-small": (SMALL, "g-small", None, 1, Fraction(7)),
+    "g-large": (LARGE, "g-large", None, 1, Fraction(-5, 3)),
+    "delta-ab-small": (SMALL, "delta-ab-small", None, 1, Fraction(7)),
+    "delta-ab-large": (LARGE, "delta-ab-large", None, 1, Fraction(-2)),
+}
+
+def series_expansion(kind: str, a=None) -> SeriesExpansion:
+    """Expansion table for `kind`; parametric kinds need the exact a."""
+    if kind not in SERIES_KINDS:
+        raise ValueError(f"unknown series kind {kind!r}")
+    validity, family, a_values, factor, next_exponent = _SPECS[kind]
+    fr = None
+    if a_values is None:
+        if a is None:
+            raise ValueError(f"{kind} requires the parameter a")
+        fr = _as_fraction(a)
+    elif a is not None:
+        raise ValueError(f"{kind} does not take a parameter")
+    values = a_values or (fr,)
+    summed: dict = {}
+    for value in values:
+        for e, c in _FAMILIES[family](value):
+            summed[e] = summed.get(e, _FR0) + factor * c
+    # a parametric table keeps its explicit zeros, a fixed one drops them
+    terms = tuple((e, c) for e, c in summed.items() if fr is not None or c != 0)
+    has_log = family == "delta-ab-large"
+    log_coefficient = sum((1 - 6 * v * v) / Fraction(36) for v in values) if has_log else _FR0
+    return SeriesExpansion(kind, validity, terms, next_exponent,
+                           log_coefficient=log_coefficient, has_constant=has_log, a=fr)
+
+
+class SeriesValue(NamedTuple):
+    kind: str
+    s: mpf
+    value: mpf
+    truncation: mpf
+    in_regime: bool
+    a: Optional[Fraction] = None
+
+
+def series_eval(kind: str, s, config: PrecisionConfig, a=None) -> SeriesValue:
+    """Truncated series value with its truncation estimate and regime flag."""
+    exp = series_expansion(kind, a=a)
+    with working_precision(config):
+        sv = to_mpf(s, config)
+        return SeriesValue(kind, sv, exp.eval(sv, config), exp.truncation_estimator(sv, config),
+                           exp.in_regime(sv, config), exp.a)
+

@@ -6,11 +6,10 @@ from math import lcm
 import pytest
 from mpmath import mp, mpf
 
-from hankelpv import asymptotics, flows, ladder
-from hankelpv.asymptotics import (
+from hankelpv import flows, ladder, scans
+from hankelpv.scans import double_scaling_scan, dyson_constant_experiment
+from hankelpv.series import (
     c_constant,
-    double_scaling_scan,
-    dyson_constant_experiment,
     dyson_reference,
     g_large_coefficients,
     g_small_coefficients,
@@ -554,7 +553,7 @@ JETS = {
                 "0.2", ("1.1", "5")),
     "pv-odd": (flows._pv_rhs(3, mpf(5) / 2), flows._pv_jet(3, mpf(5) / 2),
                "0.6", ("0.8", "-1.2")),
-    "coupled": (asymptotics._coupled_rhs(mpf(1) / 2), asymptotics._coupled_jet(mpf(1) / 2),
+    "coupled": (flows._coupled_rhs(mpf(1) / 2), flows._coupled_jet(mpf(1) / 2),
                 "0.4", ("0.3", "0.8", "-0.2", "0.1")),
 }
 
@@ -788,9 +787,9 @@ def test_scan_validation():
     with pytest.raises(ValueError):
         double_scaling_scan("0.1", (8, 4), 1, "g1", LO)
     with pytest.raises(ValueError):
-        double_scaling_scan("0.1", (4, asymptotics.N_CAP + 1), 1, "g1", LO)
+        double_scaling_scan("0.1", (4, scans.N_CAP + 1), 1, "g1", LO)
     with pytest.raises(ValueError):
-        double_scaling_scan("0.1", (4, asymptotics.N_CAP_EXTENDED + 1), 1, "g1", LO,
+        double_scaling_scan("0.1", (4, scans.N_CAP_EXTENDED + 1), 1, "g1", LO,
                             allow_large_n=True)
     with pytest.raises(ValueError):
         double_scaling_scan("0.1", (4, 8), 1, "sigma-n2", LO)
@@ -821,12 +820,12 @@ def _moment_route_digits(mode, s):
 
 
 @pytest.mark.parametrize("s", ["0.5", "20"])
-@pytest.mark.parametrize("mode", asymptotics.SCAN_MODES)
+@pytest.mark.parametrize("mode", scans.SCAN_MODES)
 def test_scan_values_match_the_moment_route(mode, s):
     assert min(_moment_route_digits(mode, s)) >= LO.target_digits
 
 
-@pytest.mark.parametrize("mode", asymptotics.SCAN_MODES)
+@pytest.mark.parametrize("mode", scans.SCAN_MODES)
 def test_moment_route_detects_a_corrupted_difference_relation(monkeypatch, mode):
     # both runs of a point share the corrupted relation, so its own
     # certificate passes; only the moment route can see the change
@@ -853,7 +852,7 @@ def test_scan_point_whose_runs_disagree_is_an_error(monkeypatch):
     def drifting(mode, n, params, config):
         return 1 + mpf(2) ** (-config.bits // 8)
 
-    monkeypatch.setattr(asymptotics, "_scan_value", drifting)
+    monkeypatch.setattr(scans, "_scan_value", drifting)
     cfg = PrecisionConfig(bits=128, target_digits=15)
     res = double_scaling_scan("0.1", (4, 8), 1, "g1", cfg)
     assert res.raw == [None, None]

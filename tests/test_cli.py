@@ -184,6 +184,18 @@ def test_dyson_ode_constant_holds_its_digits_whatever_the_seed_point():
     assert abs(constants[0] - constants[1]) < Fraction(10) ** -20
 
 
+@pytest.mark.parametrize("argv", [["dyson", "--route", "ode", "--s-hi", "0.5", "--n-list", "0"],
+                                  ["dyson", "--n-list", "8,4"]])
+def test_dyson_checks_the_n_list_before_any_flow(argv, taylor_steps):
+    # the scan's checks on the orders hold whatever the route, and no
+    # flow runs first
+    err = io.StringIO()
+    assert _run(argv, err) == (cli.EXIT_NUMERIC, "")
+    assert len(err.getvalue().splitlines()) == 1
+    assert err.getvalue().startswith("error: ")
+    assert taylor_steps == []
+
+
 def test_bridge_jmo_maps_b_to_the_exponent_at_zero(monkeypatch):
     seen = []
 
@@ -570,9 +582,9 @@ def test_flows_jobs_keep_their_steps_and_order():
 # what a fresh interpreter loads: hankelpv.cli, and what each handler
 # imports when it runs
 SRC = JOB.parent.parent / "src"
-CLI_MODULES = ["choices", "cli", "flows", "ode", "precision", "report", "series"]
+CLI_MODULES = ["choices", "cli", "flows", "ode", "precision", "report"]
 TABLES = ["quadrature", "recurrence", "special", "weights"]
-SCANS = ["asymptotics", "ladder", *TABLES]
+SCANS = ["ladder", "scans", "series", *TABLES]
 
 
 def _loaded(code):
@@ -587,11 +599,11 @@ def _loaded(code):
 
 def test_importing_the_cli_loads_no_report_pipeline():
     # every handler but the flows' imports its pipeline when it runs, and
-    # solve-pv's flow imports its tables when it seeds; bridge takes its
+    # the flows import the series or tables they seed from; bridge takes its
     # residual rows from report, and recurrence keeps its own series kernel
     assert _loaded("import hankelpv.cli") == CLI_MODULES
     pipelines = ("identities", "bridge", "ladder", "recurrence", "weights", "special",
-                 "quadrature", "asymptotics")
+                 "quadrature", "scans", "series", "asymptotics")
     for module, unloaded in [("cli", pipelines), ("flows", pipelines),
                              ("bridge", ("identities",)), ("recurrence", ("ode",))]:
         assert set(_loaded(f"import hankelpv.{module}")).isdisjoint(unloaded), module
@@ -608,9 +620,9 @@ LOADED_BY = {
                ["bridge", "ladder", *TABLES]),
     "solve-pv": (["solve-pv", "--n", "1", "--alpha", "1", "--t0", "0.1", "--t-end", "0.1"],
                  ["ladder", *TABLES]),
-    "solve-p3": (["solve-p3", "--a", "1/2", "--s", "0.05", "--samples", "2"], []),
+    "solve-p3": (["solve-p3", "--a", "1/2", "--s", "0.05", "--samples", "2"], ["series"]),
     "scan": (["scan", "--mode", "g1", "--s", "0.1", "--n-list", "2,4"], SCANS),
-    "series": (["series", "--kind", "g1-small", "--s", "0.1"], SCANS),
+    "series": (["series", "--kind", "g1-small", "--s", "0.1"], ["series"]),
     "dyson": (["dyson", "--route", "scan", "--n-list", "2,4"], SCANS),
 }
 
@@ -621,8 +633,8 @@ def test_every_subcommand_pins_what_it_loads():
 
 @pytest.mark.parametrize("command", list(LOADED_BY))
 def test_a_command_loads_only_its_pipeline(command):
-    # solve-p3 loads no table, quadrature or scan: its flow, the ODE
-    # integrator and the exact series load with the cli
+    # solve-p3 loads no table, quadrature or scan: its flow and the ODE
+    # integrator load with the cli, and the flow imports the exact series
     argv, pipeline = LOADED_BY[command]
     code = ("import io, hankelpv.cli; sys.stdout = io.StringIO(); "
             f"assert hankelpv.cli.main({[*argv, '--bits', '128']!r}) == 0")
