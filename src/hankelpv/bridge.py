@@ -29,7 +29,7 @@ relations hold at n = 0 as exact trivial rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
@@ -43,8 +43,7 @@ from .report import normalize, residual_row, worst_sample
 DEFAULT_Y_POINTS = ("0.3", "0.62", "0.85")
 
 
-@dataclass(frozen=True)
-class TildeParams:
+class TildeParams(NamedTuple):
     """Auxiliary weight parameters, stored as exact mpf values."""
 
     a: mpf
@@ -117,8 +116,7 @@ def _boosted_digits(config: PrecisionConfig) -> int:
     return max(config.target_digits, digits_capacity(config.bits) - 5)
 
 
-@dataclass
-class TildeTable:
+class TildeTable(NamedTuple):
     """Auxiliary orthogonality data for degrees up to n_top.
 
     tilde_logD and H carry one extra index (n_top + 1) because the
@@ -216,8 +214,8 @@ def tilde_moments_and_table(n_max: int, tp: TildeParams, config: PrecisionConfig
             H = [tp.t * d1 for d1 in _prefix_sums([log_derivatives(jet)[0] for jet in jets])]
     table = TildeTable(tp=tp, config=config, tilde_h=h, tilde_logD=logd,
                        rec_a=[jet[0] for jet in alpha], rec_b=rec_b, H=H, Rstar=[], Rtilde=[])
-    table.Rstar, table.Rtilde = tilde_R_lists(n_max, table)
-    return table
+    rstar, rtilde = tilde_R_lists(n_max, table)
+    return table._replace(Rstar=rstar, Rtilde=rtilde)
 
 
 def tilde_H_derivatives(n_top: int, tp: TildeParams, config: PrecisionConfig):

@@ -13,10 +13,11 @@ config_from_args has resolved --bits and split --n-list, and passes its
 value rows under its own column names to report.table_records.
 
 A command loads only what it runs. At import this module loads report,
-precision, the parser's choices (choices.py) and the flows (flows.py,
-with ode); every other handler imports its pipeline when it runs, so
-series loads only the series, solve-p3 loads no moment table, quadrature
-or scan, and solve-pv loads its tables when its flow is seeded.
+precision and the parser's choices (choices.py); every handler imports its
+pipeline when it runs. So series loads only the series, only the two flow
+commands and dyson's flow route load flows.py and ode, and only the
+commands that integrate load quadrature. solve_piii_prime and continue_pv
+forward to flows.py, importing it when called, and a caller may patch them.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from mpmath import mp
 from . import report
 from .choices import (AUX_ROUTES, DEFAULT_N_LIST, FIXED_KINDS, ROUTE_IDENTITY, SCAN_MODES,
                       SERIES_KINDS)
-from .flows import continue_pv, seed_point, solve_piii_prime
 from .precision import (
     DEFAULT_BITS,
     DEFAULT_TARGET_DIGITS,
@@ -118,6 +118,18 @@ def _grid(a, b, count: int, config: PrecisionConfig):
         points = [lo + k * step for k in range(count - 1)]
         points.append(hi)
         return points
+
+
+def solve_piii_prime(*args, **kwargs):
+    from .flows import solve_piii_prime
+
+    return solve_piii_prime(*args, **kwargs)
+
+
+def continue_pv(*args, **kwargs):
+    from .flows import continue_pv
+
+    return continue_pv(*args, **kwargs)
 
 
 def _nearest_rows(samples, points):
@@ -284,6 +296,8 @@ def _cmd_solve_pv(args, config: PrecisionConfig):
 
 
 def _cmd_solve_p3(args, config: PrecisionConfig):
+    from .flows import seed_point
+
     y0 = None if args.g0 is None and args.dg0 is None else (args.g0, args.dg0)
     start = seed_point(args.s, config) if args.s0 is None else args.s0
     points = _grid(start, args.s, args.samples, config)

@@ -35,13 +35,12 @@ The sign of R_n for t > 0 is never asserted: it is an observed property
 (positive on every grid tested here) recorded at report level only.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
 from .choices import AUX_ROUTES, ROUTE_IDENTITY, ROUTE_QUADRATURE
 from .precision import NumericsError, PrecisionConfig, working_precision
-from .quadrature import integrate_unit_vector
 from .recurrence import (RecurrenceTable, negated_prefix_sums, recurrence_table,
                          three_term_values)
 from .weights import MomentTable, WeightParams, weight_value
@@ -118,6 +117,8 @@ def aux_oracles(
         return ([polys[k] * polys[k - 1] * w / y3 for k in range(1, n_max + 1)]
                 + [p * p * w / y2 for p in polys])
 
+    from .quadrature import integrate_unit_vector
+
     # doubling by exponent shift stays exact at the quadrature's precision
     integrals = [mp.ldexp(v, 1) for v in integrate_unit_vector(
         f, size, config, t=params.t, p=2, exponent=params.alpha)]
@@ -143,8 +144,7 @@ def aux_R_oracle(
     return aux_oracles(n, params, config, recurrence)[1][n]
 
 
-@dataclass
-class AuxTable:
+class AuxTable(NamedTuple):
     """r_n, R_n, sigma_n for n <= n_max, at its table's config."""
 
     params: WeightParams

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
@@ -54,28 +54,34 @@ def digits_capacity(bits: int) -> int:
     return int(bits * math.log10(2.0)) - GUARD_DIGITS
 
 
-@dataclass(frozen=True)
-class PrecisionConfig:
+class _Precision(NamedTuple):
+    bits: int
+    target_digits: int
+
+
+class PrecisionConfig(_Precision):
     """Working precision and tolerance policy.
 
     bits: binary working precision (>= 128).
     target_digits: decimal digits the caller wants certified; must leave
         guard room, i.e. target_digits <= bits*log10(2) - 10.
+    A named tuple whose checks run in __new__ on this subclass: a NamedTuple
+    body may not override __new__.
     """
 
-    bits: int = DEFAULT_BITS
-    target_digits: int = DEFAULT_TARGET_DIGITS
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.bits < MIN_BITS:
-            raise ValueError(f"bits must be >= {MIN_BITS}, got {self.bits}")
-        if self.target_digits < 1:
+    def __new__(cls, bits: int = DEFAULT_BITS, target_digits: int = DEFAULT_TARGET_DIGITS):
+        if bits < MIN_BITS:
+            raise ValueError(f"bits must be >= {MIN_BITS}, got {bits}")
+        if target_digits < 1:
             raise ValueError("target_digits must be positive")
-        if self.target_digits > digits_capacity(self.bits):
+        if target_digits > digits_capacity(bits):
             raise ValueError(
-                f"target_digits={self.target_digits} exceeds capacity "
-                f"{digits_capacity(self.bits)} of {self.bits} bits"
+                f"target_digits={target_digits} exceeds capacity "
+                f"{digits_capacity(bits)} of {bits} bits"
             )
+        return super().__new__(cls, bits, target_digits)
 
     def with_bits(self, bits: int) -> "PrecisionConfig":
         """Same policy at a different working precision.

@@ -49,9 +49,9 @@ series_quotient, log_derivatives) and the three-term sweep of the ladder
 and bridge integrands (three_term_values).
 """
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import factorial
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
@@ -233,8 +233,7 @@ def negated_prefix_sums(values) -> list:
     return list(accumulate((-v for v in values), initial=mpf(0)))
 
 
-@dataclass
-class RecurrenceTable:
+class RecurrenceTable(NamedTuple):
     """Orthonormalization data h_n, beta_n, p(n,t), ln D_n for n <= n_max."""
 
     params: WeightParams
@@ -267,8 +266,7 @@ def recurrence_table(
     return RecurrenceTable(params=params, config=cfg, h=h, beta=beta, p1=p1, logD=log_d)
 
 
-@dataclass(frozen=True)
-class PolynomialEval:
+class PolynomialEval(NamedTuple):
     n: int
     x: mpf
     value: mpf

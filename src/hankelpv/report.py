@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -162,6 +161,8 @@ def verify_records(rows, config: PrecisionConfig):
 
 def to_json(records) -> str:
     """JSON array of flat records; insertion key order, trailing newline."""
+    import json
+
     return json.dumps(records, indent=2) + "\n"
 
 

@@ -4,7 +4,8 @@ The scans measure the double-scaling limits directly: raw finite-n
 values along the prescribed (n, t) trajectories, Richardson extrapolation
 in 1/n with a dual-model error bar, and comparison against the series
 tables (series.py).  The Dyson experiment carries the log-ratio along the
-coupled g flow of flows.py, or reads it off a delta scan.
+coupled g flow of flows.py, loaded only when that flow runs, or reads it
+off a delta scan.
 
 Each raw value comes from ladder.difference_run, the forward run of the
 paper's second-order difference equation for r_n seeded by the two moment
@@ -23,14 +24,12 @@ hold s = 2n^2 t fixed, the sigma scan holds s = n^4 t fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from mpmath import mp, mpf
 
 from .choices import SCAN_MODES
-from .flows import flow_tolerance, log_ratio_flows
 from .ladder import beta_aux_terms, difference_run
 from .precision import NumericsError, PrecisionConfig, stabilized, to_mpf, working_precision
 from .recurrence import log_det_ratio
@@ -60,8 +59,7 @@ def _checked_n_list(n_list: Sequence[int], allow_large_n: bool = False) -> tuple
     return n_list
 
 
-@dataclass
-class ScanResult:
+class ScanResult(NamedTuple):
     """Raw finite-n values, extrapolation, and series comparison."""
 
     mode: str
@@ -76,9 +74,9 @@ class ScanResult:
     reference: Optional[mpf]
     reference_kind: Optional[str]
     agreement_digits: Optional[mpf]
-    flags: list = field(default_factory=list)
+    flags: list
     # the config each point was certified at: more bits than asked is an escalation
-    configs: list = field(default_factory=list)
+    configs: list
 
 
 def _neville_zero(xs, ys):
@@ -241,8 +239,7 @@ def double_scaling_scan(
 # --- the constant-term experiment ---------------------------------------------
 
 
-@dataclass
-class DysonExperiment:
+class DysonExperiment(NamedTuple):
     """Every measurable piece of the large-s constant-term estimate."""
 
     alpha: mpf
@@ -259,7 +256,7 @@ class DysonExperiment:
     exact_constant_sum: mpf
     reference: mpf
     cancellation_ok: bool
-    flags: list = field(default_factory=list)
+    flags: list
 
 
 def _odd_terms_cancel() -> bool:
@@ -299,7 +296,8 @@ def dyson_constant_experiment(
         s_hi_val = to_mpf(s_hi, config)
         if not 0 < s_lo_val < s_hi_val:
             raise ValueError("need 0 < s_lo < s_hi")
-        tol = flow_tolerance(tolerance, config)
+        # parsed before any work on every route, though only the flow reads it
+        tol = None if tolerance is None else to_mpf(tolerance, config)
 
         exact_sum = c_constant(_HALVES[0], config) + c_constant(_HALVES[1], config)
         reference = dyson_reference(config)
@@ -314,7 +312,10 @@ def dyson_constant_experiment(
         ode_constant = ode_reached = None
         ode_halted = False
         if route in ("auto", "ode"):
-            flows = log_ratio_flows(_HALVES, s_lo_val, s_hi_val, tol, config)
+            from .flows import flow_tolerance, log_ratio_flows
+
+            flows = log_ratio_flows(_HALVES, s_lo_val, s_hi_val, flow_tolerance(tol, config),
+                                    config)
             for fr, _ in zip(_HALVES, flows):
                 if not series_expansion("delta-ab-small", a=fr).in_regime(s_lo_val, config):
                     flags.append(f"s_lo-outside-small-regime(a={fr})")

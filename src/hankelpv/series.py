@@ -24,7 +24,6 @@ numerators and divide by D once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -52,8 +51,7 @@ def _fr(value: Fraction) -> mpf:
     return mpf(value.numerator) / value.denominator
 
 
-@dataclass(frozen=True)
-class ExactSeries:
+class ExactSeries(NamedTuple):
     """Exact coefficients, as `fractions` and as integer `numerators` over
     one positive common `denominator`."""
 

@@ -24,12 +24,11 @@ other entry of a table is `pearson`. `quadrature` names the oracle route
 `moment_quadrature` (tanh-sinh on x^j w), which no table uses.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath import mpf
 
 from .precision import NumericsError, PrecisionConfig, to_mpf, working_precision
-from .quadrature import clamped_exp, integrate_even
 from .special import exp_beta_moment
 
 CLOSED_FORM = "closed-form"
@@ -37,8 +36,7 @@ PEARSON = "pearson"
 QUADRATURE = "quadrature"
 
 
-@dataclass(frozen=True)
-class WeightParams:
+class WeightParams(NamedTuple):
     """Weight parameters, stored as exact mpf values."""
 
     alpha: mpf
@@ -70,6 +68,8 @@ def weight_value(x, params: WeightParams, one_minus_x=None) -> mpf:
     value = base ** params.alpha
     if params.t == 0:
         return value
+    from .quadrature import clamped_exp
+
     return value * clamped_exp(-params.t / (x * x), -params.t)
 
 
@@ -98,6 +98,8 @@ def moment_quadrature(
     """Oracle route: tanh-sinh integration of x^j w(x,t) over [-1,1]."""
     if j % 2 == 1:
         return mpf(0)
+    from .quadrature import integrate_even
+
     with working_precision(config):
 
         def f(x):

@@ -741,6 +741,14 @@ def test_scan_raw_vanishes_at_s_zero():
         assert all(abs(v) < mpf(10) ** -25 for v in res.raw)
 
 
+def test_scan_results_never_share_their_lists():
+    first, second = (double_scaling_scan(0, (2, 4), 1, "g1", LO) for _ in range(2))
+    assert first.flags is not second.flags and first.configs is not second.configs
+    # flags and configs are required: no default list is shared
+    with pytest.raises(TypeError):
+        scans.ScanResult(*first[:-2])
+
+
 def test_scan_g1_mechanics():
     res = double_scaling_scan("0.1", (4, 8, 16), 1, "g1", LO)
     assert res.mode == "g1"

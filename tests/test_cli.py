@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from hankelpv import bridge, cli, identities, ladder, report, weights
+from hankelpv import bridge, cli, identities, ladder, report, scans, weights
 from hankelpv.precision import DEFAULT_BITS, ENV_BITS, PrecisionConfig
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -196,6 +196,16 @@ def test_dyson_checks_the_n_list_before_any_flow(argv, taylor_steps):
     assert taylor_steps == []
 
 
+@pytest.mark.parametrize("route", ["scan", "ode"])
+def test_dyson_parses_the_tolerance_on_every_route(monkeypatch, route):
+    # only the flow reads it, but a malformed one fails before the scan runs
+    monkeypatch.setattr(scans, "double_scaling_scan", None)
+    err = io.StringIO()
+    argv = ["dyson", "--route", route, "--n-list", "2,4", "--tolerance", "1e-6x"]
+    assert _run(argv, err) == (cli.EXIT_NUMERIC, "")
+    assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1
+
+
 def test_bridge_jmo_maps_b_to_the_exponent_at_zero(monkeypatch):
     seen = []
 
@@ -361,6 +371,21 @@ def test_flows_report_their_step_count(monkeypatch, taylor_steps, name, solver):
     assert made[0].steps == len(taylor_steps) > 0
     assert f"{name}: steps: {len(taylor_steps)}\n" in err.getvalue()
     assert f"{name}: order: {made[0].order}\n" in err.getvalue()
+
+
+@pytest.mark.parametrize("name, solver", [
+    ("solve-p3", "solve_piii_prime"),
+    ("solve-pv", "continue_pv"),
+])
+def test_a_patched_flow_name_sees_the_one_call(monkeypatch, name, solver):
+    # perfbench/record.py wraps these cli names to read back the trajectory
+    # a job printed; each loads flows.py only when it is called
+    argv = next(argv for case, argv, _ in CASES if case == name)
+    calls = []
+    original = getattr(cli, solver)
+    monkeypatch.setattr(cli, solver, lambda *a, **k: calls.append(a) or original(*a, **k))
+    assert _run(argv) == (cli.EXIT_OK, (GOLDEN / f"{name}.csv").read_text())
+    assert len(calls) == 1
 
 
 def test_solve_pv_grades_its_endpoint_gap(monkeypatch):
@@ -582,25 +607,31 @@ def test_flows_jobs_keep_their_steps_and_order():
 # what a fresh interpreter loads: hankelpv.cli, and what each handler
 # imports when it runs
 SRC = JOB.parent.parent / "src"
-CLI_MODULES = ["choices", "cli", "flows", "ode", "precision", "report"]
-TABLES = ["quadrature", "recurrence", "special", "weights"]
+CLI_MODULES = ["choices", "cli", "precision", "report"]
+TABLES = ["recurrence", "special", "weights"]
 SCANS = ["ladder", "scans", "series", *TABLES]
+FLOWS = ["flows", "ode"]
 
 
-def _loaded(code):
-    """The hankelpv modules loaded after `code` runs in a fresh interpreter."""
+def _after(code, value):
+    """The value of the expression `value`, which must print as a literal,
+    after `code` runs in a fresh interpreter."""
     code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); {code}; "
-            "print(sorted(m[9:] for m in sys.modules if m.startswith('hankelpv.')), "
-            "file=sys.__stdout__)")
+            f"print({value}, file=sys.__stdout__)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, check=True)
     return ast.literal_eval(proc.stdout)
 
 
+def _loaded(code):
+    """The hankelpv modules loaded after `code` runs in a fresh interpreter."""
+    return _after(code, "sorted(m[9:] for m in sys.modules if m.startswith('hankelpv.'))")
+
+
 def test_importing_the_cli_loads_no_report_pipeline():
-    # every handler but the flows' imports its pipeline when it runs, and
-    # the flows import the series or tables they seed from; bridge takes its
-    # residual rows from report, and recurrence keeps its own series kernel
+    # every handler imports its pipeline when it runs, and the flows import
+    # the series or tables they seed from; bridge takes its residual rows
+    # from report, and recurrence keeps its own series kernel
     assert _loaded("import hankelpv.cli") == CLI_MODULES
     pipelines = ("identities", "bridge", "ladder", "recurrence", "weights", "special",
                  "quadrature", "scans", "series", "asymptotics")
@@ -610,17 +641,18 @@ def test_importing_the_cli_loads_no_report_pipeline():
 
 
 LOADED_BY = {
-    "moments": (["moments", *AT, "--j", "2"], ["quadrature", "special", "weights"]),
+    "moments": (["moments", *AT, "--j", "2"], ["special", "weights"]),
     "hankel": (["hankel", *AT, "--n", "2"], TABLES),
     "recurrence": (["recurrence", *AT, "--n-max", "1"], TABLES),
     "aux": (["aux", *AT, "--n-max", "1"], ["ladder", *TABLES]),
     "verify": (["verify", "--suite", "scalar", *AT, "--n-max", "1"],
-               ["identities", "ladder", *TABLES]),
+               ["identities", "ladder", "quadrature", *TABLES]),
     "bridge": (["bridge", "--suite", "parity", *AT, "--n-max", "0"],
-               ["bridge", "ladder", *TABLES]),
+               ["bridge", "ladder", "quadrature", *TABLES]),
     "solve-pv": (["solve-pv", "--n", "1", "--alpha", "1", "--t0", "0.1", "--t-end", "0.1"],
-                 ["ladder", *TABLES]),
-    "solve-p3": (["solve-p3", "--a", "1/2", "--s", "0.05", "--samples", "2"], ["series"]),
+                 [*FLOWS, "ladder", *TABLES]),
+    "solve-p3": (["solve-p3", "--a", "1/2", "--s", "0.05", "--samples", "2"],
+                 [*FLOWS, "series"]),
     "scan": (["scan", "--mode", "g1", "--s", "0.1", "--n-list", "2,4"], SCANS),
     "series": (["series", "--kind", "g1-small", "--s", "0.1"], ["series"]),
     "dyson": (["dyson", "--route", "scan", "--n-list", "2,4"], SCANS),
@@ -633,12 +665,26 @@ def test_every_subcommand_pins_what_it_loads():
 
 @pytest.mark.parametrize("command", list(LOADED_BY))
 def test_a_command_loads_only_its_pipeline(command):
-    # solve-p3 loads no table, quadrature or scan: its flow and the ODE
-    # integrator load with the cli, and the flow imports the exact series
+    # solve-p3 loads no table, quadrature or scan: its handler loads the
+    # flow and the ODE integrator, and the flow imports the exact series
     argv, pipeline = LOADED_BY[command]
     code = ("import io, hankelpv.cli; sys.stdout = io.StringIO(); "
             f"assert hankelpv.cli.main({[*argv, '--bits', '128']!r}) == 0")
     assert _loaded(code) == sorted(CLI_MODULES + pipeline)
+
+
+def test_importing_the_cli_loads_no_flow():
+    assert {"flows", "ode"}.isdisjoint(_loaded("import hankelpv.cli"))
+
+
+@pytest.mark.parametrize("command", [c for c in LOADED_BY if c not in ("solve-pv", "solve-p3")])
+def test_a_command_off_the_flows_never_loads_dataclasses(command):
+    # every class on these paths is a NamedTuple: dataclasses would bring
+    # inspect, ast and dis into the start-up of every command
+    argv, _ = LOADED_BY[command]
+    code = ("import io, hankelpv.cli; sys.stdout = io.StringIO(); "
+            f"assert hankelpv.cli.main({[*argv, '--bits', '128']!r}) == 0")
+    assert _after(code, "{'dataclasses', 'inspect'} & set(sys.modules)") == set()
 
 
 @pytest.mark.parametrize("command", ["", *cli._HANDLERS])
@@ -664,7 +710,11 @@ def _perfbench_bindings(path):
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module.startswith("hankelpv"):
             for alias in node.names:
-                bound = getattr(importlib.import_module(node.module), alias.name)
+                module = importlib.import_module(node.module)
+                if not hasattr(module, alias.name):
+                    # a submodule is an attribute only once something imports it
+                    importlib.import_module(f"{node.module}.{alias.name}")
+                bound = getattr(module, alias.name)
                 (modules if inspect.ismodule(bound) else names)[alias.asname or alias.name] = bound
     calls = {}
     for node in ast.walk(tree):

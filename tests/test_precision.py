@@ -41,6 +41,21 @@ def test_with_bits_clamps_target_digits():
     assert cfg.doubled().bits == 1024
 
 
+def test_derived_configs_are_checked_on_construction():
+    cfg = PrecisionConfig(bits=128, target_digits=20)
+    assert type(cfg.with_bits(256)) is type(cfg.doubled()) is PrecisionConfig
+    assert cfg.doubled() == cfg.with_bits(256) == PrecisionConfig(bits=256, target_digits=20)
+    with pytest.raises(ValueError):
+        cfg.with_bits(64)
+
+
+def test_equal_configs_compare_and_hash_equal():
+    cfg = PrecisionConfig(bits=256, target_digits=30)
+    assert cfg == PrecisionConfig(256, 30) and hash(cfg) == hash(PrecisionConfig(256, 30))
+    assert cfg != PrecisionConfig(bits=256, target_digits=31)
+    assert repr(cfg) == "PrecisionConfig(bits=256, target_digits=30)"
+
+
 def test_working_precision_restores_global_state():
     saved = mp.prec
     with working_precision(PrecisionConfig(bits=320)):
