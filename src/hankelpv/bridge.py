@@ -19,9 +19,10 @@ exact, not finite differences: differentiating under the integral gives
 d/dt mu~_j = -mu~_{j-1}, finite for t > 0, so the moments' Taylor series
 at t are moments of lower order, and Chebyshev's algorithm run on those
 series (recurrence.chebyshev_jets) gives the jets of every tilde_h_k and
-so the derivatives of ln tilde_D_n at a single t. One vector quadrature
-pass gives all the moments a table needs, and one more gives every Rstar_n
-and Rtilde_n.
+so the derivatives of ln tilde_D_n at a single t. Each table takes one
+moments-and-jets pass (_tilde_jets) at the order its suite needs: order 1
+for the parity tables' H_n, order 3 for the jmo rows' H_n, H_n' and H_n''.
+One more quadrature pass gives a parity table every Rstar_n and Rtilde_n.
 
 The empty determinant is taken as tilde_D_0 := 1, so product and sum
 relations hold at n = 0 as exact trivial rows.
@@ -174,44 +175,49 @@ def tilde_R_lists(n_top: int, table: TildeTable):
         return rstar, rtilde
 
 
-def _tilde_jets(values, j_lo: int, size: int, config: PrecisionConfig):
-    """chebyshev_jets on the quadrature moments mu~_{j_lo} .. mu~_{2 size - 2}.
+def _tilde_jets(n_max: int, tp: TildeParams, config: PrecisionConfig, order: int):
+    """chebyshev_jets to the given order for tilde_h_0 .. tilde_h_{n_max}.
 
-    d/dt mu~_j = -mu~_{j-1}, so the jets run to order -j_lo.
+    One quadrature pass gives mu~_{-order} .. mu~_{2 n_max}: d/dt mu~_j =
+    -mu~_{j-1}, so a jet coefficient of order k reads only the moments down
+    to mu~_{-k}, and each moment comes out the same whatever the order.
     """
-    mu = dict(zip(range(j_lo, 2 * size - 1), values))
-    return chebyshev_jets(mu.__getitem__, size, -j_lo, 1, config)
+    values = tilde_moments(-order, max(2 * n_max, -order), tp, config,
+                           target_digits=_boosted_digits(config))
+    mu = dict(zip(range(-order, 2 * n_max + 1), values))
+    return chebyshev_jets(mu.__getitem__, n_max + 1, order, 1, config)
 
 
-def _prefix_sums(values) -> list:
-    """[sum of values[:n] for n = 0 .. len(values)], each an exact-rounded fsum."""
-    return [mp.fsum(values[:n]) for n in range(len(values) + 1)]
+def _log_det_derivatives(jets, order: int) -> list:
+    """ln tilde_D_n and its first `order` t-derivatives, each a list over
+    n = 0 .. len(jets) of exact-rounded fsums over the jets of tilde_h_k, k < n."""
+    terms = [[mp.log(jet[0])] + log_derivatives(jet)[:order] for jet in jets]
+    return [[mp.fsum(term[k] for term in terms[:n]) for n in range(len(jets) + 1)]
+            for k in range(order + 1)]
 
 
 def tilde_moments_and_table(n_max: int, tp: TildeParams, config: PrecisionConfig) -> TildeTable:
     """Build the full auxiliary table for degrees up to n_max, in two passes.
 
-    The first quadrature pass gives the moments mu~_0 .. mu~_{2 n_max},
-    and mu~_{-1} when t > 0; one Chebyshev pass on their first-order jets
-    gives tilde_h, the three-term coefficients and
-    H_n = t sum_{k<n} tilde_h_k' / tilde_h_k. The second pass gives every
-    Rstar_n and Rtilde_n from their defining integrals.
+    The first pass is _tilde_jets at order 1 (order 0 at t = 0): it gives
+    tilde_h, the three-term coefficients and
+    H_n = t sum_{k<n} tilde_h_k' / tilde_h_k. The second quadrature pass
+    gives every Rstar_n and Rtilde_n from their defining integrals.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    j_lo = -1 if tp.t > 0 else 0
-    values = tilde_moments(j_lo, 2 * n_max, tp, config, target_digits=_boosted_digits(config))
-    jets, alpha = _tilde_jets(values, j_lo, n_max + 1, config)
+    order = 1 if tp.t > 0 else 0
+    jets, alpha = _tilde_jets(n_max, tp, config, order)
     with working_precision(config):
         h = [jet[0] for jet in jets]
         rec_b = [mpf(0)] + [h[j] / h[j - 1] for j in range(1, n_max + 1)]
-        logd = _prefix_sums([mp.log(x) for x in h])
-        if tp.t == 0:
+        logd, *slopes = _log_det_derivatives(jets, order)
+        if order:
+            H = [tp.t * d1 for d1 in slopes[0]]
+        else:
             # H = t dln(tilde_D)/dt vanishes with t (the log-derivative grows
             # at most like an inverse square root as t -> 0)
             H = [mpf(0)] * (n_max + 2)
-        else:
-            H = [tp.t * d1 for d1 in _prefix_sums([log_derivatives(jet)[0] for jet in jets])]
     table = TildeTable(tp=tp, config=config, tilde_h=h, tilde_logD=logd,
                        rec_a=[jet[0] for jet in alpha], rec_b=rec_b, H=H, Rstar=[], Rtilde=[])
     rstar, rtilde = tilde_R_lists(n_max, table)
@@ -221,22 +227,17 @@ def tilde_moments_and_table(n_max: int, tp: TildeParams, config: PrecisionConfig
 def tilde_H_derivatives(n_top: int, tp: TildeParams, config: PrecisionConfig):
     """[(H_n, dH_n/dt, d2H_n/dt2) for n = 0 .. n_top] at the one t > 0 of tp.
 
-    One quadrature pass gives mu~_{-3} .. mu~_{2 n_top - 2}, and one
-    Chebyshev pass on their third-order jets the jets of tilde_h_k. With
-    L1, L2, L3 the first three t-derivatives of ln tilde_D_n, sums over
-    k < n of those of ln tilde_h_k, H = t L1, dH/dt = L1 + t L2 and
-    d2H/dt2 = 2 L2 + t L3.
+    _tilde_jets at order 3 gives the jets of tilde_h_k for k < n_top. With
+    L1, L2, L3 the first three t-derivatives of ln tilde_D_n, H = t L1,
+    dH/dt = L1 + t L2 and d2H/dt2 = 2 L2 + t L3.
     """
     if not tp.t > 0:
-        raise ValueError("the t-derivatives of H_n need t > 0: "
-                         "they use moments of order down to -3")
-    values = tilde_moments(-3, max(2 * n_top - 2, -3), tp, config,
-                           target_digits=_boosted_digits(config))
-    jets, _alpha = _tilde_jets(values, -3, n_top, config)
+        raise ValueError("the jmo rows need t > 0: the t-derivatives of H_n use "
+                         "moments of negative order")
+    jets, _alpha = _tilde_jets(n_top - 1, tp, config, 3)
     t = tp.t
     with working_precision(config):
-        slopes = [log_derivatives(jet) for jet in jets]
-        l1, l2, l3 = (_prefix_sums([s[k] for s in slopes]) for k in range(3))
+        _logd, l1, l2, l3 = _log_det_derivatives(jets, 3)
         return [(t * l1[n], l1[n] + t * l2[n], 2 * l2[n] + t * l3[n])
                 for n in range(n_top + 1)]
 
@@ -312,14 +313,6 @@ def verify_parity_splitting(n_max: int, params, config: PrecisionConfig):
     return rows
 
 
-def check_jmo_orders(n_list) -> None:
-    """A ValueError unless n_list holds distinct orders n >= 0."""
-    if min(n_list) < 0:
-        raise ValueError(f"the jmo rows need orders n >= 0, got {min(n_list)}")
-    if len(set(n_list)) != len(n_list):
-        raise ValueError("the jmo orders must not repeat")
-
-
 def verify_jmo_sigma_form(n_list, tp: TildeParams, config: PrecisionConfig):
     """Residual rows for the second-order equation satisfied by H_n.
 
@@ -330,7 +323,10 @@ def verify_jmo_sigma_form(n_list, tp: TildeParams, config: PrecisionConfig):
     t (tilde_H_derivatives), which needs t > 0, and distinct orders n >= 0,
     in any order.
     """
-    check_jmo_orders(n_list)
+    if min(n_list) < 0:
+        raise ValueError(f"the jmo rows need orders n >= 0, got {min(n_list)}")
+    if len(set(n_list)) != len(n_list):
+        raise ValueError("the jmo orders must not repeat")
     n_top = max(n_list)
     derivs = tilde_H_derivatives(n_top, tp, config)
     a, b, t = tp.a, tp.b, tp.t

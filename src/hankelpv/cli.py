@@ -35,7 +35,6 @@ from .precision import (
     DEFAULT_BITS,
     DEFAULT_TARGET_DIGITS,
     ENV_BITS,
-    MIN_BITS,
     NumericsError,
     PrecisionConfig,
     digits_capacity,
@@ -220,11 +219,13 @@ def _residual_report(rows, config: PrecisionConfig, notes: list):
     return report.verify_records(rows, config), EXIT_FINDING if failed else EXIT_OK, notes
 
 
-def _reject_unread(args, option: str, *suites: str) -> None:
-    """A usage error when `option` was given to a suite that never reads it."""
-    if getattr(args, option[2:].replace("-", "_")) is not None and args.suite not in suites:
-        raise ValueError(f"{option} is read only by --suite {' or '.join(suites)}, "
-                         f"not by --suite {args.suite}")
+def _reject_unread(args, option: str, *readers: str, chooser: str = "--suite") -> None:
+    """A usage error when `option` was given, but the value of `chooser`
+    (--suite or --route) is none of the `readers` that read it."""
+    chosen = getattr(args, chooser[2:])
+    if getattr(args, option[2:].replace("-", "_")) is not None and chosen not in readers:
+        raise ValueError(f"{option} is read only by {chooser} {' or '.join(readers)}, "
+                         f"not by {chooser} {chosen}")
 
 
 def _cmd_verify(args, config: PrecisionConfig):
@@ -243,8 +244,7 @@ def _cmd_verify(args, config: PrecisionConfig):
 
 
 def _cmd_bridge(args, config: PrecisionConfig):
-    from .bridge import (check_jmo_orders, make_tilde_params, verify_jmo_sigma_form,
-                         verify_parity_splitting)
+    from .bridge import make_tilde_params, verify_jmo_sigma_form, verify_parity_splitting
     from .weights import make_params
 
     for option in ("--n-list", "--b"):
@@ -254,20 +254,14 @@ def _cmd_bridge(args, config: PrecisionConfig):
     if parity and args.n_max is None:
         raise ValueError(f"--suite {args.suite} requires --n-max")
     params = make_params(args.alpha, args.t, config)
-    # the jmo input is checked before any parity table is built
+    # the jmo rows run first, so a bad jmo input fails before any parity table
+    jmo_rows = []
     if jmo:
-        if params.t <= 0:
-            raise ValueError("the jmo rows need t > 0: the t-derivatives of H_n use "
-                             "moments of negative order")
         tp = make_tilde_params(JMO_B if args.b is None else args.b, args.alpha, args.t, config)
         n_list = list(args.n_list) if args.n_list is not None else [1, 2]
-        check_jmo_orders(n_list)
-    rows = []
-    if parity:
-        rows += verify_parity_splitting(args.n_max, params, config)
-    if jmo:
-        rows += verify_jmo_sigma_form(n_list, tp, config)
-    return _residual_report(rows, config, [])
+        jmo_rows = verify_jmo_sigma_form(n_list, tp, config)
+    rows = verify_parity_splitting(args.n_max, params, config) if parity else []
+    return _residual_report(rows + jmo_rows, config, [])
 
 
 def _cmd_solve_pv(args, config: PrecisionConfig):
@@ -342,6 +336,7 @@ def _cmd_series(args, config: PrecisionConfig):
 def _cmd_dyson(args, config: PrecisionConfig):
     from .scans import dyson_constant_experiment
 
+    _reject_unread(args, "--tolerance", "auto", "ode", chooser="--route")
     n_list = args.n_list if args.n_list is not None else DEFAULT_N_LIST
     experiment = dyson_constant_experiment(args.alpha, args.s_lo, args.s_hi, n_list, config,
                                            route=args.route, tolerance=args.tolerance)
@@ -378,8 +373,6 @@ def _write_text(text: str, path: str | None) -> None:
 
 def run(args: argparse.Namespace) -> int:
     """Execute one invocation, as config_from_args resolves it; returns the exit status."""
-    if args.bits < MIN_BITS:
-        raise ValueError(f"bits must be at least {MIN_BITS}")
     config = PrecisionConfig(bits=args.bits, target_digits=target_digits_for_bits(args.bits))
     records, status, notes = _HANDLERS[args.command](args, config)
     _write_text(report.render(records, args.format), args.output)

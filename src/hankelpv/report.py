@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-from fractions import Fraction
 from typing import NamedTuple
 
 from mpmath import mp, mpf
@@ -65,7 +64,8 @@ def trunc_decimal(value, config: PrecisionConfig) -> str:
     """Deterministic truncating decimal rendering at target_digits significant digits."""
     d = config.target_digits
     with working_precision(config, extra_bits=32):
-        if isinstance(value, Fraction):
+        # a Fraction, or any other numerator/denominator pair; mpf has neither
+        if hasattr(value, "numerator") and hasattr(value, "denominator"):
             x = mpf(value.numerator) / value.denominator
         else:
             x = mpf(value)

@@ -296,8 +296,6 @@ def dyson_constant_experiment(
         s_hi_val = to_mpf(s_hi, config)
         if not 0 < s_lo_val < s_hi_val:
             raise ValueError("need 0 < s_lo < s_hi")
-        # parsed before any work on every route, though only the flow reads it
-        tol = None if tolerance is None else to_mpf(tolerance, config)
 
         exact_sum = c_constant(_HALVES[0], config) + c_constant(_HALVES[1], config)
         reference = dyson_reference(config)
@@ -314,8 +312,8 @@ def dyson_constant_experiment(
         if route in ("auto", "ode"):
             from .flows import flow_tolerance, log_ratio_flows
 
-            flows = log_ratio_flows(_HALVES, s_lo_val, s_hi_val, flow_tolerance(tol, config),
-                                    config)
+            flows = log_ratio_flows(_HALVES, s_lo_val, s_hi_val,
+                                    flow_tolerance(tolerance, config), config)
             for fr, _ in zip(_HALVES, flows):
                 if not series_expansion("delta-ab-small", a=fr).in_regime(s_lo_val, config):
                     flags.append(f"s_lo-outside-small-regime(a={fr})")

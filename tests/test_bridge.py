@@ -5,6 +5,7 @@ from mpmath import mp, mpf
 
 from hankelpv.bridge import (
     _boosted_digits,
+    _tilde_jets,
     make_tilde_params,
     tilde_H_derivatives,
     tilde_moments,
@@ -303,6 +304,22 @@ def test_tilde_table_makes_two_passes(quadrature_passes, t):
 def test_jmo_rows_make_one_pass(quadrature_passes):
     verify_jmo_sigma_form((1, 2), make_tilde_params(-HALF, 1, "0.5", CFG128), CFG128)
     assert quadrature_passes == [6]  # mu~_{-3} .. mu~_2
+
+
+@pytest.mark.parametrize("a, b, t, config", [
+    (-HALF, 1, "0.5", CFG128),
+    (-HALF, 1, "0.001", CFG128),
+    (HALF, "0.7", "0.3", PrecisionConfig(bits=192, target_digits=22)),
+])
+def test_jet_order_leaves_the_low_coefficients_alone(a, b, t, config):
+    # the parity tables run the shared pass at order 1 and the jmo rows at
+    # order 3: a coefficient of order k reads only the moments down to
+    # mu~_{-k}, so both give the same order-0 and order-1 coefficients
+    tp = make_tilde_params(a, b, t, config)
+    h3, alpha3 = _tilde_jets(3, tp, config, 3)
+    h1, alpha1 = _tilde_jets(3, tp, config, 1)
+    assert (len(h3), len(alpha3)) == (4, 3)
+    assert [jet[:2] for jet in h3 + alpha3] == h1 + alpha1
 
 
 @pytest.mark.parametrize("alpha", ["0.2", "0.05"])

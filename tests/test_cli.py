@@ -539,6 +539,13 @@ def test_bridge_all_checks_the_jmo_input_before_any_table(quadrature_passes, arg
     assert quadrature_passes == []
 
 
+def test_bridge_all_prints_the_parity_rows_first():
+    # the handler computes the jmo rows first, but prints them last
+    status, out = _run(["bridge", "--suite", "all", *AT, "--n-max", "1", "--n-list", "1"])
+    jmo = (GOLDEN / "bridge-jmo.csv").read_text().split("\n", 1)[1]
+    assert (status, out) == (cli.EXIT_OK, (GOLDEN / "bridge-parity.csv").read_text() + jmo)
+
+
 @pytest.mark.parametrize("argv, error", [
     (["verify", "--suite", "scalar", *AT, "--n-max", "1", "--n", "5"],
      "--n is read only by --suite integral, not by --suite scalar"),
@@ -552,8 +559,11 @@ def test_bridge_all_checks_the_jmo_input_before_any_table(quadrature_passes, arg
      "--n-max is read only by --suite parity or all, not by --suite jmo"),
     (["bridge", "--suite", "parity", *AT], "--suite parity requires --n-max"),
     (["bridge", "--suite", "all", *AT], "--suite all requires --n-max"),
+    (["dyson", "--route", "scan", "--n-list", "2,4", "--tolerance", "1e-6"],
+     "--tolerance is read only by --route auto or ode, not by --route scan"),
 ], ids=["verify-scalar-n", "verify-all-n", "bridge-parity-n-list", "bridge-parity-b",
-        "bridge-jmo-n-max", "bridge-parity-no-n-max", "bridge-all-no-n-max"])
+        "bridge-jmo-n-max", "bridge-parity-no-n-max", "bridge-all-no-n-max",
+        "dyson-scan-tolerance"])
 def test_option_the_suite_never_reads_is_a_usage_error(argv, error):
     err = io.StringIO()
     assert _run(argv, err) == (cli.EXIT_NUMERIC, "")
@@ -671,6 +681,15 @@ def test_a_command_loads_only_its_pipeline(command):
     code = ("import io, hankelpv.cli; sys.stdout = io.StringIO(); "
             f"assert hankelpv.cli.main({[*argv, '--bits', '128']!r}) == 0")
     assert _loaded(code) == sorted(CLI_MODULES + pipeline)
+
+
+def test_rendering_never_loads_fractions():
+    # report renders any numerator/denominator pair without importing fractions
+    assert _after("import hankelpv.cli", "'fractions' in sys.modules") is False
+    argv = ["verify", "--suite", "scalar", *AT, "--n-max", "1", "--bits", "128"]
+    code = ("import io, hankelpv.cli; sys.stdout = io.StringIO(); "
+            f"assert hankelpv.cli.main({argv!r}) == 0")
+    assert _after(code, "'fractions' in sys.modules") is False
 
 
 def test_importing_the_cli_loads_no_flow():
@@ -826,6 +845,20 @@ def test_bad_bits_from_environment_exit_2(monkeypatch):
         status = cli.main(["moments", *AT])
     assert (status, out.getvalue()) == (cli.EXIT_NUMERIC, "")
     assert err.getvalue() == f"error: {ENV_BITS} must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("source", ["option", "environment"])
+def test_bits_below_the_minimum_exit_2(monkeypatch, source):
+    argv = ["moments", *AT, "--j", "1"]
+    if source == "option":
+        argv += ["--bits", "64"]
+    else:
+        monkeypatch.setenv(ENV_BITS, "64")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = cli.main(argv)
+    assert (status, out.getvalue()) == (cli.EXIT_NUMERIC, "")
+    assert err.getvalue() == "error: bits must be >= 128, got 64\n"
 
 
 def test_traced_benchmark_job_runs():
