@@ -19,10 +19,12 @@ exact, not finite differences: differentiating under the integral gives
 d/dt mu~_j = -mu~_{j-1}, finite for t > 0, so the moments' Taylor series
 at t are moments of lower order, and Chebyshev's algorithm run on those
 series (recurrence.chebyshev_jets) gives the jets of every tilde_h_k and
-so the derivatives of ln tilde_D_n at a single t. Each table takes one
-moments-and-jets pass (_tilde_jets) at the order its suite needs: order 1
-for the parity tables' H_n, order 3 for the jmo rows' H_n, H_n' and H_n''.
-One more quadrature pass gives a parity table every Rstar_n and Rtilde_n.
+so the derivatives of ln tilde_D_n at a single t. One moments-and-jets
+pass (_tilde_jets) runs at the order its suite needs: order 1 for the
+parity tables' H_n, order 3 for the jmo rows' H_n, H_n' and H_n''. One
+more quadrature pass gives the parity tables every Rstar_n and Rtilde_n.
+The two parity tables share both passes: mu~_j(+1/2) = mu~_{j+1}(-1/2),
+and the weight at a = +1/2 is x times the one at -1/2.
 
 The empty determinant is taken as tilde_D_0 := 1, so product and sum
 relations hold at n = 0 as exact trivial rows.
@@ -101,10 +103,13 @@ def tilde_moments(j_lo: int, j_hi: int, tp: TildeParams, config: PrecisionConfig
         tw = tilde_weight_value(x, tp, omx)
         if tw == 0:
             return [mpf(0)] * size
-        out = [tw * x ** j_lo]
-        for _ in range(size - 1):
-            out.append(out[-1] * x)
-        return out
+        # up and down from j = 0: each order's integrand is the same in every pass
+        powers = {0: tw}
+        for j in range(1, j_hi + 1):
+            powers[j] = powers[j - 1] * x
+        for j in range(-1, j_lo - 1, -1):
+            powers[j] = powers[j + 1] / x
+        return [powers[j] for j in range(j_lo, j_hi + 1)]
 
     return integrate_unit_vector(f, size, config, target_digits, t=tp.t, exponent=tp.b,
                                  exponent_at_zero=tp.a)
@@ -140,52 +145,62 @@ class TildeTable(NamedTuple):
         return len(self.tilde_h) - 1
 
 
-def tilde_R_lists(n_top: int, table: TildeTable):
-    """(Rstar, Rtilde) for n <= n_top from one quadrature pass.
+def tilde_R_lists(n_top: int, *tables) -> list:
+    """Rstar and Rtilde for n <= n_top - s of each tables[s] (at a = a_0 + s)
+    in turn, from one quadrature pass.
 
     Rstar_n = (t / tilde_h_n) int tilde_P_n^2 w~/x and
-    Rtilde_n = (b / tilde_h_n) int tilde_P_n^2 w~/(1-x); the pass evaluates
-    the weight once per node and every tilde_P_n in one sweep.
+    Rtilde_n = (b / tilde_h_n) int tilde_P_n^2 w~/(1-x). The pass evaluates
+    w~ at a_0 once per node (at a_0 + s it is x^s times that) and each
+    table's tilde_P_n in one sweep.
     """
-    tp, config = table.tp, table.config
-    count = n_top + 1
+    tp, config = tables[0].tp, tables[0].config
+    counts = [n_top + 1 - s for s in range(len(tables))]
     # at t = 0 the t prefactor of Rstar beats the integrable endpoint divergence
     star = tp.t != 0
-    size = 2 * count if star else count
+    size = sum(counts) * (2 if star else 1)
 
     def f(y, omy):
         tw = tilde_weight_value(y, tp, omy)
         if tw == 0:
             return [mpf(0)] * size
-        squares = [v * v * tw for v in three_term_values(n_top, y, table.rec_a, table.rec_b)]
-        out = [s / omy for s in squares]
-        if star:
-            out += [s / y for s in squares]
+        out = []
+        for s, (table, count) in enumerate(zip(tables, counts)):
+            ws = tw * y ** s
+            squares = [v * v for v in three_term_values(count - 1, y, table.rec_a, table.rec_b)]
+            factors = (ws / omy, ws / y) if star else (ws / omy,)
+            out += [q * g for g in factors for q in squares]
         return out
 
     # Rtilde's integrand behaves like (1-y)^(b-1) at y = 1 and, at t = 0,
-    # like y^a at y = 0
-    values = integrate_unit_vector(f, size, config, t=tp.t, exponent=tp.b - 1,
-                                   exponent_at_zero=tp.a)
+    # like y^a_0 at y = 0
+    values = iter(integrate_unit_vector(f, size, config, t=tp.t, exponent=tp.b - 1,
+                                        exponent_at_zero=tp.a))
+    lists = []
     with working_precision(config):
-        rtilde = [tp.b * values[n] / table.tilde_h[n] for n in range(count)]
-        if not star:
-            return [mpf(0)] * count, rtilde
-        rstar = [tp.t * values[count + n] / table.tilde_h[n] for n in range(count)]
-        return rstar, rtilde
+        for table, count in zip(tables, counts):
+            h = table.tilde_h[:count]
+            rtilde = [tp.b * next(values) / hn for hn in h]
+            rstar = [tp.t * next(values) / hn for hn in h] if star else [mpf(0)] * count
+            lists += [rstar, rtilde]
+    return lists
 
 
-def _tilde_jets(n_max: int, tp: TildeParams, config: PrecisionConfig, order: int):
-    """chebyshev_jets to the given order for tilde_h_0 .. tilde_h_{n_max}.
+def _tilde_jets(n_max: int, tp: TildeParams, config: PrecisionConfig, order: int,
+                count: int = 1) -> tuple:
+    """chebyshev_jets to the given order, (h jets, alpha jets), for each table
+    at a = tp.a + s, s < count, in turn: degrees up to n_max - s.
 
-    One quadrature pass gives mu~_{-order} .. mu~_{2 n_max}: d/dt mu~_j =
-    -mu~_{j-1}, so a jet coefficient of order k reads only the moments down
-    to mu~_{-k}, and each moment comes out the same whatever the order.
+    One quadrature pass gives mu~_{-order} .. mu~_{2 n_max} at a = tp.a, and
+    mu~_j(a + s) = mu~_{j+s}(a). d/dt mu~_j = -mu~_{j-1}, so a jet coefficient
+    of order k reads only the moments down to mu~_{-k}, and each moment comes
+    out the same whatever the order.
     """
     values = tilde_moments(-order, max(2 * n_max, -order), tp, config,
                            target_digits=_boosted_digits(config))
     mu = dict(zip(range(-order, 2 * n_max + 1), values))
-    return chebyshev_jets(mu.__getitem__, n_max + 1, order, 1, config)
+    return sum((chebyshev_jets(lambda j, s=s: mu[j + s], n_max + 1 - s, order, 1, config)
+                for s in range(count)), ())
 
 
 def _log_det_derivatives(jets, order: int) -> list:
@@ -196,32 +211,38 @@ def _log_det_derivatives(jets, order: int) -> list:
             for k in range(order + 1)]
 
 
-def tilde_moments_and_table(n_max: int, tp: TildeParams, config: PrecisionConfig) -> TildeTable:
-    """Build the full auxiliary table for degrees up to n_max, in two passes.
+def _tilde_tables(n_top: int, tp: TildeParams, config: PrecisionConfig, count: int) -> list:
+    """The auxiliary tables at a = tp.a + s to degree n_top - s, s < count,
+    from two quadrature passes that they share.
 
-    The first pass is _tilde_jets at order 1 (order 0 at t = 0): it gives
-    tilde_h, the three-term coefficients and
-    H_n = t sum_{k<n} tilde_h_k' / tilde_h_k. The second quadrature pass
+    _tilde_jets at order 1 (order 0 at t = 0) gives tilde_h, the three-term
+    coefficients and H_n = t sum_{k<n} tilde_h_k' / tilde_h_k; tilde_R_lists
     gives every Rstar_n and Rtilde_n from their defining integrals.
     """
+    order = 1 if tp.t > 0 else 0
+    flat = _tilde_jets(n_top, tp, config, order, count)
+    tables = []
+    for s, (jets, alpha) in enumerate(zip(flat[::2], flat[1::2])):
+        with working_precision(config):
+            h = [jet[0] for jet in jets]
+            rec_b = [mpf(0)] + [h[j] / h[j - 1] for j in range(1, len(h))]
+            logd, *slopes = _log_det_derivatives(jets, order)
+            # at t = 0, H = t dln(tilde_D)/dt vanishes (the log-derivative
+            # grows at most like an inverse square root as t -> 0)
+            H = [tp.t * d1 for d1 in slopes[0]] if order else [mpf(0)] * len(logd)
+            tables.append(TildeTable(tp=tp._replace(a=tp.a + s), config=config, tilde_h=h,
+                                     tilde_logD=logd, rec_a=[jet[0] for jet in alpha],
+                                     rec_b=rec_b, H=H, Rstar=[], Rtilde=[]))
+    lists = tilde_R_lists(n_top, *tables)
+    return [table._replace(Rstar=rstar, Rtilde=rtilde)
+            for table, rstar, rtilde in zip(tables, lists[::2], lists[1::2])]
+
+
+def tilde_moments_and_table(n_max: int, tp: TildeParams, config: PrecisionConfig) -> TildeTable:
+    """The full auxiliary table to degree n_max: _tilde_tables for the one table."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    order = 1 if tp.t > 0 else 0
-    jets, alpha = _tilde_jets(n_max, tp, config, order)
-    with working_precision(config):
-        h = [jet[0] for jet in jets]
-        rec_b = [mpf(0)] + [h[j] / h[j - 1] for j in range(1, n_max + 1)]
-        logd, *slopes = _log_det_derivatives(jets, order)
-        if order:
-            H = [tp.t * d1 for d1 in slopes[0]]
-        else:
-            # H = t dln(tilde_D)/dt vanishes with t (the log-derivative grows
-            # at most like an inverse square root as t -> 0)
-            H = [mpf(0)] * (n_max + 2)
-    table = TildeTable(tp=tp, config=config, tilde_h=h, tilde_logD=logd,
-                       rec_a=[jet[0] for jet in alpha], rec_b=rec_b, H=H, Rstar=[], Rtilde=[])
-    rstar, rtilde = tilde_R_lists(n_max, table)
-    return table._replace(Rstar=rstar, Rtilde=rtilde)
+    return _tilde_tables(n_max, tp, config, 1)[0]
 
 
 def tilde_H_derivatives(n_top: int, tp: TildeParams, config: PrecisionConfig):
@@ -260,9 +281,8 @@ def verify_parity_splitting(n_max: int, params, config: PrecisionConfig):
     aux = aux_table(2 * n_max + 1, params, config, recurrence=rec)
     half = mpf("0.5")
     alpha, t = params.alpha, params.t
-    # tables[e] is the auxiliary table at a = e - 1/2
-    tables = [tilde_moments_and_table(
-        n_max + 1 - e, make_tilde_params(e - half, alpha, t, config), config) for e in (0, 1)]
+    # tables[e] is the auxiliary table at a = e - 1/2, to degree n_max + 1 - e
+    tables = _tilde_tables(n_max + 1, make_tilde_params(-half, alpha, t, config), config, 2)
     detail = "y=" + ",".join(DEFAULT_Y_POINTS)
     rows = []
     with working_precision(config):

@@ -473,12 +473,12 @@ def _cc_rule(m: int):
     nodes again, so the rule costs m+1 cosines.
     """
     nodes = [mp.cos(mp.pi * k / m) for k in range(m + 1)]
+    js = range(1, m // 2 + 1)
+    coefficients = [mpf(1 if 2 * j == m else 2) / (4 * j * j - 1) for j in js]
     weights = []
     for k in range(m + 1):
-        total = mpf(1)
-        for j in range(1, m // 2 + 1):
-            i = 2 * j * k % (2 * m)
-            total -= (1 if 2 * j == m else 2) * nodes[min(i, 2 * m - i)] / (4 * j * j - 1)
+        cosines = [nodes[min(i, 2 * m - i)] for i in (2 * j * k % (2 * m) for j in js)]
+        total = 1 - mp.fdot(coefficients, cosines)
         weights.append(total * (1 if k in (0, m) else 2) / m)
     return nodes, weights
 

@@ -111,11 +111,10 @@ def aux_oracles(
         if w == 0:
             return [mpf(0)] * size
         polys = three_term_values(n_max, y, alpha, table.beta)
-        y3 = y ** 3
-        y2 = y * y
+        w2, w3 = w / (y * y), w / y ** 3
         # r_n pairs P_n with P_{n-1} (P_{-1} = 0, so r_0 = 0); R_n squares P_n
-        return ([polys[k] * polys[k - 1] * w / y3 for k in range(1, n_max + 1)]
-                + [p * p * w / y2 for p in polys])
+        return ([polys[k] * polys[k - 1] * w3 for k in range(1, n_max + 1)]
+                + [p * p * w2 for p in polys])
 
     from .quadrature import integrate_unit_vector
 

@@ -7,8 +7,8 @@ that matter: working bits and the decimal digits the caller wants
 certified. An identity residual passes below 10^(-RESIDUAL_SCALE *
 target_digits).
 Given identical inputs and an identical config, every routine in this
-package is bit-for-bit deterministic: node orderings, summation orders and
-step sequences are all fixed.
+package is bit-for-bit deterministic: node orderings, sums and step
+sequences are all fixed.
 The one escalation policy lives here: `escalated` reruns a failed
 computation once at doubled bits, and `stabilized` certifies a value by a
 second run at SECOND_RUN_BITS more bits, escalating through it.

@@ -10,8 +10,9 @@ agrees with the level before, to 10^-(digits+3) of the integral of |f|;
 a pass that does not settle within MAX_LEVEL, or that sees a component
 exactly 0 at every node, raises ConvergenceError carrying the last two
 level values.
-Summation order is fixed (levels ascending, nodes ascending within a
-level), making results bit-for-bit deterministic.
+Each component's level sum adds, in ascending u, one `mp.fdot` per chunk
+of CHUNK nodes, which rounds a sum of exact products once: results are
+bit-for-bit deterministic, and the buffers stay bounded.
 
 - tanh-sinh, x = tanh((pi/2) sinh u), serves finite intervals and the
   (0, 1) integrands without exponential decay (t = 0). Its window
@@ -24,18 +25,22 @@ level), making results bit-for-bit deterministic.
   an essential singularity at an endpoint and resolves slowly.
   z = x^-p - 1 turns it into e^(-t(1+z)) on (0, inf), and the
   exponential-type map z = exp(u - e^-u) (Takahasi & Mori, Publ. RIMS 9
-  (1974) 721-741) decays double exponentially at both ends of u. Its
-  window is sized from the integrand: the far end from e^(-t(1+z)),
-  where the guard bits are the margin for polynomial factors, and the
-  end at x = 1 from the exponent e of the integrand's (1-x)^e there. A
-  component whose outermost terms are not below the tolerance raises
-  ConvergenceError: the window was too narrow.
+  (1974) 721-741) decays double exponentially at both ends of u. A node
+  costs one exponential, z = exp(-e^-u)/e^-u: e^-u is e^-floor(u) times
+  e^(-2^-l) for each binary digit 2^-l of u - floor(u), at most `level`
+  products of cached exponentials, so a node depends only on precision,
+  p, level and k, whichever window came first. Its window is sized from
+  the integrand: the far end from e^(-t(1+z)), where the guard bits are
+  the margin for polynomial factors, and the end at x = 1 from the
+  exponent e of the integrand's (1-x)^e there. A component whose
+  outermost terms are not below the tolerance raises ConvergenceError:
+  the window was too narrow.
 
 `integrate_unit_vector` picks the z-map whenever its caller passes t > 0
 and tanh-sinh at t = 0. It calls its integrand as f(x, 1-x), both at full
 relative precision from either map: tanh-sinh's 1 - x is half of the
-stored 1 - tanh s, the z-map's is z/(1+z) at p = 1 (in general
-(r-1)/r with r = (1+z)^(1/p)). Every node with 1 - x > 0 is kept, even
+stored 1 - tanh s, the z-map's is z/(1+z) at p = 1 and z x/(1+r),
+r = sqrt(1+z), at p = 2. Every node with 1 - x > 0 is kept, even
 where x rounds onto 1, so an integrand that takes its powers of 1 - x
 from the second argument is integrable up to a (1-x)^e, e > -1, spike.
 The scalar entry points `integrate`, `integrate_unit` and
@@ -50,6 +55,7 @@ e^(-t), no node that holds digits of the integral is cut.
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import Callable, NamedTuple
 
 from mpmath import mp, mpf
@@ -59,6 +65,7 @@ from .precision import NumericsError, PrecisionConfig, working_precision
 GUARD_BITS = 64
 MAX_LEVEL = 12
 FIRST_CHECK_LEVEL = 3
+CHUNK = 16  # nodes per partial sum of a level, which bounds the buffered values
 
 _NODE_CACHE: dict = {}
 
@@ -139,15 +146,26 @@ def _z_window(prec: int, t, exponent) -> tuple:
     return min(k_lo, k_hi - 1), k_hi
 
 
-def _z_node(u, p: int):
-    """(weight, ((x, 1-x),)) of the z-map node at u: x = (1+z)^(-1/p)."""
-    eu = mp.exp(-u)
-    z = mp.exp(u - eu)
-    r = 1 + z if p == 1 else mp.root(1 + z, p)
+def _exp_minus_u(prec: int, level: int, k: int) -> mpf:
+    """e^-u at u = k 2^-level, under working precision prec (module docstring)."""
+    cache = _NODE_CACHE.setdefault(("e^-u", prec), {})
+    whole, fraction = divmod(k, 2**level)
+    eu = mpf(1)
+    for i, bits in [(whole, 0)] + [(1, level - j) for j in range(level) if fraction >> j & 1]:
+        if (i, bits) not in cache:
+            cache[i, bits] = mp.exp(-mp.ldexp(i, -bits))
+        eu *= cache[i, bits]
+    return eu
+
+
+def _z_node(eu, p: int):
+    """(weight, ((x, 1-x),)) of the z-map node whose e^-u is eu: x = (1+z)^(-1/p)."""
+    z = mp.exp(-eu) / eu
+    r = 1 + z if p == 1 else mp.sqrt(1 + z)
     x = 1 / r
-    # r^p - 1 = z = (r - 1)(1 + r + ... + r^(p-1)), so 1 - x = (r - 1)/r keeps
-    # its relative precision as z -> 0
-    omx = z * x / mp.fsum(r**k for k in range(p))
+    # r^p - 1 = z = (r - 1)(1 + r)^(p-1), so 1 - x = (r - 1)/r keeps its
+    # relative precision as z -> 0
+    omx = z * x if p == 1 else z * x / (1 + r)
     # |dx/du| = (1/p) (1+z)^(-1/p-1) dz/du, and dz/du = z (1 + e^-u)
     return x ** (p + 1) * z * (1 + eu) / p, ((x, omx),)
 
@@ -162,7 +180,7 @@ def _z_level_nodes(prec: int, p: int, level: int, k_lo: int, k_hi: int) -> list:
         for k in ks:
             node = cache.get(k)
             if node is None:
-                node = cache[k] = _z_node(mp.ldexp(mpf(k), -level), p)
+                node = cache[k] = _z_node(_exp_minus_u(prec, level, k), p)
             nodes.append(node)
     return nodes
 
@@ -222,14 +240,17 @@ def _level_loop(f, size, rule: _Rule, config: PrecisionConfig, target_digits):
             total = [mpf(0)] * size
             total_abs = [mpf(0)] * size
             ends = []
-            for w, points in rule.nodes(prec, level):
-                for point in points:
-                    terms = [w * v for v in f(*point)]
-                    for i, term in enumerate(terms):
-                        total[i] += term
-                        total_abs[i] += abs(term)
-                    if rule.edged and level == 0:
-                        ends = [ends[0] if ends else terms, terms]
+            pairs = ((w, point) for w, points in rule.nodes(prec, level) for point in points)
+            while chunk := list(islice(pairs, CHUNK)):
+                weights = [w for w, _ in chunk]
+                rows = [f(*point) for _, point in chunk]
+                # the weights are positive, so w |v| = |w v|
+                for i, column in enumerate(zip(*rows)):
+                    total[i] += mp.fdot(weights, column)
+                    total_abs[i] += mp.fdot(weights, map(abs, column))
+                if rule.edged and level == 0:
+                    ends = [ends[0] if ends else [weights[0] * v for v in rows[0]],
+                            [weights[-1] * v for v in rows[-1]]]
             if ends:
                 edge = [rule.scale * max(abs(a), abs(b)) for a, b in zip(*ends)]
             total = [rule.scale * v for v in total]
@@ -326,8 +347,8 @@ def integrate_unit_vector(f, size, config: PrecisionConfig, target_digits=None,
                           t=0, p=1, exponent=0, exponent_at_zero=0):
     """Integrals over (0, 1) of the `size` values of f(x, 1-x).
 
-    The integrand carries the factor e^(-t/x^p) and behaves like
-    (1-x)^exponent at x = 1 and, at t = 0, like x^exponent_at_zero at
+    The integrand carries the factor e^(-t/x^p), p = 1 or 2, and behaves
+    like (1-x)^exponent at x = 1 and, at t = 0, like x^exponent_at_zero at
     x = 0 (each > -1, the least over the components). t > 0 selects the
     z-map in z = x^-p - 1, whose window is sized from t and the exponent at
     x = 1; t = 0 the tanh-sinh map, whose window is sized from the lesser

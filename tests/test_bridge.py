@@ -6,6 +6,7 @@ from mpmath import mp, mpf
 from hankelpv.bridge import (
     _boosted_digits,
     _tilde_jets,
+    _tilde_tables,
     make_tilde_params,
     tilde_H_derivatives,
     tilde_moments,
@@ -304,6 +305,33 @@ def test_tilde_table_makes_two_passes(quadrature_passes, t):
 def test_jmo_rows_make_one_pass(quadrature_passes):
     verify_jmo_sigma_form((1, 2), make_tilde_params(-HALF, 1, "0.5", CFG128), CFG128)
     assert quadrature_passes == [6]  # mu~_{-3} .. mu~_2
+
+
+@pytest.mark.parametrize("t, passes", [("0.5", [6, 10]), ("0", [5, 5])])
+def test_parity_pair_makes_two_passes(quadrature_passes, t, passes):
+    # one pass of mu~_{-1} .. mu~_4 at a = -1/2 (mu~_0 .. mu~_4 at t = 0) serves
+    # both tables; one more gives Rtilde (and Rstar when t > 0) of both
+    verify_parity_splitting(1, make_params(1, t, CFG128), CFG128)
+    assert quadrature_passes == passes
+
+
+@pytest.mark.parametrize("alpha, t, config", [
+    (1, "0.5", CFG128),
+    ("0.7", "0.3", PrecisionConfig(bits=192, target_digits=22)),
+])
+def test_shared_parity_pair_matches_separate_tables(alpha, t, config):
+    # the a = +1/2 table reads its moments and weight off the a = -1/2 pass;
+    # its integrands differ from a separate build's by roundoff alone
+    pair = _tilde_tables(3, make_tilde_params(-HALF, alpha, t, config), config, 2)
+    for e, table in enumerate(pair):
+        alone = tilde_moments_and_table(3 - e, make_tilde_params(e - HALF, alpha, t, config),
+                                        config)
+        assert table.tp == alone.tp
+        with working_precision(config):
+            tol = mpf(2) ** (8 - config.bits)
+            for field in ("tilde_h", "tilde_logD", "rec_a", "rec_b", "H", "Rstar", "Rtilde"):
+                for got, want in zip(getattr(table, field), getattr(alone, field), strict=True):
+                    assert abs(got - want) <= tol * abs(want), (e, field)
 
 
 @pytest.mark.parametrize("a, b, t, config", [

@@ -222,6 +222,46 @@ def test_tanh_sinh_spike_at_one(exponent):
         assert abs(value - closed) <= mpf(10) ** -CFG.target_digits * closed
 
 
+def _z_ks(level, k_lo, k_hi):
+    # the u-grid indices of the z-map nodes new at `level`, as _z_level_nodes lists them
+    steps = 2**level
+    return range(k_lo, k_hi + 1) if level == 0 else range(k_lo * steps + 1, k_hi * steps, 2)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_z_map_nodes_do_not_depend_on_the_fill_order(monkeypatch, p):
+    # a node's e^-u is a product of exponentials cached per precision, so its
+    # bits depend on (prec, p, level, k) alone: filling the cache through a
+    # narrow window, finest level first, gives the same nodes
+    monkeypatch.setattr(quadrature, "_NODE_CACHE", {})
+    ascending = [quadrature._z_level_nodes(320, p, level, -5, 6) for level in range(6)]
+    monkeypatch.setattr(quadrature, "_NODE_CACHE", {})
+    for level in reversed(range(6)):
+        quadrature._z_level_nodes(320, p, level, 1, 3)
+    assert [quadrature._z_level_nodes(320, p, level, -5, 6) for level in range(6)] == ascending
+
+
+@pytest.mark.parametrize("prec", [192, 320, 576])
+@pytest.mark.parametrize("p", [1, 2])
+def test_z_map_nodes_match_the_direct_formula(prec, p):
+    # z = exp(u - e^-u) evaluated directly, 64 bits wider; 1 - x = 1 - (1+z)^(-1/p)
+    # through expm1 and log1p, so it keeps its relative precision as z -> 0
+    k_lo, k_hi = quadrature._z_window(prec, 0.5, 0)
+    for level in range(8):
+        nodes = quadrature._z_level_nodes(prec, p, level, k_lo, k_hi)
+        with working_precision(prec + 64):
+            tol = mpf(2) ** (16 - prec)
+            for k, (w, ((x, omx),)) in zip(_z_ks(level, k_lo, k_hi), nodes, strict=True):
+                u = mp.ldexp(k, -level)
+                eu = mp.exp(-u)
+                z = mp.exp(u - eu)
+                omx_direct = -mp.expm1(-mp.log1p(z) / p)
+                x_direct = 1 - omx_direct
+                w_direct = x_direct ** (p + 1) * z * (1 + eu) / p
+                for got, direct in ((x, x_direct), (omx, omx_direct), (w, w_direct)):
+                    assert abs(got - direct) <= tol * direct, (level, k)
+
+
 def test_clamped_exp_cuts_relative_to_the_peak():
     # e^(-t/x) at large t lies far below the absolute dynamic range, but
     # only a factor e^(-t/x + t) below the integrand's peak e^(-t)
