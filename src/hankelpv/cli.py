@@ -18,6 +18,8 @@ pipeline when it runs. So series loads only the series, only the two flow
 commands and dyson's flow route load flows.py and ode, and only the
 commands that integrate load quadrature. solve_piii_prime and continue_pv
 forward to flows.py, importing it when called, and a caller may patch them.
+They are all the CLI takes from flows.py: a flow picks its own start and
+the grid its rows lie on, and the CLI only renders those rows.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .precision import (
     NumericsError,
     PrecisionConfig,
     digits_capacity,
-    to_mpf,
     working_precision,
 )
 
@@ -106,19 +107,6 @@ def _parse_n_list(raw: str) -> tuple[int, ...]:
     return values
 
 
-def _grid(a, b, count: int, config: PrecisionConfig):
-    """count >= 2 points from a to b inclusive, at working precision."""
-    with working_precision(config):
-        lo = to_mpf(a, config)
-        hi = to_mpf(b, config)
-        if lo == hi:
-            return [lo]
-        step = (hi - lo) / (count - 1)
-        points = [lo + k * step for k in range(count - 1)]
-        points.append(hi)
-        return points
-
-
 def solve_piii_prime(*args, **kwargs):
     from .flows import solve_piii_prime
 
@@ -131,30 +119,17 @@ def continue_pv(*args, **kwargs):
     return continue_pv(*args, **kwargs)
 
 
-def _nearest_rows(samples, points):
-    """Pick one trajectory row per requested point, deduplicated, in order."""
-    chosen = []
-    seen = set()
-    for p in points:
-        best = min(range(len(samples)), key=lambda i: abs(samples[i][0] - p))
-        if best not in seen:
-            seen.add(best)
-            chosen.append(samples[best])
-    return chosen
-
-
-def _flow_report(trajectory, points, columns, config: PrecisionConfig,
-                 notes=(), status=EXIT_OK):
-    """A flow's rows nearest the grid points, under `columns` (x, y, y'); a
-    halted flow exits 2 with a `halted:` note. Every flow reports its
-    accepted Taylor steps and the order they ran at."""
+def _flow_report(trajectory, columns, config: PrecisionConfig, notes=(), status=EXIT_OK):
+    """A flow's grid rows as it returns them, under `columns` (x, y, y'); a
+    halted flow exits 2 with a `halted:` note that names the cause and the
+    halt point. Every flow reports its accepted Taylor steps and the order
+    they ran at."""
     if trajectory.halted:
         notes = [f"halted: {trajectory.halt_reason} at "
                  f"{columns[0]}={report.fmt(trajectory.reached, config)}", *notes]
         status = EXIT_NUMERIC
     notes = [*notes, f"steps: {trajectory.steps}", f"order: {trajectory.order}"]
-    rows = _nearest_rows(trajectory.samples, points)
-    return report.table_records(rows, columns, config), status, notes
+    return report.table_records(trajectory.samples, columns, config), status, notes
 
 
 def _cmd_moments(args, config: PrecisionConfig):
@@ -267,9 +242,8 @@ def _cmd_bridge(args, config: PrecisionConfig):
 def _cmd_solve_pv(args, config: PrecisionConfig):
     from .weights import make_params
 
-    points = _grid(args.t0, args.t_end, args.samples, config)
     trajectory = continue_pv(args.n, make_params(args.alpha, args.t0, config), args.t0,
-                             args.t_end, config, tolerance=args.tolerance, sample_points=points)
+                             args.t_end, config, tolerance=args.tolerance, samples=args.samples)
     notes = []
     status = EXIT_OK
     gap = trajectory.endpoint_gap
@@ -286,18 +260,14 @@ def _cmd_solve_pv(args, config: PrecisionConfig):
             notes.append(f"finding: endpoint_gap above tolerance * max(1, |R_n(t_end)|) "
                          f"= {report.fmt(bar, config)}")
             status = EXIT_FINDING
-    return _flow_report(trajectory, points, ("t", "R", "dR"), config, notes, status)
+    return _flow_report(trajectory, ("t", "R", "dR"), config, notes, status)
 
 
 def _cmd_solve_p3(args, config: PrecisionConfig):
-    from .flows import seed_point
-
     y0 = None if args.g0 is None and args.dg0 is None else (args.g0, args.dg0)
-    start = seed_point(args.s, config) if args.s0 is None else args.s0
-    points = _grid(start, args.s, args.samples, config)
     trajectory = solve_piii_prime(args.a, args.s, config, s0=args.s0, y0=y0,
-                                  tolerance=args.tolerance, sample_points=points[1:] or None)
-    return _flow_report(trajectory, points, ("s", "g", "dg"), config)
+                                  tolerance=args.tolerance, samples=args.samples)
+    return _flow_report(trajectory, ("s", "g", "dg"), config)
 
 
 def _cmd_scan(args, config: PrecisionConfig):

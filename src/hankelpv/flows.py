@@ -12,7 +12,8 @@ transcription of its cleared equation: solve_ode checks every step's jet
 against the rhs, which is a check only while the two are written apart.
 Every flow runs through one runner and returns one Trajectory; each names
 the factors of its cleared denominator (g; R_n and k1 + R_n), which drive
-the runner's singularity guard.
+the runner's singularity guard.  A trajectory's rows are its grid, evenly
+spaced from the flow's actual start to its end, and any halt point.
 
 Only ode and precision load with this module: the g flows import series,
 and the R_n flow ladder, recurrence and weights, when they seed.
@@ -20,8 +21,7 @@ and the R_n flow ladder, recurrence and weights, when they seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from mpmath import mp, mpf
 
@@ -94,9 +94,9 @@ def flow_tolerance(tolerance, config: PrecisionConfig) -> mpf:
     return to_mpf(tolerance, config)
 
 
-@dataclass
-class Trajectory:
-    """One flow's rows (x, *y), from the seed to where it finished or halted.
+class Trajectory(NamedTuple):
+    """One flow's grid rows (x, *y), from the seed to where it finished or
+    halted; a halted flow's last row is its halt point.
 
     `halt_reason` is None when the flow reached its end point; `steps`
     counts the integrator's accepted steps, Taylor polynomials of degree
@@ -127,8 +127,11 @@ class Trajectory:
 
 
 def _run_flow(rhs, jet, factors, x0, y0, x_end, tolerance, config: PrecisionConfig,
-              sample_points=None) -> Trajectory:
+              samples: int = 2) -> Trajectory:
     """Integrate one flow from (x0, y0) to x_end; a halt returns the partial path.
+
+    The rows are the points of an even `samples`-point grid from x0 to x_end
+    (x0 alone on a zero span) that the flow reached, then any halt point.
 
     `factors(y)` lists the state-dependent factors of the flow's cleared
     denominator. Their product is the denominator the integrator keeps the
@@ -153,14 +156,20 @@ def _run_flow(rhs, jet, factors, x0, y0, x_end, tolerance, config: PrecisionConf
         singularity_guard=guard,
         denominator=lambda x, y: mp.fprod(factors(y)),
     )
+    grid = [x0]
+    if x_end != x0:
+        step = (x_end - x0) / (samples - 1)
+        grid = [x0 + k * step for k in range(samples - 1)] + [x_end]
     reason = None
     try:
-        samples = solve_ode(problem, config, sample_points=sample_points)
+        rows = solve_ode(problem, config, sample_points=grid)
     except OdeHalt as halt:
-        samples = halt.samples
+        rows = halt.samples
         reason = str(halt)
-    return Trajectory(samples=[(x, *y) for x, y in samples], tolerance=tolerance,
-                      halt_reason=reason, steps=samples.steps, order=samples.order)
+    # the last row is x_end, or where the flow halted
+    keep = {*grid, rows[-1][0]}
+    return Trajectory(samples=[(x, *y) for x, y in rows if x in keep], tolerance=tolerance,
+                      halt_reason=reason, steps=rows.steps, order=rows.order)
 
 
 # --- scaled flow for g(s, a) -------------------------------------------------
@@ -211,13 +220,6 @@ def _piii_jet(a_val: mpf) -> Callable:
     return lambda s, y, order, scale: _piii_series(a_val, s, y, order, scale)
 
 
-def seed_point(s_end, config: PrecisionConfig) -> mpf:
-    """Where the small-s seed's search for an admissible seed point begins
-    when no s0 is given: min(s_end/2, 1/8)."""
-    with working_precision(config):
-        return min(to_mpf(s_end, config) / 2, mpf(1) / 8)
-
-
 def solve_piii_prime(
     a,
     s_end,
@@ -225,20 +227,20 @@ def solve_piii_prime(
     s0=None,
     y0=None,
     tolerance=None,
-    sample_points=None,
+    samples: int = 2,
 ) -> Trajectory:
     """Integrate g'' = (g')^2/g - g'/s + 2g^2/s^2 + a/(2s) - 1/(4g).
 
     One start: given y0 = (g0, g0'), the flow starts there at the given s0.
     Otherwise it starts from the order-ORDER_SMALL_SEED Taylor series at s0,
-    or, with no s0, at the first of seed_point, its half, ... whose seed
+    or, with no s0, at the first of min(s_end/2, 1/8), its half, ... whose seed
     tail is below tolerance^4 * max(1, |g0|); a given s0 whose tail misses
     that budget raises NumericsError.  The equation is singular at s = 0, so
     s0 must be positive.  The descending large-s expansion is no start: the
     solutions that share it differ by exponentially small terms that grow
     as the flow runs inward.  A guard halts the flow when g approaches 0 or
     diverges; the partial path is returned with `halted` set rather than
-    raised.
+    raised.  The rows are `samples` grid points from the start (_run_flow).
     """
     from .series import _as_fraction, _fr, g_small_series
 
@@ -254,7 +256,7 @@ def solve_piii_prime(
         fr = _as_fraction(a)
         if y0 is None:
             series = g_small_series(fr, ORDER_SMALL_SEED)
-            s0 = _small_seed_point([series], seed_point(s_end, config) if s0 is None else s0,
+            s0 = _small_seed_point([series], min(s_end / 2, mpf(1) / 8) if s0 is None else s0,
                                    tol, search=s0 is None)
             start = list(_poly_seed(series, s0))
         elif s0 is None or None in y0:
@@ -263,7 +265,7 @@ def solve_piii_prime(
             start = [to_mpf(y0[0], config), to_mpf(y0[1], config)]
         a_val = _fr(fr)
         return _run_flow(_piii_rhs(a_val), _piii_jet(a_val), lambda y: [y[0]],
-                         s0, start, s_end, tol, config, sample_points)
+                         s0, start, s_end, tol, config, samples)
 
 
 # --- the g flow with the log-ratio, for the Dyson experiment --------------------
@@ -411,7 +413,7 @@ def continue_pv(
     t_end,
     config: PrecisionConfig,
     tolerance=None,
-    sample_points=None,
+    samples: int = 2,
 ) -> Trajectory:
     """Evolve R_n(t) from t0 to t_end and cross-check the endpoint.
 
@@ -420,7 +422,7 @@ def continue_pv(
     2n+2alpha+1+R_n -> 0, the zeros of the evolution's leading coefficient,
     and at the divergence cap.  Only params.alpha is read; the trajectory's
     own t span is [t0, t_end], which must stay positive (the equation is
-    singular at t=0).
+    singular at t=0).  The rows are `samples` grid points from t0 (_run_flow).
     """
     if n < 0:
         raise ValueError("index must be non-negative")
@@ -434,8 +436,9 @@ def continue_pv(
         trajectory = _run_flow(_pv_rhs(n, alpha), _pv_jet(n, alpha),
                                lambda y: [y[0], k1 + y[0]],
                                t0, list(_seed_aux(n, alpha, t0, config)), t_end,
-                               flow_tolerance(tolerance, config), config, sample_points)
-        if not trajectory.halted:
-            trajectory.endpoint_direct, _ = _seed_aux(n, alpha, t_end, config)
-            trajectory.endpoint_gap = abs(trajectory.endpoint[1] - trajectory.endpoint_direct)
-    return trajectory
+                               flow_tolerance(tolerance, config), config, samples)
+        if trajectory.halted:
+            return trajectory
+        direct, _ = _seed_aux(n, alpha, t_end, config)
+        return trajectory._replace(endpoint_direct=direct,
+                                   endpoint_gap=abs(trajectory.endpoint[1] - direct))

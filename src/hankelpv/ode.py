@@ -66,7 +66,8 @@ singularity guard stops it there.
 Halts. The singularity guard, checked before every step, raises
 SingularityHalt; a step below the floor 2^-(bits/2) max(1, |x|) and more
 than DEFAULT_MAX_STEPS accepted steps raise StepUnderflowHalt. Either
-carries the trajectory so far.
+carries the halt point and the trajectory so far; its message names only
+the cause.
 
 Defect check. After each step, problem.rhs at the step end is compared
 with the derivative of the step's Taylor polynomial there. A jet that
@@ -279,7 +280,7 @@ def solve_ode(problem: OdeProblem, config: PrecisionConfig, sample_points=None):
 
         while x != x_end:
             if guard is not None and guard(x, y):
-                raise halt(SingularityHalt, f"singularity guard fired at x={mp.nstr(x, 17)}")
+                raise halt(SingularityHalt, "singularity guard fired")
             if samples.steps >= DEFAULT_MAX_STEPS:
                 raise halt(StepUnderflowHalt, "step budget exhausted")
             remaining = abs(x_end - x)
@@ -294,7 +295,7 @@ def solve_ode(problem: OdeProblem, config: PrecisionConfig, sample_points=None):
             sign = None if denominator is None else mp.sign(denominator(x, y))
             while True:
                 if h < h_floor:
-                    raise halt(StepUnderflowHalt, f"step size underflow at x={mp.nstr(x, 17)}")
+                    raise halt(StepUnderflowHalt, "step size underflow")
                 x_new = x_end if h == remaining else x + direction * h
                 tau = x_new - x
                 at = to_fixed(mp.ldexp(tau, -scale), point)

@@ -18,7 +18,7 @@ from hankelpv.series import (
     series_expansion,
 )
 from hankelpv.choices import FIXED_KINDS, SERIES_KINDS
-from hankelpv.cli import _grid, target_digits_for_bits
+from hankelpv.cli import target_digits_for_bits
 from hankelpv.flows import continue_pv, solve_piii_prime
 from hankelpv.identities import _ladder_t_derivatives
 from hankelpv.ladder import aux_table
@@ -439,7 +439,7 @@ def test_large_coefficients_grow_factorially():
 
 
 def test_flow_small_seed_tracks_series():
-    traj = solve_piii_prime(HALF, "0.25", LO, tolerance="1e-7", sample_points=["0.25"])
+    traj = solve_piii_prime(HALF, "0.25", LO, tolerance="1e-7")
     assert not traj.halted
     with working_precision(LO):
         ref = series_eval("g-small", "0.25", LO, a=HALF)
@@ -525,13 +525,14 @@ def test_flow_checkpoints_do_not_multiply_the_work(taylor_steps):
     # the 17 sample points that `hankelpv solve-p3 --s 0.1` asks for are
     # read off the Taylor polynomials of the steps that cover them
     config = PrecisionConfig(bits=320, target_digits=target_digits_for_bits(320))
-    points = _grid("0.05", "0.1", 17, config)[1:]
     free = solve_piii_prime(HALF, "0.1", config)
     free_steps = list(taylor_steps)
     taylor_steps.clear()
-    sampled = solve_piii_prime(HALF, "0.1", config, sample_points=points)
+    sampled = solve_piii_prime(HALF, "0.1", config, samples=17)
     assert not free.halted and not sampled.halted
-    assert len(sampled.samples) > len(points)
+    # the rows are the grid, from the same seeded start, and no step end
+    assert len(sampled.samples) == 17 > len(free.samples) == 2
+    assert sampled.samples[0] == free.samples[0]
     assert taylor_steps == free_steps
     assert sampled.steps == free.steps == len(free_steps)
 

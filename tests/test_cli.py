@@ -355,6 +355,58 @@ def test_flow_lands_on_a_checkpoint_one_step_away(argv):
     assert len(_rows(out)) == 17
 
 
+def test_solve_p3_grid_starts_where_the_seed_search_starts_the_flow(monkeypatch):
+    # at the default bits the seed search halves s0 = 1/8 once: the grid
+    # runs from the seeded start, and its first row is that start
+    monkeypatch.delenv(ENV_BITS, raising=False)
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        status = cli.main(["solve-p3", "--a", "1/2", "--s", "0.5", "--samples", "3"])
+    rows = _rows(out.getvalue())
+    assert status == cli.EXIT_OK
+    assert [row["s"] for row in rows] == ["0.0625", "0.28125", "0.5"]
+    config = PrecisionConfig(bits=DEFAULT_BITS, target_digits=cli.target_digits_for_bits(
+        DEFAULT_BITS))
+    start = cli.solve_piii_prime("1/2", "0.5", config).samples[0]
+    assert list(rows[0].values()) == [report.fmt(value, config) for value in start]
+
+
+HALTED_P3 = """s,g,dg
+0.125,0.176923122259680,1.93143409524196
+0.59375,6.11424754351822,52.4664167966967
+0.885956643111323,62164204.2383622,1106440580992.37
+"""
+
+
+def test_halted_flow_prints_its_grid_rows_and_names_the_halt_point_once():
+    err = io.StringIO()
+    status, out = _run(["solve-p3", "--a", "1/2", "--s", "2", "--samples", "5"], err)
+    assert (status, out) == (cli.EXIT_NUMERIC, HALTED_P3)
+    assert err.getvalue().splitlines()[0] == \
+        "solve-p3: halted: singularity guard fired at s=0.885956643111323"
+    assert err.getvalue().count("0.88595664311") == 1
+
+
+def test_backward_solve_pv_prints_its_grid_from_t0():
+    status, out = _run(["solve-pv", "--n", "1", "--alpha", "1", "--t0", "0.3", "--t-end", "0.2",
+                        "--samples", "4"])
+    assert (status, out) == (cli.EXIT_OK, """t,R,dR
+0.3,1.36007621012062,3.52331700270933
+0.266666666666666,1.24095106406340,3.62682281516845
+0.233333333333333,1.11808743146773,3.74844499455219
+0.2,0.990787085281008,3.89426367522563
+""")
+
+
+def test_a_flow_halted_on_a_grid_point_prints_that_row_once():
+    # g0 = 0 fires the guard before the first step, at the grid's first point
+    err = io.StringIO()
+    status, out = _run(["solve-p3", "--a", "1/2", "--s", "0.5", "--s0", "0.25", "--g0", "0",
+                        "--dg0", "1", "--samples", "3"], err)
+    assert (status, out) == (cli.EXIT_NUMERIC, "s,g,dg\n0.25,0.0,1.0\n")
+    assert err.getvalue().splitlines()[0] == "solve-p3: halted: singularity guard fired at s=0.25"
+
+
 @pytest.mark.parametrize("name, solver", [
     ("solve-p3", "solve_piii_prime"),
     ("solve-pv", "continue_pv"),

@@ -64,3 +64,21 @@ def test_every_imported_name_is_used(module):
                 == ["__all__"]:
             used.update(element.value for element in node.value.elts)
     assert {name: line for name, line in imported.items() if name not in used} == {}
+
+
+def test_cli_takes_from_flows_only_its_two_forwarders():
+    # where a seed starts and which grid a flow's rows lie on stay flow
+    # policy: the CLI forwards to the two solvers and renders their rows
+    found = []
+    for top in _tree("cli").body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or "", *(alias.name for alias in node.names)]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[-1] == "flows" for name in modules):
+                found.append((getattr(top, "name", None), [a.name for a in node.names]))
+    assert sorted(found) == [("continue_pv", ["continue_pv"]),
+                             ("solve_piii_prime", ["solve_piii_prime"])]
