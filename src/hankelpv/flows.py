@@ -25,8 +25,8 @@ from typing import Callable, NamedTuple, Optional
 
 from mpmath import mp, mpf
 
-from .ode import (OdeHalt, OdeProblem, binary_point, int_cauchy, shifted, solve_ode,
-                  to_fixed)
+from .ode import (TOLERANCE_EXPONENT, OdeHalt, OdeProblem, binary_point, int_cauchy, shifted,
+                  solve_ode, to_fixed)
 from .precision import NumericsError, PrecisionConfig, to_mpf, working_precision
 
 
@@ -63,7 +63,7 @@ def _small_seed_point(series, s0: mpf, tol: mpf, search: bool = True) -> mpf:
     small-s series' seed tail is at most tol^4 * max(1, |its value|), the
     integrator's budget, so no flow starts from digits its seed does not
     hold.  Without `search`, an s0 whose tail misses the budget raises."""
-    budget = tol ** 4
+    budget = tol ** TOLERANCE_EXPONENT
     for _ in range(80):
         for one in series:
             tail = _small_seed_tail(one, s0)

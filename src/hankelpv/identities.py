@@ -173,6 +173,15 @@ def verify_difference_equations(
     return rows
 
 
+def _branch(value, base, square, scale=1) -> str:
+    """The sign of the root base +- sqrt(square)/scale nearer to value, or
+    "none" when square < 0 and only the squared relation is checkable."""
+    if square < 0:
+        return "none"
+    root = mp.sqrt(square) / scale
+    return "+" if abs(value - (base + root)) <= abs(value - (base - root)) else "-"
+
+
 def _rn_big_row(n, params, aux, config):
     a = params.alpha
     t = params.t
@@ -218,13 +227,9 @@ def _rn_big_row(n, params, aux, config):
         par * t * m1 * (m3 + Rp) - ((n + a + 1 - par * t) * Rp - par * t * m3) * R
     ) ** 2 - (n + 1) * (n + 2 * a + 1) * R ** 2 * Rp ** 2
 
-    branch = "none"
-    prod = brace_a * brace_b
-    if prod >= 0:
-        root = 2 * mp.sqrt(prod)
-        branch = "+" if abs(left - root) <= abs(left + root) else "-"
     return residual_row("Rn-diff", n, a, t, config,
-                        *normalize([left ** 2, -4 * brace_a * brace_b]), branch=branch)
+                        *normalize([left ** 2, -4 * brace_a * brace_b]),
+                        branch=_branch(left, 0, 4 * brace_a * brace_b))
 
 
 def _sd_row(n, params, aux, config):
@@ -365,18 +370,11 @@ def _ode2_row(n, params, config, r, r1, r2):
         4 * n ** 2 * (n + 2 * a) ** 2 * t,
     ]
     # quadratic in r'' -> record which root the measured value realizes
-    branch = "none"
     qa = 4 * t ** 3
     qb = 4 * t ** 2 * (r1 - 2 * par * w)
     qc = sum(terms[2:])
-    disc = qb ** 2 - 4 * qa * qc
-    if disc >= 0:
-        root = mp.sqrt(disc)
-        plus = (-qb + root) / (2 * qa)
-        minus = (-qb - root) / (2 * qa)
-        branch = "+" if abs(r2 - plus) <= abs(r2 - minus) else "-"
-    return residual_row("ode2", n, a, t, config,
-                        *normalize(terms), branch=branch,
+    return residual_row("ode2", n, a, t, config, *normalize(terms),
+                        branch=_branch(r2, -qb / (2 * qa), qb ** 2 - 4 * qa * qc, 2 * qa),
                         detail="deriv=jet")
 
 
@@ -454,14 +452,9 @@ def _sode_row(n, params, config, sig, s1, s2, r_val):
     )
     # the derivation's square root is sqrt(g); record which sign of it
     # reproduces the directly computed r_n
-    branch = "none"
-    if g >= 0:
-        root = mp.sqrt(g)
-        base = -par * t
-        branch = "+" if abs(r_val - (base + root)) <= abs(r_val - (base - root)) else "-"
     return residual_row("sode", n, a, t, config,
-                        *normalize([left ** 2, -16 * g * h ** 2]), branch=branch,
-                        detail="deriv=jet")
+                        *normalize([left ** 2, -16 * g * h ** 2]),
+                        branch=_branch(r_val, -par * t, g), detail="deriv=jet")
 
 
 def _cc_rule(m: int):

@@ -44,8 +44,10 @@ r = sqrt(1+z), at p = 2. Every node with 1 - x > 0 is kept, even
 where x rounds onto 1, so an integrand that takes its powers of 1 - x
 from the second argument is integrable up to a (1-x)^e, e > -1, spike.
 The scalar entry points `integrate`, `integrate_unit` and
-`integrate_even` call f(y) alone and drop a node whose y rounds onto an
-endpoint. Integrands with e^(-t/x^p) evaluate the exponential through
+`integrate_even` are that t = 0 pass on a one-component integrand mapped
+affinely onto (0, 1): they call f(y) alone, and a node whose y rounds
+onto an end of the interval adds 0 without calling f. Integrands with
+e^(-t/x^p) evaluate the exponential through
 `clamped_exp`, which returns exact 0 once the argument lies below the
 integrand's peak exponent, -t at x = 1, by more than the working dynamic
 range: the cut is relative, so at large t, where every node carries about
@@ -200,16 +202,6 @@ class _Rule(NamedTuple):
     edged: bool = False
 
 
-def _tanh_sinh(points, scale, description, exponent=0) -> _Rule:
-    """tanh-sinh nodes; points(x, 1-x) gives the points of the node pair +-x,
-    in a window sized for an integrand like (1-x)^exponent at the ends."""
-    def nodes(prec, level):
-        umax = _u_max(prec, exponent)
-        return [(w, points(x, omx)) for x, omx, w in _level_nodes(prec, level, umax)]
-
-    return _Rule(nodes, scale, description)
-
-
 def _agrees(value, previous, magnitude, tol) -> bool:
     return abs(value - previous) <= tol * max(abs(value), magnitude)
 
@@ -289,14 +281,6 @@ def _level_loop(f, size, rule: _Rule, config: PrecisionConfig, target_digits):
         )
 
 
-def _scalar(f, rule: _Rule, config, target_digits) -> mpf:
-    try:
-        return _level_loop(lambda y: (f(y),), 1, rule, config, target_digits)[0]
-    except ConvergenceError as exc:
-        exc.last_two = tuple(v[0] for v in exc.last_two)
-        raise
-
-
 def _unit_pairs(x, omx):
     # the points (1+x)/2 near 1 and (1-x)/2 near 0, each with its distance
     # to 1, which is the other; the latter uses the stored 1-x so the
@@ -305,42 +289,32 @@ def _unit_pairs(x, omx):
     return ((hi, lo),) if x == 0 else ((hi, lo), (lo, hi))
 
 
-def _unit_points(x, omx):
-    # the points alone, dropping one that rounds onto 1
-    return tuple((y,) for y, _ in _unit_pairs(x, omx) if y < 1)
-
-
 def integrate(f, interval, config: PrecisionConfig, target_digits=None) -> mpf:
-    """Integral of f over a finite interval (a, b)."""
-    a, b = interval
+    """Integral of f over a finite interval (a, b): (b - a) times the t = 0
+    pass of integrate_unit_vector on y -> f(a + (b - a) y)."""
     with working_precision(config.bits + GUARD_BITS):
-        av, bv = mpf(a), mpf(b)
-        center = (av + bv) / 2
-        radius = (bv - av) / 2
+        a, b = mpf(interval[0]), mpf(interval[1])
+        width = b - a
 
-    def points(x, _omx):
-        ys = (center,) if x == 0 else (center + radius * x, center - radius * x)
-        return tuple((y,) for y in ys if av < y < bv)
+    def mapped(y, _one_minus_y):
+        x = a + width * y
+        return (f(x) if a < x < b else mpf(0),)
 
-    return _scalar(f, _tanh_sinh(points, radius, f"tanh-sinh on ({a}, {b})"), config,
-                   target_digits)
+    value = integrate_unit_vector(mapped, 1, config, target_digits)[0]
+    with working_precision(config.bits + GUARD_BITS):
+        return width * value
 
 
 def integrate_unit(f, config: PrecisionConfig, target_digits=None) -> mpf:
     """Integral of f over (0, 1) with both endpoints handled stably."""
-    return _scalar(f, _tanh_sinh(_unit_points, mpf(0.5), "tanh-sinh on (0, 1)"), config,
-                   target_digits)
+    return integrate(f, (0, 1), config, target_digits)
 
 
 def integrate_even(f, config: PrecisionConfig, target_digits=None) -> mpf:
-    """Integral over (-1, 1) of an even integrand, folded to (0, 1].
-
-    Only f(x) for x in (0, 1) is ever evaluated, so integrands singular
-    at 0 (tamed by clamped_exp) and at 1 are both safe. The scale is
-    2 * (1/2), from the folding and the affine map.
-    """
-    return _scalar(f, _tanh_sinh(_unit_points, mpf(1), "tanh-sinh on the even fold of (-1, 1)"),
-                   config, target_digits)
+    """Integral over (-1, 1) of an even integrand: twice its integral over
+    (0, 1), where f is evaluated only inside, so integrands singular at 0
+    (tamed by clamped_exp) and at 1 are both safe."""
+    return mp.ldexp(integrate(f, (0, 1), config, target_digits), 1)
 
 
 def integrate_unit_vector(f, size, config: PrecisionConfig, target_digits=None,
@@ -357,8 +331,11 @@ def integrate_unit_vector(f, size, config: PrecisionConfig, target_digits=None,
     refinement stops when every component has converged.
     """
     if t == 0:
-        rule = _tanh_sinh(_unit_pairs, mpf(0.5), "tanh-sinh on (0, 1)",
-                          min(exponent, exponent_at_zero))
+        def nodes(prec, level):
+            umax = _u_max(prec, min(exponent, exponent_at_zero))
+            return [(w, _unit_pairs(x, omx)) for x, omx, w in _level_nodes(prec, level, umax)]
+
+        rule = _Rule(nodes, mpf(0.5), "tanh-sinh on (0, 1)")
     else:
         k_lo, k_hi = _z_window(config.bits + GUARD_BITS, t, exponent)
         rule = _Rule(lambda prec, level: _z_level_nodes(prec, p, level, k_lo, k_hi), mpf(1),

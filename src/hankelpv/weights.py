@@ -15,9 +15,9 @@ As a recurrence in k, its second solution changes against the moments by
 about -2t/(2k+3+2 alpha) per step up, so the relation is stable run
 downward below k ~ t and upward above it (Gautschi, SIAM Review 9 (1967)
 24-82). A table takes the anchors mu_{2k0}, mu_{2k0+2}, k0 = floor(t),
-from the U form and runs the relation down to mu_0 and up to any j_max;
-`negative_moments` continues the downward run below mu_0. An extended
-table holds the same bits as one built at its final size.
+from the U form and runs the relation down to mu_0 and up to its j_max,
+once, when it is built; `negative_moments` continues the downward run
+below mu_0.
 
 Provenance tags: the anchors and the odd zeros are `closed-form`, every
 other entry of a table is `pearson`. `quadrature` names the oracle route
@@ -109,52 +109,36 @@ def moment_quadrature(
 
 
 class MomentTable:
-    """Moments mu_0..mu_j_max with per-entry provenance; extendable.
+    """Moments mu_0..mu_j_max with per-entry provenance, built at their size.
 
-    The even moments are one Pearson run from the anchors at k0 = floor(t),
-    so `_even` (mu_{2k} for every k reached) can run past j_max.
+    One Pearson run from the anchors at k0 = floor(t): down to mu_0, then
+    up to mu_{2 floor(j_max/2)} where that lies above the anchors.
     """
 
-    def __init__(self, params: WeightParams, config: PrecisionConfig):
+    def __init__(self, params: WeightParams, j_max: int, config: PrecisionConfig):
         self.params = params
         self.config = config
-        self.mu = []
-        self.provenance = []
-        self._k0 = int(params.t)
+        k0 = int(params.t)
         with working_precision(config):
             even = [exp_beta_moment(k - mpf(1) / 2, params.alpha, params.t, config)
-                    for k in (self._k0 + 1, self._k0)]
-            for m in range(self._k0, 0, -1):
+                    for k in (k0 + 1, k0)]
+            for m in range(k0, 0, -1):
                 even.append(_pearson_step(m, even[-1], even[-2], params, downward=True))
-        self._even = even[::-1]
+            even.reverse()
+            for m in range(k0 + 1, j_max // 2):
+                even.append(_pearson_step(m, even[m], even[m - 1], params, downward=False))
+        self.mu = [mpf(0) if j % 2 else even[j // 2] for j in range(j_max + 1)]
+        self.provenance = [CLOSED_FORM if j % 2 or j // 2 in (k0, k0 + 1) else PEARSON
+                           for j in range(j_max + 1)]
 
     @classmethod
     def build(cls, params: WeightParams, j_max: int, config: PrecisionConfig):
-        table = cls(params, config)
-        table.extend(j_max)
+        table = cls(params, j_max, config)
         if not table.mu[0] > 0:
             raise NumericsError("mu_0 must be positive for a valid weight")
         return table
 
-    def extend(self, j_max: int) -> None:
-        even = self._even
-        with working_precision(self.config):
-            while 2 * len(even) - 2 < j_max:
-                m = len(even) - 1
-                even.append(_pearson_step(m, even[m], even[m - 1], self.params,
-                                          downward=False))
-        for j in range(len(self.mu), j_max + 1):
-            k = j // 2
-            self.mu.append(mpf(0) if j % 2 else even[k])
-            closed = j % 2 == 1 or k in (self._k0, self._k0 + 1)
-            self.provenance.append(CLOSED_FORM if closed else PEARSON)
-
-    def __len__(self) -> int:
-        return len(self.mu)
-
     def __getitem__(self, j: int) -> mpf:
-        if j >= len(self.mu):
-            self.extend(j)
         return self.mu[j]
 
 

@@ -310,6 +310,13 @@ def test_sode_branch_constant_between_root_collisions():
     assert right == ["+"] * 3
 
 
+def test_branch_names_the_nearer_root():
+    # the roots of 2 x^2 - 4 x - 6 = 0 are 1 +- sqrt(64)/4, that is 3 and -1
+    assert identities._branch(mpf("2.9"), 1, 64, 4) == "+"
+    assert identities._branch(mpf("-0.5"), 1, 64, 4) == "-"
+    assert identities._branch(0, 1, -1) == "none"
+
+
 def test_linear_ode_high_n_point():
     p = make_params("0.7", "0.05", CFG)
     rec = recurrence_table(5, p, CFG)

@@ -82,3 +82,16 @@ def test_cli_takes_from_flows_only_its_two_forwarders():
                 found.append((getattr(top, "name", None), [a.name for a in node.names]))
     assert sorted(found) == [("continue_pv", ["continue_pv"]),
                              ("solve_piii_prime", ["solve_piii_prime"])]
+
+
+def test_one_quadrature_pass_drives_every_entry():
+    # the scalar entries map onto integrate_unit_vector, so only it runs the
+    # level loop
+    callers = []
+    for module in MODULES:
+        for top in _tree(module).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "_level_loop" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    callers.append((module, getattr(top, "name", None)))
+    assert callers == [("quadrature", "integrate_unit_vector")]

@@ -42,6 +42,14 @@ def test_polynomial_weight_integral():
     assert close(got_folded, expect, CFG.target_digits - 2)
 
 
+def test_scalar_entries_are_one_mapped_pass():
+    def f(x):
+        return x * x
+
+    assert integrate_even(f, CFG) == mp.ldexp(integrate_unit(f, CFG), 1)
+    assert close(integrate(f, (-1, 2), CFG), 3, CFG.target_digits - 2)
+
+
 def test_beta_endpoint_singularities():
     # integral over (0,1) of y^(-1/2) (1-y)^(-1/2) dy = pi
     def f(y):

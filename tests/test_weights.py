@@ -168,20 +168,26 @@ def test_moment_table_parity_and_positivity():
             assert table.mu[j] > table.mu[j + 2] > 0
 
 
-def test_moment_table_extension_consistent():
-    # the anchors sit at k0 = floor(t) whatever the size: at t = 20 build(4)
-    # already ran the relation down from mu_40, mu_42, and extend(60) runs up
+def test_a_smaller_table_is_a_prefix_of_a_larger_one():
+    # the anchors sit at k0 = floor(t) whatever the size: at t = 20 a
+    # j_max = 4 table runs the relation down from mu_40, mu_42, and a
+    # j_max = 60 one also runs it up
     for alpha, t, j_small, j_big in ((1, "0.05", 4, 10), ("2.5", "20", 4, 60)):
         p = make_params(alpha, t, CFG)
-        table = MomentTable.build(p, j_small, CFG)
-        before = list(table.mu)
-        table.extend(j_big)
-        fresh = MomentTable.build(p, j_big, CFG)
-        assert len(table.mu) == len(fresh.mu) == j_big + 1
-        assert table.mu[:j_small + 1] == before
-        assert table.mu == fresh.mu
-        assert table.provenance == fresh.provenance
-    assert [j for j in range(0, 61, 2) if fresh.provenance[j] == CLOSED_FORM] == [40, 42]
+        small = MomentTable.build(p, j_small, CFG)
+        big = MomentTable.build(p, j_big, CFG)
+        assert len(small.mu) == len(small.provenance) == j_small + 1
+        assert len(big.mu) == len(big.provenance) == j_big + 1
+        assert big.mu[:j_small + 1] == small.mu
+        assert big.provenance[:j_small + 1] == small.provenance
+    assert [j for j in range(0, 61, 2) if big.provenance[j] == CLOSED_FORM] == [40, 42]
+
+
+def test_a_table_never_grows():
+    table = MomentTable.build(make_params(1, "0.5", CFG), 4, CFG)
+    with pytest.raises(IndexError):
+        table[6]
+    assert len(table.mu) == 5
 
 
 ALPHAS = ("0.01", "1", "2.5", "10")
